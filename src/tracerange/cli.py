@@ -13,8 +13,8 @@ Failures print a JSON object with a single ``error`` field carrying ``kind``,
 so scripts can always dispatch on the same shape. Output for a given argv is
 byte for byte deterministic.
 
-The subset-sum bound used by ``range`` can be overridden with the
-``TRACERANGE_DEPTH_LIMIT`` environment variable.
+The term-count bound of the cover fold used by ``range`` can be overridden
+with the ``TRACERANGE_DEPTH_LIMIT`` environment variable.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceLimitError, ValidationError
 
 Rational = Fraction
 
@@ -53,9 +53,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Canonical "p/q" form; integers are written "p/1" so output is uniform."""
+    """Canonical "p/q" form; integers are written "p/1" so output is uniform.
+
+    A rational too large for the interpreter's int-to-text digit limit is
+    refused with ``ResourceLimitError`` naming its bit size.
+    """
     q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise ResourceLimitError(
+            f"output rational too large to write: {bits} bits"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -66,8 +76,10 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValidationError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -130,22 +142,25 @@ class IntervalUnion:
         Every part must lie inside ``within``. Note the closure semantics:
         removing an isolated point leaves a union that coalesces back across
         it, so degenerate parts do not survive a complement round trip.
+
+        One pass: the gaps come out sorted and can only touch across a
+        degenerate part, where they are joined on the spot.
         """
-        for part in self.parts:
+        gaps: list[list[Fraction]] = []
+        cursor = within.lo
+        for part in self.parts + (Interval(within.hi, within.hi),):
             if part.lo < within.lo or part.hi > within.hi:
                 raise ValidationError(
                     f"union part [{part.lo}, {part.hi}] is not inside "
                     f"[{within.lo}, {within.hi}]"
                 )
-        gaps = []
-        cursor = within.lo
-        for part in self.parts:
             if cursor < part.lo:
-                gaps.append(Interval(cursor, part.lo))
+                if gaps and gaps[-1][1] == cursor:
+                    gaps[-1][1] = part.lo
+                else:
+                    gaps.append([cursor, part.lo])
             cursor = part.hi
-        if cursor < within.hi:
-            gaps.append(Interval(cursor, within.hi))
-        return IntervalUnion.from_intervals(gaps)
+        return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in gaps))
 
     def contains(self, point) -> bool:
         idx = bisect_right(self._los, point) - 1

@@ -36,7 +36,7 @@ class OutOfSupportError(DomainError):
 
 
 class ResourceLimitError(TraceRangeError):
-    """An enumeration would exceed the configured size bound."""
+    """An enumeration or an emitted value would exceed a size bound."""
 
 
 class ParseError(TraceRangeError):

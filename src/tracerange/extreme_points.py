@@ -27,7 +27,7 @@ from typing import Optional
 
 from .core import ONE, ZERO
 from .errors import DomainError, UnsupportedSpecError, ValidationError
-from .representability import ConditionVerdict
+from .representability import _HALF, ConditionVerdict
 from .sequences import (
     GeometricTail,
     MixedRadixTail,
@@ -56,8 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_DECODE_DEPTH = 64
-
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)

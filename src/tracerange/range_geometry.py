@@ -7,18 +7,25 @@ approximation. It is exact precisely when the sequence remaining after the
 cut satisfies the completeness condition on its own, because then each
 bracket is filled entirely.
 
-Subset sums are enumerated by an iterated sorted merge that deduplicates as
-it goes, so colliding sums (dyadic-style grids) never blow up to 2^n entries.
-A separate hash-based oracle recomputes representability with witnesses by a
-different route, deliberately sharing no code with the sorted merge or the
-greedy expansion so the two can cross-check each other.
+That union is the Minkowski sum {0, a_1} + ... + {0, a_N} + [0, tail_N], and
+``achievable_outer`` folds it from the right: start from [0, tail_N] and, for
+k = N down to 1, merge the union with a copy shifted by a_k, coalescing as it
+goes. A step with a_k at most the sum of everything after it cannot split a
+piece, so the cost follows the number of pieces, not 2^N. Endpoints stay
+integers over one common denominator until the final union is built.
+
+``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
+``SubsetSumOracle`` (a hash table with witnesses) enumerate the sums
+themselves. Their enumerations share no code with the fold, with each other
+or with the greedy expansion, so the routes can referee one another.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Interval, IntervalUnion, ZERO
 from .errors import ResourceLimitError, ValidationError
@@ -184,12 +191,31 @@ class RangeApproximation:
     exact: bool
 
 
+def _fold_step(pieces: list[tuple[int, int]], shift: int) -> list[tuple[int, int]]:
+    """Coalesced union of ``pieces`` and ``pieces`` shifted by ``shift``."""
+    shifted = [(lo + shift, hi + shift) for lo, hi in pieces]
+    # two sorted runs: the sort merges them in linear time
+    items = sorted(pieces + shifted)
+    merged = []
+    cur_lo, cur_hi = items[0]
+    for lo, hi in items:
+        if lo <= cur_hi:
+            if hi > cur_hi:
+                cur_hi = hi
+        else:
+            merged.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+    merged.append((cur_lo, cur_hi))
+    return merged
+
+
 def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = None) -> RangeApproximation:
     """Union of [s, s + tail] over subset sums s of the first ``depth`` terms.
 
     Finite models clamp the cut to their support (the tail is then 0 and the
     union degenerates to the exact finite set of sums). Abutting brackets
     coalesce, so a condition-satisfying model collapses to a single interval.
+    The ``bound`` on the number of terms is the one ``subset_sums`` applies.
     """
     _check_index(depth, 0, "depth")
     cut = depth
@@ -197,8 +223,14 @@ def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = No
         cut = min(depth, len(model.prefix))
     terms = model.first_terms(cut)
     slack = model.tail_sum(cut)
-    sums = subset_sums(terms, bound)
-    union = IntervalUnion.from_intervals(Interval(s, s + slack) for s in sums)
+    _check_term_count(len(terms), bound)
+    den = math.lcm(slack.denominator, *(t.denominator for t in terms))
+    pieces = [(0, slack.numerator * (den // slack.denominator))]
+    for t in reversed(terms):
+        pieces = _fold_step(pieces, t.numerator * (den // t.denominator))
+    union = IntervalUnion(
+        tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pieces)
+    )
     exact = _remainder_condition_holds(model, cut)
     return RangeApproximation(depth, union, exact)
 

@@ -96,6 +96,35 @@ def random_finite_model(rng: random.Random, min_terms: int = 1, max_terms: int =
     return SequenceModel(tuple(terms), ZeroTail())
 
 
+def random_colliding_model(rng: random.Random, max_terms: int = 12) -> SequenceModel:
+    """A finite model drawn from a few unit fractions, so many subset sums
+    coincide."""
+    values = [Fraction(1, d) for d in (2, 3, 4, 6, 12)]
+    terms = sorted((rng.choice(values) for _ in range(rng.randint(1, max_terms))), reverse=True)
+    return SequenceModel(tuple(terms), ZeroTail())
+
+
+def random_cantor_model(rng: random.Random) -> SequenceModel:
+    """A geometric model with ratio below 1/2: every term overshoots what
+    follows it, so covers keep splitting."""
+    ratio = rng.choice([Fraction(1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(3, 7)])
+    return SequenceModel((), GeometricTail(Fraction(1, rng.randint(1, 6)), ratio))
+
+
+def random_radix_model(rng: random.Random) -> SequenceModel:
+    scale = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+    return SequenceModel((), MixedRadixTail(scale, random_word(rng)))
+
+
+def random_prefixed_model(rng: random.Random, max_prefix: int = 4) -> SequenceModel:
+    """A short prefix lifted above the first term of a Cantor-like or radix
+    tail, so the junction holds but the condition may fail anywhere."""
+    tail = rng.choice([random_cantor_model, random_radix_model])(rng).tail
+    floor = tail.term(1)
+    raw = [random_fraction(rng, Fraction(0), Fraction(2), grain=12) for _ in range(rng.randint(1, max_prefix))]
+    return SequenceModel(tuple(sorted((x + floor for x in raw), reverse=True)), tail)
+
+
 fractions_positive = st.builds(
     Fraction, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=9)
 )

@@ -42,6 +42,14 @@ class TestExitCodes:
         assert code == 2
         assert doc["error"]["kind"] == "resource"
 
+    def test_huge_rational_output_is_a_resource_failure(self):
+        # the gaps hold denominators past the int-to-text digit limit
+        spec = f"geo(1/2, 1/{10**1000})"
+        code, doc = body_json(["gaps", spec, "--depth", "6"])
+        assert code == 2
+        assert doc["error"]["kind"] == "resource"
+        assert "too large to write" in doc["error"]["message"]
+
     def test_bad_depth_limit_env(self, monkeypatch):
         monkeypatch.setenv("TRACERANGE_DEPTH_LIMIT", "soon")
         code, doc = body_json(["range", DYADIC, "--depth", "4"])

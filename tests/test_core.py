@@ -10,6 +10,7 @@ from tracerange import (
     Interval,
     IntervalUnion,
     ParseError,
+    ResourceLimitError,
     ValidationError,
     format_rational,
     make_rational,
@@ -51,6 +52,11 @@ class TestRationals:
     def test_format_parse_roundtrip(self, q):
         assert parse_rational(format_rational(q)) == q
 
+    def test_format_refuses_rationals_past_the_digit_limit(self):
+        huge = Fraction(1, 10**5000)
+        with pytest.raises(ResourceLimitError, match="16610 bits"):
+            format_rational(huge)
+
 
 class TestInterval:
     def test_contains_endpoints(self):
@@ -67,6 +73,11 @@ class TestInterval:
     def test_degenerate_allowed(self):
         point = Interval(Fraction(2, 7), Fraction(2, 7))
         assert point.length() == 0
+
+    def test_integer_endpoints_become_fractions(self):
+        iv = Interval(1, 2)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        assert iv == Interval(Fraction(1), Fraction(2))
 
 
 class TestIntervalUnion:
@@ -108,6 +119,39 @@ class TestIntervalUnion:
 
     def test_complement_requires_containment(self):
         union = IntervalUnion.from_intervals([Interval(Fraction(1, 2), Fraction(2))])
+        with pytest.raises(ValidationError):
+            union.complement(Interval(Fraction(0), Fraction(1)))
+
+    def test_complement_joins_gaps_across_a_point(self):
+        union = IntervalUnion.from_intervals(
+            [
+                Interval(Fraction(0), Fraction(1, 4)),
+                Interval(Fraction(1, 2), Fraction(1, 2)),
+                Interval(Fraction(3, 4), Fraction(1)),
+            ]
+        )
+        gaps = union.complement(Interval(Fraction(0), Fraction(1)))
+        assert list(gaps) == [Interval(Fraction(1, 4), Fraction(3, 4))]
+
+    def test_complement_gaps_at_both_ends(self):
+        union = IntervalUnion.from_intervals(
+            [Interval(Fraction(1, 4), Fraction(1, 3)), Interval(Fraction(1, 2), Fraction(2, 3))]
+        )
+        gaps = union.complement(Interval(Fraction(0), Fraction(1)))
+        assert list(gaps) == [
+            Interval(Fraction(0), Fraction(1, 4)),
+            Interval(Fraction(1, 3), Fraction(1, 2)),
+            Interval(Fraction(2, 3), Fraction(1)),
+        ]
+
+    def test_complement_of_empty_union(self):
+        within = Interval(Fraction(1, 3), Fraction(2, 3))
+        assert list(IntervalUnion.empty().complement(within)) == [within]
+
+    def test_complement_rejects_part_outside_within(self):
+        union = IntervalUnion.from_intervals(
+            [Interval(Fraction(1, 4), Fraction(1, 3)), Interval(Fraction(3, 2), Fraction(2))]
+        )
         with pytest.raises(ValidationError):
             union.complement(Interval(Fraction(0), Fraction(1)))
 

@@ -25,11 +25,23 @@ from tracerange import (
     brute_force_representable,
     brute_force_witness,
     convexity_verdict,
+    kakeya_check,
     make_model,
+    split_leading,
     subset_sums,
 )
 
-from support import all_threes, cantor_like, dyadic, random_complete_model
+from support import (
+    all_threes,
+    cantor_like,
+    dyadic,
+    random_cantor_model,
+    random_colliding_model,
+    random_complete_model,
+    random_finite_model,
+    random_prefixed_model,
+    random_radix_model,
+)
 
 F = Fraction
 
@@ -188,6 +200,44 @@ class TestAchievableOuter:
             assert approx.union == IntervalUnion.from_intervals(
                 [Interval(F(0), model.total)]
             )
+
+    def test_complete_covers_stay_one_piece_at_the_bound(self):
+        # 2^24 brackets collapse to one piece; enumerating them would take
+        # minutes, so a return to subset-sum enumeration shows here
+        for model in (dyadic(), all_threes()):
+            approx = achievable_outer(model, 24)
+            assert approx.exact
+            assert approx.union == IntervalUnion((Interval(F(0), model.total),))
+
+
+class TestFoldReferee:
+    """The cover fold against the subset-sum route it replaced."""
+
+    KINDS = (
+        random_complete_model,
+        lambda rng: random_finite_model(rng, max_terms=12),
+        random_colliding_model,
+        random_cantor_model,
+        random_radix_model,
+        random_prefixed_model,
+    )
+
+    def test_fold_matches_subset_sum_route(self):
+        rng = random.Random(5113)
+        for trial in range(300):
+            model = self.KINDS[trial % len(self.KINDS)](rng)
+            depth = rng.randint(0, 12)
+            approx = achievable_outer(model, depth)
+            cut = min(depth, len(model.prefix)) if model.finite else depth
+            terms = model.first_terms(cut)
+            slack = model.tail_sum(cut)
+            sums = subset_sums(terms)
+            assert approx.union == IntervalUnion.from_intervals(
+                Interval(s, s + slack) for s in sums
+            )
+            oracle = SubsetSumOracle(terms)
+            assert all(oracle.representable(s) for s in sums)
+            assert approx.exact == kakeya_check(split_leading(model, cut)[1]).holds
 
 
 class TestConvexityVerdict:
