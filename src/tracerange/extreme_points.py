@@ -16,6 +16,10 @@ outright instead of peeling forever.
 The face embedding sends the whole body into itself: prepend radix - 1
 copies of 1/radix and shrink everything by that factor. Extraction inverts
 it and doubles as a shape test for membership in the face.
+
+Mixed-radix digits are computed on one integer numerator over the target's
+own denominator; it never exceeds radix times that denominator, so the
+digit loop costs the same at every place value.
 """
 
 from __future__ import annotations
@@ -35,9 +39,12 @@ from .sequences import (
     SequenceModel,
     ZeroTail,
     _check_index,
+    _radices,
+    _scale_tail,
     _suffix_signature,
     _tail_first_term,
     _term_or_none,
+    _walk,
     split_leading,
 )
 
@@ -216,16 +223,10 @@ def _first_deviation(
             return n
         following = n + 1
         return following if following < end else None
-    blocks_done, offset, remaining = tail.locate(j)
-    if offset == 0:
-        block_value = remaining
-        block_last = j
-    else:
-        k = tail.radices.entry(blocks_done + 1)
-        block_value = remaining / k
-        block_last = j - offset + (k - 1)
-    if block_value != value:
+    _, offset, prod, k = _walk(tail, j)
+    if tail.scale / prod != value:
         return n
+    block_last = j - offset + (k - 1)
     following = length + block_last + 1
     return following if following < end else None
 
@@ -283,12 +284,7 @@ def face_embed(model: SequenceModel, radix: int) -> SequenceModel:
         raise DomainError(f"cannot embed: leading term {lead} exceeds 1")
     unit = Fraction(1, radix)
     prefix = (unit,) * (radix - 1) + tuple(x * unit for x in model.prefix)
-    tail = model.tail
-    if isinstance(tail, GeometricTail):
-        tail = GeometricTail(tail.first * unit, tail.ratio)
-    elif isinstance(tail, MixedRadixTail):
-        tail = MixedRadixTail(tail.scale * unit, tail.radices)
-    return SequenceModel(prefix, tail)
+    return SequenceModel(prefix, _scale_tail(model.tail, unit))
 
 
 def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceModel:
@@ -320,12 +316,7 @@ def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceM
         raise DomainError(f"leading run of {first} extends past {radix - 1} copies")
     _, rest = split_leading(model, radix - 1)
     prefix = tuple(x * radix for x in rest.prefix)
-    tail = rest.tail
-    if isinstance(tail, GeometricTail):
-        tail = GeometricTail(tail.first * radix, tail.ratio)
-    elif isinstance(tail, MixedRadixTail):
-        tail = MixedRadixTail(tail.scale * radix, tail.radices)
-    return SequenceModel(prefix, tail)
+    return SequenceModel(prefix, _scale_tail(rest.tail, radix))
 
 
 def face_membership(model: SequenceModel, radix: Optional[int] = None) -> bool:
@@ -352,14 +343,14 @@ def mixed_radix_digits(word: RadixWord, target, count: int) -> tuple[int, ...]:
     residual = Fraction(target)
     if not ZERO <= residual <= ONE:
         raise DomainError(f"target {residual} outside [0, 1]")
+    # num / den is the residual times the product of the radices so far
+    num, den = residual.numerator, residual.denominator
     digits = []
-    prod = 1
-    for n in range(1, count + 1):
-        k = word.entry(n)
-        prod *= k
-        d = min(math.floor(residual * prod), k - 1)
+    for k in word.entries(count):
+        num *= k
+        d = min(num // den, k - 1)
+        num -= d * den
         digits.append(d)
-        residual -= Fraction(d, prod)
     return tuple(digits)
 
 
@@ -377,12 +368,11 @@ def bits_to_digits(bits, word: RadixWord) -> tuple[int, ...]:
         cleaned.append(int(bit))
     digits = []
     index = 0
-    n = 1
+    radices = _radices(word)
     while index < len(cleaned):
-        size = word.entry(n) - 1
+        size = next(radices) - 1
         digits.append(sum(cleaned[index : index + size]))
         index += size
-        n += 1
     return tuple(digits)
 
 
@@ -390,8 +380,7 @@ def digits_to_bits(digits, word: RadixWord) -> tuple[int, ...]:
     """Expand digits back into pattern bits, ones first inside each block,
     matching what the greedy expansion produces."""
     bits: list[int] = []
-    for n, d in enumerate(digits, start=1):
-        k = word.entry(n)
+    for d, k in zip(digits, _radices(word)):
         if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= k - 1:
             raise ValidationError(f"digit {d!r} out of range for radix {k}")
         bits.extend([1] * d)

@@ -98,13 +98,17 @@ class SubsetSumOracle:
     meet-in-the-middle pair of half tables for longer ones. Either way the
     enumeration route is disjoint from both ``subset_sums`` and the greedy
     expansion, which is the point: it serves as the independent referee.
+    Sums are kept as integers over the lcm of the term denominators, which
+    the oracle computes itself.
     """
 
     _FULL_TABLE_MAX = 16
 
     def __init__(self, terms: Sequence, bound: Optional[int] = None):
-        self._terms = tuple(Fraction(t) for t in terms)
-        _check_term_count(len(self._terms), bound)
+        values = tuple(Fraction(t) for t in terms)
+        _check_term_count(len(values), bound)
+        self._den = math.lcm(*(t.denominator for t in values))
+        self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
         if len(self._terms) <= self._FULL_TABLE_MAX:
             self._table = self._enumerate(self._terms, 0)
             self._left = self._right = None
@@ -115,8 +119,8 @@ class SubsetSumOracle:
             self._right = self._enumerate(self._terms[half:], half)
 
     @staticmethod
-    def _enumerate(terms: tuple[Fraction, ...], base: int) -> dict:
-        table: dict[Fraction, tuple[int, ...]] = {ZERO: ()}
+    def _enumerate(terms: tuple[int, ...], base: int) -> dict:
+        table: dict[int, tuple[int, ...]] = {0: ()}
         for offset, a in enumerate(terms):
             additions = {}
             for value, chosen in table.items():
@@ -127,6 +131,9 @@ class SubsetSumOracle:
         return table
 
     def _find(self, target: Fraction) -> Optional[tuple[int, ...]]:
+        if self._den % target.denominator:
+            return None  # every subset sum is a multiple of 1 / den
+        target = target.numerator * (self._den // target.denominator)
         if self._table is not None:
             return self._table.get(target)
         for value, chosen in self._left.items():

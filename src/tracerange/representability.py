@@ -13,6 +13,10 @@ The greedy rule, run against target r with partial result r_0 = 0:
 
 Equality takes the term, which is what makes expansions of exactly
 representable targets terminate in zeros instead of trailing maximal runs.
+
+The expansion and its verification run on integers: terms, total and
+target share one denominator, each step is an integer compare and subtract,
+and the ``Fraction`` results are built once at the end.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import ZERO
 from .errors import DomainError, OutOfSupportError, ValidationError
-from .sequences import GeometricTail, SequenceModel, _check_index
+from .sequences import GeometricTail, SequenceModel, _check_index, _integer_terms
 
 _HALF = Fraction(1, 2)
 
@@ -95,49 +98,52 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
     _check_index(bit_count, 0, "bit count")
     if not (0 <= target <= model.total):
         raise DomainError(f"target {target} outside [0, {model.total}]")
-    steps = bit_count
-    if model.finite:
-        steps = min(bit_count, len(model.prefix))
     certified = kakeya_check(model).holds
+    # every term, the total and the target over one denominator
+    den, remaining, numerators = _integer_terms(model, bit_count, target.denominator)
+    goal = target.numerator * (den // target.denominator)
+    residual = goal
     bits: list[int] = []
-    achieved = ZERO
-    residual = target
-    remaining = model.total
-    terms = model.iter_terms()
-    for n in range(1, steps + 1):
-        a = next(terms)
+    for n, a in enumerate(numerators, start=1):
         remaining -= a
         if residual >= a:
             bits.append(1)
-            achieved += a
             residual -= a
         else:
             bits.append(0)
         if certified:
-            assert ZERO <= residual <= remaining, (
-                f"greedy residual {residual} escaped [0, {remaining}] at step {n}"
+            assert 0 <= residual <= remaining, (
+                f"greedy residual {Fraction(residual, den)} escaped "
+                f"[0, {Fraction(remaining, den)}] at step {n}"
             )
-    return BitExpansion(tuple(bits), achieved, residual, remaining)
+    return BitExpansion(
+        tuple(bits),
+        Fraction(goal - residual, den),
+        Fraction(residual, den),
+        Fraction(remaining, den),
+    )
 
 
 def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
     """Exact |target - sum of selected terms| for an explicit bit vector.
 
     Entries must be 0 or 1. A set bit past the support of a finite model is
-    an error; clear bits there select nothing and are allowed.
+    an error; clear bits there select nothing and are allowed. The first
+    offending entry decides which error is raised.
     """
     target = Fraction(target)
-    achieved = ZERO
-    terms = model.iter_terms()
+    bits = tuple(bits)
+    den, _, numerators = _integer_terms(model, len(bits), target.denominator)
+    achieved = 0
     for i, bit in enumerate(bits, start=1):
         if bit not in (0, 1):
             raise ValidationError(f"bit {i} must be 0 or 1, got {bit!r}")
-        a = next(terms, None)
+        a = next(numerators, None)
         if bit == 1:
             if a is None:
                 raise OutOfSupportError(i, len(model.prefix))
             achieved += a
-    return abs(target - achieved)
+    return Fraction(abs(target.numerator * (den // target.denominator) - achieved), den)
 
 
 def gap_certificate(model: SequenceModel, n: int) -> tuple[Fraction, Fraction]:

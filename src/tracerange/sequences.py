@@ -14,6 +14,10 @@ These closed forms make every term, partial sum, and tail sum an exact
 rational, so downstream decisions (condition checks, expansions, range
 approximations) are never numeric estimates.
 
+Deep radix indices are found by one integer walk that skips whole periods
+(``_walk``), and loops over many terms read them as integer numerators over
+one common denominator (``_integer_terms``), building ``Fraction``s once.
+
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
 equal atoms weight/dim, an optional abelian tail contributes one atom per
@@ -24,6 +28,7 @@ sequence model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -105,7 +110,7 @@ class RadixWord:
 
     def entries(self, count: int) -> tuple[int, ...]:
         _check_index(count, 0, "count")
-        return tuple(self.entry(n) for n in range(1, count + 1))
+        return tuple(itertools.islice(_radices(self), count))
 
     def iter_entries(self) -> Iterator[int]:
         yield from self.pre
@@ -122,6 +127,13 @@ class RadixWord:
             raise OutOfSupportError(count, len(self.pre))
         offset = (count - len(self.pre)) % len(self.period)
         return RadixWord((), self.period[offset:] + self.period[:offset])
+
+
+def _radices(word: RadixWord) -> Iterator[int]:
+    """The entries of ``word`` in order; reading past the end of a finite
+    word raises OutOfSupportError, as ``entry`` does."""
+    yield from word.iter_entries()
+    raise OutOfSupportError(len(word.pre) + 1, len(word.pre))
 
 
 @dataclass(frozen=True)
@@ -191,35 +203,40 @@ class MixedRadixTail:
 
         offset == 0 means j sits exactly on a block boundary.
         """
-        consumed = 0
-        blocks_done = 0
-        remaining = self.scale
-        for value, size in self.blocks():
-            if consumed + size >= j:
-                offset = j - consumed
-                if offset == size:
-                    return blocks_done + 1, 0, value
-                return blocks_done, offset, remaining
-            consumed += size
-            blocks_done += 1
-            remaining = value
-        raise AssertionError("unreachable: radix words are infinite here")
+        blocks, offset, prod, k = _walk(self, j)
+        if offset == k - 1:
+            return blocks + 1, 0, self.scale / prod
+        return blocks, offset, self.scale / (prod // k)
 
     def term(self, j: int) -> Fraction:
-        consumed = 0
-        for value, size in self.blocks():
-            if j <= consumed + size:
-                return value
-            consumed += size
+        return self.scale / _walk(self, j)[2]
 
     def sum_first(self, j: int) -> Fraction:
-        acc = ZERO
-        consumed = 0
-        for value, size in self.blocks():
-            if j <= consumed + size:
-                return acc + (j - consumed) * value
-            acc += size * value
-            consumed += size
+        # the blocks before j's block leave scale * k / prod, and j's block
+        # has used ``offset`` of its terms of scale / prod
+        _, offset, prod, k = _walk(self, j)
+        return self.scale * Fraction(prod - k + offset, prod)
+
+
+def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
+    """Where local slot j of a radix tail sits: (blocks before its block,
+    its offset in that block counted from 1, the product of the radices
+    through that block, its radix).
+
+    All whole periods but the last are skipped with one power of the
+    period's product, so the walk visits at most |pre| + |period| blocks.
+    """
+    word = tail.radices
+    span = sum(k - 1 for k in word.period)
+    reps = max(0, (j - sum(k - 1 for k in word.pre) - 1) // span)
+    j -= reps * span
+    blocks, prod = reps * len(word.period), math.prod(word.period) ** reps
+    for k in word.iter_entries():
+        if j < k:
+            return blocks, j, prod * k, k
+        j -= k - 1
+        blocks += 1
+        prod *= k
 
 
 TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
@@ -339,6 +356,40 @@ def make_model(prefix: Sequence, tail: Optional[TailModel] = None) -> SequenceMo
     return SequenceModel(tuple(prefix), tail if tail is not None else ZeroTail())
 
 
+def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[int, int, Iterator[int]]:
+    """``(den, total_num, numerators)``: the first ``count`` terms (fewer
+    past a finite support), ``model.total`` and ``1 / other_den`` over one
+    denominator. The numerators come lazily, since each is about as long as
+    ``den`` and a list of them would take memory quadratic in ``count``.
+    """
+    prefix = model.prefix[:count]
+    extra = count - len(prefix)
+    tail, total = model.tail, model.total
+    dens = [x.denominator for x in prefix]
+    if extra and isinstance(tail, GeometricTail):
+        dens.append(tail.first.denominator * tail.ratio.denominator ** (extra - 1))
+    elif extra and isinstance(tail, MixedRadixTail):
+        dens.append(tail.scale.denominator * _walk(tail, extra)[2])
+    den = math.lcm(other_den, total.denominator, *dens)
+
+    def numerators() -> Iterator[int]:
+        for x in prefix:
+            yield x.numerator * (den // x.denominator)
+        if isinstance(tail, GeometricTail):
+            a = tail.first.numerator * (den // tail.first.denominator)
+            p, q = tail.ratio.numerator, tail.ratio.denominator
+            while True:
+                yield a
+                a = a // q * p
+        elif isinstance(tail, MixedRadixTail):
+            v = tail.scale.numerator * (den // tail.scale.denominator)
+            for k in tail.radices.iter_entries():
+                v //= k
+                yield from itertools.repeat(v, k - 1)
+
+    return den, total.numerator * (den // total.denominator), itertools.islice(numerators(), count)
+
+
 def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...], SequenceModel]:
     """First ``count`` terms plus a model of everything after them.
 
@@ -357,21 +408,10 @@ def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...
     if isinstance(tail, GeometricTail):
         return taken, SequenceModel((), tail.shifted(j))
     assert isinstance(tail, MixedRadixTail)
-    blocks_done, offset, _ = tail.locate(j)
-    if offset == 0:
-        prod = 1
-        for i in range(blocks_done):
-            prod *= tail.radices.entry(i + 1)
-        rest = MixedRadixTail(tail.scale / prod, tail.radices.shift(blocks_done))
-        return taken, SequenceModel((), rest)
-    prod = 1
-    for i in range(blocks_done + 1):
-        prod *= tail.radices.entry(i + 1)
+    blocks, offset, prod, k = _walk(tail, j)
     value = tail.scale / prod
-    size = tail.radices.entry(blocks_done + 1) - 1
-    extra = (value,) * (size - offset)
-    rest_tail = MixedRadixTail(value, tail.radices.shift(blocks_done + 1))
-    return taken, SequenceModel(extra, rest_tail)
+    extra = (value,) * (k - 1 - offset)
+    return taken, SequenceModel(extra, MixedRadixTail(value, tail.radices.shift(blocks + 1)))
 
 
 def _term_or_none(model: SequenceModel, n: int) -> Optional[Fraction]:
@@ -399,21 +439,13 @@ def _suffix_signature(model: SequenceModel, start: int):
             return ("radix", 2 * first, RadixWord((), (2,)))
         return ("geometric", first, tail.ratio)
     assert isinstance(tail, MixedRadixTail)
-    blocks_done, offset, _ = tail.locate(j) if j > 0 else (0, 0, tail.scale)
-    if offset == 0:
-        prod = 1
-        for i in range(blocks_done):
-            prod *= tail.radices.entry(i + 1)
-        return ("radix", tail.scale / prod, tail.radices.shift(blocks_done))
-    prod = 1
-    for i in range(blocks_done + 1):
-        prod *= tail.radices.entry(i + 1)
-    value = tail.scale / prod
-    size = tail.radices.entry(blocks_done + 1) - 1
-    remaining = size - offset
-    shifted = tail.radices.shift(blocks_done + 1)
-    folded = RadixWord((remaining + 1,) + shifted.pre, shifted.period)
-    return ("radix", (remaining + 1) * value, folded)
+    blocks, offset, prod, k = _walk(tail, j)
+    # the slots left in j's block fold into one block of radix left + 1
+    left = k - 1 - offset
+    word = tail.radices.shift(blocks + 1)
+    if left:
+        word = RadixWord((left + 1,) + word.pre, word.period)
+    return ("radix", (left + 1) * tail.scale / prod, word)
 
 
 def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:

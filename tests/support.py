@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -123,6 +125,48 @@ def random_prefixed_model(rng: random.Random, max_prefix: int = 4) -> SequenceMo
     floor = tail.term(1)
     raw = [random_fraction(rng, Fraction(0), Fraction(2), grain=12) for _ in range(rng.randint(1, max_prefix))]
     return SequenceModel(tuple(sorted((x + floor for x in raw), reverse=True)), tail)
+
+
+REFEREE_MODELS = (
+    random_complete_model,
+    lambda rng: random_finite_model(rng, max_terms=12),
+    random_colliding_model,
+    random_cantor_model,
+    random_radix_model,
+    random_prefixed_model,
+)
+
+
+def fraction_greedy(model: SequenceModel, target: Fraction, bit_count: int):
+    """The greedy rule stepped over ``Fraction`` terms: (bits, achieved,
+    residual, tail left after the last step)."""
+    residual, remaining, achieved = Fraction(target), model.total, Fraction(0)
+    bits = []
+    for a in itertools.islice(model.iter_terms(), bit_count):
+        remaining -= a
+        take = residual >= a
+        if take:
+            residual -= a
+            achieved += a
+        bits.append(int(take))
+    return tuple(bits), achieved, residual, remaining
+
+
+def fraction_verify(model: SequenceModel, bits, target: Fraction) -> Fraction:
+    """|target - sum of the terms the bits select|, summed as ``Fraction``s."""
+    chosen = sum((a for a, b in zip(model.iter_terms(), bits) if b), Fraction(0))
+    return abs(Fraction(target) - chosen)
+
+
+def fraction_digits(word: RadixWord, target: Fraction, count: int) -> tuple[int, ...]:
+    """Mixed-radix digits by a ``Fraction`` floor at each place value."""
+    residual, prod, digits = Fraction(target), 1, []
+    for k in itertools.islice(word.iter_entries(), count):
+        prod *= k
+        d = min(math.floor(residual * prod), k - 1)
+        residual -= Fraction(d, prod)
+        digits.append(d)
+    return tuple(digits)
 
 
 fractions_positive = st.builds(

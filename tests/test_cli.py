@@ -203,6 +203,13 @@ class TestDigitsCommand:
         assert code == 1
         assert doc["error"]["kind"] == "domain"
 
+    def test_long_digit_string(self):
+        # the digit loop stays on integers as short as the target's
+        # denominator, so the cost is linear in the count
+        code, doc = body_json(["digits", "2", "1/3", "--count", "100000"])
+        assert code == 0
+        assert len(doc["digits"]) == 100000
+
 
 class TestSpecFiles:
     def test_file_input(self, tmp_path):

@@ -12,6 +12,7 @@ from tracerange import (
     ExtremalityReport,
     GeometricTail,
     MixedRadixTail,
+    OutOfSupportError,
     RadixWord,
     SequenceModel,
     UnsupportedSpecError,
@@ -34,6 +35,7 @@ from support import (
     all_threes,
     cantor_like,
     dyadic,
+    fraction_digits,
     radix_words,
     random_unit_admissible_model,
     random_word,
@@ -250,6 +252,28 @@ class TestDigits:
             bits_to_digits((0, 2), ALL_THREES_WORD)
         with pytest.raises(ValidationError):
             digits_to_bits((3,), ALL_THREES_WORD)
+
+    def test_finite_words_run_out_where_they_end(self):
+        word = RadixWord((3, 2))
+        assert mixed_radix_digits(word, F(1, 2), 2) == (1, 1)
+        with pytest.raises(OutOfSupportError):
+            mixed_radix_digits(word, F(1, 2), 3)
+        with pytest.raises(OutOfSupportError):
+            bits_to_digits((1, 0, 1, 1), word)
+        with pytest.raises(OutOfSupportError):
+            digits_to_bits((1, 1, 0), word)
+        # a bad digit before the word ends is reported first
+        with pytest.raises(ValidationError):
+            digits_to_bits((1, 2, 0), word)
+
+    def test_digits_match_fraction_floor_loop(self):
+        rng = random.Random(1618)
+        for _ in range(300):
+            word = random_word(rng, max_entry=9)
+            den = rng.choice([1, 2, 6, 7, 30, 97, 1024, 3**7])
+            target = F(rng.randint(0, den), den)
+            count = rng.randint(0, 60)
+            assert mixed_radix_digits(word, target, count) == fraction_digits(word, target, count)
 
     @given(radix_words, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=41))
     def test_digits_match_greedy_bits(self, word, num, den):

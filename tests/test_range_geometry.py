@@ -240,6 +240,27 @@ class TestFoldReferee:
             assert approx.exact == kakeya_check(split_leading(model, cut)[1]).holds
 
 
+class TestOracleReferee:
+    """The integer-keyed oracle against the sorted-merge enumeration."""
+
+    def test_witnesses_and_membership_match_subset_sums(self):
+        rng = random.Random(3141)
+        for trial in range(120):
+            den = rng.choice([1, 6, 12, 35, 60])
+            terms = [F(rng.randint(1, 2 * den), rng.choice([1, den])) for _ in range(rng.randint(0, 17))]
+            oracle = SubsetSumOracle(terms)
+            sums = subset_sums(terms)
+            members = set(sums)
+            probes = rng.sample(sums, min(len(sums), 8))
+            probes += [s + F(1, rng.choice([2, 7, 1009])) for s in probes[:4]]
+            for target in probes:
+                assert oracle.representable(target) == (target in members)
+                witness = oracle.witness(target)
+                assert (witness is not None) == (target in members)
+                if witness is not None:
+                    assert sum((a for a, b in zip(terms, witness) if b), F(0)) == target
+
+
 class TestConvexityVerdict:
     def test_simplex_factor_alone(self):
         spec = AlgebraSpec((MatrixFactor(3, F(1)),))

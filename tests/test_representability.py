@@ -1,6 +1,7 @@
 """Condition checks, greedy expansions, and gap certificates."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tracerange import (
+    BitExpansion,
     DomainError,
     GeometricTail,
     MixedRadixTail,
@@ -23,7 +25,17 @@ from tracerange import (
     verify_expansion,
 )
 
-from support import all_threes, cantor_like, dyadic, models, random_complete_model
+from support import (
+    REFEREE_MODELS,
+    all_threes,
+    cantor_like,
+    dyadic,
+    fraction_greedy,
+    fraction_verify,
+    models,
+    random_complete_model,
+    random_fraction,
+)
 
 F = Fraction
 
@@ -149,6 +161,13 @@ class TestVerifyExpansion:
         with pytest.raises(OutOfSupportError):
             verify_expansion(make_model([F(1, 2)]), (1, 1), F(1, 2))
 
+    def test_first_offending_bit_decides_the_error(self):
+        model = make_model([F(1, 2)])
+        with pytest.raises(OutOfSupportError):
+            verify_expansion(model, (0, 1, 2), F(1, 2))
+        with pytest.raises(ValidationError):
+            verify_expansion(model, (0, 2, 1), F(1, 2))
+
     def test_clear_bits_past_support_are_fine(self):
         assert verify_expansion(make_model([F(1, 2)]), (1, 0, 0), F(1, 2)) == 0
 
@@ -159,6 +178,25 @@ class TestVerifyExpansion:
         terms = list(itertools.islice(model.iter_terms(), len(bits)))
         expected = abs(F(1, 7) - sum((t for b, t in zip(bits, terms) if b), F(0)))
         assert verify_expansion(model, tuple(bits), F(1, 7)) == expected
+
+
+class TestIntegerReferee:
+    """The integer greedy expansion and verification against plain
+    ``Fraction`` loops over ``iter_terms``."""
+
+    def test_greedy_and_verify_match_fraction_loops(self):
+        rng = random.Random(2718)
+        for trial in range(360):
+            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            grain = rng.choice([4, 16, 97, 1000])
+            target = random_fraction(rng, F(0), model.total, grain=grain)
+            bit_count = rng.randint(0, 60)
+            expansion = greedy_expand(model, target, bit_count)
+            assert expansion == BitExpansion(*fraction_greedy(model, target, bit_count))
+            bits = expansion.bits
+            assert verify_expansion(model, bits, target) == fraction_verify(model, bits, target)
+            noise = tuple(rng.randint(0, 1) for _ in bits)
+            assert verify_expansion(model, noise, target) == fraction_verify(model, noise, target)
 
 
 class TestGapCertificates:

@@ -1,6 +1,7 @@
 """Sequence models: words, tails, splitting, equality, algebra specs."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from tracerange import (
     split_leading,
 )
 
-from support import models, radix_words
+from support import models, radix_words, random_word
 
 F = Fraction
 
@@ -95,6 +96,49 @@ class TestTails:
     def test_radix_sum_first_matches_term_walk(self, word, j):
         tail = MixedRadixTail(F(1), word)
         assert tail.sum_first(j) == sum(tail.term(i) for i in range(1, j + 1))
+
+
+class TestRadixLocatorReferee:
+    """The period-jumping radix locator against running sums over
+    ``iter_terms``."""
+
+    @staticmethod
+    def check(tail: MixedRadixTail, indices) -> None:
+        model = SequenceModel((), tail)
+        limit = max(indices) + 3
+        terms = list(itertools.islice(model.iter_terms(), limit))
+        sums = list(itertools.accumulate(terms, initial=F(0)))
+        places = [  # (blocks before, offset, radix) of each slot
+            (b, offset, k)
+            for b, k in enumerate(itertools.islice(tail.radices.iter_entries(), limit))
+            for offset in range(1, k)
+        ]
+        for j in indices:
+            blocks, offset, k = places[j - 1]
+            assert tail.term(j) == model.term(j) == terms[j - 1]
+            assert tail.sum_first(j) == sums[j]
+            assert model.tail_sum(j) == tail.scale - sums[j]
+            if offset == k - 1:
+                assert tail.locate(j) == (blocks + 1, 0, tail.scale - sums[j])
+            else:
+                assert tail.locate(j) == (blocks, offset, tail.scale - sums[j - offset])
+            taken, rest = split_leading(model, j)
+            assert taken == tuple(terms[:j])
+            assert rest.total == tail.scale - sums[j]
+            assert rest.first_terms(3) == tuple(terms[j : j + 3])
+
+    def test_indices_up_to_three_periods_deep(self):
+        rng = random.Random(4241)
+        for _ in range(40):
+            word = random_word(rng, max_entry=7)
+            scale = F(rng.randint(1, 9), rng.randint(1, 9))
+            head = sum(k - 1 for k in word.pre)
+            deep = head + 3 * sum(k - 1 for k in word.period)
+            indices = sorted(set(rng.sample(range(1, deep + 1), min(deep, 10))) | {1, head + 1, deep})
+            self.check(MixedRadixTail(scale, word), indices)
+
+    def test_an_index_past_five_thousand(self):
+        self.check(MixedRadixTail(F(3, 7), RadixWord((5, 2), (2, 4, 3))), [5000, 5001, 5003])
 
 
 class TestSequenceModel:
