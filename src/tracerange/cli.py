@@ -177,10 +177,7 @@ def _run_range(args) -> str:
         return _dump(approximation_to_doc(approxes[0]))
     if args.format == "csv":
         rows = ["lo,hi"]
-        rows.extend(
-            f"{format_rational(part.lo)},{format_rational(part.hi)}"
-            for part in approxes[0].union
-        )
+        rows.extend(f"{lo},{hi}" for lo, hi in approxes[0].union._written_parts())
         return "\n".join(rows)
     return emit_svg(approxes)
 

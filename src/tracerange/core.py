@@ -1,17 +1,22 @@
 """Exact scalars and interval-set arithmetic.
 
-Every quantity is a Python ``Fraction`` (arbitrary precision, lowest terms,
-positive denominator). Nothing in this module, or anywhere else in the
-library, rounds; the single lossy surface of the package is coordinate
-formatting in the SVG renderer.
+Scalars are Python ``Fraction``s (arbitrary precision, lowest terms,
+positive denominator). An ``IntervalUnion`` holds its endpoints as integers
+over one common denominator and works on those integers; its ``Interval``
+parts, with ``Fraction`` endpoints, are built only when read. Nothing in
+this module, or anywhere else in the library, rounds; the single lossy
+surface of the package is coordinate formatting in the SVG renderer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+import operator
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, ValidationError
@@ -52,20 +57,27 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _write_ratio(num: int, den: int) -> str:
+    """"num/den" for a ratio already in lowest terms, refusing one too large
+    for the interpreter's int-to-text digit limit with ``ResourceLimitError``
+    naming its bit size."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:
+        bits = max(num.bit_length(), den.bit_length())
+        raise ResourceLimitError(
+            f"output rational too large to write: {bits} bits"
+        ) from None
+
+
 def format_rational(value) -> str:
     """Canonical "p/q" form; integers are written "p/1" so output is uniform.
 
     A rational too large for the interpreter's int-to-text digit limit is
     refused with ``ResourceLimitError`` naming its bit size.
     """
-    q = Fraction(value)
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
-        raise ResourceLimitError(
-            f"output rational too large to write: {bits} bits"
-        ) from None
+    q = value if type(value) is Fraction else Fraction(value)
+    return _write_ratio(q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -90,26 +102,96 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+def _over(den: int, x: Fraction) -> int:
+    """The numerator of ``x`` over ``den``, which its denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def _coalesce(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Merge sorted integer ``(lo, hi)`` pairs that overlap or touch."""
+    merged = []
+    cur_lo, cur_hi = pairs[0]
+    for lo, hi in pairs:
+        if lo <= cur_hi:
+            if hi > cur_hi:
+                cur_hi = hi
+        else:
+            merged.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+    merged.append((cur_lo, cur_hi))
+    return merged
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class IntervalUnion:
     """Finite union of closed intervals, sorted, disjoint, maximally coalesced.
 
     The parts never touch: consecutive parts satisfy previous.hi < next.lo
     strictly, so any value representable as a union has exactly one
     representation. All operations are pure and return new unions.
+
+    A union is held on one integer grid: ``_ends`` lists the endpoints
+    lo_1, hi_1, lo_2, hi_2, ... as integer multiples of ``1 / _den``, with
+    ``_den`` as small as those endpoints allow, so equal unions hold equal
+    grids. Every operation works on those integers; the ``Interval`` parts
+    are built only when read.
     """
 
-    parts: tuple[Interval, ...] = ()
+    _den: int
+    _ends: tuple[int, ...]
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        for prev, nxt in zip(parts, parts[1:]):
-            if prev.hi >= nxt.lo:
-                raise ValidationError(
-                    f"union parts must be sorted and strictly separated: "
-                    f"[{prev.lo}, {prev.hi}] then [{nxt.lo}, {nxt.hi}]"
-                )
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[Interval] = ()):
+        parts = tuple(parts)
+        ends = [x for part in parts for x in (part.lo, part.hi)]
+        den = math.lcm(*(x.denominator for x in ends))
+        self._place(den, [_over(den, x) for x in ends])
+        self.__dict__["parts"] = parts  # already canonical, as just checked
+
+    @classmethod
+    def _on_grid(cls, den: int, ends: Iterable[int]) -> "IntervalUnion":
+        """The union with endpoints ``ends`` (lo, hi, lo, hi, ...) over ``den``."""
+        union = object.__new__(cls)
+        union._place(den, list(ends))
+        return union
+
+    def _place(self, den: int, ends: list[int]) -> None:
+        """Validate the separation of the parts and store the reduced grid."""
+        his, los = ends[1:-1:2], ends[2::2]
+        if not all(map(operator.lt, his, los)):
+            i = next(i for i, (hi, lo) in enumerate(zip(his, los)) if hi >= lo)
+            a, b, c, d = (Fraction(x, den) for x in ends[2 * i : 2 * i + 4])
+            raise ValidationError(
+                f"union parts must be sorted and strictly separated: "
+                f"[{a}, {b}] then [{c}, {d}]"
+            )
+        g = math.gcd(den, *ends)
+        if g > 1:
+            den //= g
+            ends = [x // g for x in ends]
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ends", tuple(ends))
+
+    def _ends_over(self, den: int) -> list[int]:
+        """The endpoints over ``den``, a multiple of ``_den``."""
+        scale = den // self._den
+        return [x * scale for x in self._ends]
+
+    @cached_property
+    def parts(self) -> tuple[Interval, ...]:
+        den, ends = self._den, self._ends
+        return tuple(
+            Interval(Fraction(lo, den), Fraction(hi, den))
+            for lo, hi in zip(ends[0::2], ends[1::2])
+        )
+
+    def _written_parts(self) -> list[tuple[str, str]]:
+        """Each part's endpoints written "p/q", as ``format_rational`` writes them."""
+        den = self._den
+        texts = []
+        for x in self._ends:
+            g = math.gcd(x, den)
+            texts.append(_write_ratio(x // g, den // g))
+        return list(zip(texts[0::2], texts[1::2]))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -122,19 +204,20 @@ class IntervalUnion:
         Overlapping and abutting intervals merge; [0, 1/4] followed by
         [1/4, 1/2] becomes [0, 1/2].
         """
-        items = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-        merged: list[list[Fraction]] = []
-        for iv in items:
-            if merged and iv.lo <= merged[-1][1]:
-                if iv.hi > merged[-1][1]:
-                    merged[-1][1] = iv.hi
-            else:
-                merged.append([iv.lo, iv.hi])
-        return cls(tuple(Interval(lo, hi) for lo, hi in merged))
+        items = [(iv.lo, iv.hi) for iv in intervals]
+        if not items:
+            return cls(())
+        den = math.lcm(*(x.denominator for pair in items for x in pair))
+        pairs = sorted((_over(den, lo), _over(den, hi)) for lo, hi in items)
+        return cls._on_grid(den, chain.from_iterable(_coalesce(pairs)))
 
     def insert(self, interval: Interval) -> "IntervalUnion":
         """Union with one more interval, re-coalescing as needed."""
-        return IntervalUnion.from_intervals(self.parts + (interval,))
+        den = math.lcm(self._den, interval.lo.denominator, interval.hi.denominator)
+        ends = self._ends_over(den)
+        pairs = list(zip(ends[0::2], ends[1::2]))
+        insort(pairs, (_over(den, interval.lo), _over(den, interval.hi)))
+        return IntervalUnion._on_grid(den, chain.from_iterable(_coalesce(pairs)))
 
     def complement(self, within: Interval) -> "IntervalUnion":
         """Closure of ``within`` minus this union.
@@ -146,48 +229,56 @@ class IntervalUnion:
         One pass: the gaps come out sorted and can only touch across a
         degenerate part, where they are joined on the spot.
         """
-        gaps: list[list[Fraction]] = []
-        cursor = within.lo
-        for part in self.parts + (Interval(within.hi, within.hi),):
-            if part.lo < within.lo or part.hi > within.hi:
-                raise ValidationError(
-                    f"union part [{part.lo}, {part.hi}] is not inside "
-                    f"[{within.lo}, {within.hi}]"
-                )
-            if cursor < part.lo:
-                if gaps and gaps[-1][1] == cursor:
-                    gaps[-1][1] = part.lo
+        den = math.lcm(self._den, within.lo.denominator, within.hi.denominator)
+        ends = self._ends_over(den)
+        lo, hi = _over(den, within.lo), _over(den, within.hi)
+        if ends and (ends[0] < lo or ends[-1] > hi):
+            # parts are sorted, so the first one out of bounds is the first
+            # part, or else the first part reaching past ``hi``
+            i = 0 if ends[0] < lo else bisect_right(ends, hi) // 2
+            raise ValidationError(
+                f"union part [{Fraction(ends[2 * i], den)}, {Fraction(ends[2 * i + 1], den)}] "
+                f"is not inside [{within.lo}, {within.hi}]"
+            )
+        bounds = [lo, *ends, hi]
+        gaps: list[int] = []
+        for a, b in zip(bounds[0::2], bounds[1::2]):
+            if a < b:
+                if gaps and gaps[-1] == a:
+                    gaps[-1] = b
                 else:
-                    gaps.append([cursor, part.lo])
-            cursor = part.hi
-        return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in gaps))
+                    gaps += (a, b)
+        return IntervalUnion._on_grid(den, gaps)
 
     def contains(self, point) -> bool:
-        idx = bisect_right(self._los, point) - 1
-        return idx >= 0 and self.parts[idx].hi >= point
-
-    @cached_property
-    def _los(self) -> list:
-        return [part.lo for part in self.parts]
+        q = point if type(point) is Fraction else Fraction(point)
+        floor, rest = divmod(q.numerator * self._den, q.denominator)
+        ends = self._ends
+        i = bisect_right(ends, floor)
+        # odd i: the point lies in [lo, hi) of a part; even i: it is inside
+        # only when it equals the hi endpoint just left of it
+        return i % 2 == 1 or (i > 0 and rest == 0 and ends[i - 1] == floor)
 
     def covers(self, other: "IntervalUnion") -> bool:
         """True when every part of ``other`` sits inside some part of self."""
-        i = 0
-        for part in other.parts:
-            while i < len(self.parts) and self.parts[i].hi < part.lo:
-                i += 1
-            if i == len(self.parts):
-                return False
-            mine = self.parts[i]
-            if not (mine.lo <= part.lo and part.hi <= mine.hi):
+        den = math.lcm(self._den, other._den)
+        mine, theirs = self._ends_over(den), other._ends_over(den)
+        for lo, hi in zip(theirs[0::2], theirs[1::2]):
+            i = bisect_right(mine, lo)
+            # the part holding lo ends at mine[i] (odd i) or exactly at lo
+            if i == 0 or hi > mine[i if i % 2 else i - 1]:
                 return False
         return True
 
     def total_length(self) -> Fraction:
-        return sum((part.length() for part in self.parts), ZERO)
+        ends = self._ends
+        return Fraction(sum(ends[1::2]) - sum(ends[0::2]), self._den)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self._ends) // 2
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion(parts={self.parts!r})"

@@ -12,7 +12,7 @@ That union is the Minkowski sum {0, a_1} + ... + {0, a_N} + [0, tail_N], and
 k = N down to 1, merge the union with a copy shifted by a_k, coalescing as it
 goes. A step with a_k at most the sum of everything after it cannot split a
 piece, so the cost follows the number of pieces, not 2^N. Endpoints stay
-integers over one common denominator until the final union is built.
+integers over one common denominator, and the union keeps them on that grid.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
 ``SubsetSumOracle`` (a hash table with witnesses) enumerate the sums
@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from .core import Interval, IntervalUnion, ZERO
+from .core import IntervalUnion, ZERO, _coalesce, _over
 from .errors import ResourceLimitError, ValidationError
 from .representability import ConditionVerdict, kakeya_check
 from .sequences import (
@@ -202,18 +203,7 @@ def _fold_step(pieces: list[tuple[int, int]], shift: int) -> list[tuple[int, int
     """Coalesced union of ``pieces`` and ``pieces`` shifted by ``shift``."""
     shifted = [(lo + shift, hi + shift) for lo, hi in pieces]
     # two sorted runs: the sort merges them in linear time
-    items = sorted(pieces + shifted)
-    merged = []
-    cur_lo, cur_hi = items[0]
-    for lo, hi in items:
-        if lo <= cur_hi:
-            if hi > cur_hi:
-                cur_hi = hi
-        else:
-            merged.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = lo, hi
-    merged.append((cur_lo, cur_hi))
-    return merged
+    return _coalesce(sorted(pieces + shifted))
 
 
 def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = None) -> RangeApproximation:
@@ -232,12 +222,10 @@ def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = No
     slack = model.tail_sum(cut)
     _check_term_count(len(terms), bound)
     den = math.lcm(slack.denominator, *(t.denominator for t in terms))
-    pieces = [(0, slack.numerator * (den // slack.denominator))]
+    pieces = [(0, _over(den, slack))]
     for t in reversed(terms):
-        pieces = _fold_step(pieces, t.numerator * (den // t.denominator))
-    union = IntervalUnion(
-        tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pieces)
-    )
+        pieces = _fold_step(pieces, _over(den, t))
+    union = IntervalUnion._on_grid(den, chain.from_iterable(pieces))
     exact = _remainder_condition_holds(model, cut)
     return RangeApproximation(depth, union, exact)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, OutOfSupportError, ValidationError
 from .sequences import GeometricTail, SequenceModel, _check_index, _integer_terms
@@ -65,25 +65,42 @@ class BitExpansion:
     residual_bound: Fraction
 
 
+def _violations(model: SequenceModel, depth: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    """Each index n <= depth with a_n > sum_{k>n} a_k, in order, with its gap
+    (sum_{k>n} a_k, a_n).
+
+    Prefix indices are checked one by one. Tails settle in closed form: a
+    geometric tail violates at every one of its indices exactly when
+    ratio < 1/2, and each step scales its term and the tail after it by the
+    ratio; a radix-block tail never violates (block ends land exactly on the
+    remaining tail); a zero tail has no indices, and the last in-support term
+    is then a guaranteed violation since nothing follows it.
+    """
+    prefix = model.prefix
+    for n in range(1, min(depth, len(prefix)) + 1):
+        term, rest = prefix[n - 1], model.tail_sum(n)
+        if term > rest:
+            yield n, (rest, term)
+    tail = model.tail
+    if isinstance(tail, GeometricTail) and tail.ratio < _HALF:
+        term, rest = tail.first, tail.total - tail.first
+        for n in range(len(prefix) + 1, depth + 1):
+            yield n, (rest, term)
+            term *= tail.ratio
+            rest *= tail.ratio
+
+
 def kakeya_check(model: SequenceModel) -> ConditionVerdict:
     """Check a_n <= sum_{k>n} a_k at every index, reporting the least failure.
 
-    Prefix indices are checked one by one. Tails settle in closed form: a
-    geometric tail satisfies the condition at all of its indices exactly when
-    ratio >= 1/2, a radix-block tail always does (block ends land exactly on
-    the remaining tail), and a zero tail makes the last in-support term a
-    guaranteed violation since nothing follows it.
+    Past the prefix the first tail index settles the rest (see
+    ``_violations``), so the scan stops there.
     """
-    for n in range(1, len(model.prefix) + 1):
-        term = model.prefix[n - 1]
-        rest = model.tail_sum(n)
-        if term > rest:
-            return ConditionVerdict(False, n, (rest, term))
-    tail = model.tail
-    if isinstance(tail, GeometricTail) and tail.ratio < _HALF:
-        n = len(model.prefix) + 1
-        return ConditionVerdict(False, n, (model.tail_sum(n), model.term(n)))
-    return ConditionVerdict(True)
+    found = next(_violations(model, len(model.prefix) + 1), None)
+    if found is None:
+        return ConditionVerdict(True)
+    n, gap = found
+    return ConditionVerdict(False, n, gap)
 
 
 def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
@@ -161,17 +178,10 @@ def gap_certificate(model: SequenceModel, n: int) -> tuple[Fraction, Fraction]:
 
 
 def list_violations(model: SequenceModel, depth: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
-    """All violating indices up to ``depth`` with their gap certificates."""
+    """All violating indices up to ``depth`` with their gap certificates.
+
+    Only a violating geometric tail is stepped term by term; every other
+    tail is settled in closed form at the end of the prefix.
+    """
     _check_index(depth, 0, "depth")
-    limit = depth
-    if model.finite:
-        limit = min(depth, len(model.prefix))
-    found = []
-    remaining = model.total
-    for n, a in enumerate(model.iter_terms(), start=1):
-        if n > limit:
-            break
-        remaining -= a
-        if a > remaining:
-            found.append((n, (remaining, a)))
-    return found
+    return list(_violations(model, depth))

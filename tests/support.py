@@ -169,6 +169,65 @@ def fraction_digits(word: RadixWord, target: Fraction, count: int) -> tuple[int,
     return tuple(digits)
 
 
+def fraction_violations(model: SequenceModel, depth: int):
+    """``(n, (tail after n, a_n))`` for each n <= depth with a_n above the
+    tail after it, stepped over ``Fraction`` terms."""
+    found, remaining = [], model.total
+    for n, a in enumerate(itertools.islice(model.iter_terms(), depth), start=1):
+        remaining -= a
+        if a > remaining:
+            found.append((n, (remaining, a)))
+    return found
+
+
+def fraction_coalesce(pairs) -> list[tuple[Fraction, Fraction]]:
+    """Closed ``(lo, hi)`` pairs sorted, with overlapping or touching ones
+    merged, over ``Fraction``s."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(pairs):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def fraction_complement(pieces, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Closure of [lo, hi] minus coalesced ``pieces``: scan for the open
+    gaps, then coalesce them."""
+    gaps, cursor = [], lo
+    for a, b in pieces:
+        if cursor < a:
+            gaps.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        gaps.append((cursor, hi))
+    return fraction_coalesce(gaps)
+
+
+def fraction_member(pieces, point: Fraction) -> bool:
+    return any(a <= point <= b for a, b in pieces)
+
+
+def fraction_length(pieces) -> Fraction:
+    return sum((b - a for a, b in pieces), Fraction(0))
+
+
+mixed_grid_points = st.builds(
+    Fraction, st.integers(min_value=0, max_value=12), st.sampled_from([1, 2, 3, 4, 6, 7])
+)
+
+
+@st.composite
+def interval_pairs(draw, max_size: int = 10) -> list[tuple[Fraction, Fraction]]:
+    """Closed ``(lo, hi)`` pairs whose endpoints come from a small pool of
+    mixed-denominator points, so endpoints repeat and points occur."""
+    pool = draw(st.lists(mixed_grid_points, min_size=1, max_size=6))
+    ends = st.sampled_from(pool)
+    drawn = draw(st.lists(st.tuples(ends, ends), max_size=max_size))
+    return [(min(a, b), max(a, b)) for a, b in drawn]
+
+
 fractions_positive = st.builds(
     Fraction, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=9)
 )

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output bodies, error envelopes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -268,3 +269,41 @@ class TestHarness:
     def test_main_error_path(self, capsys):
         assert main(["check", "1/2,,"]) == 3
         assert "expected a rational number" in capsys.readouterr().out
+
+
+class TestByteAnchor:
+    """Output bytes of the cover path on a fixed corpus.
+
+    Dyadic, radix, Cantor-like, colliding finite and prefix-plus-tail
+    models, each through ``range`` in json at two depths, csv and svg, and
+    through ``gaps``. The digest was computed on the code before interval
+    unions moved onto an integer grid, so it pins that change (and any
+    later one) to byte-identical output.
+    """
+
+    MODELS = (
+        "geo(1/2, 1/2)",
+        "geo(3/8, 1/2)",
+        "radix(1; 3 | 2)",
+        "radix(2/3; 2 3)",
+        "geo(2/3, 1/3)",
+        "geo(1/5, 2/5)",
+        "1/2, 1/3, 1/3, 1/4, 1/6, 1/6, 1/12",
+        "1, 1/2, geo(1/4, 1/3)",
+        "3/2, radix(1/2; 3)",
+    )
+    DIGEST = "52eb3bb846b66200364453b53dc0c5f5fcb42f0f93ca6c073f124ac8305957f5"
+
+    def test_corpus_stdout_digest(self, capsys):
+        digest = hashlib.sha256()
+        for spec in self.MODELS:
+            for argv in (
+                ["range", spec, "--depth", "3"],
+                ["range", spec, "--depth", "7"],
+                ["range", spec, "--depth", "5", "--format", "csv"],
+                ["range", spec, "--depth", "1,4,6", "--format", "svg"],
+                ["gaps", spec, "--depth", "12"],
+            ):
+                assert main(argv) == 0, argv
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.DIGEST

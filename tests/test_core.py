@@ -1,5 +1,9 @@
 """Rational parsing and interval union behavior."""
 
+import copy
+import dataclasses
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,12 +16,34 @@ from tracerange import (
     ParseError,
     ResourceLimitError,
     ValidationError,
+    achievable_outer,
     format_rational,
     make_rational,
     parse_rational,
+    subset_sums,
 )
 
-from support import fractions_nonnegative
+from support import (
+    REFEREE_MODELS,
+    fraction_coalesce,
+    fraction_complement,
+    fraction_length,
+    fraction_member,
+    fractions_nonnegative,
+    interval_pairs,
+)
+
+
+def pieces_of(union: IntervalUnion) -> list[tuple[Fraction, Fraction]]:
+    return [(part.lo, part.hi) for part in union]
+
+
+def probes(pairs) -> list[Fraction]:
+    """Every endpoint, the midpoints between neighbouring ones, and points
+    just outside them."""
+    points = sorted({x for pair in pairs for x in pair} | {Fraction(0)})
+    mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    return points + mids + [points[0] - Fraction(1, 5), points[-1] + Fraction(1, 5)]
 
 
 class TestRationals:
@@ -186,3 +212,107 @@ class TestIntervalUnion:
         for probe in [Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(13, 9)]:
             direct = any(iv.contains(probe) for iv in union)
             assert union.contains(probe) == direct
+
+
+class TestGridUnionReferee:
+    """The integer-grid union against plain ``Fraction`` scans."""
+
+    @given(interval_pairs())
+    def test_from_intervals_contains_and_length(self, pairs):
+        union = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in pairs)
+        expected = fraction_coalesce(pairs)
+        assert pieces_of(union) == expected
+        assert len(union) == len(expected)
+        assert union.total_length() == fraction_length(expected)
+        for point in probes(pairs):
+            assert union.contains(point) == fraction_member(expected, point)
+        assert union.contains(1) == fraction_member(expected, Fraction(1))
+
+    @given(interval_pairs(max_size=11))
+    def test_insert(self, pairs):
+        *rest, last = pairs or [(Fraction(1, 2), Fraction(1, 2))]
+        union = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in rest)
+        inserted = union.insert(Interval(*last))
+        assert pieces_of(inserted) == fraction_coalesce(pairs or [last])
+
+    @given(interval_pairs(), st.booleans())
+    def test_complement(self, pairs, tight):
+        expected = fraction_coalesce(pairs)
+        union = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in pairs)
+        if tight and expected:
+            lo, hi = expected[0][0], expected[-1][1]
+        else:
+            lo, hi = Fraction(-1, 5), Fraction(13)
+        gaps = union.complement(Interval(lo, hi))
+        assert pieces_of(gaps) == fraction_complement(expected, lo, hi)
+
+    @given(interval_pairs(), interval_pairs())
+    def test_covers(self, mine, theirs):
+        big = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in mine)
+        small = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in theirs)
+        expected = all(
+            any(a <= c and d <= b for a, b in fraction_coalesce(mine))
+            for c, d in fraction_coalesce(theirs)
+        )
+        assert big.covers(small) == expected
+
+    def test_complement_names_the_first_part_outside(self):
+        union = IntervalUnion.from_intervals(
+            [Interval(Fraction(1, 4), Fraction(1, 3)), Interval(Fraction(3, 2), Fraction(2)),
+             Interval(Fraction(5, 2), Fraction(3))]
+        )
+        with pytest.raises(ValidationError, match=r"union part \[3/2, 2\] is not inside \[0, 1\]"):
+            union.complement(Interval(Fraction(0), Fraction(1)))
+        with pytest.raises(ValidationError, match=r"union part \[1/4, 1/3\] is not inside \[1/2, 3\]"):
+            union.complement(Interval(Fraction(1, 2), Fraction(3)))
+
+    def test_unsorted_parts_are_refused_by_value(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"sorted and strictly separated: \[1/3, 1/2\] then \[1/2, 2/3\]",
+        ):
+            IntervalUnion(
+                (Interval(Fraction(0), Fraction(1, 4)), Interval(Fraction(1, 3), Fraction(1, 2)),
+                 Interval(Fraction(1, 2), Fraction(2, 3)))
+            )
+
+    def test_every_route_gives_one_value(self):
+        rng = random.Random(8191)
+        for trial in range(120):
+            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            depth = rng.randint(0, 8)
+            cover = achievable_outer(model, depth).union
+            cut = min(depth, len(model.prefix)) if model.finite else depth
+            slack = model.tail_sum(cut)
+            brackets = [(s, s + slack) for s in subset_sums(model.first_terms(cut))]
+            rng.shuffle(brackets)
+            merged = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in brackets)
+            direct = IntervalUnion(tuple(Interval(lo, hi) for lo, hi in fraction_coalesce(brackets)))
+            assert cover == merged == direct
+            assert hash(cover) == hash(merged) == hash(direct)
+
+    def test_repr_is_the_parts(self):
+        union = IntervalUnion.from_intervals(
+            [Interval(Fraction(2, 9), Fraction(1, 3)), Interval(Fraction(0), Fraction(1, 9))]
+        )
+        assert repr(union) == (
+            "IntervalUnion(parts=(Interval(lo=Fraction(0, 1), hi=Fraction(1, 9)), "
+            "Interval(lo=Fraction(2, 9), hi=Fraction(1, 3))))"
+        )
+        assert repr(IntervalUnion.empty()) == "IntervalUnion(parts=())"
+
+    def test_frozen(self):
+        union = IntervalUnion.from_intervals([Interval(Fraction(0), Fraction(1))])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            union.parts = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            union.extra = 1
+
+    def test_copy_and_pickle_round_trip(self):
+        union = IntervalUnion.from_intervals(
+            [Interval(Fraction(1, 6), Fraction(1, 4)), Interval(Fraction(1, 2), Fraction(1, 2))]
+        )
+        for twin in (copy.copy(union), copy.deepcopy(union), pickle.loads(pickle.dumps(union))):
+            assert twin == union and hash(twin) == hash(union)
+            assert list(twin) == list(union)
+            assert twin.contains(Fraction(1, 2)) and not twin.contains(Fraction(1, 3))

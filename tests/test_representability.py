@@ -32,6 +32,7 @@ from support import (
     dyadic,
     fraction_greedy,
     fraction_verify,
+    fraction_violations,
     models,
     random_complete_model,
     random_fraction,
@@ -218,6 +219,13 @@ class TestGapCertificates:
         found = list_violations(cantor_like(), 3)
         assert [n for n, _ in found] == [1, 2, 3]
         assert found[0][1] == (F(1, 3), F(2, 3))
+
+    def test_list_violations_matches_fraction_loop(self):
+        rng = random.Random(1729)
+        for trial in range(240):
+            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            depth = rng.randint(0, 40)
+            assert list_violations(model, depth) == fraction_violations(model, depth)
 
     @given(models(), st.integers(min_value=1, max_value=8))
     def test_listed_gaps_match_certificates(self, model, depth):
