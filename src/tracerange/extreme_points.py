@@ -2,9 +2,11 @@
 
 The admissible body consists of the non-increasing sequences that never
 overshoot: each term must fit under what remains of 1 after the running
-total. Its extreme points are exactly the unit-scale mixed-radix patterns,
-one per infinite radix word, so extremality questions reduce to decoding:
-does this sequence equal the pattern of some word?
+total, which is the completeness condition with slack 1 - total (settled
+by the condition engine in ``representability``). Its extreme points are
+exactly the unit-scale mixed-radix patterns, one per infinite radix word,
+so extremality questions reduce to decoding: does this sequence equal the
+pattern of some word?
 
 Decoding peels runs. The leading term forces everything: if the rescaled
 value is 1/k, the word must start with radix k and the value must repeat
@@ -24,14 +26,13 @@ digit loop costs the same at every place value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .core import ONE, ZERO
 from .errors import DomainError, UnsupportedSpecError, ValidationError
-from .representability import _HALF, ConditionVerdict
+from .representability import ConditionVerdict, _first_excess
 from .sequences import (
     GeometricTail,
     MixedRadixTail,
@@ -109,78 +110,10 @@ def admissibility_check(model: SequenceModel) -> ConditionVerdict:
 
     Every term must satisfy term(n) <= 1 - partial_sum(n). A violation is
     reported at its first index with the gap (1 - partial_sum(n), term(n)).
-    Prefix indices are scanned directly; tail families are settled in closed
-    form, so sequences whose total exceeds 1 still get a finite witness.
+    Tails settle in closed form, so sequences whose total exceeds 1 still
+    get a finite witness.
     """
-    sigma = ONE - model.total
-    for n in range(1, len(model.prefix) + 1):
-        a = model.prefix[n - 1]
-        room = sigma + model.tail_sum(n)
-        if a > room:
-            return ConditionVerdict(False, n, (room, a))
-    tail = model.tail
-    if isinstance(tail, ZeroTail):
-        return ConditionVerdict(True)
-    offset = len(model.prefix)
-    if isinstance(tail, GeometricTail):
-        j = _geometric_first_excess(tail, sigma)
-    else:
-        j = _radix_first_excess(tail, sigma)
-    if j is None:
-        return ConditionVerdict(True)
-    n = offset + j
-    return ConditionVerdict(False, n, (sigma + model.tail_sum(n), model.term(n)))
-
-
-def _geometric_first_excess(tail: GeometricTail, sigma: Fraction) -> Optional[int]:
-    """Least tail index whose term exceeds sigma plus the sum after it.
-
-    For term f*r^(j-1) the excess condition reads d * r^(j-1) > sigma with
-    d = f*(1-2r)/(1-r). The sign of d and the monotonicity of r^(j-1) settle
-    every case without scanning.
-    """
-    ratio = tail.ratio
-    d = tail.first * (1 - 2 * ratio) / (1 - ratio)
-    if sigma >= 0:
-        if ratio >= _HALF or d <= sigma:
-            return None
-        return 1
-    if ratio <= _HALF:
-        return 1
-    # d < 0 > sigma and d * r^(j-1) increases toward 0, so the condition
-    # holds from some j on; find the first by doubling then bisecting.
-    def excess(j: int) -> bool:
-        return d * ratio ** (j - 1) > sigma
-
-    if excess(1):
-        return 1
-    hi = 2
-    while not excess(hi):
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if excess(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _radix_first_excess(tail: MixedRadixTail, sigma: Fraction) -> Optional[int]:
-    """Least tail index of a mixed-radix tail violating the sigma-shifted
-    condition, or None.
-
-    The pattern satisfies term <= sum-after on its own with equality at block
-    ends, so sigma >= 0 means no violation and sigma < 0 forces one inside
-    the first block, at the first offset i with (k - i - 1) * value < -sigma.
-    """
-    if sigma >= 0:
-        return None
-    k = tail.radices.entry(1)
-    value = tail.scale / k
-    i = math.floor(k - 1 + sigma / value) + 1
-    return max(1, i)
+    return _first_excess(model, ONE - model.total)
 
 
 def radix_to_sequence(word: RadixWord, scale=1) -> SequenceModel:

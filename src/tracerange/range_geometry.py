@@ -5,7 +5,8 @@ every reachable value lies within tail_N of some subset sum of the first N
 terms, so the union of [s, s + tail_N] over those sums is an outer
 approximation. It is exact precisely when the sequence remaining after the
 cut satisfies the completeness condition on its own, because then each
-bracket is filled entirely.
+bracket is filled entirely; as the condition at n reads only a_n and the
+terms after it, that means no violation past the cut.
 
 That union is the Minkowski sum {0, a_1} + ... + {0, a_N} + [0, tail_N], and
 ``achievable_outer`` folds it from the right: start from [0, tail_N] and, for
@@ -30,15 +31,8 @@ from typing import Optional, Sequence
 
 from .core import IntervalUnion, ZERO, _coalesce, _over
 from .errors import ResourceLimitError, ValidationError
-from .representability import ConditionVerdict, kakeya_check
-from .sequences import (
-    AlgebraSpec,
-    SequenceModel,
-    _check_index,
-    _suffix_signature,
-    from_algebra,
-    split_leading,
-)
+from .representability import ConditionVerdict, _excesses, kakeya_check
+from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
 
 DEFAULT_TERM_BOUND = 24
 
@@ -167,24 +161,6 @@ def brute_force_witness(terms: Sequence, target, bound: Optional[int] = None) ->
     return SubsetSumOracle(terms, bound).witness(target)
 
 
-def _remainder_condition_holds(model: SequenceModel, cut: int) -> bool:
-    """Whether the sequence left after the first ``cut`` terms satisfies the
-    completeness condition on its own.
-
-    Stays in closed form past the prefix: radix suffixes always satisfy it,
-    geometric ones do exactly when the ratio is at least 1/2. This avoids
-    materializing leftover block slots, which a huge radix entry could make
-    arbitrarily many of.
-    """
-    if cut < len(model.prefix):
-        _, remainder = split_leading(model, cut)
-        return kakeya_check(remainder).holds
-    signature = _suffix_signature(model, cut)
-    if signature[0] == "geometric":
-        return signature[2] >= Fraction(1, 2)
-    return True
-
-
 @dataclass(frozen=True)
 class RangeApproximation:
     """Finite-depth outer approximation of the achievable set.
@@ -226,7 +202,7 @@ def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = No
     for t in reversed(terms):
         pieces = _fold_step(pieces, _over(den, t))
     union = IntervalUnion._on_grid(den, chain.from_iterable(pieces))
-    exact = _remainder_condition_holds(model, cut)
+    exact = next(_excesses(model, 0, cut + 1), None) is None
     return RangeApproximation(depth, union, exact)
 
 

@@ -7,6 +7,11 @@ residual certified to stay within the remaining tail at every step; when it
 fails at index n, the whole open interval (sum_{k>n} a_k, a_n) is a hole no
 subset sum can enter, which :func:`gap_certificate` hands out.
 
+Membership in the unit-anchored body (``extreme_points``) is the same test
+with a slack, a_n <= sigma + sum_{k>n} a_k with sigma = 1 - total. One
+generator, ``_excesses``, settles it for any sigma, holding each tail
+family's closed form once; every condition check reads it.
+
 The greedy rule, run against target r with partial result r_0 = 0:
 
     take term n exactly when r - r_{n-1} >= a_n
@@ -21,14 +26,15 @@ and the ``Fraction`` results are built once at the end.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterator, Optional
 
 from .errors import DomainError, OutOfSupportError, ValidationError
-from .sequences import GeometricTail, SequenceModel, _check_index, _integer_terms
-
-_HALF = Fraction(1, 2)
+from .sequences import GeometricTail, MixedRadixTail, SequenceModel, _check_index, _integer_terms
 
 
 @dataclass(frozen=True)
@@ -65,42 +71,91 @@ class BitExpansion:
     residual_bound: Fraction
 
 
-def _violations(model: SequenceModel, depth: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-    """Each index n <= depth with a_n > sum_{k>n} a_k, in order, with its gap
-    (sum_{k>n} a_k, a_n).
+def _geometric_first_excess(tail: GeometricTail, sigma: Fraction) -> Optional[int]:
+    """Least tail index j whose term exceeds sigma plus the sum after it.
 
-    Prefix indices are checked one by one. Tails settle in closed form: a
-    geometric tail violates at every one of its indices exactly when
-    ratio < 1/2, and each step scales its term and the tail after it by the
-    ratio; a radix-block tail never violates (block ends land exactly on the
-    remaining tail); a zero tail has no indices, and the last in-support term
-    is then a guaranteed violation since nothing follows it.
+    For term f*r^(j-1) that reads d * r^(j-1) > sigma with
+    d = f*(1-2r)/(1-r), monotone in j; with f = a/b, r = p/q and sigma = s/t
+    it runs on integers as a*(q-2p)*t * p^(j-1) > s*b*(q-p) * q^(j-1). If
+    j = 1 fails with sigma >= 0, no j passes; otherwise d <= sigma < 0 and
+    d * r^(j-1) rises toward 0, so the first j is found by doubling, then
+    bisecting.
+    """
+    p, q = tail.ratio.numerator, tail.ratio.denominator
+    lhs = tail.first.numerator * (q - 2 * p) * sigma.denominator
+    rhs = sigma.numerator * tail.first.denominator * (q - p)
+
+    def excess(j: int) -> bool:
+        return lhs * p ** (j - 1) > rhs * q ** (j - 1)
+
+    if excess(1):
+        return 1
+    if sigma >= 0:
+        return None
+
+    hi = 2
+    while not excess(hi):
+        hi *= 2
+    return bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
+
+
+def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    """Each index n >= start with a_n > sigma + sum_{k>n} a_k, in order,
+    with its gap (sigma + sum_{k>n} a_k, a_n).
+
+    Completeness is sigma = 0; membership in the unit-anchored body is
+    sigma = 1 - total. Prefix indices are checked one by one; tails settle
+    in closed form, and endless runs are yielded lazily:
+
+    * geometric: the excess is monotone in the index (see
+      ``_geometric_first_excess``), so the violations form one run, stepped
+      from its first index by scaling term and rest by the ratio;
+    * radix: slot i of a block of k - 1 slots of value v leaves (k - i) * v
+      after it, so it violates exactly when (k - i - 1) * v < -sigma: never
+      for sigma >= 0, and otherwise on a suffix of every block;
+    * zero: no indices, so a finite model's last term violates at sigma = 0.
     """
     prefix = model.prefix
-    for n in range(1, min(depth, len(prefix)) + 1):
-        term, rest = prefix[n - 1], model.tail_sum(n)
-        if term > rest:
-            yield n, (rest, term)
-    tail = model.tail
-    if isinstance(tail, GeometricTail) and tail.ratio < _HALF:
-        term, rest = tail.first, tail.total - tail.first
-        for n in range(len(prefix) + 1, depth + 1):
-            yield n, (rest, term)
+    for n in range(start, len(prefix) + 1):
+        term, room = prefix[n - 1], sigma + model.tail_sum(n)
+        if term > room:
+            yield n, (room, term)
+    tail, offset = model.tail, len(prefix)
+    if isinstance(tail, GeometricTail):
+        j = _geometric_first_excess(tail, sigma)
+        if j is None:
+            return
+        j = max(j, start - offset)
+        term, rest = tail.term(j), model.tail_sum(offset + j)
+        # from its first index the run is endless unless sigma > 0
+        while sigma <= 0 or term > sigma + rest:
+            yield offset + j, (sigma + rest, term)
+            j += 1
             term *= tail.ratio
             rest *= tail.ratio
+    elif isinstance(tail, MixedRadixTail) and sigma < 0:
+        for value, size in tail.blocks():
+            k = size + 1
+            for i in range(max(1, k + math.floor(sigma / value), start - offset), k):
+                yield offset + i, (sigma + (k - i) * value, value)
+            offset += size
+
+
+def _first_excess(model: SequenceModel, sigma) -> ConditionVerdict:
+    """The least index violating a_n <= sigma + sum_{k>n} a_k, as a verdict."""
+    found = next(_excesses(model, sigma), None)
+    if found is None:
+        return ConditionVerdict(True)
+    n, gap = found
+    return ConditionVerdict(False, n, gap)
 
 
 def kakeya_check(model: SequenceModel) -> ConditionVerdict:
     """Check a_n <= sum_{k>n} a_k at every index, reporting the least failure.
 
-    Past the prefix the first tail index settles the rest (see
-    ``_violations``), so the scan stops there.
+    Tails settle in closed form (see ``_excesses``), so the scan is finite.
     """
-    found = next(_violations(model, len(model.prefix) + 1), None)
-    if found is None:
-        return ConditionVerdict(True)
-    n, gap = found
-    return ConditionVerdict(False, n, gap)
+    return _first_excess(model, 0)
 
 
 def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
@@ -184,4 +239,4 @@ def list_violations(model: SequenceModel, depth: int) -> list[tuple[int, tuple[F
     tail is settled in closed form at the end of the prefix.
     """
     _check_index(depth, 0, "depth")
-    return list(_violations(model, depth))
+    return list(takewhile(lambda found: found[0] <= depth, _excesses(model, 0)))

@@ -165,9 +165,6 @@ class GeometricTail:
     def term(self, j: int) -> Fraction:
         return self.first * self.ratio ** (j - 1)
 
-    def sum_first(self, j: int) -> Fraction:
-        return self.first * (1 - self.ratio**j) / (1 - self.ratio)
-
     def shifted(self, count: int) -> "GeometricTail":
         return GeometricTail(self.first * self.ratio**count, self.ratio)
 
@@ -210,12 +207,6 @@ class MixedRadixTail:
 
     def term(self, j: int) -> Fraction:
         return self.scale / _walk(self, j)[2]
-
-    def sum_first(self, j: int) -> Fraction:
-        # the blocks before j's block leave scale * k / prod, and j's block
-        # has used ``offset`` of its terms of scale / prod
-        _, offset, prod, k = _walk(self, j)
-        return self.scale * Fraction(prod - k + offset, prod)
 
 
 def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
@@ -344,7 +335,12 @@ class SequenceModel:
             return self._prefix_suffix_sums[n] + self.tail.total
         if self.finite:
             return ZERO
-        return self.tail.total - self.tail.sum_first(n - len(self.prefix))
+        j, tail = n - len(self.prefix), self.tail
+        if isinstance(tail, GeometricTail):
+            return tail.total * tail.ratio**j
+        # slot ``offset`` of a block worth scale / prod each leaves k - offset
+        _, offset, prod, k = _walk(tail, j)
+        return tail.scale * Fraction(k - offset, prod)
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact sum of the first n terms."""

@@ -169,14 +169,14 @@ def fraction_digits(word: RadixWord, target: Fraction, count: int) -> tuple[int,
     return tuple(digits)
 
 
-def fraction_violations(model: SequenceModel, depth: int):
-    """``(n, (tail after n, a_n))`` for each n <= depth with a_n above the
-    tail after it, stepped over ``Fraction`` terms."""
+def fraction_violations(model: SequenceModel, depth: int, sigma=0):
+    """``(n, (sigma + tail after n, a_n))`` for each n <= depth with a_n
+    above sigma plus the tail after it, stepped over ``Fraction`` terms."""
     found, remaining = [], model.total
     for n, a in enumerate(itertools.islice(model.iter_terms(), depth), start=1):
         remaining -= a
-        if a > remaining:
-            found.append((n, (remaining, a)))
+        if a > sigma + remaining:
+            found.append((n, (sigma + remaining, a)))
     return found
 
 

@@ -272,7 +272,8 @@ class TestHarness:
 
 
 class TestByteAnchor:
-    """Output bytes of the cover path on a fixed corpus.
+    """Output bytes of the cover path and the condition checks on fixed
+    corpora.
 
     Dyadic, radix, Cantor-like, colliding finite and prefix-plus-tail
     models, each through ``range`` in json at two depths, csv and svg, and
@@ -293,6 +294,29 @@ class TestByteAnchor:
         "3/2, radix(1/2; 3)",
     )
     DIGEST = "52eb3bb846b66200364453b53dc0c5f5fcb42f0f93ca6c073f124ac8305957f5"
+    CHECK_MODELS = MODELS + (
+        "geo(3/5, 2/3)",
+        "1/2, 1/2, geo(1/8, 1/2)",
+        "1, 1/3, radix(1/2; 2)",
+        "5/7, 1/7, 1/7",
+        "radix(5; 7 | 3 2)",
+    )
+    ALGEBRAS = (
+        '{"factors": [], "abelianTail": {"kind": "geometric", "first": "1/2", "ratio": "1/2"}}',
+        '{"factors": [], "abelianTail": {"kind": "radix", "scale": "1", "pre": [3], "period": [2]}}',
+        '{"factors": [], "abelianTail": {"kind": "geometric", "first": "2/3", "ratio": "1/3"}}',
+        '{"factors": [{"dim": 3, "weight": "1/1"}]}',
+        '{"factors": [{"dim": 2, "weight": "1/2"}, {"dim": 3, "weight": "1/2"}]}',
+        '{"factors": [{"dim": 2, "weight": "1/2"}], "abelianTail": '
+        '{"kind": "geometric", "first": "1/4", "ratio": "1/2"}}',
+        '{"factors": [{"dim": 1, "weight": "1/10"}], "abelianTail": '
+        '{"kind": "geometric", "first": "3/5", "ratio": "1/3"}}',
+        '{"factors": [{"dim": 4, "weight": "1/3"}], "abelianTail": '
+        '{"kind": "radix", "scale": "2/3", "pre": [], "period": [3, 2]}}',
+        '{"factors": [{"dim": 1, "weight": "1/100"}], "abelianTail": '
+        '{"kind": "radix", "scale": "99/100", "pre": [2], "period": [5]}}',
+    )
+    CHECK_DIGEST = "61d2e068367b1b8b5a981dbfc880fac14e1abce5260893208793568ee77d782d"
 
     def test_corpus_stdout_digest(self, capsys):
         digest = hashlib.sha256()
@@ -307,3 +331,17 @@ class TestByteAnchor:
                 assert main(argv) == 0, argv
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == self.DIGEST
+
+    def test_check_and_vna_corpus_digest(self, capsys):
+        """``check`` over the cover corpus and a few more models, and
+        ``vna`` over factor specs with dyadic, radix and Cantor-like
+        tails, with none, and with factors that re-anchor the tail; the
+        digest was computed before the condition checks moved onto one
+        engine."""
+        digest = hashlib.sha256()
+        requests = [["check", spec] for spec in self.CHECK_MODELS]
+        requests += [["vna", algebra] for algebra in self.ALGEBRAS]
+        for argv in requests:
+            assert main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.CHECK_DIGEST

@@ -8,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tracerange import (
+    ConditionVerdict,
     DomainError,
     ExtremalityReport,
     GeometricTail,
@@ -32,13 +33,16 @@ from tracerange import (
 )
 
 from support import (
+    REFEREE_MODELS,
     all_threes,
     cantor_like,
     dyadic,
     fraction_digits,
+    fraction_violations,
     radix_words,
     random_unit_admissible_model,
     random_word,
+    scale_model,
 )
 
 F = Fraction
@@ -76,6 +80,37 @@ class TestAdmissibility:
         verdict = admissibility_check(geo(F(2, 5), F(7, 10)))
         assert verdict.first_violation == 3
         assert verdict.gap == (F(31, 250), F(49, 250))
+
+    def test_slow_decay_found_by_doubling_and_bisection(self):
+        # ratio near 1: the room runs out deep in the tail, past several
+        # doublings, and the bisection pins the first index
+        model = geo(F(1, 10**3), 1 - F(1, 10**4))
+        sigma = 1 - model.total
+        n = admissibility_check(model).first_violation
+        assert n == 1053
+        assert model.term(n) > sigma + model.tail_sum(n)
+        assert model.term(n - 1) <= sigma + model.tail_sum(n - 1)
+
+    def test_tie_at_the_first_index_is_not_a_violation(self):
+        # the first term fills the room exactly; the heavy tail overshoots
+        # from the next index on
+        verdict = admissibility_check(geo(F(1, 2), F(3, 4)))
+        assert verdict.first_violation == 2
+        assert verdict.gap == (F(1, 8), F(3, 8))
+
+    def test_matches_fraction_loop_on_scaled_models(self):
+        rng = random.Random(4104)
+        scales = [F(1, 3), F(1, 2), F(3, 4), F(1), F(5, 4), F(2), F(7, 3)]
+        for trial in range(420):
+            base = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            model = scale_model(base, scales[trial % len(scales)])
+            verdict = admissibility_check(model)
+            found = fraction_violations(model, 80, sigma=1 - model.total)
+            if found:
+                n, gap = found[0]
+                assert verdict == ConditionVerdict(False, n, gap), model
+            else:
+                assert verdict.holds or verdict.first_violation > 80, model
 
     def test_overweight_radix_tail_after_prefix(self):
         model = SequenceModel((F(1, 2),), MixedRadixTail(F(3, 4), ALL_TWOS))

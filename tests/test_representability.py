@@ -24,6 +24,7 @@ from tracerange import (
     make_model,
     verify_expansion,
 )
+from tracerange.representability import _excesses
 
 from support import (
     REFEREE_MODELS,
@@ -226,6 +227,20 @@ class TestGapCertificates:
             model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
             depth = rng.randint(0, 40)
             assert list_violations(model, depth) == fraction_violations(model, depth)
+
+    def test_slack_engine_matches_fraction_loop(self):
+        # sigma of both signs and many sizes: radix tails at sigma < 0
+        # violate on a suffix of every block, and geometric runs with
+        # ratio below 1/2 end after a few indices once sigma > 0
+        rng = random.Random(5150)
+        for trial in range(600):
+            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            size = model.total * random_fraction(rng, F(1, 8), F(1), grain=7)
+            sigma = rng.choice([-1, 1]) * size / 2 ** rng.randint(0, 12)
+            start = rng.choice([1, rng.randint(1, 30)])
+            found = itertools.takewhile(lambda item: item[0] <= 60, _excesses(model, sigma, start))
+            expected = [item for item in fraction_violations(model, 60, sigma) if item[0] >= start]
+            assert list(found) == expected, (model, sigma, start)
 
     @given(models(), st.integers(min_value=1, max_value=8))
     def test_listed_gaps_match_certificates(self, model, depth):

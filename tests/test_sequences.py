@@ -70,7 +70,7 @@ class TestTails:
         tail = GeometricTail(F(1, 2), F(1, 2))
         assert tail.total == 1
         assert tail.term(3) == F(1, 8)
-        assert tail.sum_first(3) == F(7, 8)
+        assert SequenceModel((), tail).tail_sum(3) == F(1, 8)
 
     def test_geometric_validation(self):
         with pytest.raises(ValidationError):
@@ -81,7 +81,7 @@ class TestTails:
     def test_radix_blocks_and_terms(self):
         tail = MixedRadixTail(F(1), RadixWord((), (3,)))
         assert [tail.term(j) for j in range(1, 6)] == [F(1, 3), F(1, 3), F(1, 9), F(1, 9), F(1, 27)]
-        assert tail.sum_first(4) == F(8, 9)
+        assert SequenceModel((), tail).tail_sum(4) == F(1, 9)
 
     def test_radix_tail_needs_infinite_word(self):
         with pytest.raises(ValidationError):
@@ -93,9 +93,9 @@ class TestTails:
         assert tail.locate(3) == (1, 1, F(1, 3))
 
     @given(radix_words, st.integers(min_value=1, max_value=20))
-    def test_radix_sum_first_matches_term_walk(self, word, j):
+    def test_radix_tail_sum_matches_term_walk(self, word, j):
         tail = MixedRadixTail(F(1), word)
-        assert tail.sum_first(j) == sum(tail.term(i) for i in range(1, j + 1))
+        assert SequenceModel((), tail).tail_sum(j) == 1 - sum(tail.term(i) for i in range(1, j + 1))
 
 
 class TestRadixLocatorReferee:
@@ -116,7 +116,6 @@ class TestRadixLocatorReferee:
         for j in indices:
             blocks, offset, k = places[j - 1]
             assert tail.term(j) == model.term(j) == terms[j - 1]
-            assert tail.sum_first(j) == sums[j]
             assert model.tail_sum(j) == tail.scale - sums[j]
             if offset == k - 1:
                 assert tail.locate(j) == (blocks + 1, 0, tail.scale - sums[j])
