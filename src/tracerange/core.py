@@ -2,10 +2,12 @@
 
 Scalars are Python ``Fraction``s (arbitrary precision, lowest terms,
 positive denominator). An ``IntervalUnion`` holds its endpoints as integers
-over one common denominator and works on those integers; its ``Interval``
-parts, with ``Fraction`` endpoints, are built only when read. Nothing in
-this module, or anywhere else in the library, rounds; the single lossy
-surface of the package is coordinate formatting in the SVG renderer.
+over one common denominator and works on those integers. It checks their
+whole order once, on that grid, when it is built; its ``Interval`` parts,
+with ``Fraction`` endpoints, are built from the grid only when read, without
+checking each part again. Nothing in this module, or anywhere else in the
+library, rounds; the single lossy surface of the package is coordinate
+formatting in the SVG renderer.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ class Interval:
         return self.hi - self.lo
 
 
+def _trusted_interval(lo: Fraction, hi: Fraction) -> Interval:
+    """An ``Interval`` from ``Fraction`` endpoints already known to satisfy
+    lo <= hi, built without the checks of ``Interval.__post_init__``."""
+    part = object.__new__(Interval)
+    object.__setattr__(part, "lo", lo)
+    object.__setattr__(part, "hi", hi)
+    return part
+
+
 def _over(den: int, x: Fraction) -> int:
     """The numerator of ``x`` over ``den``, which its denominator divides."""
     return x.numerator * (den // x.denominator)
@@ -155,10 +166,15 @@ class IntervalUnion:
         return union
 
     def _place(self, den: int, ends: list[int]) -> None:
-        """Validate the separation of the parts and store the reduced grid."""
-        his, los = ends[1:-1:2], ends[2::2]
-        if not all(map(operator.lt, his, los)):
-            i = next(i for i, (hi, lo) in enumerate(zip(his, los)) if hi >= lo)
+        """Validate the order of every endpoint and store the reduced grid."""
+        los, his = ends[0::2], ends[1::2]
+        if not all(map(operator.le, los, his)):
+            lo, hi = next((lo, hi) for lo, hi in zip(los, his) if lo > hi)
+            raise ValidationError(
+                f"interval endpoints out of order: {Fraction(lo, den)} > {Fraction(hi, den)}"
+            )
+        if not all(map(operator.lt, his, los[1:])):
+            i = next(i for i, (hi, lo) in enumerate(zip(his, los[1:])) if hi >= lo)
             a, b, c, d = (Fraction(x, den) for x in ends[2 * i : 2 * i + 4])
             raise ValidationError(
                 f"union parts must be sorted and strictly separated: "
@@ -178,20 +194,17 @@ class IntervalUnion:
 
     @cached_property
     def parts(self) -> tuple[Interval, ...]:
-        den, ends = self._den, self._ends
-        return tuple(
-            Interval(Fraction(lo, den), Fraction(hi, den))
-            for lo, hi in zip(ends[0::2], ends[1::2])
-        )
-
-    def _written_parts(self) -> list[tuple[str, str]]:
-        """Each part's endpoints written "p/q", as ``format_rational`` writes them."""
+        # ``_place`` has checked the order of every endpoint
         den = self._den
-        texts = []
-        for x in self._ends:
-            g = math.gcd(x, den)
-            texts.append(_write_ratio(x // g, den // g))
-        return list(zip(texts[0::2], texts[1::2]))
+        ends = [Fraction(x, den) for x in self._ends]
+        return tuple(map(_trusted_interval, ends[0::2], ends[1::2]))
+
+    def _written_parts(self) -> list[list[str]]:
+        """Each part's endpoints written "p/q", as ``format_rational`` writes
+        them, one ``[lo, hi]`` list per part as the JSON document holds it."""
+        den = self._den
+        texts = [_write_ratio(x // (g := math.gcd(x, den)), den // g) for x in self._ends]
+        return list(map(list, zip(texts[0::2], texts[1::2])))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":

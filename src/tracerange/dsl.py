@@ -23,7 +23,7 @@ import json
 import re
 from typing import Optional
 
-from .core import make_rational
+from .core import parse_rational
 from .errors import ParseError
 from .sequences import (
     AlgebraSpec,
@@ -76,10 +76,11 @@ def _parse_rational_token(cur: _Cursor):
     token = cur.match(_RATIONAL)
     if token is None:
         raise ParseError("expected a rational number", cur.pos)
-    if "/" in token:
-        num, den = token.split("/")
-        return make_rational(int(num), int(den))
-    return make_rational(int(token), 1)
+    try:
+        return parse_rational(token)
+    except ParseError as exc:
+        # a token past the interpreter's integer digit limit lands here
+        raise ParseError(str(exc), cur.pos - len(token)) from None
 
 
 def _parse_int_token(cur: _Cursor) -> int:

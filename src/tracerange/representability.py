@@ -115,9 +115,12 @@ def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int
       for sigma >= 0, and otherwise on a suffix of every block;
     * zero: no indices, so a finite model's last term violates at sigma = 0.
     """
+    sigma = sigma or 0  # a zero slack is never added
     prefix = model.prefix
     for n in range(start, len(prefix) + 1):
-        term, room = prefix[n - 1], sigma + model.tail_sum(n)
+        term, room = prefix[n - 1], model.tail_sum(n)
+        if sigma:
+            room += sigma
         if term > room:
             yield n, (room, term)
     tail, offset = model.tail, len(prefix)
@@ -129,7 +132,7 @@ def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int
         term, rest = tail.term(j), model.tail_sum(offset + j)
         # from its first index the run is endless unless sigma > 0
         while sigma <= 0 or term > sigma + rest:
-            yield offset + j, (sigma + rest, term)
+            yield offset + j, (sigma + rest if sigma else rest, term)
             j += 1
             term *= tail.ratio
             rest *= tail.ratio

@@ -199,7 +199,7 @@ def approximation_to_doc(approx: RangeApproximation) -> dict:
     return {
         "depth": approx.depth,
         "exact": approx.exact,
-        "intervals": [list(part) for part in approx.union._written_parts()],
+        "intervals": approx.union._written_parts(),
         "totalLength": format_rational(approx.union.total_length()),
     }
 

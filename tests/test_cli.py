@@ -66,6 +66,15 @@ class TestExitCodes:
             "position": 4,
         }
 
+    def test_rational_past_the_digit_limit_is_a_parse_failure(self):
+        # the ratio token has 5002 digits, past the int-from-text limit
+        code, doc = body_json(["check", "geo(1/2, 1/1" + "0" * 5000 + ")"])
+        assert code == 3
+        assert doc["error"]["kind"] == "parse"
+        assert doc["error"]["position"] == 9
+        as_json = json.dumps({"tail": {"kind": "geometric", "first": "1/2", "ratio": "1/1" + "0" * 5000}})
+        assert body_json(["check", as_json])[0] == 3
+
     def test_unknown_command(self):
         code, doc = body_json(["nope"])
         assert code == 3

@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from tracerange import (
     IntervalUnion,
     ParseError,
     ResourceLimitError,
+    SequenceModel,
     ValidationError,
     achievable_outer,
     format_rational,
@@ -36,6 +39,19 @@ from support import (
 
 def pieces_of(union: IntervalUnion) -> list[tuple[Fraction, Fraction]]:
     return [(part.lo, part.hi) for part in union]
+
+
+def assert_parts(union: IntervalUnion, expected) -> None:
+    """The parts, read off the grid without re-checking, equal validated
+    intervals over the expected pairs; every endpoint is a ``Fraction`` in
+    lowest terms, and the written parts are ``format_rational`` of each."""
+    assert union.parts == tuple(Interval(lo, hi) for lo, hi in expected)
+    ends = [x for part in union.parts for x in (part.lo, part.hi)]
+    for x in ends:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    written = [format_rational(x) for x in ends]
+    assert union._written_parts() == [written[i : i + 2] for i in range(0, len(written), 2)]
 
 
 def probes(pairs) -> list[Fraction]:
@@ -221,7 +237,7 @@ class TestGridUnionReferee:
     def test_from_intervals_contains_and_length(self, pairs):
         union = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in pairs)
         expected = fraction_coalesce(pairs)
-        assert pieces_of(union) == expected
+        assert_parts(union, expected)
         assert len(union) == len(expected)
         assert union.total_length() == fraction_length(expected)
         for point in probes(pairs):
@@ -233,7 +249,7 @@ class TestGridUnionReferee:
         *rest, last = pairs or [(Fraction(1, 2), Fraction(1, 2))]
         union = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in rest)
         inserted = union.insert(Interval(*last))
-        assert pieces_of(inserted) == fraction_coalesce(pairs or [last])
+        assert_parts(inserted, fraction_coalesce(pairs or [last]))
 
     @given(interval_pairs(), st.booleans())
     def test_complement(self, pairs, tight):
@@ -244,7 +260,7 @@ class TestGridUnionReferee:
         else:
             lo, hi = Fraction(-1, 5), Fraction(13)
         gaps = union.complement(Interval(lo, hi))
-        assert pieces_of(gaps) == fraction_complement(expected, lo, hi)
+        assert_parts(gaps, fraction_complement(expected, lo, hi))
 
     @given(interval_pairs(), interval_pairs())
     def test_covers(self, mine, theirs):
@@ -255,6 +271,22 @@ class TestGridUnionReferee:
             for c, d in fraction_coalesce(theirs)
         )
         assert big.covers(small) == expected
+
+    @given(interval_pairs(max_size=3))
+    def test_cover_parts(self, pairs):
+        terms = sorted({x for pair in pairs for x in pair if x > 0}, reverse=True)
+        model = SequenceModel(tuple(terms))
+        for depth in range(len(terms) + 1):
+            slack = model.tail_sum(depth)
+            sums = {sum(c, Fraction(0)) for r in range(depth + 1) for c in combinations(terms[:depth], r)}
+            expected = fraction_coalesce([(s, s + slack) for s in sums])
+            assert_parts(achievable_outer(model, depth).union, expected)
+
+    def test_reversed_part_is_refused_on_the_grid(self):
+        with pytest.raises(ValidationError, match=r"interval endpoints out of order: 2 > 1"):
+            IntervalUnion._on_grid(1, [2, 1])
+        with pytest.raises(ValidationError, match=r"out of order: 5/3 > 4/3"):
+            IntervalUnion._on_grid(3, [0, 1, 5, 4])
 
     def test_complement_names_the_first_part_outside(self):
         union = IntervalUnion.from_intervals(
