@@ -27,10 +27,11 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 from . import __version__
-from .core import format_rational, parse_rational
+from .core import _check_writable, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import (
     DomainError,
@@ -44,8 +45,8 @@ from .extreme_points import (
     sequence_to_radix,
 )
 from .range_geometry import achievable_outer, convexity_verdict
-from .representability import greedy_expand, kakeya_check, list_violations
-from .sequences import from_algebra
+from .representability import _violations, greedy_expand, kakeya_check
+from .sequences import _check_index, from_algebra
 from .serialize import (
     approximation_to_doc,
     convexity_to_doc,
@@ -194,7 +195,12 @@ def _dispatch(args) -> str:
         return _run_range(args)
     if args.command == "gaps":
         model = parse_spec(_spec_text(args))
-        found = list_violations(model, args.depth)
+        # each end is checked as the scan yields it, in the order it is
+        # written, so a gap too large to write stops the scan there
+        found = [
+            (n, _check_writable(lo), _check_writable(hi))
+            for n, (lo, hi) in _violations(model, args.depth)
+        ]
         doc = {
             "depth": args.depth,
             "violations": [
@@ -202,7 +208,7 @@ def _dispatch(args) -> str:
                     "index": n,
                     "gap": [format_rational(lo), format_rational(hi)],
                 }
-                for n, (lo, hi) in found
+                for n, lo, hi in found
             ],
         }
         return _dump(doc)
@@ -215,10 +221,12 @@ def _dispatch(args) -> str:
         if args.mode == "encode":
             word = parse_word(args.word)
             model = radix_to_sequence(word)
-            doc = {
-                "model": model_to_doc(model),
-                "terms": [format_rational(x) for x in model.first_terms(args.terms)],
-            }
+            doc = {"model": model_to_doc(model)}
+            # a radix model is endless, so any count of terms is in its
+            # support; each term is checked as it comes, as for ``gaps``
+            count = _check_index(args.terms, 0, "count")
+            terms = [_check_writable(x) for x in islice(model.iter_terms(), count)]
+            doc["terms"] = [format_rational(x) for x in terms]
             return _dump(doc)
         model = parse_spec(_spec_text(args))
         return _dump(report_to_doc(sequence_to_radix(model, depth=args.depth)))

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -36,6 +38,28 @@ def make_rational(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _digit_limit() -> int:
+    """The interpreter's int/text digit limit; 0 means none, as on
+    interpreters that predate the limit."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return getter() if getter is not None else 0
+
+
+# the decimal integer text that ``int`` reads
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _unread_integer(text: str, malformed: str, position=None) -> ParseError:
+    """The ``ParseError`` for integer text that ``int`` refused: a
+    well-formed integer with more digits than the interpreter's digit limit
+    allows is named by both counts rather than echoed; anything else gets
+    the message ``malformed``."""
+    digits, limit = sum(map(str.isdigit, text)), _digit_limit()
+    if limit and digits > limit and _INT_TEXT.fullmatch(text):
+        malformed = f"integer of {digits} digits is past the limit of {limit} digits"
+    return ParseError(malformed, position)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer "p". Surrounding whitespace is fine."""
     if not isinstance(text, str):
@@ -47,16 +71,44 @@ def parse_rational(text: str) -> Fraction:
     try:
         num = int(num_text.strip())
     except ValueError:
-        raise ParseError(f"malformed rational {text!r}") from None
+        raise _unread_integer(num_text, f"malformed rational {text!r}") from None
     if not sep:
         return Fraction(num)
     try:
         den = int(den_text.strip())
     except ValueError:
-        raise ParseError(f"malformed rational {text!r}") from None
+        raise _unread_integer(den_text, f"malformed rational {text!r}") from None
     if den == 0:
         raise ValidationError("denominator must be nonzero")
     return Fraction(num, den)
+
+
+def _too_large(num: int, den: int) -> ResourceLimitError:
+    """The refusal of num/den as too large to write, naming its bit size."""
+    bits = max(num.bit_length(), den.bit_length())
+    return ResourceLimitError(f"output rational too large to write: {bits} bits")
+
+
+@cache
+def _ten_to(limit: int) -> int:
+    return 10**limit
+
+
+def _check_writable(q: Fraction) -> Fraction:
+    """``q``, once it is known that ``format_rational`` can write it; else the
+    same ``ResourceLimitError`` that writing it would raise.
+
+    An integer fails to write when it has more than ``limit`` digits, that
+    is when its magnitude reaches 10**limit. One of at most 3 * limit bits
+    is below 8**limit and always fits, so only larger ones are compared.
+    """
+    limit = _digit_limit()
+    num, den = q.numerator, q.denominator
+    if limit and max(num.bit_length(), den.bit_length()) > 3 * limit:
+        ceiling = _ten_to(limit)
+        if abs(num) >= ceiling or den >= ceiling:
+            raise _too_large(num, den)
+    return q
 
 
 def _write_ratio(num: int, den: int) -> str:
@@ -66,10 +118,7 @@ def _write_ratio(num: int, den: int) -> str:
     try:
         return f"{num}/{den}"
     except ValueError:
-        bits = max(num.bit_length(), den.bit_length())
-        raise ResourceLimitError(
-            f"output rational too large to write: {bits} bits"
-        ) from None
+        raise _too_large(num, den) from None
 
 
 def format_rational(value) -> str:

@@ -23,7 +23,7 @@ import json
 import re
 from typing import Optional
 
-from .core import parse_rational
+from .core import _unread_integer, parse_rational
 from .errors import ParseError
 from .sequences import (
     AlgebraSpec,
@@ -87,7 +87,10 @@ def _parse_int_token(cur: _Cursor) -> int:
     token = cur.match(_INTEGER)
     if token is None:
         raise ParseError("expected an integer", cur.pos)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise _unread_integer(token, "expected an integer", cur.pos - len(token)) from None
 
 
 def _parse_word_body(cur: _Cursor) -> RadixWord:
@@ -135,9 +138,16 @@ def _parse_tail_call(cur: _Cursor, name: str, name_pos: int) -> TailModel:
     raise ParseError(f"unknown tail '{name}'", name_pos)
 
 
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _unread_integer(text, f"malformed integer {text!r}") from None
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
 

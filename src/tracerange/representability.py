@@ -235,11 +235,18 @@ def gap_certificate(model: SequenceModel, n: int) -> tuple[Fraction, Fraction]:
     return rest, term
 
 
-def list_violations(model: SequenceModel, depth: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
-    """All violating indices up to ``depth`` with their gap certificates.
+def _violations(model: SequenceModel, depth: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    """The violating indices up to ``depth`` with their gap certificates,
+    lazily, so a reader can stop at the first it cannot use; ``depth`` is
+    checked at the call.
 
     Only a violating geometric tail is stepped term by term; every other
     tail is settled in closed form at the end of the prefix.
     """
     _check_index(depth, 0, "depth")
-    return list(takewhile(lambda found: found[0] <= depth, _excesses(model, 0)))
+    return takewhile(lambda found: found[0] <= depth, _excesses(model, 0))
+
+
+def list_violations(model: SequenceModel, depth: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+    """All violating indices up to ``depth`` with their gap certificates."""
+    return list(_violations(model, depth))

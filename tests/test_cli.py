@@ -68,12 +68,53 @@ class TestExitCodes:
 
     def test_rational_past_the_digit_limit_is_a_parse_failure(self):
         # the ratio token has 5002 digits, past the int-from-text limit
-        code, doc = body_json(["check", "geo(1/2, 1/1" + "0" * 5000 + ")"])
-        assert code == 3
+        result = run_command(["check", "geo(1/2, 1/1" + "0" * 5000 + ")"])
+        doc = json.loads(result.body)
+        assert result.exit_code == 3
         assert doc["error"]["kind"] == "parse"
         assert doc["error"]["position"] == 9
+        # the message names the digit count instead of echoing the token
+        assert doc["error"]["message"] == "integer of 5001 digits is past the limit of 4300 digits"
+        assert len(result.body) < 200
         as_json = json.dumps({"tail": {"kind": "geometric", "first": "1/2", "ratio": "1/1" + "0" * 5000}})
-        assert body_json(["check", as_json])[0] == 3
+        result = run_command(["check", as_json])
+        assert result.exit_code == 3
+        assert json.loads(result.body)["error"]["message"] == doc["error"]["message"]
+        assert len(result.body) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extreme", "encode", "2 1" + "0" * 5000],
+            ["extreme", "decode", '{"tail": {"kind": "radix", "scale": "1", "period": [1' + "0" * 5000 + "]}}"],
+            ["check", '{"prefix": [1' + "0" * 5000 + "]}"],
+        ],
+    )
+    def test_integer_past_the_digit_limit_is_a_parse_failure(self, argv):
+        result = run_command(argv)
+        assert result.exit_code == 3
+        assert json.loads(result.body)["error"]["message"] == (
+            "integer of 5001 digits is past the limit of 4300 digits"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [
+            # the same message as --depth 8: the scan stops at the first gap
+            # too large to write instead of stepping a million of them
+            (["gaps", f"geo(1/2, 1/{10**1000})", "--depth", "1000000"], 16611),
+            (["gaps", f"geo(1/2, 1/{10**1000})", "--depth", "8"], 16611),
+            (["extreme", "encode", "2", "--terms", "20000"], 14286),
+        ],
+    )
+    def test_output_too_large_is_refused_at_its_first_rational(self, argv, bits):
+        code, doc = body_json(argv)
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "resource",
+            "message": f"output rational too large to write: {bits} bits",
+            "position": None,
+        }
 
     def test_unknown_command(self):
         code, doc = body_json(["nope"])

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,8 @@ from tracerange import (
     parse_rational,
     subset_sums,
 )
+
+from tracerange.core import _check_writable
 
 from support import (
     REFEREE_MODELS,
@@ -98,6 +101,53 @@ class TestRationals:
         huge = Fraction(1, 10**5000)
         with pytest.raises(ResourceLimitError, match="16610 bits"):
             format_rational(huge)
+
+    def test_parse_names_the_digits_past_the_limit(self):
+        with pytest.raises(ParseError) as caught:
+            parse_rational("1/1" + "0" * 5000)
+        assert str(caught.value) == "integer of 5001 digits is past the limit of 4300 digits"
+        with pytest.raises(ParseError, match="malformed rational"):
+            parse_rational("1/1" + "0" * 5000 + "x")
+
+
+@pytest.fixture
+def digit_limit_640():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/text digit limit")
+@pytest.mark.usefixtures("digit_limit_640")
+class TestWritableGuard:
+    """``_check_writable`` refuses exactly what ``format_rational`` refuses."""
+
+    def test_the_largest_writable_numerator_passes(self):
+        q = Fraction(10**640 - 1, 7)
+        assert _check_writable(q) is q
+        assert format_rational(q) == f"{10**640 - 1}/7"
+        assert _check_writable(-q) == -q
+
+    @pytest.mark.parametrize("q", [Fraction(10**640, 7), Fraction(-(10**640), 7), Fraction(7, 10**640)])
+    def test_one_more_digit_is_refused_alike(self, q):
+        with pytest.raises(ResourceLimitError) as guarded:
+            _check_writable(q)
+        with pytest.raises(ResourceLimitError) as written:
+            format_rational(q)
+        assert str(guarded.value) == str(written.value) == "output rational too large to write: 2127 bits"
+
+    def test_no_limit_never_refuses(self):
+        sys.set_int_max_str_digits(0)
+        q = Fraction(1, 10**5000)
+        assert _check_writable(q) is q
+
+    def test_an_interpreter_without_a_limit_never_refuses(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        q = Fraction(10**5000, 7)
+        assert _check_writable(q) is q
 
 
 class TestInterval:
