@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 from .core import (
     Interval,
     IntervalUnion,
-    Rational,
     format_rational,
-    make_rational,
     parse_rational,
 )
 from .errors import (
@@ -55,8 +53,6 @@ from .range_geometry import (
     RangeApproximation,
     SubsetSumOracle,
     achievable_outer,
-    brute_force_representable,
-    brute_force_witness,
     convexity_verdict,
     subset_sums,
 )
@@ -93,7 +89,6 @@ __all__ = [
     "ParseError",
     "RadixWord",
     "RangeApproximation",
-    "Rational",
     "ResourceLimitError",
     "SequenceModel",
     "SubsetSumOracle",
@@ -104,8 +99,6 @@ __all__ = [
     "achievable_outer",
     "admissibility_check",
     "bits_to_digits",
-    "brute_force_representable",
-    "brute_force_witness",
     "convexity_verdict",
     "digits_to_bits",
     "emit_svg",
@@ -120,7 +113,6 @@ __all__ = [
     "list_violations",
     "main",
     "make_model",
-    "make_rational",
     "mixed_radix_digits",
     "parse_algebra",
     "parse_rational",

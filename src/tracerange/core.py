@@ -25,17 +25,8 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, ValidationError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def make_rational(num: int, den: int) -> Fraction:
-    """Build num/den in lowest terms with a positive denominator."""
-    if den == 0:
-        raise ValidationError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 def _digit_limit() -> int:

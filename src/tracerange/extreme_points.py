@@ -41,12 +41,11 @@ from .sequences import (
     ZeroTail,
     _check_index,
     _radices,
+    _rest,
     _scale_tail,
     _suffix_signature,
-    _tail_first_term,
     _term_or_none,
     _walk,
-    split_leading,
 )
 
 __all__ = [
@@ -183,11 +182,10 @@ def sequence_to_radix(
     while True:
         if not model.finite and position > len(model.prefix):
             signature = _suffix_signature(model, position - 1)
-            if signature[0] == "radix":
-                scale, word = signature[1], signature[2]
-                if mult * scale == 1:
-                    closed = RadixWord(tuple(emitted) + word.pre, word.period)
-                    return ExtremalityReport.extreme(closed)
+            if isinstance(signature, MixedRadixTail) and mult * signature.scale == 1:
+                word = signature.radices
+                closed = RadixWord(tuple(emitted) + word.pre, word.period)
+                return ExtremalityReport.extreme(closed)
             # a geometric remainder with ratio != 1/2 can never close; the
             # forced pattern breaks within the next two peels
         if len(emitted) >= depth:
@@ -212,7 +210,7 @@ def face_embed(model: SequenceModel, radix: int) -> SequenceModel:
     """Send a sequence into the face of the given radix: prepend radix - 1
     copies of 1/radix, then shrink everything by that factor."""
     _check_index(radix, 2, "radix")
-    lead = model.prefix[0] if model.prefix else _tail_first_term(model.tail)
+    lead = _term_or_none(model, 1)
     if lead is not None and lead > 1:
         raise DomainError(f"cannot embed: leading term {lead} exceeds 1")
     unit = Fraction(1, radix)
@@ -247,9 +245,8 @@ def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceM
     past = _term_or_none(model, radix)
     if past == first:
         raise DomainError(f"leading run of {first} extends past {radix - 1} copies")
-    _, rest = split_leading(model, radix - 1)
-    prefix = tuple(x * radix for x in rest.prefix)
-    return SequenceModel(prefix, _scale_tail(rest.tail, radix))
+    rest = _rest(model, radix - 1)
+    return SequenceModel(tuple(x * radix for x in rest.prefix), _scale_tail(rest.tail, radix))
 
 
 def face_membership(model: SequenceModel, radix: Optional[int] = None) -> bool:

@@ -151,16 +151,6 @@ class SubsetSumOracle:
         return tuple(bits)
 
 
-def brute_force_representable(terms: Sequence, target, bound: Optional[int] = None) -> bool:
-    """Exhaustive check that ``target`` is a subset sum of ``terms``."""
-    return SubsetSumOracle(terms, bound).representable(target)
-
-
-def brute_force_witness(terms: Sequence, target, bound: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """Bit vector reaching ``target``, found exhaustively; None if impossible."""
-    return SubsetSumOracle(terms, bound).witness(target)
-
-
 @dataclass(frozen=True)
 class RangeApproximation:
     """Finite-depth outer approximation of the achievable set.

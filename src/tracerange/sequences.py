@@ -17,6 +17,9 @@ approximations) are never numeric estimates.
 Deep radix indices are found by one integer walk that skips whole periods
 (``_walk``), and loops over many terms read them as integer numerators over
 one common denominator (``_integer_terms``), building ``Fraction``s once.
+The terms after an index are one closed form, ``_rest(model, count)``,
+which builds none of the terms before it; splits, suffix comparison, faces
+and the algebra merge all read it.
 
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
@@ -99,15 +102,6 @@ class RadixWord:
     def finite(self) -> bool:
         return not self.period
 
-    def entry(self, n: int) -> int:
-        """1-based access into the radix stream."""
-        _check_index(n, 1)
-        if n <= len(self.pre):
-            return self.pre[n - 1]
-        if self.finite:
-            raise OutOfSupportError(n, len(self.pre))
-        return self.period[(n - len(self.pre) - 1) % len(self.period)]
-
     def entries(self, count: int) -> tuple[int, ...]:
         _check_index(count, 0, "count")
         return tuple(itertools.islice(_radices(self), count))
@@ -131,7 +125,7 @@ class RadixWord:
 
 def _radices(word: RadixWord) -> Iterator[int]:
     """The entries of ``word`` in order; reading past the end of a finite
-    word raises OutOfSupportError, as ``entry`` does."""
+    word raises OutOfSupportError."""
     yield from word.iter_entries()
     raise OutOfSupportError(len(word.pre) + 1, len(word.pre))
 
@@ -194,17 +188,6 @@ class MixedRadixTail:
             prod *= k
             yield self.scale / prod, k - 1
 
-    def locate(self, j: int) -> tuple[int, int, Fraction]:
-        """Position of local index j: (full blocks before it, offset inside
-        the next block, tail remaining after those full blocks).
-
-        offset == 0 means j sits exactly on a block boundary.
-        """
-        blocks, offset, prod, k = _walk(self, j)
-        if offset == k - 1:
-            return blocks + 1, 0, self.scale / prod
-        return blocks, offset, self.scale / (prod // k)
-
     def term(self, j: int) -> Fraction:
         return self.scale / _walk(self, j)[2]
 
@@ -231,14 +214,6 @@ def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
 
 
 TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
-
-
-def _tail_first_term(tail: TailModel) -> Optional[Fraction]:
-    if isinstance(tail, ZeroTail):
-        return None
-    if isinstance(tail, GeometricTail):
-        return tail.first
-    return tail.term(1)
 
 
 def _iter_tail_terms(tail: TailModel) -> Iterator[Fraction]:
@@ -280,11 +255,10 @@ class SequenceModel:
                 raise ValidationError(f"prefix is not non-increasing: {a} before {b}")
         if not isinstance(self.tail, (ZeroTail, GeometricTail, MixedRadixTail)):
             raise ValidationError("tail must be a ZeroTail, GeometricTail, or MixedRadixTail")
-        first = _tail_first_term(self.tail)
-        if prefix and first is not None and prefix[-1] < first:
+        if prefix and not isinstance(self.tail, ZeroTail) and prefix[-1] < self.tail.term(1):
             raise ValidationError(
                 f"junction violation: last prefix entry {prefix[-1]} is below "
-                f"the first tail term {first}"
+                f"the first tail term {self.tail.term(1)}"
             )
         object.__setattr__(self, "prefix", prefix)
 
@@ -386,28 +360,41 @@ def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[in
     return den, total.numerator * (den // total.denominator), itertools.islice(numerators(), count)
 
 
-def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...], SequenceModel]:
-    """First ``count`` terms plus a model of everything after them.
+def _rest(model: SequenceModel, count: int) -> SequenceModel:
+    """The terms after the first ``count``, as a closed form that builds
+    none of those ``count`` terms.
 
-    The remainder re-anchors the tail: geometric tails advance, radix tails
-    re-emerge at the next block boundary with the leftover block slots made
-    explicit. Concatenating the two pieces reproduces the original sequence
-    term for term.
+    A cut inside the prefix keeps the rest of it; a geometric tail is
+    shifted; a radix tail cut inside a block folds the block's ``left``
+    unused slots into one leading block of radix ``left + 1``, so the
+    remainder of a cut tail never has a prefix. A cut past a finite support
+    raises OutOfSupportError.
     """
-    _check_index(count, 0, "count")
-    prefix = model.prefix
+    prefix, tail = model.prefix, model.tail
     if count <= len(prefix):
-        return prefix[:count], SequenceModel(prefix[count:], model.tail)
-    taken = model.first_terms(count)  # raises OutOfSupportError on finite models
+        return SequenceModel(prefix[count:], tail)
+    if isinstance(tail, ZeroTail):
+        raise OutOfSupportError(count, len(prefix))
     j = count - len(prefix)
-    tail = model.tail
     if isinstance(tail, GeometricTail):
-        return taken, SequenceModel((), tail.shifted(j))
-    assert isinstance(tail, MixedRadixTail)
+        return SequenceModel((), tail.shifted(j))
     blocks, offset, prod, k = _walk(tail, j)
-    value = tail.scale / prod
-    extra = (value,) * (k - 1 - offset)
-    return taken, SequenceModel(extra, MixedRadixTail(value, tail.radices.shift(blocks + 1)))
+    left = k - 1 - offset
+    word = tail.radices.shift(blocks + 1)
+    if left:
+        word = RadixWord((left + 1,) + word.pre, word.period)
+    return SequenceModel((), MixedRadixTail((left + 1) * tail.scale / prod, word))
+
+
+def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...], SequenceModel]:
+    """First ``count`` terms plus ``_rest(model, count)``, the model of
+    everything after them.
+
+    A radix block cut by the split comes back folded into the leading block
+    of the remainder's word rather than as explicit terms. Concatenating the
+    two pieces reproduces the original sequence term for term.
+    """
+    return model.first_terms(count), _rest(model, count)
 
 
 def _term_or_none(model: SequenceModel, n: int) -> Optional[Fraction]:
@@ -417,31 +404,20 @@ def _term_or_none(model: SequenceModel, n: int) -> Optional[Fraction]:
         return None
 
 
-def _suffix_signature(model: SequenceModel, start: int):
-    """Canonical description of the terms past position ``start``.
+def _suffix_signature(model: SequenceModel, start: int) -> TailModel:
+    """Canonical tail of the terms past position ``start``.
 
-    Only meaningful for start >= len(prefix). Geometric tails with ratio 1/2
-    are folded into their radix-word form (the all-2 word), and radix tails
-    cut mid-block are folded back to a block boundary, so two models with the
-    same term stream get identical signatures.
+    Only meaningful for start >= len(prefix). It is the tail of
+    ``_rest(model, start)``, with a geometric tail of ratio 1/2 read as the
+    all-2 word, so two models with the same term stream get equal
+    signatures.
     """
     if model.finite:
-        return ("end",)
-    j = start - len(model.prefix)
-    tail = model.tail
-    if isinstance(tail, GeometricTail):
-        first = tail.first * tail.ratio**j
-        if tail.ratio == Fraction(1, 2):
-            return ("radix", 2 * first, RadixWord((), (2,)))
-        return ("geometric", first, tail.ratio)
-    assert isinstance(tail, MixedRadixTail)
-    blocks, offset, prod, k = _walk(tail, j)
-    # the slots left in j's block fold into one block of radix left + 1
-    left = k - 1 - offset
-    word = tail.radices.shift(blocks + 1)
-    if left:
-        word = RadixWord((left + 1,) + word.pre, word.period)
-    return ("radix", (left + 1) * tail.scale / prod, word)
+        return model.tail
+    tail = _rest(model, start).tail
+    if isinstance(tail, GeometricTail) and tail.ratio == Fraction(1, 2):
+        return MixedRadixTail(2 * tail.first, RadixWord((), (2,)))
+    return tail
 
 
 def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:
@@ -513,27 +489,19 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
         return SequenceModel(tuple(sorted(atoms, reverse=True)), ZeroTail())
     a_min = min(atoms)
     moved = 0
-    if isinstance(tail, GeometricTail):
-        value = tail.first
-        while value >= a_min:
-            moved += 1
-            value *= tail.ratio
-            if moved > _REANCHOR_LIMIT:
-                raise UnsupportedSpecError(
-                    "cannot re-anchor: tail terms stay above the smallest atom too long"
-                )
+    # (value, multiplicity) runs: radix blocks, or geometric terms one by one
+    if isinstance(tail, MixedRadixTail):
+        runs = tail.blocks()
     else:
-        for value, size in tail.blocks():
-            if value < a_min:
-                break
-            moved += size
-            if moved > _REANCHOR_LIMIT:
-                raise UnsupportedSpecError(
-                    "cannot re-anchor: tail terms stay above the smallest atom too long"
-                )
-    taken, rest = split_leading(SequenceModel((), tail), moved)
-    merged = tuple(sorted(atoms + list(taken), reverse=True))
-    # ``rest`` has an empty prefix here: geometric splits always do, and the
-    # radix walk above only ever stops on a block boundary.
-    assert not rest.prefix
-    return SequenceModel(merged, rest.tail)
+        runs = zip(_iter_tail_terms(tail), itertools.repeat(1))
+    for value, size in runs:
+        if value < a_min:
+            break
+        moved += size
+        if moved > _REANCHOR_LIMIT:
+            raise UnsupportedSpecError(
+                "cannot re-anchor: tail terms stay above the smallest atom too long"
+            )
+    lead = SequenceModel((), tail)
+    merged = tuple(sorted(atoms + list(lead.first_terms(moved)), reverse=True))
+    return SequenceModel(merged, _rest(lead, moved).tail)

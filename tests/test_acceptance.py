@@ -202,8 +202,7 @@ def test_criterion_6_word_roundtrip_and_telescoping():
             model = radix_to_sequence(word)
             boundary = 0
             product = 1
-            for block in range(1, 41):
-                k = word.entry(block)
+            for k in word.entries(40):
                 boundary += k - 1
                 product *= k
                 assert model.tail_sum(boundary) == F(1, product)
@@ -232,7 +231,7 @@ def test_criterion_7_digits_match_integer_arithmetic():
             den = rng.randint(1, 60)
             target = F(rng.randint(0, den), den)
             digit_count = 5
-            bit_count = sum(word.entry(j) - 1 for j in range(1, digit_count + 1))
+            bit_count = sum(k - 1 for k in word.entries(digit_count))
             bits = greedy_expand(radix_to_sequence(word), target, bit_count).bits
             assert bits_to_digits(bits, word) == mixed_radix_digits(
                 word, target, digit_count

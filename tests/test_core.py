@@ -22,7 +22,6 @@ from tracerange import (
     ValidationError,
     achievable_outer,
     format_rational,
-    make_rational,
     parse_rational,
     subset_sums,
 )
@@ -66,13 +65,13 @@ def probes(pairs) -> list[Fraction]:
 
 
 class TestRationals:
-    def test_make_rational(self):
-        assert make_rational(3, 6) == Fraction(1, 2)
-        assert make_rational(-2, 4) == Fraction(-1, 2)
+    def test_parse_rational_reduces_to_lowest_terms(self):
+        assert parse_rational("3/6") == Fraction(1, 2)
+        assert parse_rational("-2/4") == Fraction(-1, 2)
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ValidationError):
-            make_rational(1, 0)
+        with pytest.raises(ValidationError, match="denominator must be nonzero"):
+            parse_rational("-2/0")
 
     def test_parse_plain_and_fraction(self):
         assert parse_rational("5") == Fraction(5)

@@ -243,6 +243,11 @@ class TestFaceMaps:
         # no leading run at all
         assert not face_membership(make_model([F(1, 3), F(1, 4)]))
 
+    @given(radix_words, st.integers(min_value=2, max_value=6))
+    def test_extract_peels_the_leading_radix_of_a_pattern(self, word, k):
+        embedded = radix_to_sequence(RadixWord((k,) + word.pre, word.period))
+        assert face_extract(embedded) == radix_to_sequence(word)
+
     def test_roundtrip_random_models(self):
         rng = random.Random(91)
         for _ in range(20):
@@ -315,12 +320,12 @@ class TestDigits:
         target = F(min(num, den), den)
         model = radix_to_sequence(word)
         digit_count = 4
-        bit_count = sum(word.entry(j) - 1 for j in range(1, digit_count + 1))
+        bit_count = sum(k - 1 for k in word.entries(digit_count))
         bits = greedy_expand(model, target, bit_count).bits
         assert bits_to_digits(bits, word) == mixed_radix_digits(word, target, digit_count)
 
     @given(radix_words, st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=5))
     def test_digit_bit_roundtrip(self, word, raw):
-        digits = tuple(v % word.entry(j) for j, v in enumerate(raw, start=1))
+        digits = tuple(v % k for v, k in zip(raw, word.entries(len(raw))))
         bits = digits_to_bits(digits, word)
         assert bits_to_digits(bits, word) == digits

@@ -22,8 +22,6 @@ from tracerange import (
     SubsetSumOracle,
     ValidationError,
     achievable_outer,
-    brute_force_representable,
-    brute_force_witness,
     convexity_verdict,
     kakeya_check,
     make_model,
@@ -106,12 +104,11 @@ class TestSubsetSumOracle:
         assert sum(t for b, t in zip(bits, terms) if b) == F(5, 16)
         assert not oracle.representable(F(1, 3))
 
-    def test_wrappers(self):
-        terms = (F(2, 5), F(1, 5))
-        assert brute_force_representable(terms, F(3, 5))
-        bits = brute_force_witness(terms, F(2, 5))
-        assert bits == (1, 0)
-        assert brute_force_witness(terms, F(4, 5)) is None
+    def test_representable_and_witness_on_two_terms(self):
+        oracle = SubsetSumOracle((F(2, 5), F(1, 5)))
+        assert oracle.representable(F(3, 5))
+        assert oracle.witness(F(2, 5)) == (1, 0)
+        assert oracle.witness(F(4, 5)) is None
 
     @given(
         st.lists(st.fractions(min_value=0, max_value=2), min_size=1, max_size=6),

@@ -1,6 +1,7 @@
 """Sequence models: words, tails, splitting, equality, algebra specs."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -21,9 +22,11 @@ from tracerange import (
     ZeroTail,
     from_algebra,
     make_model,
+    radix_to_sequence,
     same_sequence,
     split_leading,
 )
+from tracerange.sequences import _rest, _walk
 
 from support import models, radix_words, random_word
 
@@ -41,9 +44,8 @@ class TestRadixWord:
     def test_canonical_forms_stream_identically(self):
         raw = RadixWord((2, 3, 2), (3, 2))
         canon = RadixWord(raw.pre, raw.period)
-        stream = list(itertools.islice(raw.iter_entries(), 12))
-        assert stream == [raw.entry(n) for n in range(1, 13)]
-        assert stream == [canon.entry(n) for n in range(1, 13)]
+        stream = tuple(itertools.islice(raw.iter_entries(), 12))
+        assert stream == raw.entries(12) == canon.entries(12) == (2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3)
 
     def test_rejects_small_or_non_integer_entries(self):
         with pytest.raises(ValidationError):
@@ -56,13 +58,11 @@ class TestRadixWord:
         assert word.finite
         assert word.entries(2) == (3, 2)
         with pytest.raises(OutOfSupportError):
-            word.entry(3)
+            word.entries(3)
 
     @given(radix_words, st.integers(min_value=0, max_value=10))
     def test_shift_drops_entries(self, word, count):
-        shifted = word.shift(count)
-        for n in range(1, 9):
-            assert shifted.entry(n) == word.entry(n + count)
+        assert word.shift(count).entries(8) == word.entries(count + 8)[count:]
 
 
 class TestTails:
@@ -89,8 +89,16 @@ class TestTails:
 
     def test_radix_locate_boundaries(self):
         tail = MixedRadixTail(F(1), RadixWord((), (3,)))
-        assert tail.locate(2) == (1, 0, F(1, 3))
-        assert tail.locate(3) == (1, 1, F(1, 3))
+        model = SequenceModel((), tail)
+        # slot 2 closes block 1 (worth 1/3 each), slot 3 opens block 2
+        assert _walk(tail, 2) == (0, 2, 3, 3)
+        assert _walk(tail, 3) == (1, 1, 9, 3)
+        at_boundary, inside = _rest(model, 2), _rest(model, 3)
+        assert at_boundary.prefix == inside.prefix == ()
+        assert at_boundary.total == F(1, 3)
+        assert at_boundary.first_terms(3) == (F(1, 9), F(1, 9), F(1, 27))
+        assert inside.total == F(2, 9)
+        assert inside.first_terms(3) == (F(1, 9), F(1, 27), F(1, 27))
 
     @given(radix_words, st.integers(min_value=1, max_value=20))
     def test_radix_tail_sum_matches_term_walk(self, word, j):
@@ -108,23 +116,22 @@ class TestRadixLocatorReferee:
         limit = max(indices) + 3
         terms = list(itertools.islice(model.iter_terms(), limit))
         sums = list(itertools.accumulate(terms, initial=F(0)))
-        places = [  # (blocks before, offset, radix) of each slot
-            (b, offset, k)
-            for b, k in enumerate(itertools.islice(tail.radices.iter_entries(), limit))
-            for offset in range(1, k)
+        radices = list(itertools.islice(tail.radices.iter_entries(), limit))
+        prods = list(itertools.accumulate(radices, operator.mul))
+        places = [  # (blocks before, offset, product through the block, radix) of each slot
+            (b, offset, prods[b], k) for b, k in enumerate(radices) for offset in range(1, k)
         ]
         for j in indices:
-            blocks, offset, k = places[j - 1]
+            assert _walk(tail, j) == places[j - 1]
             assert tail.term(j) == model.term(j) == terms[j - 1]
             assert model.tail_sum(j) == tail.scale - sums[j]
-            if offset == k - 1:
-                assert tail.locate(j) == (blocks + 1, 0, tail.scale - sums[j])
-            else:
-                assert tail.locate(j) == (blocks, offset, tail.scale - sums[j - offset])
-            taken, rest = split_leading(model, j)
-            assert taken == tuple(terms[:j])
+            rest = _rest(model, j)
+            assert rest.prefix == ()
             assert rest.total == tail.scale - sums[j]
             assert rest.first_terms(3) == tuple(terms[j : j + 3])
+            taken, split = split_leading(model, j)
+            assert taken == tuple(terms[:j])
+            assert split == rest
 
     def test_indices_up_to_three_periods_deep(self):
         rng = random.Random(4241)
@@ -208,12 +215,24 @@ class TestSplitLeading:
         with pytest.raises(OutOfSupportError):
             split_leading(make_model([F(1, 2)]), 2)
 
-    def test_radix_split_mid_block_materializes_leftover(self):
+    def test_radix_split_mid_block_folds_leftover(self):
         model = SequenceModel((), MixedRadixTail(F(1), RadixWord((), (3,))))
         taken, rest = split_leading(model, 1)
         assert taken == (F(1, 3),)
-        assert rest.prefix == (F(1, 3),)
+        # the one slot left in block 1 becomes a leading block of radix 2
+        assert rest == SequenceModel((), MixedRadixTail(F(2, 3), RadixWord((2,), (3,))))
         assert rest.total == F(2, 3)
+        assert rest.first_terms(3) == (F(1, 3), F(1, 9), F(1, 9))
+
+    @pytest.mark.parametrize("cut, second", [(1, F(1, 10**6)), (999_998, F(1, 10**12))])
+    def test_radix_split_inside_a_huge_block_builds_no_leftover(self, cut, second):
+        model = radix_to_sequence(RadixWord((), (10**6,)))
+        taken, rest = split_leading(model, cut)
+        assert len(taken) == cut
+        left = 999_999 - cut  # slots of block 1 after the cut, each 1/10^6
+        assert rest.prefix == ()
+        assert rest.total == F(left + 1, 10**6)
+        assert rest.first_terms(2) == (F(1, 10**6), second)
 
 
 class TestSameSequence:
