@@ -11,9 +11,13 @@ terms after it, that means no violation past the cut.
 That union is the Minkowski sum {0, a_1} + ... + {0, a_N} + [0, tail_N], and
 ``achievable_outer`` folds it from the right: start from [0, tail_N] and, for
 k = N down to 1, merge the union with a copy shifted by a_k, coalescing as it
-goes. A step with a_k at most the sum of everything after it cannot split a
-piece, so the cost follows the number of pieces, not 2^N. Endpoints stay
-integers over one common denominator, and the union keeps them on that grid.
+goes. A step with a_k at most tail_k, the sum of everything after it, turns
+[0, tail_k] into [0, tail_(k-1)], so the fold starts at L, the last violating
+index up to the cut, from [0, tail_L], and builds only the first L terms. The
+union's top end before step k is tail_k, so a violating step's copy lies
+wholly above the union and is appended without a merge. The cost follows the
+number of pieces, not 2^N or the depth. Endpoints stay integers over one
+common denominator, and the union keeps them on that grid.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
 ``SubsetSumOracle`` (a hash table with witnesses) enumerate the sums
@@ -31,8 +35,13 @@ from typing import Optional, Sequence
 
 from .core import IntervalUnion, ZERO, _coalesce, _over
 from .errors import ResourceLimitError, ValidationError
-from .representability import ConditionVerdict, _excesses, kakeya_check
-from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
+from .representability import (
+    ConditionVerdict,
+    _geometric_first_excess,
+    _prefix_excesses,
+    kakeya_check,
+)
+from .sequences import AlgebraSpec, GeometricTail, SequenceModel, _check_index, from_algebra
 
 DEFAULT_TERM_BOUND = 24
 
@@ -165,11 +174,23 @@ class RangeApproximation:
     exact: bool
 
 
-def _fold_step(pieces: list[tuple[int, int]], shift: int) -> list[tuple[int, int]]:
-    """Coalesced union of ``pieces`` and ``pieces`` shifted by ``shift``."""
-    shifted = [(lo + shift, hi + shift) for lo, hi in pieces]
-    # two sorted runs: the sort merges them in linear time
-    return _coalesce(sorted(pieces + shifted))
+def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
+    """(L, exact): L is the last index n <= cut with a_n above the sum after
+    it, or 0; exact says no index past the cut has one.
+
+    At zero slack the only tail that violates is a geometric one with ratio
+    below 1/2, and it violates at every index, so a cut inside it is L at
+    once. Any other violation sits in the prefix, which is scanned back from
+    the cut for L (one check when the cut is a finite model's support, whose
+    last term always violates) and on past it for the flag.
+    """
+    offset, tail = len(model.prefix), model.tail
+    endless = isinstance(tail, GeometricTail) and _geometric_first_excess(tail, ZERO) is not None
+    if endless and cut > offset:
+        return cut, False
+    found = next(_prefix_excesses(model, 0, range(min(cut, offset), 0, -1)), None)
+    past = endless or next(_prefix_excesses(model, 0, range(cut + 1, offset + 1)), None) is not None
+    return 0 if found is None else found[0], not past
 
 
 def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = None) -> RangeApproximation:
@@ -178,21 +199,36 @@ def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = No
     Finite models clamp the cut to their support (the tail is then 0 and the
     union degenerates to the exact finite set of sums). Abutting brackets
     coalesce, so a condition-satisfying model collapses to a single interval.
-    The ``bound`` on the number of terms is the one ``subset_sums`` applies.
+    The ``bound`` on the number of terms is the one ``subset_sums`` applies,
+    checked before any term is built.
+
+    Past L, the last violating index up to the cut, every step fills its
+    bracket, so the cover at the cut is the cover at L: the fold starts
+    from [0, tail_L] and builds only the first L terms. The union's top end
+    before step k is tail_k, so a violating step's shifted copy lies wholly
+    above it and is appended; any other step merges.
     """
     _check_index(depth, 0, "depth")
     cut = depth
     if model.finite:
         cut = min(depth, len(model.prefix))
-    terms = model.first_terms(cut)
-    slack = model.tail_sum(cut)
-    _check_term_count(len(terms), bound)
+    _check_term_count(cut, bound)
+    last, exact = _violations_around(model, cut)
+    terms = model.first_terms(last)
+    slack = model.tail_sum(last)
     den = math.lcm(slack.denominator, *(t.denominator for t in terms))
-    pieces = [(0, _over(den, slack))]
+    top = _over(den, slack)
+    pieces = [(0, top)]
     for t in reversed(terms):
-        pieces = _fold_step(pieces, _over(den, t))
+        shift = _over(den, t)
+        shifted = [(lo + shift, hi + shift) for lo, hi in pieces]
+        if shift > top:
+            pieces += shifted
+        else:
+            # two sorted runs: the sort merges them in linear time
+            pieces = _coalesce(sorted(pieces + shifted))
+        top += shift
     union = IntervalUnion._on_grid(den, chain.from_iterable(pieces))
-    exact = next(_excesses(model, 0, cut + 1), None) is None
     return RangeApproximation(depth, union, exact)
 
 

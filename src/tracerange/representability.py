@@ -10,7 +10,9 @@ subset sum can enter, which :func:`gap_certificate` hands out.
 Membership in the unit-anchored body (``extreme_points``) is the same test
 with a slack, a_n <= sigma + sum_{k>n} a_k with sigma = 1 - total. One
 generator, ``_excesses``, settles it for any sigma, holding each tail
-family's closed form once; every condition check reads it.
+family's closed form once; every condition check reads it. Its prefix scan,
+``_prefix_excesses``, takes the indices in any order, so the cover can look
+back from its cut for the last violation.
 
 The greedy rule, run against target r with partial result r_0 = 0:
 
@@ -99,6 +101,20 @@ def _geometric_first_excess(tail: GeometricTail, sigma: Fraction) -> Optional[in
     return bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
 
 
+def _prefix_excesses(model: SequenceModel, sigma, indices: range) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    """Each prefix index n of ``indices``, in their order, with
+    a_n > sigma + sum_{k>n} a_k, with its gap; a zero slack is never added,
+    and an empty range reads nothing of the model."""
+    if not indices:
+        return
+    prefix, sums = model.prefix, model._prefix_suffix_sums
+    lift = model.tail.total + sigma if sigma else model.tail.total
+    for n in indices:
+        term, room = prefix[n - 1], sums[n] + lift if lift else sums[n]
+        if term > room:
+            yield n, (room, term)
+
+
 def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
     """Each index n >= start with a_n > sigma + sum_{k>n} a_k, in order,
     with its gap (sigma + sum_{k>n} a_k, a_n).
@@ -116,14 +132,9 @@ def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int
     * zero: no indices, so a finite model's last term violates at sigma = 0.
     """
     sigma = sigma or 0  # a zero slack is never added
-    prefix = model.prefix
-    for n in range(start, len(prefix) + 1):
-        term, room = prefix[n - 1], model.tail_sum(n)
-        if sigma:
-            room += sigma
-        if term > room:
-            yield n, (room, term)
-    tail, offset = model.tail, len(prefix)
+    offset = len(model.prefix)
+    yield from _prefix_excesses(model, sigma, range(start, offset + 1))
+    tail = model.tail
     if isinstance(tail, GeometricTail):
         j = _geometric_first_excess(tail, sigma)
         if j is None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -183,10 +184,10 @@ class MixedRadixTail:
 
     def blocks(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (value, multiplicity) per block, forever."""
-        prod = 1
+        num, den = self.scale.numerator, self.scale.denominator
         for k in self.radices.iter_entries():
-            prod *= k
-            yield self.scale / prod, k - 1
+            den *= k
+            yield Fraction(num, den), k - 1
 
     def term(self, j: int) -> Fraction:
         return self.scale / _walk(self, j)[2]
@@ -217,17 +218,12 @@ TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
 
 
 def _iter_tail_terms(tail: TailModel) -> Iterator[Fraction]:
+    """The tail's terms in order, as one itertools pipeline."""
     if isinstance(tail, ZeroTail):
-        return
+        return iter(())
     if isinstance(tail, GeometricTail):
-        value = tail.first
-        while True:
-            yield value
-            value *= tail.ratio
-    else:
-        for value, size in tail.blocks():
-            for _ in range(size):
-                yield value
+        return itertools.accumulate(itertools.repeat(tail.ratio), operator.mul, initial=tail.first)
+    return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, tail.blocks()))
 
 
 def _scale_tail(tail: TailModel, factor: Fraction) -> TailModel:
@@ -292,8 +288,7 @@ class SequenceModel:
         return self.tail.term(n - len(self.prefix))
 
     def iter_terms(self) -> Iterator[Fraction]:
-        yield from self.prefix
-        yield from _iter_tail_terms(self.tail)
+        return itertools.chain(self.prefix, _iter_tail_terms(self.tail))
 
     def first_terms(self, count: int) -> tuple[Fraction, ...]:
         _check_index(count, 0, "count")

@@ -192,6 +192,16 @@ def fraction_coalesce(pairs) -> list[tuple[Fraction, Fraction]]:
     return merged
 
 
+def fraction_fold(model: SequenceModel, cut: int) -> list[tuple[Fraction, Fraction]]:
+    """The cover at ``cut`` by every fold step, from the cut down to 1, over
+    ``Fraction``s: start from [0, tail after the cut] and merge in a copy
+    shifted by each term."""
+    pieces = [(Fraction(0), model.tail_sum(cut))]
+    for a in reversed(model.first_terms(cut)):
+        pieces = fraction_coalesce(pieces + [(lo + a, hi + a) for lo, hi in pieces])
+    return pieces
+
+
 def fraction_complement(pieces, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Closure of [lo, hi] minus coalesced ``pieces``: scan for the open
     gaps, then coalesce them."""

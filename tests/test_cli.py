@@ -43,6 +43,12 @@ class TestExitCodes:
         assert code == 2
         assert doc["error"]["kind"] == "resource"
 
+    def test_depth_past_the_bound_is_refused_before_any_term_is_built(self):
+        code, doc = body_json(["range", "geo(2/3,2/3)", "--depth", "60000"])
+        assert code == 2
+        assert doc["error"]["kind"] == "resource"
+        assert doc["error"]["message"] == "60000 terms exceed the subset-sum bound of 24"
+
     def test_huge_rational_output_is_a_resource_failure(self):
         # the gaps hold denominators past the int-to-text digit limit
         spec = f"geo(1/2, 1/{10**1000})"

@@ -30,9 +30,12 @@ from tracerange import (
 )
 
 from support import (
+    REFEREE_MODELS,
     all_threes,
     cantor_like,
     dyadic,
+    fraction_fold,
+    fraction_violations,
     random_cantor_model,
     random_colliding_model,
     random_complete_model,
@@ -207,8 +210,68 @@ class TestAchievableOuter:
             assert approx.union == IntervalUnion((Interval(F(0), model.total),))
 
 
+class TestFoldFromLastViolation:
+    """The fold starts at the last violation L and appends violating steps."""
+
+    def test_bound_is_checked_before_any_term_is_built(self, monkeypatch):
+        def refuse(self, count):
+            raise AssertionError(f"first_terms({count}) built before the bound check")
+
+        monkeypatch.setattr(SequenceModel, "first_terms", refuse)
+        model = SequenceModel((), GeometricTail(F(2, 3), F(2, 3)))
+        with pytest.raises(ResourceLimitError, match="^1000000000 terms exceed the subset-sum bound of 24$"):
+            achievable_outer(model, 10**9)
+
+    def test_first_terms_stops_at_the_last_violation(self, monkeypatch):
+        asked = []
+        first_terms = SequenceModel.first_terms
+
+        def spy(self, count):
+            asked.append(count)
+            return first_terms(self, count)
+
+        monkeypatch.setattr(SequenceModel, "first_terms", spy)
+        for model in (dyadic(), all_threes()):
+            asked.clear()
+            approx = achievable_outer(model, 2000, bound=2000)
+            assert asked == [0]
+            assert approx.union == IntervalUnion((Interval(F(0), model.total),))
+        rng = random.Random(7741)
+        for trial in range(120):
+            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            cut = rng.randint(0, 12)
+            last = max((n for n, _ in fraction_violations(model, cut)), default=0)
+            asked.clear()
+            achievable_outer(model, cut)
+            assert asked and all(count <= last for count in asked)
+
+    def test_a_tie_with_the_union_top_still_merges(self):
+        # a_k = t_k: the shifted copy touches the union's top end
+        finite = make_model([F(1, 2), F(1, 4), F(1, 4)])
+        points = [F(k, 4) for k in range(5)]
+        assert achievable_outer(finite, 3).union == IntervalUnion(Interval(p, p) for p in points)
+        tail = GeometricTail(F(1, 6), F(1, 3))
+        prefixed = SequenceModel((tail.total,), tail)
+        for cut in range(1, 9):
+            approx = achievable_outer(prefixed, cut)
+            assert approx.union == IntervalUnion(Interval(lo, hi) for lo, hi in fraction_fold(prefixed, cut))
+        # [1/6, 1/4] and its copy shifted by a_1 = t_1 = 1/4 join at 1/4
+        assert achievable_outer(prefixed, 2).union == IntervalUnion(
+            (Interval(F(0), F(1, 12)), Interval(F(1, 6), F(1, 3)), Interval(F(5, 12), F(1, 2)))
+        )
+
+    def test_a_prefix_only_violation_fixes_the_cover(self):
+        model = SequenceModel((F(1, 2),), GeometricTail(F(1, 8), F(1, 2)))
+        expected = IntervalUnion((Interval(F(0), F(1, 4)), Interval(F(1, 2), F(3, 4))))
+        for cut in (*range(1, 41), 2000):
+            approx = achievable_outer(model, cut, bound=cut)
+            assert approx.union == expected
+            assert approx.exact
+
+
 class TestFoldReferee:
-    """The cover fold against the subset-sum route it replaced."""
+    """The cover fold against the subset-sum route it replaced, and against
+    a full ``Fraction`` fold past the last violation."""
 
     KINDS = (
         random_complete_model,
@@ -235,6 +298,24 @@ class TestFoldReferee:
             oracle = SubsetSumOracle(terms)
             assert all(oracle.representable(s) for s in sums)
             assert approx.exact == kakeya_check(split_leading(model, cut)[1]).holds
+
+    def test_fold_matches_the_full_fraction_fold_at_every_cut(self):
+        # a Cantor-like tail doubles the pieces at every cut, so it stops at
+        # 12; every other kind reaches 40, past what subset sums can enumerate
+        rng = random.Random(6007)
+        for trial in range(48):
+            model = self.KINDS[trial % len(self.KINDS)](rng)
+            tail = model.tail
+            top = 12 if isinstance(tail, GeometricTail) and tail.ratio < F(1, 2) else 40
+            cuts = range(top + 1)
+            if model.finite:  # every cut past the support is the support
+                cuts = (*range(len(model.prefix) + 2), top)
+            for cut in cuts:
+                approx = achievable_outer(model, cut, bound=40)
+                cut = min(cut, len(model.prefix)) if model.finite else cut
+                pieces = fraction_fold(model, cut)
+                assert approx.union == IntervalUnion(Interval(lo, hi) for lo, hi in pieces)
+                assert approx.exact == kakeya_check(split_leading(model, cut)[1]).holds
 
 
 class TestOracleReferee:
