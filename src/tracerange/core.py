@@ -153,6 +153,17 @@ def _trusted_interval(lo: Fraction, hi: Fraction) -> Interval:
     return part
 
 
+def _trusted_fraction(num: int, den: int) -> Fraction:
+    """A ``Fraction`` from ``int``s already in lowest terms with den > 0,
+    built without the gcd and type checks of ``Fraction.__new__``. It sets
+    the two slots ``Fraction`` keeps its value in; a test pins that layout
+    against ``Fraction(num, den)``."""
+    q = object.__new__(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
+
+
 def _over(den: int, x: Fraction) -> int:
     """The numerator of ``x`` over ``den``, which its denominator divides."""
     return x.numerator * (den // x.denominator)

@@ -17,6 +17,11 @@ approximations) are never numeric estimates.
 Deep radix indices are found by one integer walk that skips whole periods
 (``_walk``), and loops over many terms read them as integer numerators over
 one common denominator (``_integer_terms``), building ``Fraction``s once.
+The term stream (``iter_terms``, ``first_terms``) steps reduced
+``(num, den)`` pairs and builds each term once, through
+``core._trusted_fraction``: a geometric step cancels only gcd(num, q) and
+gcd(p, den) for ratio p/q, which stay 1 after the first few terms, and a
+radix block cancels only gcd(num, k) for its radix k.
 The terms after an index are one closed form, ``_rest(model, count)``,
 which builds none of the terms before it; splits, suffix comparison, faces
 and the algebra merge all read it.
@@ -38,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import ONE, ZERO
+from .core import ZERO, _trusted_fraction
 from .errors import (
     DomainError,
     OutOfSupportError,
@@ -153,7 +158,7 @@ class GeometricTail:
         if not (0 < self.ratio < 1):
             raise ValidationError(f"geometric ratio outside (0, 1): {self.ratio}")
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
         return self.first / (1 - self.ratio)
 
@@ -183,11 +188,17 @@ class MixedRadixTail:
         return self.scale
 
     def blocks(self) -> Iterator[tuple[Fraction, int]]:
-        """Yield (value, multiplicity) per block, forever."""
+        """Yield (value, multiplicity) per block, forever.
+
+        Each block divides the reduced value by its radix k, so only
+        gcd(num, k) can cancel; the value stays in lowest terms without a
+        gcd against the growing denominator."""
         num, den = self.scale.numerator, self.scale.denominator
         for k in self.radices.iter_entries():
-            den *= k
-            yield Fraction(num, den), k - 1
+            g = math.gcd(num, k)
+            num //= g
+            den *= k // g
+            yield _trusted_fraction(num, den), k - 1
 
     def term(self, j: int) -> Fraction:
         return self.scale / _walk(self, j)[2]
@@ -217,12 +228,34 @@ def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
 TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
 
 
+def _geometric_runs(tail: GeometricTail) -> Iterator[Iterator[Fraction]]:
+    """The terms first * ratio^k on reduced (num, den) pairs, as runs.
+
+    With first = a/b and ratio = p/q in lowest terms, the next term
+    a*p / b*q cancels only gcd(a, q) * gcd(p, b). Once both gcds are 1 they
+    stay 1, so the cancelling steps come one term at a time, at most about
+    as many as the bits of a*b, and the rest is one run of two integer
+    products with no gcd at all.
+    """
+    a, b = tail.first.numerator, tail.first.denominator
+    p, q = tail.ratio.numerator, tail.ratio.denominator
+    while True:
+        g, h = math.gcd(a, q), math.gcd(p, b)
+        if g == h == 1:
+            nums = itertools.accumulate(itertools.repeat(p), operator.mul, initial=a)
+            dens = itertools.accumulate(itertools.repeat(q), operator.mul, initial=b)
+            yield map(_trusted_fraction, nums, dens)
+            return
+        yield (_trusted_fraction(a, b),)
+        a, b = a // g * (p // h), b // h * (q // g)
+
+
 def _iter_tail_terms(tail: TailModel) -> Iterator[Fraction]:
-    """The tail's terms in order, as one itertools pipeline."""
+    """The tail's terms in order, each built once from a reduced pair."""
     if isinstance(tail, ZeroTail):
         return iter(())
     if isinstance(tail, GeometricTail):
-        return itertools.accumulate(itertools.repeat(tail.ratio), operator.mul, initial=tail.first)
+        return itertools.chain.from_iterable(_geometric_runs(tail))
     return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, tail.blocks()))
 
 

@@ -137,6 +137,28 @@ REFEREE_MODELS = (
 )
 
 
+def fraction_terms(model: SequenceModel, count: int) -> list[Fraction]:
+    """The first ``count`` terms by a plain ``Fraction`` loop: the prefix,
+    then a geometric tail multiplied by its ratio term by term, or a radix
+    tail's scale divided by the running product of its radices, each block
+    repeated radix - 1 times."""
+    terms = list(model.prefix)
+    tail = model.tail
+    if isinstance(tail, GeometricTail):
+        x = tail.first
+        while len(terms) < count:
+            terms.append(x)
+            x = x * tail.ratio
+    elif isinstance(tail, MixedRadixTail):
+        prod = 1
+        for k in tail.radices.iter_entries():
+            if len(terms) >= count:
+                break
+            prod *= k
+            terms.extend([tail.scale / prod] * (k - 1))
+    return terms[:count]
+
+
 def fraction_greedy(model: SequenceModel, target: Fraction, bit_count: int):
     """The greedy rule stepped over ``Fraction`` terms: (bits, achieved,
     residual, tail left after the last step)."""

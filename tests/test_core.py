@@ -26,7 +26,7 @@ from tracerange import (
     subset_sums,
 )
 
-from tracerange.core import _check_writable
+from tracerange.core import _check_writable, _trusted_fraction
 
 from support import (
     REFEREE_MODELS,
@@ -107,6 +107,35 @@ class TestRationals:
         assert str(caught.value) == "integer of 5001 digits is past the limit of 4300 digits"
         with pytest.raises(ParseError, match="malformed rational"):
             parse_rational("1/1" + "0" * 5000 + "x")
+
+
+class TestTrustedFraction:
+    """``_trusted_fraction`` fills ``Fraction``'s two value slots directly;
+    on an interpreter whose ``Fraction`` keeps its value elsewhere, these
+    fail."""
+
+    PAIRS = [(0, 1), (1, 1), (3, 8), (-5, 7), (7, 1), (2**200 + 1, 3**90), (-(3**90), 2**127 - 1)]
+
+    @pytest.mark.parametrize("num, den", PAIRS)
+    def test_a_trusted_value_behaves_as_the_checked_one(self, num, den):
+        trusted, checked = _trusted_fraction(num, den), Fraction(num, den)
+        assert type(trusted) is Fraction
+        assert (trusted.numerator, trusted.denominator) == (num, den)
+        assert trusted == checked and not trusted != checked
+        assert hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked) and str(trusted) == str(checked)
+        other = Fraction(-2, 3)
+        assert trusted + other == checked + other
+        assert trusted * other == checked * other
+        assert trusted / other == checked / other
+        assert trusted - 1 == checked - 1 and 1 - trusted == 1 - checked
+        assert (trusted < other) == (checked < other)
+        assert trusted**2 == checked**2
+        assert float(trusted) == float(checked)
+        twin = pickle.loads(pickle.dumps(trusted))
+        assert twin == checked and hash(twin) == hash(checked) and repr(twin) == repr(checked)
+        assert copy.copy(trusted) == checked
+        assert format_rational(trusted) == format_rational(checked)
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 """Sequence models: words, tails, splitting, equality, algebra specs."""
 
+import copy
 import itertools
+import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -28,7 +31,7 @@ from tracerange import (
 )
 from tracerange.sequences import _rest, _walk
 
-from support import models, radix_words, random_word
+from support import REFEREE_MODELS, fraction_terms, models, radix_words, random_word, scale_model
 
 F = Fraction
 
@@ -82,6 +85,16 @@ class TestTails:
         tail = MixedRadixTail(F(1), RadixWord((), (3,)))
         assert [tail.term(j) for j in range(1, 6)] == [F(1, 3), F(1, 3), F(1, 9), F(1, 9), F(1, 27)]
         assert SequenceModel((), tail).tail_sum(4) == F(1, 9)
+
+    def test_cached_geometric_total_leaves_the_value_alone(self):
+        tail, fresh = GeometricTail(F(3, 8), F(1, 2)), GeometricTail(F(3, 8), F(1, 2))
+        assert tail.total == F(3, 4)
+        assert tail.total is tail.total
+        assert tail == fresh and hash(tail) == hash(fresh) and repr(tail) == repr(fresh)
+        twins = (copy.copy(tail), copy.deepcopy(tail), pickle.loads(pickle.dumps(tail)), pickle.loads(pickle.dumps(fresh)))
+        for twin in twins:
+            assert twin == tail and hash(twin) == hash(tail) and repr(twin) == repr(tail)
+            assert twin.total == F(3, 4)
 
     def test_radix_tail_needs_infinite_word(self):
         with pytest.raises(ValidationError):
@@ -145,6 +158,61 @@ class TestRadixLocatorReferee:
 
     def test_an_index_past_five_thousand(self):
         self.check(MixedRadixTail(F(3, 7), RadixWord((5, 2), (2, 4, 3))), [5000, 5001, 5003])
+
+
+def geo(first, ratio) -> SequenceModel:
+    return SequenceModel((), GeometricTail(F(first), F(ratio)))
+
+
+def radix(scale, pre, period) -> SequenceModel:
+    return SequenceModel((), MixedRadixTail(F(scale), RadixWord(pre, period)))
+
+
+# models whose reduced terms cancel for several steps before the stream
+# settles: first's numerator shares factors with the ratio's denominator,
+# first's denominator with the ratio's numerator, or a radix scale's
+# numerator with the radices
+CANCELLING_MODELS = {
+    "geo(8/3,3/4)": geo("8/3", "3/4"),
+    "geo(1024/243,3/4)": geo("1024/243", "3/4"),
+    "geo(1/81,9/10)": geo("1/81", "9/10"),
+    "geo(3/64,8/9)": geo("3/64", "8/9"),
+    "geo(2000/7,7/10)": geo("2000/7", "7/10"),
+    "5,geo(1024/243,3/4)": SequenceModel((F(5),), GeometricTail(F(1024, 243), F(3, 4))),
+    "radix(12;2 3|2)": radix(12, (2, 3), (2,)),
+    "radix(2^20*3^7/5;4 6|2 3)": radix(F(2**20 * 3**7, 5), (4, 6), (2, 3)),
+    "radix(10^6/7;|10)": radix(F(10**6, 7), (), (10,)),
+}
+
+
+class TestTermStreamReferee:
+    """Terms stepped on reduced integer pairs against a plain ``Fraction``
+    loop: the same value, hash and repr, each a ``Fraction`` in lowest
+    terms."""
+
+    @staticmethod
+    def check(model: SequenceModel, count: int = 80) -> None:
+        expected = fraction_terms(model, count)
+        streamed = list(itertools.islice(model.iter_terms(), count))
+        materialized = list(model.first_terms(min(count, len(expected))))
+        assert len(streamed) == len(materialized) == len(expected)
+        for got in (streamed, materialized):
+            for x, want in zip(got, expected):
+                assert x == want
+                assert type(x) is Fraction
+                assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+                assert hash(x) == hash(want) and repr(x) == repr(want)
+
+    @pytest.mark.parametrize("factor", [F(1, 3), F(3, 4), F(2), F(7, 3)], ids=str)
+    def test_scaled_referee_models(self, factor):
+        rng = random.Random(7070)
+        for _ in range(8):
+            for build in REFEREE_MODELS:
+                self.check(scale_model(build(rng), factor))
+
+    @pytest.mark.parametrize("name", CANCELLING_MODELS)
+    def test_models_that_cancel_for_several_steps(self, name):
+        self.check(CANCELLING_MODELS[name])
 
 
 class TestSequenceModel:
