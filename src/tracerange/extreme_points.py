@@ -34,18 +34,13 @@ from .core import ONE, ZERO
 from .errors import DomainError, UnsupportedSpecError, ValidationError
 from .representability import ConditionVerdict, _first_excess
 from .sequences import (
-    GeometricTail,
     MixedRadixTail,
     RadixWord,
     SequenceModel,
-    ZeroTail,
     _check_index,
     _radices,
     _rest,
-    _scale_tail,
-    _suffix_signature,
     _term_or_none,
-    _walk,
 )
 
 __all__ = [
@@ -134,8 +129,9 @@ def _first_deviation(
     ``value``, or None when all of them match.
 
     Indices past a finite support count as deviations. Tail stretches are
-    resolved without stepping term by term: geometric terms never repeat, and
-    a radix block either matches wholesale or pins the break at its edge.
+    resolved without stepping term by term: the first run of
+    ``_rest(model, n - 1)`` holds index n, and it either matches from n to
+    its end or pins the break at n.
     """
     end = start + count
     n = start
@@ -146,20 +142,10 @@ def _first_deviation(
         n += 1
     if n >= end:
         return None
-    tail = model.tail
-    if isinstance(tail, ZeroTail):
+    run = next(_rest(model, n - 1).tail.runs(), None)
+    if run is None or run[0] != value:
         return n
-    j = n - length
-    if isinstance(tail, GeometricTail):
-        if tail.term(j) != value:
-            return n
-        following = n + 1
-        return following if following < end else None
-    _, offset, prod, k = _walk(tail, j)
-    if tail.scale / prod != value:
-        return n
-    block_last = j - offset + (k - 1)
-    following = length + block_last + 1
+    following = n + run[1]
     return following if following < end else None
 
 
@@ -180,9 +166,9 @@ def sequence_to_radix(
     mult = Fraction(1)
     position = 1
     while True:
-        if not model.finite and position > len(model.prefix):
-            signature = _suffix_signature(model, position - 1)
-            if isinstance(signature, MixedRadixTail) and mult * signature.scale == 1:
+        if position > len(model.prefix):
+            signature = _rest(model, position - 1).tail.as_radix()
+            if signature is not None and mult * signature.scale == 1:
                 word = signature.radices
                 closed = RadixWord(tuple(emitted) + word.pre, word.period)
                 return ExtremalityReport.extreme(closed)
@@ -215,7 +201,7 @@ def face_embed(model: SequenceModel, radix: int) -> SequenceModel:
         raise DomainError(f"cannot embed: leading term {lead} exceeds 1")
     unit = Fraction(1, radix)
     prefix = (unit,) * (radix - 1) + tuple(x * unit for x in model.prefix)
-    return SequenceModel(prefix, _scale_tail(model.tail, unit))
+    return SequenceModel(prefix, model.tail.scaled(unit))
 
 
 def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceModel:
@@ -246,7 +232,7 @@ def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceM
     if past == first:
         raise DomainError(f"leading run of {first} extends past {radix - 1} copies")
     rest = _rest(model, radix - 1)
-    return SequenceModel(tuple(x * radix for x in rest.prefix), _scale_tail(rest.tail, radix))
+    return SequenceModel(tuple(x * radix for x in rest.prefix), rest.tail.scaled(radix))
 
 
 def face_membership(model: SequenceModel, radix: Optional[int] = None) -> bool:

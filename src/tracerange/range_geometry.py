@@ -35,13 +35,8 @@ from typing import Optional, Sequence
 
 from .core import IntervalUnion, ZERO, _coalesce, _over
 from .errors import ResourceLimitError, ValidationError
-from .representability import (
-    ConditionVerdict,
-    _geometric_first_excess,
-    _prefix_excesses,
-    kakeya_check,
-)
-from .sequences import AlgebraSpec, GeometricTail, SequenceModel, _check_index, from_algebra
+from .representability import ConditionVerdict, _prefix_excesses, kakeya_check
+from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
 
 DEFAULT_TERM_BOUND = 24
 
@@ -184,8 +179,8 @@ def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
     the cut for L (one check when the cut is a finite model's support, whose
     last term always violates) and on past it for the flag.
     """
-    offset, tail = len(model.prefix), model.tail
-    endless = isinstance(tail, GeometricTail) and _geometric_first_excess(tail, ZERO) is not None
+    offset = len(model.prefix)
+    endless = next(model.tail.excesses(0, 1), None) is not None
     if endless and cut > offset:
         return cut, False
     found = next(_prefix_excesses(model, 0, range(min(cut, offset), 0, -1)), None)

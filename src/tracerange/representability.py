@@ -9,10 +9,11 @@ subset sum can enter, which :func:`gap_certificate` hands out.
 
 Membership in the unit-anchored body (``extreme_points``) is the same test
 with a slack, a_n <= sigma + sum_{k>n} a_k with sigma = 1 - total. One
-generator, ``_excesses``, settles it for any sigma, holding each tail
-family's closed form once; every condition check reads it. Its prefix scan,
-``_prefix_excesses``, takes the indices in any order, so the cover can look
-back from its cut for the last violation.
+generator, ``_excesses``, settles it for any sigma, and every condition
+check reads it; each tail family holds its closed form once, in its
+``excesses`` method. The prefix scan, ``_prefix_excesses``, takes the
+indices in any order, so the cover can look back from its cut for the last
+violation.
 
 The greedy rule, run against target r with partial result r_0 = 0:
 
@@ -28,15 +29,13 @@ and the ``Fraction`` results are built once at the end.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
 from .errors import DomainError, OutOfSupportError, ValidationError
-from .sequences import GeometricTail, MixedRadixTail, SequenceModel, _check_index, _integer_terms
+from .sequences import SequenceModel, _check_index, _integer_terms
 
 
 @dataclass(frozen=True)
@@ -73,34 +72,6 @@ class BitExpansion:
     residual_bound: Fraction
 
 
-def _geometric_first_excess(tail: GeometricTail, sigma: Fraction) -> Optional[int]:
-    """Least tail index j whose term exceeds sigma plus the sum after it.
-
-    For term f*r^(j-1) that reads d * r^(j-1) > sigma with
-    d = f*(1-2r)/(1-r), monotone in j; with f = a/b, r = p/q and sigma = s/t
-    it runs on integers as a*(q-2p)*t * p^(j-1) > s*b*(q-p) * q^(j-1). If
-    j = 1 fails with sigma >= 0, no j passes; otherwise d <= sigma < 0 and
-    d * r^(j-1) rises toward 0, so the first j is found by doubling, then
-    bisecting.
-    """
-    p, q = tail.ratio.numerator, tail.ratio.denominator
-    lhs = tail.first.numerator * (q - 2 * p) * sigma.denominator
-    rhs = sigma.numerator * tail.first.denominator * (q - p)
-
-    def excess(j: int) -> bool:
-        return lhs * p ** (j - 1) > rhs * q ** (j - 1)
-
-    if excess(1):
-        return 1
-    if sigma >= 0:
-        return None
-
-    hi = 2
-    while not excess(hi):
-        hi *= 2
-    return bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
-
-
 def _prefix_excesses(model: SequenceModel, sigma, indices: range) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
     """Each prefix index n of ``indices``, in their order, with
     a_n > sigma + sum_{k>n} a_k, with its gap; a zero slack is never added,
@@ -120,39 +91,18 @@ def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int
     with its gap (sigma + sum_{k>n} a_k, a_n).
 
     Completeness is sigma = 0; membership in the unit-anchored body is
-    sigma = 1 - total. Prefix indices are checked one by one; tails settle
-    in closed form, and endless runs are yielded lazily:
+    sigma = 1 - total. Prefix indices are checked one by one; the tail's
+    ``excesses`` settles the rest in closed form, yielding endless runs lazily:
 
-    * geometric: the excess is monotone in the index (see
-      ``_geometric_first_excess``), so the violations form one run, stepped
-      from its first index by scaling term and rest by the ratio;
-    * radix: slot i of a block of k - 1 slots of value v leaves (k - i) * v
-      after it, so it violates exactly when (k - i - 1) * v < -sigma: never
-      for sigma >= 0, and otherwise on a suffix of every block;
-    * zero: no indices, so a finite model's last term violates at sigma = 0.
+    * geometric: one run from the first violating index;
+    * radix: none for sigma >= 0, otherwise a suffix of every block;
+    * zero: none, so a finite model's last term violates at sigma = 0.
     """
     sigma = sigma or 0  # a zero slack is never added
     offset = len(model.prefix)
     yield from _prefix_excesses(model, sigma, range(start, offset + 1))
-    tail = model.tail
-    if isinstance(tail, GeometricTail):
-        j = _geometric_first_excess(tail, sigma)
-        if j is None:
-            return
-        j = max(j, start - offset)
-        term, rest = tail.term(j), model.tail_sum(offset + j)
-        # from its first index the run is endless unless sigma > 0
-        while sigma <= 0 or term > sigma + rest:
-            yield offset + j, (sigma + rest if sigma else rest, term)
-            j += 1
-            term *= tail.ratio
-            rest *= tail.ratio
-    elif isinstance(tail, MixedRadixTail) and sigma < 0:
-        for value, size in tail.blocks():
-            k = size + 1
-            for i in range(max(1, k + math.floor(sigma / value), start - offset), k):
-                yield offset + i, (sigma + (k - i) * value, value)
-            offset += size
+    for j, gap in model.tail.excesses(sigma, start - offset):
+        yield offset + j, gap
 
 
 def _first_excess(model: SequenceModel, sigma) -> ConditionVerdict:

@@ -12,19 +12,20 @@ tail. Three tail families cover everything the package works with:
 
 These closed forms make every term, partial sum, and tail sum an exact
 rational, so downstream decisions (condition checks, expansions, range
-approximations) are never numeric estimates.
+approximations) are never numeric estimates. Each family owns its closed
+forms as one method set, so no caller tests a tail's type: ``terms()``,
+``runs()`` of (value, multiplicity), ``sum_after(j)``, ``rest(j)`` (the
+terms after local index j), ``scaled(f)``, ``excesses(sigma, start)`` (the
+condition engine's tail indices), ``as_radix()`` (None unless the terms
+form a radix pattern), and ``common_den(count)`` with ``numerators(den)``.
+``terms()`` builds each term once from a reduced ``(num, den)`` pair: a
+geometric step cancels only gcd(num, q) and gcd(p, den) for ratio p/q, and
+a radix block only gcd(num, k) for its radix k.
 
-Deep radix indices are found by one integer walk that skips whole periods
-(``_walk``), and loops over many terms read them as integer numerators over
-one common denominator (``_integer_terms``), building ``Fraction``s once.
-The term stream (``iter_terms``, ``first_terms``) steps reduced
-``(num, den)`` pairs and builds each term once, through
-``core._trusted_fraction``: a geometric step cancels only gcd(num, q) and
-gcd(p, den) for ratio p/q, which stay 1 after the first few terms, and a
-radix block cancels only gcd(num, k) for its radix k.
-The terms after an index are one closed form, ``_rest(model, count)``,
-which builds none of the terms before it; splits, suffix comparison, faces
-and the algebra merge all read it.
+Private helpers: ``_walk`` finds a deep radix slot by skipping whole
+periods; ``_integer_terms`` puts many terms over one common denominator;
+``_rest(model, count)`` is the closed form of the terms after an index;
+``_checked_tail`` is the one check that a value is a tail.
 
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -113,10 +115,7 @@ class RadixWord:
         return tuple(itertools.islice(_radices(self), count))
 
     def iter_entries(self) -> Iterator[int]:
-        yield from self.pre
-        if self.period:
-            while True:
-                yield from self.period
+        return itertools.chain(self.pre, itertools.cycle(self.period))
 
     def shift(self, count: int) -> "RadixWord":
         """Drop the first ``count`` entries."""
@@ -138,11 +137,38 @@ def _radices(word: RadixWord) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class ZeroTail:
-    """No terms after the prefix."""
+    """No terms after the prefix: each method answers for the empty stream."""
 
     @property
     def total(self) -> Fraction:
         return ZERO
+
+    def terms(self) -> Iterator[Fraction]:
+        return iter(())
+
+    def runs(self) -> Iterator[tuple[Fraction, int]]:
+        return iter(())
+
+    def sum_after(self, j: int) -> Fraction:
+        return ZERO
+
+    def rest(self, j: int) -> "ZeroTail":
+        return self
+
+    def scaled(self, factor: Fraction) -> "ZeroTail":
+        return self
+
+    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+        return iter(())
+
+    def as_radix(self) -> Optional["MixedRadixTail"]:
+        return None
+
+    def common_den(self, count: int) -> int:
+        return 1
+
+    def numerators(self, den: int) -> Iterator[int]:
+        return iter(())
 
 
 @dataclass(frozen=True)
@@ -165,8 +191,86 @@ class GeometricTail:
     def term(self, j: int) -> Fraction:
         return self.first * self.ratio ** (j - 1)
 
-    def shifted(self, count: int) -> "GeometricTail":
-        return GeometricTail(self.first * self.ratio**count, self.ratio)
+    def _chunks(self) -> Iterator[Iterator[Fraction]]:
+        """The terms first * ratio^k on reduced (num, den) pairs, in chunks.
+
+        With first = a/b and ratio = p/q in lowest terms, the next term
+        a*p / b*q cancels only gcd(a, q) * gcd(p, b). Once both gcds are 1
+        they stay 1, so the cancelling steps come one term at a time, at most
+        about as many as the bits of a*b, and the rest is one chunk of two
+        integer products with no gcd at all.
+        """
+        a, b = self.first.numerator, self.first.denominator
+        p, q = self.ratio.numerator, self.ratio.denominator
+        while True:
+            g, h = math.gcd(a, q), math.gcd(p, b)
+            if g == h == 1:
+                nums = itertools.accumulate(itertools.repeat(p), operator.mul, initial=a)
+                dens = itertools.accumulate(itertools.repeat(q), operator.mul, initial=b)
+                yield map(_trusted_fraction, nums, dens)
+                return
+            yield (_trusted_fraction(a, b),)
+            a, b = a // g * (p // h), b // h * (q // g)
+
+    def terms(self) -> Iterator[Fraction]:
+        return itertools.chain.from_iterable(self._chunks())
+
+    def runs(self) -> Iterator[tuple[Fraction, int]]:
+        return zip(self.terms(), itertools.repeat(1))
+
+    def sum_after(self, j: int) -> Fraction:
+        return self.total * self.ratio**j
+
+    def rest(self, j: int) -> "GeometricTail":
+        return GeometricTail(self.first * self.ratio**j, self.ratio)
+
+    def scaled(self, factor: Fraction) -> "GeometricTail":
+        return GeometricTail(self.first * factor, self.ratio)
+
+    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+        """For term f*r^(j-1) the excess reads d * r^(j-1) > sigma with
+        d = f*(1-2r)/(1-r), monotone in j; with f = a/b, r = p/q and
+        sigma = s/t it runs on integers as a*(q-2p)*t * p^(j-1) >
+        s*b*(q-p) * q^(j-1). If j = 1 fails with sigma >= 0, no j passes;
+        otherwise d <= sigma < 0 and d * r^(j-1) rises toward 0, so the first
+        j is found by doubling, then bisecting. The violations form one run
+        from there, stepped by scaling term and rest by the ratio.
+        """
+        p, q = self.ratio.numerator, self.ratio.denominator
+        lhs = self.first.numerator * (q - 2 * p) * sigma.denominator
+        rhs = sigma.numerator * self.first.denominator * (q - p)
+
+        def excess(j: int) -> bool:
+            return lhs * p ** (j - 1) > rhs * q ** (j - 1)
+
+        if not excess(1) and sigma >= 0:
+            return
+        hi = 1
+        while not excess(hi):
+            hi *= 2
+        j = max(bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1, start)
+        term, rest = self.term(j), self.sum_after(j)
+        # from its first index the run is endless unless sigma > 0
+        while sigma <= 0 or term > sigma + rest:
+            yield j, (sigma + rest if sigma else rest, term)
+            j += 1
+            term *= self.ratio
+            rest *= self.ratio
+
+    def as_radix(self) -> Optional["MixedRadixTail"]:
+        if self.ratio != Fraction(1, 2):
+            return None
+        return MixedRadixTail(2 * self.first, RadixWord((), (2,)))
+
+    def common_den(self, count: int) -> int:
+        return self.first.denominator * self.ratio.denominator ** (count - 1)
+
+    def numerators(self, den: int) -> Iterator[int]:
+        a = self.first.numerator * (den // self.first.denominator)
+        p, q = self.ratio.numerator, self.ratio.denominator
+        while True:
+            yield a
+            a = a // q * p
 
 
 @dataclass(frozen=True)
@@ -187,7 +291,13 @@ class MixedRadixTail:
     def total(self) -> Fraction:
         return self.scale
 
-    def blocks(self) -> Iterator[tuple[Fraction, int]]:
+    def term(self, j: int) -> Fraction:
+        return self.scale / _walk(self, j)[2]
+
+    def terms(self) -> Iterator[Fraction]:
+        return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.runs()))
+
+    def runs(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (value, multiplicity) per block, forever.
 
         Each block divides the reduced value by its radix k, so only
@@ -200,8 +310,48 @@ class MixedRadixTail:
             den *= k // g
             yield _trusted_fraction(num, den), k - 1
 
-    def term(self, j: int) -> Fraction:
-        return self.scale / _walk(self, j)[2]
+    def sum_after(self, j: int) -> Fraction:
+        # slot ``offset`` of a block worth scale / prod each leaves k - offset
+        _, offset, prod, k = _walk(self, j)
+        return self.scale * Fraction(k - offset, prod)
+
+    def rest(self, j: int) -> "MixedRadixTail":
+        """The terms after local slot j; a block cut inside folds its
+        ``left`` unused slots into one leading block of radix ``left + 1``."""
+        blocks, offset, prod, k = _walk(self, j)
+        left = k - 1 - offset
+        word = self.radices.shift(blocks + 1)
+        if left:
+            word = RadixWord((left + 1,) + word.pre, word.period)
+        return MixedRadixTail((left + 1) * self.scale / prod, word)
+
+    def scaled(self, factor: Fraction) -> "MixedRadixTail":
+        return MixedRadixTail(self.scale * factor, self.radices)
+
+    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+        """Slot i of a block of k - 1 slots of value v leaves (k - i) * v
+        after it, so it violates exactly when (k - i - 1) * v < -sigma:
+        never for sigma >= 0, and otherwise on a suffix of every block."""
+        if sigma >= 0:
+            return
+        offset = 0
+        for value, size in self.runs():
+            k = size + 1
+            for i in range(max(1, k + math.floor(sigma / value), start - offset), k):
+                yield offset + i, (sigma + (k - i) * value, value)
+            offset += size
+
+    def as_radix(self) -> "MixedRadixTail":
+        return self
+
+    def common_den(self, count: int) -> int:
+        return self.scale.denominator * _walk(self, count)[2]
+
+    def numerators(self, den: int) -> Iterator[int]:
+        v = self.scale.numerator * (den // self.scale.denominator)
+        for k in self.radices.iter_entries():
+            v //= k
+            yield from itertools.repeat(v, k - 1)
 
 
 def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
@@ -228,43 +378,11 @@ def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
 TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
 
 
-def _geometric_runs(tail: GeometricTail) -> Iterator[Iterator[Fraction]]:
-    """The terms first * ratio^k on reduced (num, den) pairs, as runs.
-
-    With first = a/b and ratio = p/q in lowest terms, the next term
-    a*p / b*q cancels only gcd(a, q) * gcd(p, b). Once both gcds are 1 they
-    stay 1, so the cancelling steps come one term at a time, at most about
-    as many as the bits of a*b, and the rest is one run of two integer
-    products with no gcd at all.
-    """
-    a, b = tail.first.numerator, tail.first.denominator
-    p, q = tail.ratio.numerator, tail.ratio.denominator
-    while True:
-        g, h = math.gcd(a, q), math.gcd(p, b)
-        if g == h == 1:
-            nums = itertools.accumulate(itertools.repeat(p), operator.mul, initial=a)
-            dens = itertools.accumulate(itertools.repeat(q), operator.mul, initial=b)
-            yield map(_trusted_fraction, nums, dens)
-            return
-        yield (_trusted_fraction(a, b),)
-        a, b = a // g * (p // h), b // h * (q // g)
-
-
-def _iter_tail_terms(tail: TailModel) -> Iterator[Fraction]:
-    """The tail's terms in order, each built once from a reduced pair."""
-    if isinstance(tail, ZeroTail):
-        return iter(())
-    if isinstance(tail, GeometricTail):
-        return itertools.chain.from_iterable(_geometric_runs(tail))
-    return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, tail.blocks()))
-
-
-def _scale_tail(tail: TailModel, factor: Fraction) -> TailModel:
-    if isinstance(tail, ZeroTail):
-        return tail
-    if isinstance(tail, GeometricTail):
-        return GeometricTail(tail.first * factor, tail.ratio)
-    return MixedRadixTail(tail.scale * factor, tail.radices)
+def _checked_tail(tail, label: str = "tail") -> TailModel:
+    """``tail`` itself, once it is one of the three tail families."""
+    if not isinstance(tail, (ZeroTail, GeometricTail, MixedRadixTail)):
+        raise ValidationError(f"{label} must be a ZeroTail, GeometricTail, or MixedRadixTail")
+    return tail
 
 
 @dataclass(frozen=True)
@@ -282,9 +400,8 @@ class SequenceModel:
         for a, b in zip(prefix, prefix[1:]):
             if a < b:
                 raise ValidationError(f"prefix is not non-increasing: {a} before {b}")
-        if not isinstance(self.tail, (ZeroTail, GeometricTail, MixedRadixTail)):
-            raise ValidationError("tail must be a ZeroTail, GeometricTail, or MixedRadixTail")
-        if prefix and not isinstance(self.tail, ZeroTail) and prefix[-1] < self.tail.term(1):
+        _checked_tail(self.tail)
+        if prefix and not self.finite and prefix[-1] < self.tail.term(1):
             raise ValidationError(
                 f"junction violation: last prefix entry {prefix[-1]} is below "
                 f"the first tail term {self.tail.term(1)}"
@@ -321,7 +438,7 @@ class SequenceModel:
         return self.tail.term(n - len(self.prefix))
 
     def iter_terms(self) -> Iterator[Fraction]:
-        return itertools.chain(self.prefix, _iter_tail_terms(self.tail))
+        return itertools.chain(self.prefix, self.tail.terms())
 
     def first_terms(self, count: int) -> tuple[Fraction, ...]:
         _check_index(count, 0, "count")
@@ -335,14 +452,7 @@ class SequenceModel:
         _check_index(n, 0)
         if n <= len(self.prefix):
             return self._prefix_suffix_sums[n] + self.tail.total
-        if self.finite:
-            return ZERO
-        j, tail = n - len(self.prefix), self.tail
-        if isinstance(tail, GeometricTail):
-            return tail.total * tail.ratio**j
-        # slot ``offset`` of a block worth scale / prod each leaves k - offset
-        _, offset, prod, k = _walk(tail, j)
-        return tail.scale * Fraction(k - offset, prod)
+        return self.tail.sum_after(n - len(self.prefix))
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact sum of the first n terms."""
@@ -364,54 +474,25 @@ def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[in
     extra = count - len(prefix)
     tail, total = model.tail, model.total
     dens = [x.denominator for x in prefix]
-    if extra and isinstance(tail, GeometricTail):
-        dens.append(tail.first.denominator * tail.ratio.denominator ** (extra - 1))
-    elif extra and isinstance(tail, MixedRadixTail):
-        dens.append(tail.scale.denominator * _walk(tail, extra)[2])
+    if extra:
+        dens.append(tail.common_den(extra))
     den = math.lcm(other_den, total.denominator, *dens)
-
-    def numerators() -> Iterator[int]:
-        for x in prefix:
-            yield x.numerator * (den // x.denominator)
-        if isinstance(tail, GeometricTail):
-            a = tail.first.numerator * (den // tail.first.denominator)
-            p, q = tail.ratio.numerator, tail.ratio.denominator
-            while True:
-                yield a
-                a = a // q * p
-        elif isinstance(tail, MixedRadixTail):
-            v = tail.scale.numerator * (den // tail.scale.denominator)
-            for k in tail.radices.iter_entries():
-                v //= k
-                yield from itertools.repeat(v, k - 1)
-
-    return den, total.numerator * (den // total.denominator), itertools.islice(numerators(), count)
+    lead = (x.numerator * (den // x.denominator) for x in prefix)
+    numerators = itertools.chain(lead, tail.numerators(den))
+    return den, total.numerator * (den // total.denominator), itertools.islice(numerators, count)
 
 
 def _rest(model: SequenceModel, count: int) -> SequenceModel:
     """The terms after the first ``count``, as a closed form that builds
-    none of those ``count`` terms.
-
-    A cut inside the prefix keeps the rest of it; a geometric tail is
-    shifted; a radix tail cut inside a block folds the block's ``left``
-    unused slots into one leading block of radix ``left + 1``, so the
-    remainder of a cut tail never has a prefix. A cut past a finite support
-    raises OutOfSupportError.
+    none of those ``count`` terms: the rest of the prefix, or ``tail.rest``
+    past it. A cut past a finite support raises OutOfSupportError.
     """
     prefix, tail = model.prefix, model.tail
     if count <= len(prefix):
         return SequenceModel(prefix[count:], tail)
-    if isinstance(tail, ZeroTail):
+    if model.finite:
         raise OutOfSupportError(count, len(prefix))
-    j = count - len(prefix)
-    if isinstance(tail, GeometricTail):
-        return SequenceModel((), tail.shifted(j))
-    blocks, offset, prod, k = _walk(tail, j)
-    left = k - 1 - offset
-    word = tail.radices.shift(blocks + 1)
-    if left:
-        word = RadixWord((left + 1,) + word.pre, word.period)
-    return SequenceModel((), MixedRadixTail((left + 1) * tail.scale / prod, word))
+    return SequenceModel((), tail.rest(count - len(prefix)))
 
 
 def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...], SequenceModel]:
@@ -435,17 +516,13 @@ def _term_or_none(model: SequenceModel, n: int) -> Optional[Fraction]:
 def _suffix_signature(model: SequenceModel, start: int) -> TailModel:
     """Canonical tail of the terms past position ``start``.
 
-    Only meaningful for start >= len(prefix). It is the tail of
-    ``_rest(model, start)``, with a geometric tail of ratio 1/2 read as the
-    all-2 word, so two models with the same term stream get equal
-    signatures.
+    Only meaningful for start >= len(prefix), and start equal to it on a
+    finite model. It is the tail of ``_rest(model, start)``, read as a radix
+    tail where it is one (a geometric tail of ratio 1/2 is the all-2 word),
+    so two models with the same term stream get equal signatures.
     """
-    if model.finite:
-        return model.tail
     tail = _rest(model, start).tail
-    if isinstance(tail, GeometricTail) and tail.ratio == Fraction(1, 2):
-        return MixedRadixTail(2 * tail.first, RadixWord((), (2,)))
-    return tail
+    return tail.as_radix() or tail
 
 
 def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:
@@ -492,8 +569,8 @@ class AlgebraSpec:
         for f in factors:
             if not isinstance(f, MatrixFactor):
                 raise ValidationError("factors must be MatrixFactor instances")
-        tail_total = self.abelian_tail.total if self.abelian_tail is not None else ZERO
-        total = sum((f.weight for f in factors), ZERO) + tail_total
+        tail = ZeroTail() if self.abelian_tail is None else self.abelian_tail
+        total = sum((f.weight for f in factors), ZERO) + _checked_tail(tail, "abelian tail").total
         if total != 1:
             raise ValidationError(f"factor weights and tail must sum to 1, got {total}")
         object.__setattr__(self, "factors", factors)
@@ -513,16 +590,9 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
     if not atoms:
         return SequenceModel((), tail)
-    if isinstance(tail, ZeroTail):
-        return SequenceModel(tuple(sorted(atoms, reverse=True)), ZeroTail())
     a_min = min(atoms)
     moved = 0
-    # (value, multiplicity) runs: radix blocks, or geometric terms one by one
-    if isinstance(tail, MixedRadixTail):
-        runs = tail.blocks()
-    else:
-        runs = zip(_iter_tail_terms(tail), itertools.repeat(1))
-    for value, size in runs:
+    for value, size in tail.runs():
         if value < a_min:
             break
         moved += size
@@ -530,6 +600,5 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
             raise UnsupportedSpecError(
                 "cannot re-anchor: tail terms stay above the smallest atom too long"
             )
-    lead = SequenceModel((), tail)
-    merged = tuple(sorted(atoms + list(lead.first_terms(moved)), reverse=True))
-    return SequenceModel(merged, _rest(lead, moved).tail)
+    merged = tuple(sorted(atoms + list(itertools.islice(tail.terms(), moved)), reverse=True))
+    return SequenceModel(merged, tail.rest(moved))

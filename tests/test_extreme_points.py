@@ -31,6 +31,7 @@ from tracerange import (
     same_sequence,
     sequence_to_radix,
 )
+from tracerange.extreme_points import _first_deviation
 
 from support import (
     REFEREE_MODELS,
@@ -38,6 +39,7 @@ from support import (
     cantor_like,
     dyadic,
     fraction_digits,
+    fraction_terms,
     fraction_violations,
     radix_words,
     random_unit_admissible_model,
@@ -258,6 +260,46 @@ class TestFaceMaps:
             embedded = face_embed(model, radix)
             assert face_extract(embedded, radix) == model
             assert face_membership(embedded, radix)
+
+
+class TestFirstDeviationReferee:
+    """The run-at-a-time deviation finder against a plain scan of
+    ``fraction_terms``: starts in the prefix, at the junction, inside radix
+    blocks and deep in the tail, with the term at the start and with a
+    nearby rational that differs from it."""
+
+    COUNTS = (1, 2, 3, 7, 40)
+
+    @staticmethod
+    def scan(terms, start, count, value):
+        for n in range(start, start + count):
+            if n > len(terms) or terms[n - 1] != value:
+                return n
+        return None
+
+    def check(self, model, starts):
+        terms = fraction_terms(model, max(starts) + max(self.COUNTS))
+        for start in starts:
+            if start > len(terms):
+                continue  # past a finite support there is no term to start from
+            term = terms[start - 1]
+            for value in (term, term + term / 997):
+                for count in self.COUNTS:
+                    want = self.scan(terms, start, count, value)
+                    assert _first_deviation(model, start, count, value) == want, (model, start, count)
+
+    def test_referee_models(self):
+        rng = random.Random(2718)
+        for _ in range(10):
+            for build in REFEREE_MODELS:
+                model = build(rng)
+                head = len(model.prefix)
+                self.check(model, list(range(1, head + 13)) + [head + 30, head + 77, head + 200])
+
+    def test_inside_a_huge_block(self):
+        model = SequenceModel((F(1, 2), F(1, 1000)), MixedRadixTail(F(1), RadixWord((), (1000,))))
+        self.check(model, [1, 2, 3, 4, 500, 1001, 1002])
+        assert _first_deviation(model, 2, 10**6, F(1, 1000)) == 1002
 
 
 class TestDigits:

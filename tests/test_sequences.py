@@ -31,7 +31,15 @@ from tracerange import (
 )
 from tracerange.sequences import _rest, _walk
 
-from support import REFEREE_MODELS, fraction_terms, models, radix_words, random_word, scale_model
+from support import (
+    REFEREE_MODELS,
+    fraction_terms,
+    fraction_violations,
+    models,
+    radix_words,
+    random_word,
+    scale_model,
+)
 
 F = Fraction
 
@@ -213,6 +221,56 @@ class TestTermStreamReferee:
     @pytest.mark.parametrize("name", CANCELLING_MODELS)
     def test_models_that_cancel_for_several_steps(self, name):
         self.check(CANCELLING_MODELS[name])
+
+
+class TestTailContractReferee:
+    """Every tail family's method set against a plain ``Fraction`` loop
+    over the tail's own terms (``fraction_terms``): flattened runs, the
+    rest after each j, scaling, sums after j, the radix reading and the
+    excess run, for j from 0 to 40."""
+
+    DEPTH = 40
+    AHEAD = 12
+
+    @classmethod
+    def check(cls, tail) -> None:
+        count = cls.DEPTH + cls.AHEAD
+        expected = fraction_terms(SequenceModel((), tail), count)
+        flat = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, tail.runs()))
+        assert list(itertools.islice(flat, count)) == expected
+        assert list(itertools.islice(tail.terms(), count)) == expected
+        for j in range(cls.DEPTH + 1):
+            rest = tail.rest(j)
+            want = expected[j : j + cls.AHEAD]
+            assert list(itertools.islice(rest.terms(), cls.AHEAD)) == want
+            assert tail.sum_after(j) == rest.total == tail.total - sum(expected[:j], F(0))
+        for factor in (F(1, 3), F(5, 2)):
+            scaled = list(itertools.islice(tail.scaled(factor).terms(), count))
+            assert scaled == [x * factor for x in expected]
+        radix = tail.as_radix()
+        if radix is not None:
+            assert list(itertools.islice(radix.terms(), count)) == expected
+        model = SequenceModel((), tail)
+        for sigma in (F(0), -tail.total / 7, tail.total / 9):
+            want = fraction_violations(model, cls.DEPTH, sigma)
+            for start in (1, 2, 17):
+                found = itertools.takewhile(lambda v: v[0] <= cls.DEPTH, tail.excesses(sigma, start))
+                assert list(found) == [v for v in want if v[0] >= start]
+
+    @pytest.mark.parametrize("factor", [F(1), F(3, 4), F(7, 3)], ids=str)
+    def test_scaled_referee_models(self, factor):
+        rng = random.Random(1111)
+        for _ in range(6):
+            for build in REFEREE_MODELS:
+                self.check(scale_model(build(rng), factor).tail)
+
+    @pytest.mark.parametrize("name", CANCELLING_MODELS)
+    def test_models_that_cancel_for_several_steps(self, name):
+        self.check(CANCELLING_MODELS[name].tail)
+
+    def test_the_empty_tail_answers_for_the_empty_stream(self):
+        self.check(ZeroTail())
+        assert ZeroTail().rest(5) == ZeroTail() and ZeroTail().as_radix() is None
 
 
 class TestSequenceModel:
@@ -398,6 +456,13 @@ class TestAlgebraSpec:
         assert model.total == 1
         terms = list(itertools.islice(model.iter_terms(), 10))
         assert terms == sorted(terms, reverse=True)
+
+    @pytest.mark.parametrize("bad", [F(1), "zero", (F(1, 2), F(1, 2))], ids=repr)
+    def test_abelian_tail_must_be_a_tail(self, bad):
+        with pytest.raises(ValidationError, match="abelian tail must be"):
+            AlgebraSpec((), bad)
+        with pytest.raises(ValidationError, match="tail must be"):
+            SequenceModel((), bad)
 
     def test_unbounded_reanchor_is_reported(self):
         # one tail block alone holds two million terms, all of them at least
