@@ -19,9 +19,10 @@ The face embedding sends the whole body into itself: prepend radix - 1
 copies of 1/radix and shrink everything by that factor. Extraction inverts
 it and doubles as a shape test for membership in the face.
 
-Mixed-radix digits are computed on one integer numerator over the target's
-own denominator; it never exceeds radix times that denominator, so the
-digit loop costs the same at every place value.
+Mixed-radix digits are the greedy expansion's radix block step on a
+scale-1 tail, one digit per block: one integer numerator over the target's
+own denominator, which never exceeds radix times that denominator, so each
+digit costs the same at every place value.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .sequences import (
     MixedRadixTail,
     RadixWord,
     SequenceModel,
+    _block_digits,
     _check_index,
+    _digit_bits,
     _radices,
     _rest,
     _term_or_none,
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_DECODE_DEPTH = 64
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -259,14 +263,9 @@ def mixed_radix_digits(word: RadixWord, target, count: int) -> tuple[int, ...]:
     residual = Fraction(target)
     if not ZERO <= residual <= ONE:
         raise DomainError(f"target {residual} outside [0, 1]")
-    # num / den is the residual times the product of the radices so far
-    num, den = residual.numerator, residual.denominator
-    digits = []
-    for k in word.entries(count):
-        num *= k
-        d = min(num // den, k - 1)
-        num -= d * den
-        digits.append(d)
+    # the greedy's block step on a scale-1 tail, one digit per block; a
+    # radix pattern meets the completeness condition, so the check holds
+    digits, _ = _block_digits(residual.numerator, residual.denominator, word.entries(count), True)
     return tuple(digits)
 
 
@@ -277,28 +276,32 @@ def bits_to_digits(bits, word: RadixWord) -> tuple[int, ...]:
     how many of them the bits take. A trailing partial block still yields a
     digit.
     """
-    cleaned = []
-    for i, bit in enumerate(bits, start=1):
-        if bit not in (0, 1):
-            raise ValidationError(f"bit {i} must be 0 or 1, got {bit!r}")
-        cleaned.append(int(bit))
+    bits = tuple(bits)
+    # one pass over the types first, so the set only ever hashes ints
+    if not ({int}.issuperset(map(type, bits)) and _BITS.issuperset(bits)):
+        # name the first entry that is not 0 or 1, and read the rest as ints
+        bits = tuple(_checked_bit(bit, i) for i, bit in enumerate(bits, start=1))
     digits = []
     index = 0
     radices = _radices(word)
-    while index < len(cleaned):
-        size = next(radices) - 1
-        digits.append(sum(cleaned[index : index + size]))
-        index += size
+    while index < len(bits):
+        end = index + next(radices) - 1
+        digits.append(sum(bits[index:end]))
+        index = end
     return tuple(digits)
+
+
+def _checked_bit(bit, i: int) -> int:
+    if bit not in (0, 1):
+        raise ValidationError(f"bit {i} must be 0 or 1, got {bit!r}")
+    return int(bit)
 
 
 def digits_to_bits(digits, word: RadixWord) -> tuple[int, ...]:
     """Expand digits back into pattern bits, ones first inside each block,
     matching what the greedy expansion produces."""
-    bits: list[int] = []
+    digits = tuple(digits)
     for d, k in zip(digits, _radices(word)):
         if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= k - 1:
             raise ValidationError(f"digit {d!r} out of range for radix {k}")
-        bits.extend([1] * d)
-        bits.extend([0] * (k - 1 - d))
-    return tuple(bits)
+    return tuple(_digit_bits(digits, word.iter_entries()))

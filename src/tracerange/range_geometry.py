@@ -180,7 +180,7 @@ def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
     last term always violates) and on past it for the flag.
     """
     offset = len(model.prefix)
-    endless = next(model.tail.excesses(0, 1), None) is not None
+    endless = model.tail.first_excess(0, 1) is not None
     if endless and cut > offset:
         return cut, False
     found = next(_prefix_excesses(model, 0, range(min(cut, offset), 0, -1)), None)

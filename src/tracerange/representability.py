@@ -22,13 +22,20 @@ The greedy rule, run against target r with partial result r_0 = 0:
 Equality takes the term, which is what makes expansions of exactly
 representable targets terminate in zeros instead of trailing maximal runs.
 
-The expansion and its verification run on integers: terms, total and
-target share one denominator, each step is an integer compare and subtract,
-and the ``Fraction`` results are built once at the end.
+The expansion runs on integers and builds its ``Fraction`` results once
+at the end. The short prefix is stepped over its own common denominator;
+the tail's ``greedy`` method then steps the residual in units of the
+current term (for a geometric tail, Renyi's beta-transformation), so the
+integers grow with the ratio's numerator rather than with the terms'
+common denominator, and over a radix block not at all. The certified check
+is an integer test on that ratio at every step. ``verify_expansion`` is
+the independent referee: it replays the bits with terms, total and target
+over one denominator, a route that shares no step with the greedy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
@@ -135,12 +142,16 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
     if not (0 <= target <= model.total):
         raise DomainError(f"target {target} outside [0, {model.total}]")
     certified = kakeya_check(model).holds
-    # every term, the total and the target over one denominator
-    den, remaining, numerators = _integer_terms(model, bit_count, target.denominator)
-    goal = target.numerator * (den // target.denominator)
-    residual = goal
+    steps = min(bit_count, len(model.prefix)) if model.finite else bit_count
+    lead = model.prefix[:steps]
+    # the prefix steps over its own lcm, with the total so the room is exact
+    total = model.total
+    den = math.lcm(target.denominator, total.denominator, *(x.denominator for x in lead))
+    residual = target.numerator * (den // target.denominator)
+    remaining = total.numerator * (den // total.denominator)
     bits: list[int] = []
-    for n, a in enumerate(numerators, start=1):
+    for n, x in enumerate(lead, start=1):
+        a = x.numerator * (den // x.denominator)
         remaining -= a
         if residual >= a:
             bits.append(1)
@@ -152,12 +163,12 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
                 f"greedy residual {Fraction(residual, den)} escaped "
                 f"[0, {Fraction(remaining, den)}] at step {n}"
             )
-    return BitExpansion(
-        tuple(bits),
-        Fraction(goal - residual, den),
-        Fraction(residual, den),
-        Fraction(remaining, den),
-    )
+    if steps > len(lead):  # past the whole prefix the tail steps on
+        tail_bits, rest = model.tail.greedy(residual, den, steps - len(lead), certified)
+        bits += tail_bits
+    else:
+        rest = Fraction(residual, den)
+    return BitExpansion(tuple(bits), target - rest, rest, model.tail_sum(steps))
 
 
 def verify_expansion(model: SequenceModel, bits, target) -> Fraction:

@@ -16,16 +16,23 @@ approximations) are never numeric estimates. Each family owns its closed
 forms as one method set, so no caller tests a tail's type: ``terms()``,
 ``runs()`` of (value, multiplicity), ``sum_after(j)``, ``rest(j)`` (the
 terms after local index j), ``scaled(f)``, ``excesses(sigma, start)`` (the
-condition engine's tail indices), ``as_radix()`` (None unless the terms
-form a radix pattern), and ``common_den(count)`` with ``numerators(den)``.
+condition engine's tail indices) with ``first_excess(sigma, start)`` (the
+first of them, index only), ``as_radix()`` (None unless the terms form a
+radix pattern), and ``common_den(count)`` with ``numerators(den)``; the two
+endless families add ``greedy(num, den, count, certified)``, the greedy
+rule's run of steps.
 ``terms()`` builds each term once from a reduced ``(num, den)`` pair: a
 geometric step cancels only gcd(num, q) and gcd(p, den) for ratio p/q, and
-a radix block only gcd(num, k) for its radix k.
+a radix block only gcd(num, k) for its radix k. ``greedy`` steps the
+residual in units of the current term, so its integers grow with the
+ratio's numerator, not with the common denominator of the terms.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
-periods; ``_integer_terms`` puts many terms over one common denominator;
-``_rest(model, count)`` is the closed form of the terms after an index;
-``_checked_tail`` is the one check that a value is a tail.
+periods; ``_block_digits`` is the greedy's step over whole radix blocks and
+``_digit_bits`` spells its digits out as bits; ``_integer_terms`` puts many
+terms over one common denominator; ``_rest(model, count)`` is the closed
+form of the terms after an index; ``_checked_tail`` is the one check that a
+value is a tail.
 
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
@@ -161,6 +168,9 @@ class ZeroTail:
     def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         return iter(())
 
+    def first_excess(self, sigma, start: int) -> Optional[int]:
+        return None
+
     def as_radix(self) -> Optional["MixedRadixTail"]:
         return None
 
@@ -227,14 +237,17 @@ class GeometricTail:
     def scaled(self, factor: Fraction) -> "GeometricTail":
         return GeometricTail(self.first * factor, self.ratio)
 
-    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-        """For term f*r^(j-1) the excess reads d * r^(j-1) > sigma with
-        d = f*(1-2r)/(1-r), monotone in j; with f = a/b, r = p/q and
-        sigma = s/t it runs on integers as a*(q-2p)*t * p^(j-1) >
-        s*b*(q-p) * q^(j-1). If j = 1 fails with sigma >= 0, no j passes;
-        otherwise d <= sigma < 0 and d * r^(j-1) rises toward 0, so the first
-        j is found by doubling, then bisecting. The violations form one run
-        from there, stepped by scaling term and rest by the ratio.
+    def first_excess(self, sigma, start: int) -> Optional[int]:
+        """The least j >= start with f*r^(j-1) > sigma + sum_after(j), or
+        None, found on integers without building a term or a gap.
+
+        The excess reads d * r^(j-1) > sigma with d = f*(1-2r)/(1-r),
+        monotone in j; with f = a/b, r = p/q and sigma = s/t it runs on
+        integers as a*(q-2p)*t * p^(j-1) > s*b*(q-p) * q^(j-1). If j = 1
+        fails with sigma >= 0, no j passes; otherwise d <= sigma < 0 and
+        d * r^(j-1) rises toward 0, so the first j is found by doubling, then
+        bisecting. From there the violations run on forever unless
+        sigma > 0, when they stop once d * r^(j-1) falls to sigma.
         """
         p, q = self.ratio.numerator, self.ratio.denominator
         lhs = self.first.numerator * (q - 2 * p) * sigma.denominator
@@ -244,11 +257,19 @@ class GeometricTail:
             return lhs * p ** (j - 1) > rhs * q ** (j - 1)
 
         if not excess(1) and sigma >= 0:
-            return
+            return None
         hi = 1
         while not excess(hi):
             hi *= 2
         j = max(bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1, start)
+        return j if sigma <= 0 or excess(j) else None
+
+    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+        """The violations form one run from ``first_excess``, stepped by
+        scaling term and rest by the ratio."""
+        j = self.first_excess(sigma, start)
+        if j is None:
+            return
         term, rest = self.term(j), self.sum_after(j)
         # from its first index the run is endless unless sigma > 0
         while sigma <= 0 or term > sigma + rest:
@@ -256,6 +277,43 @@ class GeometricTail:
             j += 1
             term *= self.ratio
             rest *= self.ratio
+
+    def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
+        """The greedy rule over the first ``count`` >= 1 terms against the
+        residual num/den that the prefix left: the bits, and the residual
+        left after them.
+
+        The residual is stepped in units of the current term, as
+        rho = N/D: the term is taken when N >= D, which subtracts D, and
+        moving to the next term, smaller by the ratio p/q, turns N/D into
+        N*q / D*p (Renyi's beta-transformation with beta = q/p). D grows by
+        p a step, and while the residual fits in the tail N stays below
+        q/(q - p) times D, so the integers grow with p, not with the terms'
+        common denominator, and not at all when p = 1. The tail from a term on holds q/(q - p) of it, so the
+        certified check that the residual fits in the tail reads
+        0 <= N and N*(q - p) <= D*q, at entry and after every step; there
+        it is made before N takes its factor q, which cancels. With first
+        a/b, D ends as den * a * p^count, so the residual is N over
+        den * b * q^count.
+        """
+        a, b = self.first.numerator, self.first.denominator
+        p, q = self.ratio.numerator, self.ratio.denominator
+        n, d, c = num * b, den * a, q - p
+        assert not certified or 0 <= n and n * c <= d * q, "greedy residual exceeds the tail it enters"
+        bits: list[int] = []
+        take = bits.append
+        for j in range(1, count + 1):
+            if n >= d:
+                n -= d
+                take(1)
+            else:
+                take(0)
+            d *= p
+            assert not certified or 0 <= n and n * c <= d, (
+                f"greedy residual escaped [0, tail] at tail step {j}"
+            )
+            n *= q
+        return bits, Fraction(n, den * b * q**count)
 
     def as_radix(self) -> Optional["MixedRadixTail"]:
         if self.ratio != Fraction(1, 2):
@@ -341,6 +399,38 @@ class MixedRadixTail:
                 yield offset + i, (sigma + (k - i) * value, value)
             offset += size
 
+    def first_excess(self, sigma, start: int) -> Optional[int]:
+        """The first index ``excesses`` yields: none for sigma >= 0, and
+        otherwise there is one, since every block's last slot violates."""
+        return None if sigma >= 0 else next(self.excesses(sigma, start))[0]
+
+    def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
+        """The greedy rule over the first ``count`` >= 1 slots against the
+        residual num/den that the prefix left: the bits, and the residual
+        left after them.
+
+        ``_block_digits`` steps the residual over whole blocks in units of
+        scale / (product of the radices so far), starting from scale. The
+        block holding slot ``count`` is stepped whole too; the greedy takes
+        a block's ones first, so cutting it after ``offset`` slots keeps at
+        most ``offset`` of them and hands the rest back to the residual. Its
+        kept slots spell out like a block of radix ``offset + 1``.
+        """
+        blocks, offset, prod, k = _walk(self, count)
+        sn, sd = self.scale.numerator, self.scale.denominator
+        unit = den * sn
+        radices = itertools.islice(self.radices.iter_entries(), blocks + 1)
+        digits, n = _block_digits(num * sd, unit, radices, certified)
+        back = max(digits[-1] - offset, 0)
+        digits[-1] -= back
+        n += back * unit
+        # after the cut block's last kept slot, k - offset of its slots are left
+        assert not certified or 0 <= n <= (k - offset) * unit, (
+            f"greedy residual escaped [0, tail] at tail step {count}"
+        )
+        kept = itertools.chain(itertools.islice(self.radices.iter_entries(), blocks), (offset + 1,))
+        return _digit_bits(digits, kept), Fraction(n, den * sd * prod)
+
     def as_radix(self) -> "MixedRadixTail":
         return self
 
@@ -373,6 +463,46 @@ def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
         j -= k - 1
         blocks += 1
         prod *= k
+
+
+def _block_digits(num: int, den: int, radices, certified: bool) -> tuple[list[int], int]:
+    """The greedy rule over whole radix blocks against rho = num/den, in
+    units of the value just before the first block: each block's digit
+    (how many of its slots it takes) and the last numerator, over ``den``
+    in units of the last block's value.
+
+    Entering a block of radix k turns the unit k times smaller, so rho
+    becomes num*k / den; the block's k - 1 equal slots take
+    d = min(num*k // den, k - 1) ones, which subtracts d * den. The
+    denominator never changes, and while rho <= 1 neither does num's size.
+
+    A block is worth 1/k of the unit before it and the tail after block j
+    holds exactly one unit of block j, so the certified check reads
+    0 <= num <= den at block entry and exit. That is the check after each
+    slot: if the residual R entering a block of slots worth v is at most
+    k*v, it is R - i*v <= (k - i)*v after a taken slot i, and after an
+    untaken slot it is below v, or R - (k - 1)*v <= v when the block takes
+    all its slots. Past the last slot the room is v, which is the exit check.
+    """
+    assert not certified or 0 <= num <= den, "greedy residual exceeds the tail it enters"
+    digits: list[int] = []
+    for k in radices:
+        num *= k
+        d = min(num // den, k - 1)
+        num -= d * den
+        digits.append(d)
+        assert not certified or 0 <= num <= den, (
+            f"greedy residual escaped [0, tail] after block {len(digits)}"
+        )
+    return digits, num
+
+
+def _digit_bits(digits, radices) -> list[int]:
+    """Pattern bits of block digits: d ones, then k - 1 - d zeros, per block."""
+    bits: list[int] = []
+    for d, k in zip(digits, radices):
+        bits += (1,) * d + (0,) * (k - 1 - d)
+    return bits
 
 
 TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
@@ -469,6 +599,10 @@ def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[in
     past a finite support), ``model.total`` and ``1 / other_den`` over one
     denominator. The numerators come lazily, since each is about as long as
     ``den`` and a list of them would take memory quadratic in ``count``.
+
+    ``representability.verify_expansion`` is its only reader: it replays
+    bits on this common denominator, a route that shares no step with the
+    greedy's per-term units, so each can referee the other.
     """
     prefix = model.prefix[:count]
     extra = count - len(prefix)

@@ -122,6 +122,16 @@ class TestExitCodes:
             "position": None,
         }
 
+    def test_long_expansion_is_refused_at_its_first_rational(self):
+        # the expansion itself is cheap; its achieved sum is too large to write
+        code, doc = body_json(["expand", DYADIC, "1/3", "--bits", "200000"])
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "resource",
+            "message": "output rational too large to write: 200001 bits",
+            "position": None,
+        }
+
     def test_unknown_command(self):
         code, doc = body_json(["nope"])
         assert code == 3

@@ -371,3 +371,30 @@ class TestDigits:
         digits = tuple(v % k for v, k in zip(raw, word.entries(len(raw))))
         bits = digits_to_bits(digits, word)
         assert bits_to_digits(bits, word) == digits
+
+
+class TestCodecChecks:
+    """The codecs check a whole vector at once and scan entry by entry only
+    to name the first bad one, with the same messages and the same int
+    digits for any entries equal to 0 or 1."""
+
+    def test_first_bad_bit_is_named(self):
+        for bits, message in [
+            ((1, 0, 2, 5), "bit 3 must be 0 or 1, got 2"),
+            ((1, [0], 1), "bit 2 must be 0 or 1, got [0]"),
+            ((1, 0, 1, "1"), "bit 4 must be 0 or 1, got '1'"),
+        ]:
+            with pytest.raises(ValidationError) as caught:
+                bits_to_digits(bits, ALL_THREES_WORD)
+            assert str(caught.value) == message
+
+    def test_bits_equal_to_zero_or_one_read_as_ints(self):
+        for bits in [(True, False, True), (1.0, 0.0, F(1)), iter([1, 0, 1])]:
+            digits = bits_to_digits(bits, ALL_THREES_WORD)
+            assert digits == (1, 1) and {type(d) for d in digits} == {int}
+
+    def test_first_bad_digit_is_named(self):
+        with pytest.raises(ValidationError) as caught:
+            digits_to_bits((2, 1, 3, 7), ALL_THREES_WORD)
+        assert str(caught.value) == "digit 3 out of range for radix 3"
+        assert digits_to_bits(iter([2, 0]), ALL_THREES_WORD) == (1, 1, 0, 0)

@@ -17,11 +17,14 @@ from tracerange import (
     RadixWord,
     SequenceModel,
     ValidationError,
+    digits_to_bits,
     gap_certificate,
     greedy_expand,
     kakeya_check,
     list_violations,
     make_model,
+    mixed_radix_digits,
+    radix_to_sequence,
     verify_expansion,
 )
 from tracerange.representability import _excesses
@@ -37,7 +40,10 @@ from support import (
     models,
     random_complete_model,
     random_fraction,
+    random_word,
+    scale_model,
 )
+from test_sequences import CANCELLING_MODELS
 
 F = Fraction
 
@@ -199,6 +205,83 @@ class TestIntegerReferee:
             assert verify_expansion(model, bits, target) == fraction_verify(model, bits, target)
             noise = tuple(rng.randint(0, 1) for _ in bits)
             assert verify_expansion(model, noise, target) == fraction_verify(model, noise, target)
+
+
+class TestUnitStepReferee:
+    """The greedy stepped in units of the current term against the plain
+    ``Fraction`` greedy: long runs, so the integer pairs grow to many limbs,
+    cuts at the prefix/tail junction and inside radix blocks, and targets
+    on the edges of the range and on exact subset sums."""
+
+    @staticmethod
+    def cuts(model, rng) -> list[int]:
+        head = len(model.prefix)
+        cuts = {0, 1, max(head - 1, 0), head, head + 1, 400, rng.randint(0, 400)}
+        if model.tail.as_radix() is not None:
+            # the first slot of a block, one inside it, and the one before
+            # the next block
+            sizes = itertools.accumulate(size for _, size in itertools.islice(model.tail.runs(), 6))
+            for end in sizes:
+                cuts |= {head + end - 1, head + end + 1, head + end + 2}
+        return sorted(cuts)
+
+    @staticmethod
+    def targets(model, rng) -> list:
+        terms = list(itertools.islice(model.iter_terms(), 12))
+        chosen = sum((a for a in terms if rng.random() < 0.5), F(0))
+        return [F(0), model.total, chosen, random_fraction(rng, F(0), model.total, grain=997)]
+
+    def check(self, model, rng) -> None:
+        for count in self.cuts(model, rng):
+            for target in self.targets(model, rng):
+                expansion = greedy_expand(model, target, count)
+                assert expansion == BitExpansion(*fraction_greedy(model, target, count)), (model, target, count)
+
+    def test_referee_models_scaled(self):
+        rng = random.Random(6021)
+        for trial in range(36):
+            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+            self.check(scale_model(model, rng.choice([F(1), F(3, 4), F(7, 3)])), rng)
+
+    @pytest.mark.parametrize("name", [name for name, model in CANCELLING_MODELS.items() if not model.finite])
+    def test_cancelling_models(self, name):
+        self.check(CANCELLING_MODELS[name], random.Random(name))
+
+    def test_digits_spell_the_greedy_bits(self):
+        rng = random.Random(3141)
+        for _ in range(120):
+            word = random_word(rng, max_entry=9)
+            den = rng.choice([1, 6, 97, 1024, 3**7])
+            target = F(rng.randint(0, den), den)
+            count = rng.randint(0, 40)
+            bit_count = sum(k - 1 for k in word.entries(count))
+            digits = mixed_radix_digits(word, target, count)
+            bits = greedy_expand(radix_to_sequence(word), target, bit_count).bits
+            assert digits_to_bits(digits, word) == bits
+
+    @pytest.mark.parametrize(
+        "tail, room",
+        [
+            (GeometricTail(F(1, 3), F(2, 3)), F(1)),
+            (GeometricTail(F(3, 4), F(1, 2)), F(3, 2)),
+            (MixedRadixTail(F(2, 5), RadixWord((3,), (2, 5))), F(2, 5)),
+        ],
+    )
+    def test_a_residual_above_the_tail_trips_the_check(self, tail, room):
+        over = room + F(1, 10**6)
+        with pytest.raises(AssertionError):
+            tail.greedy(over.numerator, over.denominator, 5, True)
+        # at the bound, and unchecked above it, the steps run
+        assert len(tail.greedy(room.numerator, room.denominator, 5, True)[0]) == 5
+        assert len(tail.greedy(over.numerator, over.denominator, 5, False)[0]) == 5
+
+    def test_a_step_into_a_gap_trips_the_check(self):
+        # 1/2 fits the Cantor tail 2/3, 2/9, ... at entry but sits in its
+        # gap (1/3, 2/3), so the first step leaves more than the tail after it
+        cantor = GeometricTail(F(2, 3), F(1, 3))
+        with pytest.raises(AssertionError, match="at tail step 1"):
+            cantor.greedy(1, 2, 3, True)
+        assert cantor.greedy(1, 2, 3, False)[0] == [0, 1, 1]
 
 
 class TestGapCertificates:

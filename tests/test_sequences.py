@@ -273,6 +273,37 @@ class TestTailContractReferee:
         assert ZeroTail().rest(5) == ZeroTail() and ZeroTail().as_radix() is None
 
 
+class TestFirstExcessReferee:
+    """``first_excess(sigma, start)``, the index-only form of the excess
+    search, against the first index a ``Fraction`` scan finds at or past
+    ``start``; past the scan's depth it may only be None or deeper."""
+
+    DEPTH = 60
+
+    @classmethod
+    def check(cls, tail) -> None:
+        model = SequenceModel((), tail)
+        for sigma in (F(0), -tail.total / 7, tail.total / 9, tail.total / 2):
+            found = [n for n, _ in fraction_violations(model, cls.DEPTH, sigma)]
+            for start in (1, 2, 17, 41):
+                want = next((n for n in found if n >= start), None)
+                got = tail.first_excess(sigma, start)
+                if want is None:
+                    assert got is None or got > cls.DEPTH, (tail, sigma, start, got)
+                else:
+                    assert got == want, (tail, sigma, start, got)
+
+    def test_referee_models(self):
+        rng = random.Random(2222)
+        for _ in range(8):
+            for build in REFEREE_MODELS:
+                self.check(scale_model(build(rng), F(3, 4)).tail)
+
+    @pytest.mark.parametrize("name", CANCELLING_MODELS)
+    def test_models_that_cancel_for_several_steps(self, name):
+        self.check(CANCELLING_MODELS[name].tail)
+
+
 class TestSequenceModel:
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValidationError):

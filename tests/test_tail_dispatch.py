@@ -68,3 +68,53 @@ def test_the_walk_catches_a_new_switch():
     visitor = _TailTypeTests("probe")
     visitor.visit(ast.parse(source))
     assert visitor.found == [("probe", "f", 2)]
+
+
+class _IntegerTermsUses(_TailTypeTests):
+    """Every reference to ``_integer_terms`` (a call, or the name passed
+    on) and every import of it, by enclosing scope."""
+
+    def visit_Call(self, node: ast.Call):
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name):
+        if node.id == "_integer_terms":
+            self.found.append((self.module, ".".join(self.scope), node.lineno))
+
+    def visit_Attribute(self, node: ast.Attribute):
+        if node.attr == "_integer_terms":
+            self.found.append((self.module, ".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_alias(self, node: ast.alias):
+        if node.name == "_integer_terms":
+            self.found.append((self.module, "import", node.lineno))
+
+
+def integer_terms_uses() -> list[tuple[str, str, int]]:
+    found = []
+    for path in sorted(Path(tracerange.__file__).parent.glob("*.py")):
+        visitor = _IntegerTermsUses(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        found.extend(visitor.found)
+    return found
+
+
+def test_only_the_referee_reads_the_common_denominator():
+    # the greedy steps in units of the current term; verify_expansion
+    # replays its bits over one common denominator, and stays independent
+    # only while nothing else reads that route
+    uses = [site[:2] for site in integer_terms_uses()]
+    assert uses == [("representability", "import"), ("representability", "verify_expansion")]
+
+
+def test_the_walk_catches_another_reader():
+    source = (
+        "from .sequences import _integer_terms\n"
+        "def f(m):\n"
+        "    return sequences._integer_terms(m, 3, 1)\n"
+        "g = _integer_terms\n"
+    )
+    visitor = _IntegerTermsUses("probe")
+    visitor.visit(ast.parse(source))
+    assert visitor.found == [("probe", "import", 1), ("probe", "f", 3), ("probe", "", 4)]
