@@ -5,7 +5,8 @@ positive denominator). An ``IntervalUnion`` holds its endpoints as integers
 over one common denominator and works on those integers. It checks their
 whole order once, on that grid, when it is built; its ``Interval`` parts,
 with ``Fraction`` endpoints, are built from the grid only when read, without
-checking each part again. Nothing in this module, or anywhere else in the
+checking each part again: one gcd per endpoint, then the trusted
+constructors fill the fields. Nothing in this module, or anywhere else in the
 library, rounds; the single lossy surface of the package is coordinate
 formatting in the SVG renderer.
 """
@@ -20,7 +21,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, ValidationError
@@ -144,13 +145,14 @@ class Interval:
         return self.hi - self.lo
 
 
-def _trusted_interval(lo: Fraction, hi: Fraction) -> Interval:
-    """An ``Interval`` from ``Fraction`` endpoints already known to satisfy
-    lo <= hi, built without the checks of ``Interval.__post_init__``."""
-    part = object.__new__(Interval)
-    object.__setattr__(part, "lo", lo)
-    object.__setattr__(part, "hi", hi)
-    return part
+def _trusted_intervals(los: list[Fraction], his: list[Fraction]) -> tuple[Interval, ...]:
+    """``Interval``s from endpoints known to satisfy lo <= hi pairwise, with
+    no ``Interval.__post_init__`` check and no Python-level call per part
+    (``object.__setattr__`` returns None, so ``any`` runs each pass out)."""
+    parts = tuple(map(object.__new__, repeat(Interval, len(los))))
+    any(map(object.__setattr__, parts, repeat("lo"), los))
+    any(map(object.__setattr__, parts, repeat("hi"), his))
+    return parts
 
 
 def _trusted_fraction(num: int, den: int) -> Fraction:
@@ -169,18 +171,19 @@ def _over(den: int, x: Fraction) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _coalesce(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge sorted integer ``(lo, hi)`` pairs that overlap or touch."""
-    merged = []
+def _coalesce(pairs: list[tuple[int, int]]) -> list[int]:
+    """Merge sorted integer ``(lo, hi)`` pairs that overlap or touch, into
+    the flat endpoint list lo, hi, lo, hi, ... that a grid holds."""
+    merged: list[int] = []
     cur_lo, cur_hi = pairs[0]
     for lo, hi in pairs:
         if lo <= cur_hi:
             if hi > cur_hi:
                 cur_hi = hi
         else:
-            merged.append((cur_lo, cur_hi))
+            merged += (cur_lo, cur_hi)
             cur_lo, cur_hi = lo, hi
-    merged.append((cur_lo, cur_hi))
+    merged += (cur_lo, cur_hi)
     return merged
 
 
@@ -196,7 +199,8 @@ class IntervalUnion:
     lo_1, hi_1, lo_2, hi_2, ... as integer multiples of ``1 / _den``, with
     ``_den`` as small as those endpoints allow, so equal unions hold equal
     grids. Every operation works on those integers; the ``Interval`` parts
-    are built only when read.
+    are built only when read, from one gcd per endpoint, in batch passes
+    that repeat no ``Fraction`` or ``Interval`` check.
     """
 
     _den: int
@@ -210,10 +214,10 @@ class IntervalUnion:
         self.__dict__["parts"] = parts  # already canonical, as just checked
 
     @classmethod
-    def _on_grid(cls, den: int, ends: Iterable[int]) -> "IntervalUnion":
+    def _on_grid(cls, den: int, ends: list[int]) -> "IntervalUnion":
         """The union with endpoints ``ends`` (lo, hi, lo, hi, ...) over ``den``."""
         union = object.__new__(cls)
-        union._place(den, list(ends))
+        union._place(den, ends)
         return union
 
     def _place(self, den: int, ends: list[int]) -> None:
@@ -243,19 +247,22 @@ class IntervalUnion:
         scale = den // self._den
         return [x * scale for x in self._ends]
 
+    def _reduced(self, build) -> list:
+        """``build(num, den)`` for each endpoint in lowest terms, in order."""
+        den = self._den
+        return [build(x // (g := math.gcd(x, den)), den // g) for x in self._ends]
+
     @cached_property
     def parts(self) -> tuple[Interval, ...]:
         # ``_place`` has checked the order of every endpoint
-        den = self._den
-        ends = [Fraction(x, den) for x in self._ends]
-        return tuple(map(_trusted_interval, ends[0::2], ends[1::2]))
+        ends = self._reduced(_trusted_fraction)
+        return _trusted_intervals(ends[0::2], ends[1::2])
 
     def _written_parts(self) -> list[list[str]]:
         """Each part's endpoints written "p/q", as ``format_rational`` writes
         them, one ``[lo, hi]`` list per part as the JSON document holds it."""
-        den = self._den
-        texts = [_write_ratio(x // (g := math.gcd(x, den)), den // g) for x in self._ends]
-        return list(map(list, zip(texts[0::2], texts[1::2])))
+        texts = iter(self._reduced(_write_ratio))
+        return list(map(list, zip(texts, texts)))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -273,7 +280,7 @@ class IntervalUnion:
             return cls(())
         den = math.lcm(*(x.denominator for pair in items for x in pair))
         pairs = sorted((_over(den, lo), _over(den, hi)) for lo, hi in items)
-        return cls._on_grid(den, chain.from_iterable(_coalesce(pairs)))
+        return cls._on_grid(den, _coalesce(pairs))
 
     def insert(self, interval: Interval) -> "IntervalUnion":
         """Union with one more interval, re-coalescing as needed."""
@@ -281,7 +288,7 @@ class IntervalUnion:
         ends = self._ends_over(den)
         pairs = list(zip(ends[0::2], ends[1::2]))
         insort(pairs, (_over(den, interval.lo), _over(den, interval.hi)))
-        return IntervalUnion._on_grid(den, chain.from_iterable(_coalesce(pairs)))
+        return IntervalUnion._on_grid(den, _coalesce(pairs))
 
     def complement(self, within: Interval) -> "IntervalUnion":
         """Closure of ``within`` minus this union.

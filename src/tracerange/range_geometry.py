@@ -16,8 +16,9 @@ goes. A step with a_k at most tail_k, the sum of everything after it, turns
 index up to the cut, from [0, tail_L], and builds only the first L terms. The
 union's top end before step k is tail_k, so a violating step's copy lies
 wholly above the union and is appended without a merge. The cost follows the
-number of pieces, not 2^N or the depth. Endpoints stay integers over one
-common denominator, and the union keeps them on that grid.
+number of pieces, not 2^N or the depth. The endpoints are one flat integer
+list lo, hi, lo, hi, ... over one common denominator, which a violating step
+extends by its shifted copy, a merge step coalesces and the union takes whole.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
 ``SubsetSumOracle`` (a hash table with witnesses) enumerate the sums
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence
 
 from .core import IntervalUnion, ZERO, _coalesce, _over
@@ -213,18 +213,17 @@ def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = No
     slack = model.tail_sum(last)
     den = math.lcm(slack.denominator, *(t.denominator for t in terms))
     top = _over(den, slack)
-    pieces = [(0, top)]
+    ends = [0, top]
     for t in reversed(terms):
         shift = _over(den, t)
-        shifted = [(lo + shift, hi + shift) for lo, hi in pieces]
-        if shift > top:
-            pieces += shifted
-        else:
-            # two sorted runs: the sort merges them in linear time
-            pieces = _coalesce(sorted(pieces + shifted))
+        # a list, built whole before ``ends`` grows: extending ``ends`` by a
+        # lazy map over itself would read what it appends and never stop
+        ends += [x + shift for x in ends]
+        if shift <= top:
+            run = iter(ends)  # two sorted runs of pairs, merged by the sort
+            ends = _coalesce(sorted(zip(run, run)))
         top += shift
-    union = IntervalUnion._on_grid(den, chain.from_iterable(pieces))
-    return RangeApproximation(depth, union, exact)
+    return RangeApproximation(depth, IntervalUnion._on_grid(den, ends), exact)
 
 
 @dataclass(frozen=True)

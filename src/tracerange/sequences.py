@@ -289,29 +289,34 @@ class GeometricTail:
         N*q / D*p (Renyi's beta-transformation with beta = q/p). D grows by
         p a step, and while the residual fits in the tail N stays below
         q/(q - p) times D, so the integers grow with p, not with the terms'
-        common denominator, and not at all when p = 1. The tail from a term on holds q/(q - p) of it, so the
-        certified check that the residual fits in the tail reads
-        0 <= N and N*(q - p) <= D*q, at entry and after every step; there
-        it is made before N takes its factor q, which cancels. With first
-        a/b, D ends as den * a * p^count, so the residual is N over
-        den * b * q^count.
+        common denominator, and not at all when p = 1.
+
+        The tail from a term on holds q/(q - p) of it, so the certified
+        check that the residual fits in the tail reads 0 <= N and
+        N*(q - p) <= D*q at entry, and N*(q - p) <= D after a step, made
+        before N takes its factor q, which cancels. A taken step subtracts
+        D <= N, so N stays nonnegative. When q - p <= p, an untaken step
+        keeps N < D and so N*(q - p) < D*p, and only taken steps are
+        checked; below ratio 1/2 every step is. With first a/b, D ends as
+        den * a * p^count, so the residual is N over den * b * q^count.
         """
         a, b = self.first.numerator, self.first.denominator
         p, q = self.ratio.numerator, self.ratio.denominator
         n, d, c = num * b, den * a, q - p
         assert not certified or 0 <= n and n * c <= d * q, "greedy residual exceeds the tail it enters"
+        every = certified and c > p
         bits: list[int] = []
         take = bits.append
         for j in range(1, count + 1):
             if n >= d:
                 n -= d
                 take(1)
+                checked = certified
             else:
                 take(0)
+                checked = every
             d *= p
-            assert not certified or 0 <= n and n * c <= d, (
-                f"greedy residual escaped [0, tail] at tail step {j}"
-            )
+            assert not checked or n * c <= d, f"greedy residual escaped [0, tail] at tail step {j}"
             n *= q
         return bits, Fraction(n, den * b * q**count)
 

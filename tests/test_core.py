@@ -14,6 +14,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tracerange import (
+    GeometricTail,
     Interval,
     IntervalUnion,
     ParseError,
@@ -32,6 +33,7 @@ from support import (
     REFEREE_MODELS,
     fraction_coalesce,
     fraction_complement,
+    fraction_fold,
     fraction_length,
     fraction_member,
     fractions_nonnegative,
@@ -426,3 +428,58 @@ class TestGridUnionReferee:
             assert twin == union and hash(twin) == hash(union)
             assert list(twin) == list(union)
             assert twin.contains(Fraction(1, 2)) and not twin.contains(Fraction(1, 3))
+
+    CANTOR_TAILS = [
+        GeometricTail(Fraction(1), Fraction(1, 4)),
+        GeometricTail(Fraction(1, 8), Fraction(3, 7)),
+        GeometricTail(Fraction(3, 4), Fraction(1, 5)),
+        GeometricTail(Fraction(5, 7), Fraction(1, 3)),
+    ]
+
+    @pytest.mark.parametrize("tail", CANTOR_TAILS, ids=repr)
+    def test_depth_ten_cantor_cover_and_its_gaps(self, tail):
+        # 1024 pieces and 1023 gaps, read off the grid in one batch each
+        model = SequenceModel((), tail)
+        pieces = fraction_fold(model, 10)
+        cover = achievable_outer(model, 10).union
+        gaps = cover.complement(Interval(Fraction(0), model.total))
+        expected_gaps = fraction_complement(pieces, Fraction(0), model.total)
+        assert (len(cover), len(gaps)) == (1024, 1023)
+        for union, expected in ((cover, pieces), (gaps, expected_gaps)):
+            assert_parts(union, expected)
+            checked = [Fraction(x, union._den) for x in union._ends]
+            ends = [x for part in union.parts for x in (part.lo, part.hi)]
+            assert list(map(hash, ends)) == list(map(hash, checked))
+            assert list(map(repr, ends)) == list(map(repr, checked))
+            for part, (lo, hi) in zip(union.parts, expected):
+                assert type(part) is Interval
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    part.lo = hi
+                validated = Interval(lo, hi)
+                assert part == validated and hash(part) == hash(validated)
+                for twin in (pickle.loads(pickle.dumps(part)), copy.copy(part), copy.deepcopy(part)):
+                    assert twin == validated and hash(twin) == hash(validated)
+
+    def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
+        model = SequenceModel((), self.CANTOR_TAILS[0])
+        union = achievable_outer(model, 10).union
+        assert len(union) == 1024 and "parts" not in union.__dict__
+        calls = {"Fraction.__new__": 0, "Interval.__post_init__": 0}
+        fraction_new, post_init = Fraction.__new__, Interval.__post_init__
+
+        def counted_new(cls, *args, **kwargs):
+            calls["Fraction.__new__"] += 1
+            return fraction_new(cls, *args, **kwargs)
+
+        def counted_post_init(self):
+            calls["Interval.__post_init__"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(Interval, "__post_init__", counted_post_init)
+        parts = union.parts
+        assert calls == {"Fraction.__new__": 0, "Interval.__post_init__": 0}
+        assert len(parts) == 1024
+        # the spies do count the checked constructors
+        Interval(Fraction(1, 3), Fraction(1, 2))
+        assert calls["Fraction.__new__"] == 2 and calls["Interval.__post_init__"] == 1
