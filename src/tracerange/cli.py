@@ -13,8 +13,9 @@ Failures print a JSON object with a single ``error`` field carrying ``kind``,
 so scripts can always dispatch on the same shape. Output for a given argv is
 byte for byte deterministic.
 
-The term-count bound of the cover fold used by ``range`` can be overridden
-with the ``TRACERANGE_DEPTH_LIMIT`` environment variable.
+Resource bounds are fixed module constants, not options: ``range`` refuses a
+cover whose fold would hold more than ``range_geometry.MAX_PIECES`` pieces,
+and ``digits`` a count above ``extreme_points.MAX_DIGITS``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Optional
 
 from . import __version__
 from .core import _check_writable, format_rational, parse_rational
@@ -57,9 +56,6 @@ from .serialize import (
     word_to_doc,
 )
 from .svg import emit_svg
-
-_ENV_BOUND = "TRACERANGE_DEPTH_LIMIT"
-
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -143,16 +139,6 @@ def _spec_text(args) -> str:
     return inline
 
 
-def _env_bound() -> Optional[int]:
-    raw = os.environ.get(_ENV_BOUND)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{_ENV_BOUND} must be an integer, got {raw!r}") from None
-
-
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -169,11 +155,10 @@ def _parse_depths(raw: str) -> list[int]:
 
 def _run_range(args) -> str:
     model = parse_spec(_spec_text(args))
-    bound = _env_bound()
     depths = _parse_depths(args.depth)
     if args.format in ("json", "csv") and len(depths) != 1:
         raise ParseError("json and csv output take a single depth")
-    approxes = [achievable_outer(model, depth, bound=bound) for depth in depths]
+    approxes = [achievable_outer(model, depth) for depth in depths]
     if args.format == "json":
         return _dump(approximation_to_doc(approxes[0]))
     if args.format == "csv":

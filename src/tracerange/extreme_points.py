@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import ONE, ZERO
-from .errors import DomainError, UnsupportedSpecError, ValidationError
+from .errors import DomainError, ResourceLimitError, UnsupportedSpecError, ValidationError
 from .representability import ConditionVerdict, _first_excess
 from .sequences import (
     MixedRadixTail,
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_DECODE_DEPTH = 64
+MAX_DIGITS = 100_000
 _BITS = frozenset((0, 1))
 
 
@@ -255,9 +256,12 @@ def mixed_radix_digits(word: RadixWord, target, count: int) -> tuple[int, ...]:
     Digits are chosen greedily (largest digit that still fits), which matches
     the bit expansion of the word's pattern grouped block by block. Exact
     place-value boundaries round toward the terminating expansion, and 1
-    itself comes out as all k - 1 digits.
+    itself comes out as all k - 1 digits. A ``count`` above ``MAX_DIGITS``
+    is refused before any digit is computed.
     """
     _check_index(count, 0, "count")
+    if count > MAX_DIGITS:
+        raise ResourceLimitError(f"{count} digits exceed the bound of {MAX_DIGITS}")
     if not isinstance(word, RadixWord):
         raise ValidationError("expected a RadixWord")
     residual = Fraction(target)

@@ -19,11 +19,15 @@ wholly above the union and is appended without a merge. The cost follows the
 number of pieces, not 2^N or the depth. The endpoints are one flat integer
 list lo, hi, lo, hi, ... over one common denominator, which a violating step
 extends by its shifted copy, a merge step coalesces and the union takes whole.
+The fold holds at most ``MAX_PIECES`` pieces: a tail whose steps would double
+past it is refused before any term is built, and any other fold once a step
+takes it past the bound.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
 ``SubsetSumOracle`` (a hash table with witnesses) enumerate the sums
-themselves. Their enumerations share no code with the fold, with each other
-or with the greedy expansion, so the routes can referee one another.
+themselves, of at most ``MAX_TERMS`` terms. Their enumerations share no code
+with the fold, with each other or with the greedy expansion, so the routes
+can referee one another.
 """
 
 from __future__ import annotations
@@ -38,22 +42,17 @@ from .errors import ResourceLimitError, ValidationError
 from .representability import ConditionVerdict, _prefix_excesses, kakeya_check
 from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
 
-DEFAULT_TERM_BOUND = 24
+MAX_TERMS = 24
+MAX_PIECES = 2**16
 
 
-def _effective_bound(bound: Optional[int]) -> int:
-    if bound is None:
-        return DEFAULT_TERM_BOUND
-    _check_index(bound, 0, "bound")
-    return bound
+def _check_term_count(count: int) -> None:
+    if count > MAX_TERMS:
+        raise ResourceLimitError(f"{count} terms exceed the subset-sum bound of {MAX_TERMS}")
 
 
-def _check_term_count(count: int, bound: Optional[int]) -> None:
-    limit = _effective_bound(bound)
-    if count > limit:
-        raise ResourceLimitError(
-            f"{count} terms exceed the subset-sum bound of {limit}"
-        )
+def _too_many_pieces(pieces: int | str) -> ResourceLimitError:
+    return ResourceLimitError(f"the cover fold reaches {pieces} pieces, past the bound of {MAX_PIECES}")
 
 
 def _merge_dedup(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
@@ -80,10 +79,10 @@ def _merge_dedup(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def subset_sums(terms: Sequence, bound: Optional[int] = None) -> list[Fraction]:
+def subset_sums(terms: Sequence) -> list[Fraction]:
     """All distinct subset sums, ascending, by iterated sorted merge."""
     values = [Fraction(t) for t in terms]
-    _check_term_count(len(values), bound)
+    _check_term_count(len(values))
     sums = [ZERO]
     for a in values:
         sums = _merge_dedup(sums, [s + a for s in sums])
@@ -103,9 +102,9 @@ class SubsetSumOracle:
 
     _FULL_TABLE_MAX = 16
 
-    def __init__(self, terms: Sequence, bound: Optional[int] = None):
+    def __init__(self, terms: Sequence):
         values = tuple(Fraction(t) for t in terms)
-        _check_term_count(len(values), bound)
+        _check_term_count(len(values))
         self._den = math.lcm(*(t.denominator for t in values))
         self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
         if len(self._terms) <= self._FULL_TABLE_MAX:
@@ -188,27 +187,33 @@ def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
     return 0 if found is None else found[0], not past
 
 
-def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = None) -> RangeApproximation:
+def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     """Union of [s, s + tail] over subset sums s of the first ``depth`` terms.
 
     Finite models clamp the cut to their support (the tail is then 0 and the
     union degenerates to the exact finite set of sums). Abutting brackets
     coalesce, so a condition-satisfying model collapses to a single interval.
-    The ``bound`` on the number of terms is the one ``subset_sums`` applies,
-    checked before any term is built.
 
     Past L, the last violating index up to the cut, every step fills its
     bracket, so the cover at the cut is the cover at L: the fold starts
     from [0, tail_L] and builds only the first L terms. The union's top end
     before step k is tail_k, so a violating step's shifted copy lies wholly
-    above it and is appended; any other step merges.
+    above it and is appended; any other step merges. A fold that would hold
+    more than ``MAX_PIECES`` pieces is refused with ``ResourceLimitError``,
+    before any term is built when its tail alone doubles past the bound.
     """
     _check_index(depth, 0, "depth")
     cut = depth
     if model.finite:
         cut = min(depth, len(model.prefix))
-    _check_term_count(cut, bound)
     last, exact = _violations_around(model, cut)
+    # at zero slack a tail that violates does so at every index, and a
+    # violating step appends a whole copy, so the fold's first
+    # last - len(prefix) steps, the tail's, double the pieces exactly;
+    # 2^doublings > MAX_PIECES just when doublings reaches its bit length
+    doublings = last - len(model.prefix)
+    if doublings >= MAX_PIECES.bit_length():
+        raise _too_many_pieces(f"2^{doublings}")
     terms = model.first_terms(last)
     slack = model.tail_sum(last)
     den = math.lcm(slack.denominator, *(t.denominator for t in terms))
@@ -222,6 +227,8 @@ def achievable_outer(model: SequenceModel, depth: int, bound: Optional[int] = No
         if shift <= top:
             run = iter(ends)  # two sorted runs of pairs, merged by the sort
             ends = _coalesce(sorted(zip(run, run)))
+        if len(ends) > 2 * MAX_PIECES:
+            raise _too_many_pieces(len(ends) // 2)
         top += shift
     return RangeApproximation(depth, IntervalUnion._on_grid(den, ends), exact)
 

@@ -24,13 +24,14 @@ _BAND_GAP = 18
 _EXACT_FILL = "#2f6f4f"
 _OUTER_FILL = "#b0693d"
 _AXIS_COLOR = "#444444"
+_TITLE = "achievable values"
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def emit_svg(approximations: Sequence[RangeApproximation], title: str = "achievable values") -> str:
+def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
     """Render bands for the given approximations, ordered by depth."""
     approxes = list(approximations)
     if not approxes:
@@ -52,7 +53,7 @@ def emit_svg(approximations: Sequence[RangeApproximation], title: str = "achieva
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="0 0 {_WIDTH} {height}">',
-        f"  <title>{escape(title)}</title>",
+        f"  <title>{_TITLE}</title>",
         f'  <rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     axis_y = height - _MARGIN_Y // 2

@@ -37,17 +37,20 @@ class TestExitCodes:
         assert doc["error"]["kind"] == "domain"
         assert "outside [0, 1]" in doc["error"]["message"]
 
-    def test_resource_failure(self, monkeypatch):
-        monkeypatch.setenv("TRACERANGE_DEPTH_LIMIT", "4")
-        code, doc = body_json(["range", DYADIC, "--depth", "8"])
+    def test_resource_failure(self):
+        code, doc = body_json(["range", CANTOR, "--depth", "24"])
         assert code == 2
         assert doc["error"]["kind"] == "resource"
 
     def test_depth_past_the_bound_is_refused_before_any_term_is_built(self):
-        code, doc = body_json(["range", "geo(2/3,2/3)", "--depth", "60000"])
+        code, doc = body_json(["range", CANTOR, "--depth", "60000"])
         assert code == 2
         assert doc["error"]["kind"] == "resource"
-        assert doc["error"]["message"] == "60000 terms exceed the subset-sum bound of 24"
+        assert doc["error"]["message"] == "the cover fold reaches 2^60000 pieces, past the bound of 65536"
+        # a complete model's cover is one piece at any depth
+        code, doc = body_json(["range", "geo(2/3,2/3)", "--depth", "60000"])
+        assert code == 0
+        assert doc["intervals"] == [["0/1", "2/1"]]
 
     def test_huge_rational_output_is_a_resource_failure(self):
         # the gaps hold denominators past the int-to-text digit limit
@@ -56,12 +59,6 @@ class TestExitCodes:
         assert code == 2
         assert doc["error"]["kind"] == "resource"
         assert "too large to write" in doc["error"]["message"]
-
-    def test_bad_depth_limit_env(self, monkeypatch):
-        monkeypatch.setenv("TRACERANGE_DEPTH_LIMIT", "soon")
-        code, doc = body_json(["range", DYADIC, "--depth", "4"])
-        assert code == 1
-        assert doc["error"]["kind"] == "validation"
 
     def test_parse_failure_with_position(self):
         code, doc = body_json(["check", "1/2,,"])
@@ -276,6 +273,15 @@ class TestDigitsCommand:
         code, doc = body_json(["digits", "2", "1/3", "--count", "100000"])
         assert code == 0
         assert len(doc["digits"]) == 100000
+
+    def test_count_past_the_bound_is_a_resource_failure(self):
+        code, doc = body_json(["digits", "2", "1/3", "--count", "200000000"])
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "resource",
+            "message": "200000000 digits exceed the bound of 100000",
+            "position": None,
+        }
 
 
 class TestSpecFiles:

@@ -15,6 +15,7 @@ from tracerange import (
     MixedRadixTail,
     OutOfSupportError,
     RadixWord,
+    ResourceLimitError,
     SequenceModel,
     UnsupportedSpecError,
     ValidationError,
@@ -31,7 +32,7 @@ from tracerange import (
     same_sequence,
     sequence_to_radix,
 )
-from tracerange.extreme_points import _first_deviation
+from tracerange.extreme_points import MAX_DIGITS, _first_deviation
 
 from support import (
     REFEREE_MODELS,
@@ -319,6 +320,13 @@ class TestDigits:
             mixed_radix_digits(ALL_TWOS, F(3, 2), 4)
         with pytest.raises(DomainError):
             mixed_radix_digits(ALL_TWOS, F(-1, 8), 4)
+
+    def test_count_past_the_bound_is_refused_before_any_digit(self):
+        with pytest.raises(ResourceLimitError, match="^200000000 digits exceed the bound of 100000$"):
+            mixed_radix_digits(ALL_TWOS, F(1, 3), 200_000_000)
+        with pytest.raises(ResourceLimitError):
+            mixed_radix_digits(ALL_TWOS, F(1, 3), MAX_DIGITS + 1)
+        assert len(mixed_radix_digits(ALL_TWOS, F(1, 3), MAX_DIGITS)) == MAX_DIGITS
 
     def test_bits_group_into_digits(self):
         assert bits_to_digits((1, 0, 1, 0), ALL_THREES_WORD) == (1, 1)

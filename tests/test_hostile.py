@@ -1,0 +1,62 @@
+"""Hostile inputs end in a typed exit, not a crash, under a memory cap.
+
+Each input runs ``python -m tracerange`` in a child process whose address
+space (about 512 MB) and CPU time (about 10 s) are capped with
+``resource.setrlimit``; the limits act on the child only. An input that ran
+without a bound would end by a signal (SIGXCPU, or SIGKILL past the CPU
+hard limit) or as an ``"internal"`` envelope around a ``MemoryError``
+instead of an answer or a typed refusal. No wall-clock time is asserted.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+resource = pytest.importorskip("resource")  # POSIX only
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+MEMORY_BYTES = 512 * 2**20
+CPU_SECONDS = 10
+
+HOSTILE = {
+    # 2^24 pieces: refused before any term is built
+    "cantor-depth-24": ["range", "geo(2/3,1/3)", "--depth", "24"],
+    # 2^20 points from the prefix alone: refused inside the fold
+    "finite-powers-of-a-third": ["range", ",".join(f"1/{3**k}" for k in range(1, 21)), "--depth", "20"],
+    "digits-count-2e8": ["digits", "2", "1/3", "--count", "200000000"],
+    # one piece at any depth
+    "dyadic-depth-2000": ["range", "geo(1/2,1/2)", "--depth", "2000"],
+}
+
+
+def _capped(limit, value):
+    hard = resource.getrlimit(limit)[1]
+    if hard != resource.RLIM_INFINITY:
+        value = min(value, hard)
+    resource.setrlimit(limit, (value, hard))
+
+
+def _cap_child():
+    _capped(resource.RLIMIT_AS, MEMORY_BYTES)
+    _capped(resource.RLIMIT_CPU, CPU_SECONDS)
+
+
+@pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
+def test_input_ends_in_a_typed_exit(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracerange", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_child,
+    )
+    assert proc.returncode >= 0, f"ended by signal {-proc.returncode}"
+    assert 0 <= proc.returncode <= 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    if proc.returncode:
+        assert doc["error"]["kind"] != "internal", doc["error"]

@@ -25,6 +25,7 @@ from tracerange import (
     convexity_verdict,
     kakeya_check,
     make_model,
+    range_geometry,
     split_leading,
     subset_sums,
 )
@@ -63,11 +64,6 @@ class TestSubsetSums:
         too_many = [F(1, n) for n in range(2, 27)]
         with pytest.raises(ResourceLimitError):
             subset_sums(too_many)
-
-    def test_term_bound_override(self):
-        with pytest.raises(ResourceLimitError):
-            subset_sums([F(1, n) for n in range(2, 8)], bound=4)
-        assert len(subset_sums([F(1, 2), F(1, 3)], bound=2)) == 4
 
     @given(st.lists(st.fractions(min_value=0, max_value=4), max_size=7))
     def test_sorted_and_complete(self, terms):
@@ -166,11 +162,15 @@ class TestAchievableOuter:
         )
 
     def test_depth_bound(self):
+        # 2^17 pieces are past the piece bound; a one-piece cover is not
         with pytest.raises(ResourceLimitError):
-            achievable_outer(dyadic(), 30)
-        # a raised bound is honoured; repeated terms keep the sum set tiny
+            achievable_outer(cantor_like(), 17)
+        approx = achievable_outer(dyadic(), 30)
+        assert approx.exact
+        assert approx.union == IntervalUnion((Interval(F(0), F(1)),))
+        # 25 terms, past the subset-sum bound; repeated terms keep the sum set tiny
         flat = make_model([F(1, 2)] * 25)
-        approx = achievable_outer(flat, 25, bound=25)
+        approx = achievable_outer(flat, 25)
         assert approx.exact
         assert len(approx.union) == 26
 
@@ -218,9 +218,11 @@ class TestFoldFromLastViolation:
             raise AssertionError(f"first_terms({count}) built before the bound check")
 
         monkeypatch.setattr(SequenceModel, "first_terms", refuse)
-        model = SequenceModel((), GeometricTail(F(2, 3), F(2, 3)))
-        with pytest.raises(ResourceLimitError, match="^1000000000 terms exceed the subset-sum bound of 24$"):
-            achievable_outer(model, 10**9)
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^the cover fold reaches 2\^1000000000 pieces, past the bound of 65536$",
+        ):
+            achievable_outer(cantor_like(), 10**9)
 
     def test_first_terms_stops_at_the_last_violation(self, monkeypatch):
         asked = []
@@ -233,7 +235,7 @@ class TestFoldFromLastViolation:
         monkeypatch.setattr(SequenceModel, "first_terms", spy)
         for model in (dyadic(), all_threes()):
             asked.clear()
-            approx = achievable_outer(model, 2000, bound=2000)
+            approx = achievable_outer(model, 2000)
             assert asked == [0]
             assert approx.union == IntervalUnion((Interval(F(0), model.total),))
         rng = random.Random(7741)
@@ -264,9 +266,38 @@ class TestFoldFromLastViolation:
         model = SequenceModel((F(1, 2),), GeometricTail(F(1, 8), F(1, 2)))
         expected = IntervalUnion((Interval(F(0), F(1, 4)), Interval(F(1, 2), F(3, 4))))
         for cut in (*range(1, 41), 2000):
-            approx = achievable_outer(model, cut, bound=cut)
+            approx = achievable_outer(model, cut)
             assert approx.union == expected
             assert approx.exact
+
+
+class TestPieceBound:
+    """The fold holds at most ``MAX_PIECES`` pieces, bound included."""
+
+    def test_a_prefix_that_doubles_is_refused_inside_the_fold(self, monkeypatch):
+        # each power of 1/3 overshoots the rest, so five of them give 32 points
+        model = make_model([F(1, 3**k) for k in range(1, 6)])
+        monkeypatch.setattr(range_geometry, "MAX_PIECES", 16)
+        with pytest.raises(ResourceLimitError, match="^the cover fold reaches 32 pieces, past the bound of 16$"):
+            achievable_outer(model, 5)
+        monkeypatch.setattr(range_geometry, "MAX_PIECES", 32)
+        approx = achievable_outer(model, 5)
+        assert approx.exact
+        assert len(approx.union) == 32
+
+    def test_the_check_before_the_fold_refuses_exactly_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(range_geometry, "MAX_PIECES", 32)
+        assert len(achievable_outer(cantor_like(), 5).union) == 32
+        with pytest.raises(ResourceLimitError, match=r"^the cover fold reaches 2\^6 pieces, past the bound of 32$"):
+            achievable_outer(cantor_like(), 6)
+
+    def test_a_cantor_tail_doubles_the_pieces_at_every_cut(self):
+        # the exact doubling that lets the tail's steps be refused by exponent
+        rng = random.Random(4099)
+        for _ in range(8):
+            model = random_cantor_model(rng)
+            for cut in range(13):
+                assert len(achievable_outer(model, cut).union) == 2**cut
 
 
 class TestFoldReferee:
@@ -311,7 +342,7 @@ class TestFoldReferee:
             if model.finite:  # every cut past the support is the support
                 cuts = (*range(len(model.prefix) + 2), top)
             for cut in cuts:
-                approx = achievable_outer(model, cut, bound=40)
+                approx = achievable_outer(model, cut)
                 cut = min(cut, len(model.prefix)) if model.finite else cut
                 pieces = fraction_fold(model, cut)
                 assert approx.union == IntervalUnion(Interval(lo, hi) for lo, hi in pieces)
