@@ -10,12 +10,15 @@ document (or CSV/SVG for ``range``). Exit codes are part of the contract:
 
 Failures print a JSON object with a single ``error`` field carrying ``kind``,
 ``message``, and ``position`` (character offset for parse errors, else null),
-so scripts can always dispatch on the same shape. Output for a given argv is
-byte for byte deterministic.
+so scripts can always dispatch on the same shape; an ``"internal"`` fault
+also names its exception ``type``. Output for a given argv is byte for byte
+deterministic.
 
 Resource bounds are fixed module constants, not options: ``range`` refuses a
 cover whose fold would hold more than ``range_geometry.MAX_PIECES`` pieces,
-and ``digits`` a count above ``extreme_points.MAX_DIGITS``.
+``vna`` an algebra whose merged prefix would hold more than
+``sequences.MAX_ATOMS`` atoms, and ``digits`` a count above
+``extreme_points.MAX_DIGITS``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .extreme_points import (
     radix_to_sequence,
     sequence_to_radix,
 )
-from .range_geometry import achievable_outer, convexity_verdict
+from .range_geometry import ConvexityVerdict, achievable_outer
 from .representability import _violations, greedy_expand, kakeya_check
 from .sequences import _check_index, from_algebra
 from .serialize import (
@@ -113,7 +116,6 @@ def _parser() -> _Parser:
     encode.add_argument("--terms", type=int, default=20, help="terms to list (default 20)")
     decode = mode.add_parser("decode", help="decode a sequence back to its radix word")
     _add_spec_argument(decode)
-    decode.add_argument("--depth", type=int, default=64, help="peel budget (default 64)")
 
     digits = sub.add_parser("digits", help="mixed-radix digits of a rational")
     digits.add_argument("word", help="radix word, e.g. '3 | 2' or '2'")
@@ -198,9 +200,10 @@ def _dispatch(args) -> str:
         }
         return _dump(doc)
     if args.command == "vna":
-        spec = parse_algebra(_spec_text(args))
-        doc = convexity_to_doc(convexity_verdict(spec))
-        doc["model"] = model_to_doc(from_algebra(spec))
+        model = from_algebra(parse_algebra(_spec_text(args)))
+        certificate = kakeya_check(model)
+        doc = convexity_to_doc(ConvexityVerdict(certificate.holds, certificate))
+        doc["model"] = model_to_doc(model)
         return _dump(doc)
     if args.command == "extreme":
         if args.mode == "encode":
@@ -214,7 +217,7 @@ def _dispatch(args) -> str:
             doc["terms"] = [format_rational(x) for x in terms]
             return _dump(doc)
         model = parse_spec(_spec_text(args))
-        return _dump(report_to_doc(sequence_to_radix(model, depth=args.depth)))
+        return _dump(report_to_doc(sequence_to_radix(model)))
     assert args.command == "digits"
     word = parse_word(args.word)
     target = parse_rational(args.target)
@@ -228,8 +231,10 @@ def _dispatch(args) -> str:
 
 def _failure(code: int, kind: str, exc: Exception) -> CommandResult:
     position = exc.position if isinstance(exc, ParseError) else None
-    body = _dump({"error": {"kind": kind, "message": str(exc), "position": position}})
-    return CommandResult(code, body)
+    error = {"kind": kind, "message": str(exc), "position": position}
+    if kind == "internal":  # a bare MemoryError has an empty message
+        error["type"] = type(exc).__name__
+    return CommandResult(code, _dump({"error": error}))
 
 
 def run_command(argv) -> CommandResult:
@@ -252,7 +257,7 @@ def run_command(argv) -> CommandResult:
         return _failure(1, "validation", exc)
     except DomainError as exc:
         return _failure(1, "domain", exc)
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:  # safety net
         return _failure(1, "internal", exc)
 
 

@@ -12,8 +12,9 @@ Decoding peels runs. The leading term forces everything: if the rescaled
 value is 1/k, the word must start with radix k and the value must repeat
 exactly k - 1 times. Any deviation pins a concrete witness index where no
 pattern can match. Once the cursor leaves the explicit prefix the remaining
-tail is a closed form, so the decoder can recognize the pattern's own tail
-outright instead of peeling forever.
+tail is a closed form, so the decoder recognizes the pattern's own tail
+outright, and every sequence is decided after at most one peel per run of
+the prefix plus two.
 
 The face embedding sends the whole body into itself: prepend radix - 1
 copies of 1/radix and shrink everything by that factor. Extraction inverts
@@ -60,7 +61,6 @@ __all__ = [
     "sequence_to_radix",
 ]
 
-DEFAULT_DECODE_DEPTH = 64
 MAX_DIGITS = 100_000
 _BITS = frozenset((0, 1))
 
@@ -69,26 +69,24 @@ _BITS = frozenset((0, 1))
 class ExtremalityReport:
     """Outcome of decoding a sequence against the mixed-radix patterns.
 
-    ``status`` is one of ``"extreme"`` (with the recovered word),
+    ``status`` is ``"extreme"`` (with the recovered word) or
     ``"non_extreme"`` (with the first index where every candidate pattern
-    breaks), or ``"undecided"`` (the peel budget ran out first).
+    breaks). ``depth`` is always None: the decoder always decides, so no
+    report stops at a peel budget, and the field stays so that readers of
+    it keep working and report documents keep their ``"depth": null`` key.
     """
 
     status: str
     word: Optional[RadixWord] = None
     witness_index: Optional[int] = None
-    depth: Optional[int] = None
+    depth: None = None
 
     def __post_init__(self):
-        expected = {
-            "extreme": (True, False, False),
-            "non_extreme": (False, True, False),
-            "undecided": (False, False, True),
-        }
+        expected = {"extreme": (True, False), "non_extreme": (False, True)}
         if self.status not in expected:
             raise ValidationError(f"unknown extremality status {self.status!r}")
-        has = (self.word is not None, self.witness_index is not None, self.depth is not None)
-        if has != expected[self.status]:
+        has = (self.word is not None, self.witness_index is not None)
+        if has != expected[self.status] or self.depth is not None:
             raise ValidationError(f"fields do not match status {self.status!r}")
 
     @classmethod
@@ -98,10 +96,6 @@ class ExtremalityReport:
     @classmethod
     def non_extreme(cls, witness_index: int) -> "ExtremalityReport":
         return cls("non_extreme", witness_index=witness_index)
-
-    @classmethod
-    def undecided(cls, depth: int) -> "ExtremalityReport":
-        return cls("undecided", depth=depth)
 
 
 def admissibility_check(model: SequenceModel) -> ConditionVerdict:
@@ -154,19 +148,24 @@ def _first_deviation(
     return following if following < end else None
 
 
-def sequence_to_radix(
-    model: SequenceModel, depth: int = DEFAULT_DECODE_DEPTH
-) -> ExtremalityReport:
+def sequence_to_radix(model: SequenceModel) -> ExtremalityReport:
     """Decode a sequence against the unit-scale mixed-radix patterns.
 
     Maintains the product of radices peeled so far; at each cursor position
     the rescaled term must be a unit fraction 1/k repeated exactly k - 1
     times, or no pattern matches and the position is a witness. Once the
     cursor sits in the closed-form tail, a remainder worth exactly 1 after
-    rescaling closes the word; otherwise peeling continues until a witness
-    or the peel budget (``depth`` emitted radices) runs out.
+    rescaling closes the word.
+
+    The loop always ends. A peel takes exactly k - 1 copies of the value at
+    the cursor, and if the run is longer the next peel reads a rescaled
+    value of 1 and stops, so each peel inside the prefix ends on a run
+    boundary. Past the prefix at most two more peels follow. A radix
+    remainder that does not close breaks within them. A geometric
+    remainder's terms all differ, so each peel there is radix 2, and a
+    second one needs ratio 1/2, which reads as a radix; so it breaks
+    within two peels too. An empty remainder stops at once.
     """
-    _check_index(depth, 1, "depth")
     emitted: list[int] = []
     mult = Fraction(1)
     position = 1
@@ -177,10 +176,6 @@ def sequence_to_radix(
                 word = signature.radices
                 closed = RadixWord(tuple(emitted) + word.pre, word.period)
                 return ExtremalityReport.extreme(closed)
-            # a geometric remainder with ratio != 1/2 can never close; the
-            # forced pattern breaks within the next two peels
-        if len(emitted) >= depth:
-            return ExtremalityReport.undecided(depth)
         a = _term_or_none(model, position)
         if a is None:
             # every pattern needs a positive term here; the sequence ended

@@ -29,8 +29,8 @@ current term (for a geometric tail, Renyi's beta-transformation), so the
 integers grow with the ratio's numerator rather than with the terms'
 common denominator, and over a radix block not at all. The certified check
 is an integer test on that ratio at every step. ``verify_expansion`` is
-the independent referee: it replays the bits with terms, total and target
-over one denominator, a route that shares no step with the greedy.
+the independent referee: it replays the bits with terms and target over
+one denominator, a route that shares no step with the greedy.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def _prefix_excesses(model: SequenceModel, sigma, indices: range) -> Iterator[tu
             yield n, (room, term)
 
 
-def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-    """Each index n >= start with a_n > sigma + sum_{k>n} a_k, in order,
-    with its gap (sigma + sum_{k>n} a_k, a_n).
+def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    """Each index n with a_n > sigma + sum_{k>n} a_k, in order, with its gap
+    (sigma + sum_{k>n} a_k, a_n).
 
     Completeness is sigma = 0; membership in the unit-anchored body is
     sigma = 1 - total. Prefix indices are checked one by one; the tail's
@@ -107,8 +107,8 @@ def _excesses(model: SequenceModel, sigma, start: int = 1) -> Iterator[tuple[int
     """
     sigma = sigma or 0  # a zero slack is never added
     offset = len(model.prefix)
-    yield from _prefix_excesses(model, sigma, range(start, offset + 1))
-    for j, gap in model.tail.excesses(sigma, start - offset):
+    yield from _prefix_excesses(model, sigma, range(1, offset + 1))
+    for j, gap in model.tail.excesses(sigma):
         yield offset + j, gap
 
 
@@ -180,7 +180,7 @@ def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
     """
     target = Fraction(target)
     bits = tuple(bits)
-    den, _, numerators = _integer_terms(model, len(bits), target.denominator)
+    den, numerators = _integer_terms(model, len(bits), target.denominator)
     achieved = 0
     for i, bit in enumerate(bits, start=1):
         if bit not in (0, 1):

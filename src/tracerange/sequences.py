@@ -15,9 +15,9 @@ rational, so downstream decisions (condition checks, expansions, range
 approximations) are never numeric estimates. Each family owns its closed
 forms as one method set, so no caller tests a tail's type: ``terms()``,
 ``runs()`` of (value, multiplicity), ``sum_after(j)``, ``rest(j)`` (the
-terms after local index j), ``scaled(f)``, ``excesses(sigma, start)`` (the
-condition engine's tail indices) with ``first_excess(sigma, start)`` (the
-first of them, index only), ``as_radix()`` (None unless the terms form a
+terms after local index j), ``scaled(f)``, ``excesses(sigma)`` (the
+condition engine's tail indices) with ``first_excess(sigma)`` (the first of
+them, index only), ``as_radix()`` (None unless the terms form a
 radix pattern), and ``common_den(count)`` with ``numerators(den)``; the two
 endless families add ``greedy(num, den, count, certified)``, the greedy
 rule's run of steps.
@@ -56,14 +56,14 @@ from .core import ZERO, _trusted_fraction
 from .errors import (
     DomainError,
     OutOfSupportError,
-    UnsupportedSpecError,
+    ResourceLimitError,
     ValidationError,
 )
 
-# from_algebra walks tail terms until they drop below the smallest finite
-# atom; the geometric and radix families always get there, this just bounds
-# the walk against absurd inputs.
-_REANCHOR_LIMIT = 1_000_000
+# from_algebra's merged prefix holds the factor atoms and the tail terms
+# re-anchored among them; the re-anchor walk stops once they pass this many,
+# and the merge is then refused before any atom is built.
+MAX_ATOMS = 100_000
 
 
 def _check_index(n, minimum: int, label: str = "index") -> int:
@@ -165,10 +165,10 @@ class ZeroTail:
     def scaled(self, factor: Fraction) -> "ZeroTail":
         return self
 
-    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         return iter(())
 
-    def first_excess(self, sigma, start: int) -> Optional[int]:
+    def first_excess(self, sigma) -> Optional[int]:
         return None
 
     def as_radix(self) -> Optional["MixedRadixTail"]:
@@ -237,9 +237,9 @@ class GeometricTail:
     def scaled(self, factor: Fraction) -> "GeometricTail":
         return GeometricTail(self.first * factor, self.ratio)
 
-    def first_excess(self, sigma, start: int) -> Optional[int]:
-        """The least j >= start with f*r^(j-1) > sigma + sum_after(j), or
-        None, found on integers without building a term or a gap.
+    def first_excess(self, sigma) -> Optional[int]:
+        """The least j with f*r^(j-1) > sigma + sum_after(j), or None,
+        found on integers without building a term or a gap.
 
         The excess reads d * r^(j-1) > sigma with d = f*(1-2r)/(1-r),
         monotone in j; with f = a/b, r = p/q and sigma = s/t it runs on
@@ -261,13 +261,12 @@ class GeometricTail:
         hi = 1
         while not excess(hi):
             hi *= 2
-        j = max(bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1, start)
-        return j if sigma <= 0 or excess(j) else None
+        return bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
 
-    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         """The violations form one run from ``first_excess``, stepped by
         scaling term and rest by the ratio."""
-        j = self.first_excess(sigma, start)
+        j = self.first_excess(sigma)
         if j is None:
             return
         term, rest = self.term(j), self.sum_after(j)
@@ -391,7 +390,7 @@ class MixedRadixTail:
     def scaled(self, factor: Fraction) -> "MixedRadixTail":
         return MixedRadixTail(self.scale * factor, self.radices)
 
-    def excesses(self, sigma, start: int) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         """Slot i of a block of k - 1 slots of value v leaves (k - i) * v
         after it, so it violates exactly when (k - i - 1) * v < -sigma:
         never for sigma >= 0, and otherwise on a suffix of every block."""
@@ -400,14 +399,14 @@ class MixedRadixTail:
         offset = 0
         for value, size in self.runs():
             k = size + 1
-            for i in range(max(1, k + math.floor(sigma / value), start - offset), k):
+            for i in range(max(1, k + math.floor(sigma / value)), k):
                 yield offset + i, (sigma + (k - i) * value, value)
             offset += size
 
-    def first_excess(self, sigma, start: int) -> Optional[int]:
+    def first_excess(self, sigma) -> Optional[int]:
         """The first index ``excesses`` yields: none for sigma >= 0, and
         otherwise there is one, since every block's last slot violates."""
-        return None if sigma >= 0 else next(self.excesses(sigma, start))[0]
+        return None if sigma >= 0 else next(self.excesses(sigma))[0]
 
     def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
         """The greedy rule over the first ``count`` >= 1 slots against the
@@ -599,11 +598,11 @@ def make_model(prefix: Sequence, tail: Optional[TailModel] = None) -> SequenceMo
     return SequenceModel(tuple(prefix), tail if tail is not None else ZeroTail())
 
 
-def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[int, int, Iterator[int]]:
-    """``(den, total_num, numerators)``: the first ``count`` terms (fewer
-    past a finite support), ``model.total`` and ``1 / other_den`` over one
-    denominator. The numerators come lazily, since each is about as long as
-    ``den`` and a list of them would take memory quadratic in ``count``.
+def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[int, Iterator[int]]:
+    """``(den, numerators)``: the first ``count`` terms (fewer past a finite
+    support) and ``1 / other_den`` over one denominator. The numerators come
+    lazily, since each is about as long as ``den`` and a list of them would
+    take memory quadratic in ``count``.
 
     ``representability.verify_expansion`` is its only reader: it replays
     bits on this common denominator, a route that shares no step with the
@@ -611,14 +610,13 @@ def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[in
     """
     prefix = model.prefix[:count]
     extra = count - len(prefix)
-    tail, total = model.tail, model.total
     dens = [x.denominator for x in prefix]
     if extra:
-        dens.append(tail.common_den(extra))
-    den = math.lcm(other_den, total.denominator, *dens)
+        dens.append(model.tail.common_den(extra))
+    den = math.lcm(other_den, *dens)
     lead = (x.numerator * (den // x.denominator) for x in prefix)
-    numerators = itertools.chain(lead, tail.numerators(den))
-    return den, total.numerator * (den // total.denominator), itertools.islice(numerators, count)
+    numerators = itertools.chain(lead, model.tail.numerators(den))
+    return den, itertools.islice(numerators, count)
 
 
 def _rest(model: SequenceModel, count: int) -> SequenceModel:
@@ -721,23 +719,21 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     Each factor (dim, weight) contributes dim atoms of weight/dim; the
     abelian tail contributes one atom per term. Tail terms at least as large
     as the smallest finite atom move into the explicit prefix so the merged
-    sequence stays monotone, and the tail is re-anchored after them.
+    sequence stays monotone, and the tail is re-anchored after them. A merged
+    prefix of more than ``MAX_ATOMS`` terms raises ResourceLimitError.
     """
-    atoms: list[Fraction] = []
-    for f in spec.factors:
-        atoms.extend([f.weight / f.dim] * f.dim)
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
-    if not atoms:
+    if not spec.factors:
         return SequenceModel((), tail)
-    a_min = min(atoms)
+    a_min = min(f.weight / f.dim for f in spec.factors)
+    dims = sum(f.dim for f in spec.factors)
     moved = 0
     for value, size in tail.runs():
-        if value < a_min:
+        if value < a_min or dims + moved > MAX_ATOMS:
             break
         moved += size
-        if moved > _REANCHOR_LIMIT:
-            raise UnsupportedSpecError(
-                "cannot re-anchor: tail terms stay above the smallest atom too long"
-            )
+    if dims + moved > MAX_ATOMS:
+        raise ResourceLimitError(f"the merged prefix reaches {dims + moved} atoms, past the bound of {MAX_ATOMS}")
+    atoms = list(itertools.chain.from_iterable([f.weight / f.dim] * f.dim for f in spec.factors))
     merged = tuple(sorted(atoms + list(itertools.islice(tail.terms(), moved)), reverse=True))
     return SequenceModel(merged, tail.rest(moved))

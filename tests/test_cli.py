@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tracerange import cli
 from tracerange.cli import main, run_command
 
 F = Fraction
@@ -213,6 +214,15 @@ class TestAlgebraCommand:
         assert doc["certificate"]["firstViolation"] == 3
         assert doc["model"]["prefix"] == ["1/3", "1/3", "1/3"]
 
+    def test_too_many_atoms_is_a_resource_failure(self):
+        code, doc = body_json(["vna", '{"factors": [{"dim": 30000000, "weight": "1/1"}]}'])
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "resource",
+            "message": "the merged prefix reaches 30000000 atoms, past the bound of 100000",
+            "position": None,
+        }
+
     def test_rejects_sequence_dsl(self):
         code, doc = body_json(["vna", DYADIC])
         assert code == 3
@@ -231,11 +241,25 @@ class TestExtremeCommand:
         }
 
     def test_decode_depth_flag(self):
+        # the decoder always decides, so there is no peel budget to set
         spec = ", ".join(f"1/{2**i}" for i in range(1, 11))
         code, doc = body_json(["extreme", "decode", spec, "--depth", "8"])
+        assert code == 3
+        assert doc["error"]["kind"] == "parse"
+        code, doc = body_json(["extreme", "decode", spec])
         assert code == 0
-        assert doc["status"] == "undecided"
-        assert doc["depth"] == 8
+        assert doc == {"status": "non_extreme", "witnessIndex": 11, "word": None, "depth": None}
+
+    def test_decode_long_dyadic_prefix_with_its_tail(self):
+        spec = ", ".join(f"1/{2**i}" for i in range(1, 71)) + f", geo(1/{2**71}, 1/2)"
+        code, doc = body_json(["extreme", "decode", spec])
+        assert code == 0
+        assert doc == {
+            "status": "extreme",
+            "witnessIndex": None,
+            "word": {"pre": [], "period": [2]},
+            "depth": None,
+        }
 
     def test_encode(self):
         code, doc = body_json(["extreme", "encode", "3 | 2", "--terms", "5"])
@@ -341,6 +365,15 @@ class TestHarness:
     def test_main_error_path(self, capsys):
         assert main(["check", "1/2,,"]) == 3
         assert "expected a rational number" in capsys.readouterr().out
+
+    def test_internal_fault_names_its_type(self, monkeypatch):
+        def exhausted(model):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "kakeya_check", exhausted)
+        code, doc = body_json(["check", DYADIC])
+        assert code == 1
+        assert doc == {"error": {"kind": "internal", "message": "", "position": None, "type": "MemoryError"}}
 
 
 class TestByteAnchor:

@@ -1,5 +1,6 @@
 """Admissibility, pattern decoding, face maps, and digit conversions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ from tracerange import (
     same_sequence,
     sequence_to_radix,
 )
+from tracerange import extreme_points
 from tracerange.extreme_points import MAX_DIGITS, _first_deviation
+from tracerange.sequences import _rest
 
 from support import (
     REFEREE_MODELS,
@@ -166,8 +169,58 @@ class TestSequenceDecoding:
 
     def test_finite_model_truncation(self):
         ten = make_model([F(1, 2**i) for i in range(1, 11)])
-        assert sequence_to_radix(ten, depth=8) == ExtremalityReport.undecided(8)
-        assert sequence_to_radix(ten, depth=16) == ExtremalityReport.non_extreme(11)
+        assert sequence_to_radix(ten) == ExtremalityReport.non_extreme(11)
+
+    @pytest.mark.parametrize("length", [70, 2000])
+    def test_long_dyadic_prefix_is_decided(self, length):
+        prefix = tuple(F(1, 2**i) for i in range(1, length + 1))
+        with_tail = SequenceModel(prefix, GeometricTail(F(1, 2 ** (length + 1)), F(1, 2)))
+        assert sequence_to_radix(with_tail) == ExtremalityReport.extreme(ALL_TWOS)
+        finite = SequenceModel(prefix)
+        assert sequence_to_radix(finite) == ExtremalityReport.non_extreme(length + 1)
+
+    def test_pattern_embedded_seventy_times_decodes_to_its_word(self):
+        word = RadixWord((3,), (2, 5))
+        radices = [2 + i % 3 for i in range(70)]
+        model = radix_to_sequence(word)
+        for radix in radices:
+            model = face_embed(model, radix)
+        assert len(model.prefix) == sum(k - 1 for k in radices)
+        want = RadixWord(tuple(reversed(radices)) + word.pre, word.period)
+        assert sequence_to_radix(model) == ExtremalityReport.extreme(want)
+
+    def test_peels_stay_within_prefix_runs_plus_two(self, monkeypatch):
+        # each peel inside the prefix ends on a run boundary, and past it
+        # the closed-form tail closes the word or breaks within two peels
+        peels = []
+
+        def spy(model, start, count, value):
+            peels.append(start)
+            return _first_deviation(model, start, count, value)
+
+        monkeypatch.setattr(extreme_points, "_first_deviation", spy)
+        rng = random.Random(4711)
+        models = []
+        for _ in range(20):
+            models += [build(rng) for build in REFEREE_MODELS]
+            pattern = radix_to_sequence(random_word(rng))
+            cut = rng.randint(0, 12)
+            models.append(SequenceModel(pattern.first_terms(cut), _rest(pattern, cut).tail))
+        decided = set()
+        for model in models:
+            lead = model.term(1)
+            if lead > 1:
+                model = scale_model(model, 1 / lead)
+            for radices in ((), (2,), (3, 2), (2, 4, 3, 2)):
+                embedded = model
+                for radix in radices:
+                    embedded = face_embed(embedded, radix)
+                peels.clear()
+                report = sequence_to_radix(embedded)
+                runs = len(list(itertools.groupby(embedded.prefix)))
+                assert len(peels) <= runs + 2, (embedded, report, peels)
+                decided.add(report.status)
+        assert decided == {"extreme", "non_extreme"}
 
     def test_report_field_consistency(self):
         with pytest.raises(ValidationError):
@@ -176,6 +229,10 @@ class TestSequenceDecoding:
             ExtremalityReport("non_extreme", word=ALL_TWOS, witness_index=1)
         with pytest.raises(ValidationError):
             ExtremalityReport("maybe", depth=4)
+        with pytest.raises(ValidationError):
+            ExtremalityReport("undecided", depth=4)
+        with pytest.raises(ValidationError):
+            ExtremalityReport("extreme", word=ALL_TWOS, depth=4)
 
     @given(radix_words)
     def test_encode_then_decode_recovers_word(self, word):

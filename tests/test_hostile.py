@@ -30,6 +30,8 @@ HOSTILE = {
     "digits-count-2e8": ["digits", "2", "1/3", "--count", "200000000"],
     # one piece at any depth
     "dyadic-depth-2000": ["range", "geo(1/2,1/2)", "--depth", "2000"],
+    # 3*10^7 atoms: refused before any atom is built
+    "vna-dim-3e7": ["vna", '{"factors":[{"dim":30000000,"weight":"1/1"}]}'],
 }
 
 

@@ -19,8 +19,8 @@ from tracerange import (
     MixedRadixTail,
     OutOfSupportError,
     RadixWord,
+    ResourceLimitError,
     SequenceModel,
-    UnsupportedSpecError,
     ValidationError,
     ZeroTail,
     from_algebra,
@@ -29,6 +29,7 @@ from tracerange import (
     same_sequence,
     split_leading,
 )
+from tracerange import sequences
 from tracerange.sequences import _rest, _walk
 
 from support import (
@@ -252,10 +253,8 @@ class TestTailContractReferee:
             assert list(itertools.islice(radix.terms(), count)) == expected
         model = SequenceModel((), tail)
         for sigma in (F(0), -tail.total / 7, tail.total / 9):
-            want = fraction_violations(model, cls.DEPTH, sigma)
-            for start in (1, 2, 17):
-                found = itertools.takewhile(lambda v: v[0] <= cls.DEPTH, tail.excesses(sigma, start))
-                assert list(found) == [v for v in want if v[0] >= start]
+            found = itertools.takewhile(lambda v: v[0] <= cls.DEPTH, tail.excesses(sigma))
+            assert list(found) == fraction_violations(model, cls.DEPTH, sigma)
 
     @pytest.mark.parametrize("factor", [F(1), F(3, 4), F(7, 3)], ids=str)
     def test_scaled_referee_models(self, factor):
@@ -274,9 +273,9 @@ class TestTailContractReferee:
 
 
 class TestFirstExcessReferee:
-    """``first_excess(sigma, start)``, the index-only form of the excess
-    search, against the first index a ``Fraction`` scan finds at or past
-    ``start``; past the scan's depth it may only be None or deeper."""
+    """``first_excess(sigma)``, the index-only form of the excess search,
+    against the first index a ``Fraction`` scan finds; past the scan's
+    depth it may only be None or deeper."""
 
     DEPTH = 60
 
@@ -284,14 +283,12 @@ class TestFirstExcessReferee:
     def check(cls, tail) -> None:
         model = SequenceModel((), tail)
         for sigma in (F(0), -tail.total / 7, tail.total / 9, tail.total / 2):
-            found = [n for n, _ in fraction_violations(model, cls.DEPTH, sigma)]
-            for start in (1, 2, 17, 41):
-                want = next((n for n in found if n >= start), None)
-                got = tail.first_excess(sigma, start)
-                if want is None:
-                    assert got is None or got > cls.DEPTH, (tail, sigma, start, got)
-                else:
-                    assert got == want, (tail, sigma, start, got)
+            want = next((n for n, _ in fraction_violations(model, cls.DEPTH, sigma)), None)
+            got = tail.first_excess(sigma)
+            if want is None:
+                assert got is None or got > cls.DEPTH, (tail, sigma, got)
+            else:
+                assert got == want, (tail, sigma, got)
 
     def test_referee_models(self):
         rng = random.Random(2222)
@@ -502,5 +499,20 @@ class TestAlgebraSpec:
             (MatrixFactor(1, F(1, 4000006)),),
             MixedRadixTail(F(4000005, 4000006), RadixWord((), (2000003,))),
         )
-        with pytest.raises(UnsupportedSpecError):
+        with pytest.raises(ResourceLimitError, match="2000003 atoms"):
             from_algebra(spec)
+
+    def test_merged_prefix_is_bounded_by_max_atoms(self, monkeypatch):
+        monkeypatch.setattr(sequences, "MAX_ATOMS", 6)
+        # the dims alone pass the bound: refused before any atom is built
+        wide = AlgebraSpec((MatrixFactor(4, F(1, 2)), MatrixFactor(3, F(1, 2))))
+        with pytest.raises(ResourceLimitError, match="reaches 7 atoms, past the bound of 6"):
+            from_algebra(wide)
+        # the tail stays above the lone atom for over 900 terms: the walk
+        # stops once the atom and six tail terms pass the bound
+        slow = AlgebraSpec((MatrixFactor(1, F(1, 10**6)),), GeometricTail(F(10**6 - 1, 10**8), F(99, 100)))
+        with pytest.raises(ResourceLimitError, match="reaches 7 atoms, past the bound of 6"):
+            from_algebra(slow)
+        # four atoms of 1/8 and the tail's 1/4, 1/8 make 6, at the bound
+        shallow = AlgebraSpec((MatrixFactor(4, F(1, 2)),), GeometricTail(F(1, 4), F(1, 2)))
+        assert len(from_algebra(shallow).prefix) == 6
