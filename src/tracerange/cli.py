@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -263,6 +264,11 @@ def run_command(argv) -> CommandResult:
 
 def main(argv=None) -> int:
     result = run_command(sys.argv[1:] if argv is None else argv)
-    if result.body:
-        print(result.body)
+    try:
+        if result.body:
+            print(result.body, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe: devnull takes what is left of the
+        # output, so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code

@@ -40,7 +40,9 @@ from .sequences import (
     RadixWord,
     SequenceModel,
     _block_digits,
+    _block_sums,
     _check_index,
+    _checked_bits,
     _digit_bits,
     _radices,
     _rest,
@@ -62,7 +64,6 @@ __all__ = [
 ]
 
 MAX_DIGITS = 100_000
-_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -275,25 +276,7 @@ def bits_to_digits(bits, word: RadixWord) -> tuple[int, ...]:
     how many of them the bits take. A trailing partial block still yields a
     digit.
     """
-    bits = tuple(bits)
-    # one pass over the types first, so the set only ever hashes ints
-    if not ({int}.issuperset(map(type, bits)) and _BITS.issuperset(bits)):
-        # name the first entry that is not 0 or 1, and read the rest as ints
-        bits = tuple(_checked_bit(bit, i) for i, bit in enumerate(bits, start=1))
-    digits = []
-    index = 0
-    radices = _radices(word)
-    while index < len(bits):
-        end = index + next(radices) - 1
-        digits.append(sum(bits[index:end]))
-        index = end
-    return tuple(digits)
-
-
-def _checked_bit(bit, i: int) -> int:
-    if bit not in (0, 1):
-        raise ValidationError(f"bit {i} must be 0 or 1, got {bit!r}")
-    return int(bit)
+    return tuple(_block_sums(_checked_bits(bits), _radices(word)))
 
 
 def digits_to_bits(digits, word: RadixWord) -> tuple[int, ...]:

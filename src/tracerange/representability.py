@@ -29,8 +29,8 @@ current term (for a geometric tail, Renyi's beta-transformation), so the
 integers grow with the ratio's numerator rather than with the terms'
 common denominator, and over a radix block not at all. The certified check
 is an integer test on that ratio at every step. ``verify_expansion`` is
-the independent referee: it replays the bits with terms and target over
-one denominator, a route that shares no step with the greedy.
+the independent referee: it reads the tail's bits as one numeral (the
+tail's ``numeral``), a route that shares no step with the greedy.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
-from .errors import DomainError, OutOfSupportError, ValidationError
-from .sequences import SequenceModel, _check_index, _integer_terms
+from .errors import DomainError, ValidationError
+from .sequences import SequenceModel, _check_index, _checked_bits
 
 
 @dataclass(frozen=True)
@@ -179,18 +179,12 @@ def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
     offending entry decides which error is raised.
     """
     target = Fraction(target)
-    bits = tuple(bits)
-    den, numerators = _integer_terms(model, len(bits), target.denominator)
-    achieved = 0
-    for i, bit in enumerate(bits, start=1):
-        if bit not in (0, 1):
-            raise ValidationError(f"bit {i} must be 0 or 1, got {bit!r}")
-        a = next(numerators, None)
-        if bit == 1:
-            if a is None:
-                raise OutOfSupportError(i, len(model.prefix))
-            achieved += a
-    return Fraction(abs(target.numerator * (den // target.denominator) - achieved), den)
+    bits = _checked_bits(bits, model.support)
+    lead = [x for x, bit in zip(model.prefix, bits) if bit]
+    den = math.lcm(target.denominator, *(x.denominator for x in lead))
+    chosen = sum(x.numerator * (den // x.denominator) for x in lead)
+    left = Fraction(target.numerator * (den // target.denominator) - chosen, den)
+    return abs(left - model.tail.numeral(bits[len(model.prefix):]))
 
 
 def gap_certificate(model: SequenceModel, n: int) -> tuple[Fraction, Fraction]:

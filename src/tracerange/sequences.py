@@ -18,8 +18,8 @@ forms as one method set, so no caller tests a tail's type: ``terms()``,
 terms after local index j), ``scaled(f)``, ``excesses(sigma)`` (the
 condition engine's tail indices) with ``first_excess(sigma)`` (the first of
 them, index only), ``as_radix()`` (None unless the terms form a
-radix pattern), and ``common_den(count)`` with ``numerators(den)``; the two
-endless families add ``greedy(num, den, count, certified)``, the greedy
+radix pattern), and ``numeral(bits)`` (the sum a 0/1 vector selects); the
+two endless families add ``greedy(num, den, count, certified)``, the greedy
 rule's run of steps.
 ``terms()`` builds each term once from a reduced ``(num, den)`` pair: a
 geometric step cancels only gcd(num, q) and gcd(p, den) for ratio p/q, and
@@ -29,10 +29,10 @@ ratio's numerator, not with the common denominator of the terms.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
-``_digit_bits`` spells its digits out as bits; ``_integer_terms`` puts many
-terms over one common denominator; ``_rest(model, count)`` is the closed
-form of the terms after an index; ``_checked_tail`` is the one check that a
-value is a tail.
+``_digit_bits`` spells its digits out as bits, which ``_block_sums`` groups
+back into ones per block; ``_checked_bits`` is the one check of a 0/1
+vector; ``_rest(model, count)`` is the closed form of the terms after an
+index; ``_checked_tail`` is the one check that a value is a tail.
 
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
@@ -174,11 +174,9 @@ class ZeroTail:
     def as_radix(self) -> Optional["MixedRadixTail"]:
         return None
 
-    def common_den(self, count: int) -> int:
-        return 1
-
-    def numerators(self, den: int) -> Iterator[int]:
-        return iter(())
+    def numeral(self, bits: tuple[int, ...]) -> Fraction:
+        # a checked vector holds no set bit past the support
+        return ZERO
 
 
 @dataclass(frozen=True)
@@ -324,15 +322,16 @@ class GeometricTail:
             return None
         return MixedRadixTail(2 * self.first, RadixWord((), (2,)))
 
-    def common_den(self, count: int) -> int:
-        return self.first.denominator * self.ratio.denominator ** (count - 1)
-
-    def numerators(self, den: int) -> Iterator[int]:
-        a = self.first.numerator * (den // self.first.denominator)
+    def numeral(self, bits: tuple[int, ...]) -> Fraction:
+        """The sum the checked 0/1 ``bits`` select, as a base-q/p numeral for
+        first a/b and ratio p/q: a*S / (b*q^(n-1)) with Horner's rule
+        S <- S*q + b_j*P, P <- P*p building S = sum of b_j p^(j-1) q^(n-j)."""
         p, q = self.ratio.numerator, self.ratio.denominator
-        while True:
-            yield a
-            a = a // q * p
+        s, power = 0, 1
+        for bit in bits:
+            s = s * q + power if bit else s * q
+            power *= p
+        return Fraction(self.first.numerator * s, self.first.denominator * q ** max(len(bits) - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -438,14 +437,16 @@ class MixedRadixTail:
     def as_radix(self) -> "MixedRadixTail":
         return self
 
-    def common_den(self, count: int) -> int:
-        return self.scale.denominator * _walk(self, count)[2]
-
-    def numerators(self, den: int) -> Iterator[int]:
-        v = self.scale.numerator * (den // self.scale.denominator)
-        for k in self.radices.iter_entries():
-            v //= k
-            yield from itertools.repeat(v, k - 1)
+    def numeral(self, bits: tuple[int, ...]) -> Fraction:
+        """The sum the checked 0/1 ``bits`` select, as a mixed-radix numeral:
+        a block's ones d are its digit, so it is scale*S / (product of the
+        radices) with S <- S*k + d over the blocks, a cut one at its full k."""
+        s, prod = 0, 1
+        radices = self.radices.iter_entries
+        for d, k in zip(_block_sums(bits, radices()), radices()):
+            s = s * k + d
+            prod *= k
+        return Fraction(self.scale.numerator * s, self.scale.denominator * prod)
 
 
 def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
@@ -507,6 +508,38 @@ def _digit_bits(digits, radices) -> list[int]:
     for d, k in zip(digits, radices):
         bits += (1,) * d + (0,) * (k - 1 - d)
     return bits
+
+
+def _block_sums(bits, radices) -> list[int]:
+    """The ones of ``bits`` per radix block, a cut last block counting its
+    part, reading no radix past it: the inverse of ``_digit_bits``."""
+    sums: list[int] = []
+    index = 0
+    radices = iter(radices)
+    while index < len(bits):
+        end = index + next(radices) - 1
+        sums.append(sum(bits[index:end]))
+        index = end
+    return sums
+
+
+def _checked_bits(bits, support: Optional[int] = None) -> tuple[int, ...]:
+    """``bits`` as a tuple of 0/1 ints; the first entry that is not 0 or 1
+    (ValidationError) or is set past ``support`` (OutOfSupportError) decides
+    the error. Clear bits past the support are allowed."""
+    bits = tuple(bits)
+    end = len(bits) if support is None else support
+    # one pass over the types first, so the set only ever hashes ints
+    if {int}.issuperset(map(type, bits)) and {0, 1}.issuperset(bits):
+        if 1 in bits[end:]:
+            raise OutOfSupportError(bits.index(1, end) + 1, support)
+        return bits
+    for i, bit in enumerate(bits, start=1):
+        if bit not in (0, 1):
+            raise ValidationError(f"bit {i} must be 0 or 1, got {bit!r}")
+        if bit and i > end:
+            raise OutOfSupportError(i, support)
+    return tuple(map(int, bits))
 
 
 TailModel = Union[ZeroTail, GeometricTail, MixedRadixTail]
@@ -596,27 +629,6 @@ class SequenceModel:
 def make_model(prefix: Sequence, tail: Optional[TailModel] = None) -> SequenceModel:
     """Validated constructor; ``tail`` defaults to a ZeroTail."""
     return SequenceModel(tuple(prefix), tail if tail is not None else ZeroTail())
-
-
-def _integer_terms(model: SequenceModel, count: int, other_den: int) -> tuple[int, Iterator[int]]:
-    """``(den, numerators)``: the first ``count`` terms (fewer past a finite
-    support) and ``1 / other_den`` over one denominator. The numerators come
-    lazily, since each is about as long as ``den`` and a list of them would
-    take memory quadratic in ``count``.
-
-    ``representability.verify_expansion`` is its only reader: it replays
-    bits on this common denominator, a route that shares no step with the
-    greedy's per-term units, so each can referee the other.
-    """
-    prefix = model.prefix[:count]
-    extra = count - len(prefix)
-    dens = [x.denominator for x in prefix]
-    if extra:
-        dens.append(model.tail.common_den(extra))
-    den = math.lcm(other_den, *dens)
-    lead = (x.numerator * (den // x.denominator) for x in prefix)
-    numerators = itertools.chain(lead, model.tail.numerators(den))
-    return den, itertools.islice(numerators, count)
 
 
 def _rest(model: SequenceModel, count: int) -> SequenceModel:

@@ -4,15 +4,16 @@ One horizontal band per approximation, stacked top to bottom in increasing
 depth, each drawing its interval union against a shared axis from 0 to the
 largest endpoint. This is the only place in the package where rationals are
 converted to floats; coordinates are rounded to six decimals so output is
-reproducible byte for byte.
+reproducible byte for byte. The axis labels, "0" and the span as num/den,
+hold no markup; a span too large to write is refused before any drawing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-from xml.sax.saxutils import escape
 
+from .core import _check_writable
 from .errors import ValidationError
 from .range_geometry import RangeApproximation
 
@@ -44,6 +45,7 @@ def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
         for part in approx.union:
             if part.hi > span:
                 span = part.hi
+    _check_writable(span)
     usable = _WIDTH - 2 * _MARGIN_X
     height = 2 * _MARGIN_Y + len(approxes) * _BAND_HEIGHT + (len(approxes) - 1) * _BAND_GAP
 
@@ -70,7 +72,7 @@ def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
         lines.append(
             f'  <text x="{_fmt(x)}" y="{axis_y + 16}" font-size="11" '
             f'font-family="monospace" fill="{_AXIS_COLOR}" '
-            f'text-anchor="middle">{escape(label)}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
     for row, approx in enumerate(approxes):
         top = _MARGIN_Y + row * (_BAND_HEIGHT + _BAND_GAP)

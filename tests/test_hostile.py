@@ -22,6 +22,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 MEMORY_BYTES = 512 * 2**20
 CPU_SECONDS = 10
 
+_BIG = 10**4000
+SVG_SPAN = ["range", f"geo({_BIG - 1}, {_BIG - 1}/{_BIG})", "--depth", "2", "--format", "svg"]
+
 HOSTILE = {
     # 2^24 pieces: refused before any term is built
     "cantor-depth-24": ["range", "geo(2/3,1/3)", "--depth", "24"],
@@ -32,6 +35,8 @@ HOSTILE = {
     "dyadic-depth-2000": ["range", "geo(1/2,1/2)", "--depth", "2000"],
     # 3*10^7 atoms: refused before any atom is built
     "vna-dim-3e7": ["vna", '{"factors":[{"dim":30000000,"weight":"1/1"}]}'],
+    # a total past the int-to-text digit limit: the svg axis label cannot be written
+    "svg-span-10^4000": SVG_SPAN,
 }
 
 
@@ -47,18 +52,51 @@ def _cap_child():
     _capped(resource.RLIMIT_CPU, CPU_SECONDS)
 
 
-@pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
-def test_input_ends_in_a_typed_exit(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+
+def _run(argv):
+    return subprocess.run(
         [sys.executable, "-m", "tracerange", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         preexec_fn=_cap_child,
     )
+
+
+@pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
+def test_input_ends_in_a_typed_exit(argv):
+    proc = _run(argv)
     assert proc.returncode >= 0, f"ended by signal {-proc.returncode}"
     assert 0 <= proc.returncode <= 3, proc.stderr
     doc = json.loads(proc.stdout)
     if proc.returncode:
         assert doc["error"]["kind"] != "internal", doc["error"]
+
+
+def test_an_svg_span_too_large_to_write_is_refused_as_json_is():
+    proc = _run(SVG_SPAN)
+    json_proc = _run(SVG_SPAN[:-2])
+    assert (proc.returncode, json_proc.returncode) == (2, 2)
+    assert json.loads(proc.stdout) == json.loads(json_proc.stdout)
+    assert json.loads(proc.stdout)["error"]["kind"] == "resource"
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # about 1.2 MB of terms, far past a pipe's buffer, so the child is still
+    # writing when the reader goes away after 10 bytes
+    child = subprocess.Popen(
+        [sys.executable, "-m", "tracerange", "extreme", "encode", "2", "--terms", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_env(),
+        preexec_fn=_cap_child,
+    )
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 0
+    assert stderr == b""

@@ -17,6 +17,7 @@ from tracerange import (
     RadixWord,
     SequenceModel,
     ValidationError,
+    bits_to_digits,
     digits_to_bits,
     gap_certificate,
     greedy_expand,
@@ -27,6 +28,7 @@ from tracerange import (
     radix_to_sequence,
     verify_expansion,
 )
+from tracerange.dsl import parse_spec
 from tracerange.representability import _excesses
 
 from support import (
@@ -179,6 +181,20 @@ class TestVerifyExpansion:
     def test_clear_bits_past_support_are_fine(self):
         assert verify_expansion(make_model([F(1, 2)]), (1, 0, 0), F(1, 2)) == 0
 
+    def test_bits_to_digits_shares_the_check(self):
+        word = RadixWord((), (3,))
+        for bits, message in [
+            ((0, 2, 1), "bit 2 must be 0 or 1, got 2"),
+            ((1, 0, "1"), "bit 3 must be 0 or 1, got '1'"),
+        ]:
+            for read in (lambda b: verify_expansion(dyadic(), b, F(1, 2)), lambda b: bits_to_digits(b, word)):
+                with pytest.raises(ValidationError) as caught:
+                    read(bits)
+                assert str(caught.value) == message
+        # True and False read as 1 and 0 on both routes
+        assert verify_expansion(dyadic(), (True, False, True), F(5, 8)) == 0
+        assert bits_to_digits((True, False, True), word) == (1, 1)
+
     @given(models(), st.lists(st.integers(min_value=0, max_value=1), max_size=10))
     def test_matches_manual_sum(self, model, bits):
         if model.finite and len(bits) > len(model.prefix):
@@ -205,6 +221,53 @@ class TestIntegerReferee:
             assert verify_expansion(model, bits, target) == fraction_verify(model, bits, target)
             noise = tuple(rng.randint(0, 1) for _ in bits)
             assert verify_expansion(model, noise, target) == fraction_verify(model, noise, target)
+
+
+class TestNumeralReferee:
+    """``verify_expansion``, which evaluates the tail's bits as a numeral,
+    against the plain ``Fraction`` sum at every cut up to 400 bits."""
+
+    @staticmethod
+    def check_every_cut(model, target, bits) -> None:
+        for cut in range(len(bits) + 1):
+            assert verify_expansion(model, bits[:cut], target) == fraction_verify(model, bits[:cut], target), (
+                model,
+                cut,
+            )
+
+    def test_every_cut_of_greedy_and_noise_bits(self):
+        rng = random.Random(1729)
+        for trial in range(len(REFEREE_MODELS)):
+            model = REFEREE_MODELS[trial](rng)
+            target = random_fraction(rng, F(0), model.total, grain=997)
+            bits = greedy_expand(model, target, 400).bits
+            self.check_every_cut(model, target, bits)
+            self.check_every_cut(model, target, tuple(rng.randint(0, 1) for _ in bits))
+
+    def test_cuts_inside_radix_blocks(self):
+        # blocks of 2, 1, 1, ... slots, and of 3, 4, 2, 4, 2, ... slots, so
+        # the cuts end blocks whole and cut them after each of their slots
+        for spec in ("radix(1; 3 | 2)", "radix(2/3; 4 | 5 3)"):
+            model = parse_spec(spec)
+            for bits in [(1,) * 16, (0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0), (1,) + (0,) * 14 + (1,)]:
+                self.check_every_cut(model, F(5, 7), bits)
+
+    def test_cut_at_the_prefix_tail_junction(self):
+        model = SequenceModel((F(3, 5), F(1, 3)), GeometricTail(F(1, 7), F(2, 9)))
+        for bits in [(1, 1), (1, 1, 1), (0, 1, 1, 0, 1), (1, 0)]:
+            assert verify_expansion(model, bits, F(1)) == fraction_verify(model, bits, F(1))
+
+    def test_clear_bits_past_a_finite_support(self):
+        model = make_model([F(1, 2), F(1, 3), F(1, 5)])
+        for bits in [(1, 0, 1, 0, 0, 0), (0, 1, 1) + (0,) * 40, (0,) * 10]:
+            assert verify_expansion(model, bits, F(2, 3)) == fraction_verify(model, bits, F(2, 3))
+
+    def test_ratio_numerator_above_one_at_a_thousand_bits(self):
+        model = SequenceModel((), GeometricTail(F(1, 5), F(3, 4)))
+        rng = random.Random(4)
+        target = random_fraction(rng, F(0), model.total, grain=10**6)
+        for bits in [greedy_expand(model, target, 1000).bits, tuple(rng.randint(0, 1) for _ in range(1000))]:
+            assert verify_expansion(model, bits, target) == fraction_verify(model, bits, target)
 
 
 class TestUnitStepReferee:

@@ -70,51 +70,76 @@ def test_the_walk_catches_a_new_switch():
     assert visitor.found == [("probe", "f", 2)]
 
 
-class _IntegerTermsUses(_TailTypeTests):
-    """Every reference to ``_integer_terms`` (a call, or the name passed
-    on) and every import of it, by enclosing scope."""
+class _NumeralUses(_TailTypeTests):
+    """Every reference to ``numeral`` (a call, or the name passed on), every
+    import of it and every definition of it, by enclosing scope."""
+
+    def _enter(self, node):
+        if node.name == "numeral":
+            self.found.append((self.module, ".".join(self.scope + [node.name]), node.lineno))
+        super()._enter(node)
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Call(self, node: ast.Call):
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name):
-        if node.id == "_integer_terms":
+        if node.id == "numeral":
             self.found.append((self.module, ".".join(self.scope), node.lineno))
 
     def visit_Attribute(self, node: ast.Attribute):
-        if node.attr == "_integer_terms":
+        if node.attr == "numeral":
             self.found.append((self.module, ".".join(self.scope), node.lineno))
         self.generic_visit(node)
 
     def visit_alias(self, node: ast.alias):
-        if node.name == "_integer_terms":
+        if node.name == "numeral":
             self.found.append((self.module, "import", node.lineno))
 
 
-def integer_terms_uses() -> list[tuple[str, str, int]]:
+def numeral_uses() -> list[tuple[str, str, int]]:
     found = []
     for path in sorted(Path(tracerange.__file__).parent.glob("*.py")):
-        visitor = _IntegerTermsUses(path.stem)
+        visitor = _NumeralUses(path.stem)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         found.extend(visitor.found)
     return found
 
 
-def test_only_the_referee_reads_the_common_denominator():
+NUMERAL_DEFINITIONS = [
+    ("sequences", "ZeroTail.numeral"),
+    ("sequences", "GeometricTail.numeral"),
+    ("sequences", "MixedRadixTail.numeral"),
+]
+
+
+def test_only_the_referee_reads_the_numeral():
     # the greedy steps in units of the current term; verify_expansion
-    # replays its bits over one common denominator, and stays independent
+    # evaluates its bits as a numeral over the tail, and stays independent
     # only while nothing else reads that route
-    uses = [site[:2] for site in integer_terms_uses()]
-    assert uses == [("representability", "import"), ("representability", "verify_expansion")]
+    uses = [site[:2] for site in numeral_uses()]
+    assert uses == [("representability", "verify_expansion"), *NUMERAL_DEFINITIONS]
+
+
+def test_the_numeral_reads_nothing_of_the_greedy():
+    source = Path(tracerange.__file__).with_name("sequences.py").read_text(encoding="utf-8")
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "numeral":
+            read |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    assert read, "no numeral definition found"
+    assert not read & {"greedy", "_block_digits", "terms", "runs", "term", "_chunks", "_walk"}, read
 
 
 def test_the_walk_catches_another_reader():
     source = (
-        "from .sequences import _integer_terms\n"
+        "from .sequences import numeral\n"
         "def f(m):\n"
-        "    return sequences._integer_terms(m, 3, 1)\n"
-        "g = _integer_terms\n"
+        "    return m.tail.numeral((1, 0))\n"
+        "g = numeral\n"
     )
-    visitor = _IntegerTermsUses("probe")
+    visitor = _NumeralUses("probe")
     visitor.visit(ast.parse(source))
     assert visitor.found == [("probe", "import", 1), ("probe", "f", 3), ("probe", "", 4)]
