@@ -21,7 +21,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, ValidationError
@@ -297,13 +297,18 @@ class IntervalUnion:
         removing an isolated point leaves a union that coalesces back across
         it, so degenerate parts do not survive a complement round trip.
 
-        One pass: the gaps come out sorted and can only touch across a
-        degenerate part, where they are joined on the spot.
+        The gaps are the pairs (lo, lo_1), (hi_1, lo_2), ..., (hi_n, hi)
+        of ``within``'s bounds and the parts' endpoints, so the endpoint list
+        framed by the bounds is already the gaps' list. Inner gaps are never
+        empty, and two gaps touch only across a degenerate part, so those
+        parts are dropped first and only the two end gaps can be empty.
         """
         den = math.lcm(self._den, within.lo.denominator, within.hi.denominator)
-        ends = self._ends_over(den)
         lo, hi = _over(den, within.lo), _over(den, within.hi)
-        if ends and (ends[0] < lo or ends[-1] > hi):
+        if not self._ends:
+            return IntervalUnion._on_grid(den, [lo, hi] if lo < hi else [])
+        ends = self._ends_over(den)
+        if ends[0] < lo or ends[-1] > hi:
             # parts are sorted, so the first one out of bounds is the first
             # part, or else the first part reaching past ``hi``
             i = 0 if ends[0] < lo else bisect_right(ends, hi) // 2
@@ -311,14 +316,14 @@ class IntervalUnion:
                 f"union part [{Fraction(ends[2 * i], den)}, {Fraction(ends[2 * i + 1], den)}] "
                 f"is not inside [{within.lo}, {within.hi}]"
             )
-        bounds = [lo, *ends, hi]
-        gaps: list[int] = []
-        for a, b in zip(bounds[0::2], bounds[1::2]):
-            if a < b:
-                if gaps and gaps[-1] == a:
-                    gaps[-1] = b
-                else:
-                    gaps += (a, b)
+        los, his = ends[0::2], ends[1::2]
+        if not all(map(operator.lt, los, his)):
+            ends = list(chain.from_iterable(compress(zip(los, his), map(operator.lt, los, his))))
+        gaps = [lo, *ends, hi]
+        if gaps[0] == gaps[1]:
+            del gaps[:2]
+        if gaps and gaps[-2] == gaps[-1]:
+            del gaps[-2:]
         return IntervalUnion._on_grid(den, gaps)
 
     def contains(self, point) -> bool:

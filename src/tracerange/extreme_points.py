@@ -14,11 +14,14 @@ exactly k - 1 times. Any deviation pins a concrete witness index where no
 pattern can match. Once the cursor leaves the explicit prefix the remaining
 tail is a closed form, so the decoder recognizes the pattern's own tail
 outright, and every sequence is decided after at most one peel per run of
-the prefix plus two.
+the prefix plus two. A peel reads the model's runs, not its terms, so it
+costs the same however many copies a run holds.
 
 The face embedding sends the whole body into itself: prepend radix - 1
-copies of 1/radix and shrink everything by that factor. Extraction inverts
-it and doubles as a shape test for membership in the face.
+copies of 1/radix and shrink everything by that factor. Both it and the
+extraction that inverts it work on the model's runs, one run prepended or
+removed and one multiply per run; extraction doubles as a shape test for
+membership in the face.
 
 Mixed-radix digits are the greedy expansion's radix block step on a
 scale-1 tail, one digit per block: one integer numerator over the target's
@@ -28,6 +31,7 @@ digit costs the same at every place value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -44,8 +48,10 @@ from .sequences import (
     _check_index,
     _checked_bits,
     _digit_bits,
+    _from_runs,
     _radices,
     _rest,
+    _scaled_runs,
     _term_or_none,
 )
 
@@ -128,20 +134,23 @@ def _first_deviation(
     """Least index in [start, start + count) whose term differs from
     ``value``, or None when all of them match.
 
-    Indices past a finite support count as deviations. Tail stretches are
-    resolved without stepping term by term: the first run of
-    ``_rest(model, n - 1)`` holds index n, and it either matches from n to
-    its end or pins the break at n.
+    Indices past a finite support count as deviations. The check reads
+    whole runs: the prefix run holding ``start`` either matches to its end
+    or pins the break at ``start``, and the next prefix run holds a smaller
+    value. Past the prefix, the first run of ``_rest(model, n - 1)`` holds
+    index n, and it either matches from n to its end or pins the break at n.
     """
     end = start + count
     n = start
-    length = len(model.prefix)
-    while n < end and n <= length:
-        if model.prefix[n - 1] != value:
+    if n <= len(model.prefix):
+        r = bisect_left(model._run_ends, n)
+        if model._runs[r][0] != value:
             return n
-        n += 1
-    if n >= end:
-        return None
+        n = model._run_ends[r] + 1
+        if n >= end:
+            return None
+        if n <= len(model.prefix):
+            return n
     run = next(_rest(model, n - 1).tail.runs(), None)
     if run is None or run[0] != value:
         return n
@@ -168,12 +177,13 @@ def sequence_to_radix(model: SequenceModel) -> ExtremalityReport:
     within two peels too. An empty remainder stops at once.
     """
     emitted: list[int] = []
-    mult = Fraction(1)
+    mult = 1
     position = 1
     while True:
         if position > len(model.prefix):
             signature = _rest(model, position - 1).tail.as_radix()
-            if signature is not None and mult * signature.scale == 1:
+            # the remainder, rescaled by mult, is worth exactly 1
+            if signature is not None and (signature.scale.numerator, signature.scale.denominator) == (1, mult):
                 word = signature.radices
                 closed = RadixWord(tuple(emitted) + word.pre, word.period)
                 return ExtremalityReport.extreme(closed)
@@ -181,10 +191,10 @@ def sequence_to_radix(model: SequenceModel) -> ExtremalityReport:
         if a is None:
             # every pattern needs a positive term here; the sequence ended
             return ExtremalityReport.non_extreme(position)
-        v = mult * a
-        if v.numerator != 1 or v.denominator < 2:
+        # a in lowest terms rescales to 1/k exactly when a = 1/(mult * k)
+        k, off = divmod(a.denominator, mult)
+        if a.numerator != 1 or off or k < 2:
             return ExtremalityReport.non_extreme(position)
-        k = v.denominator
         deviation = _first_deviation(model, position, k - 1, a)
         if deviation is not None:
             return ExtremalityReport.non_extreme(deviation)
@@ -201,8 +211,7 @@ def face_embed(model: SequenceModel, radix: int) -> SequenceModel:
     if lead is not None and lead > 1:
         raise DomainError(f"cannot embed: leading term {lead} exceeds 1")
     unit = Fraction(1, radix)
-    prefix = (unit,) * (radix - 1) + tuple(x * unit for x in model.prefix)
-    return SequenceModel(prefix, model.tail.scaled(unit))
+    return _from_runs([(unit, radix - 1)] + _scaled_runs(model._runs, unit), model.tail.scaled(unit))
 
 
 def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceModel:
@@ -233,7 +242,7 @@ def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceM
     if past == first:
         raise DomainError(f"leading run of {first} extends past {radix - 1} copies")
     rest = _rest(model, radix - 1)
-    return SequenceModel(tuple(x * radix for x in rest.prefix), rest.tail.scaled(radix))
+    return _from_runs(_scaled_runs(rest._runs, Fraction(radix)), rest.tail.scaled(radix))
 
 
 def face_membership(model: SequenceModel, radix: Optional[int] = None) -> bool:

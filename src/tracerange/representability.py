@@ -11,9 +11,10 @@ Membership in the unit-anchored body (``extreme_points``) is the same test
 with a slack, a_n <= sigma + sum_{k>n} a_k with sigma = 1 - total. One
 generator, ``_excesses``, settles it for any sigma, and every condition
 check reads it; each tail family holds its closed form once, in its
-``excesses`` method. The prefix scan, ``_prefix_excesses``, takes the
-indices in any order, so the cover can look back from its cut for the last
-violation.
+``excesses`` method. The prefix scan, ``_prefix_excesses``, reads the
+prefix per run with the same run rule as a radix tail's blocks, and takes
+the indices forwards or backwards, so the cover can look back from its cut
+for the last violation.
 
 The greedy rule, run against target r with partial result r_0 = 0:
 
@@ -36,13 +37,14 @@ tail's ``numeral``), a route that shares no step with the greedy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
 from .errors import DomainError, ValidationError
-from .sequences import SequenceModel, _check_index, _checked_bits
+from .sequences import SequenceModel, _check_index, _checked_bits, _run_excess_start, _run_sum
 
 
 @dataclass(frozen=True)
@@ -80,17 +82,30 @@ class BitExpansion:
 
 
 def _prefix_excesses(model: SequenceModel, sigma, indices: range) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-    """Each prefix index n of ``indices``, in their order, with
-    a_n > sigma + sum_{k>n} a_k, with its gap; a zero slack is never added,
-    and an empty range reads nothing of the model."""
+    """Each prefix index n of ``indices`` (a range of step 1 or -1), in
+    their order, with a_n > sigma + sum_{k>n} a_k, with its gap; a zero
+    slack is never added, and an empty range reads nothing of the model.
+
+    The prefix is read per run. By the run rule (``_run_excess_start``) the
+    violations of a run are a suffix of it, so a run whose last slot holds
+    is passed over with one comparison, and only violating indices are
+    visited.
+    """
     if not indices:
         return
-    prefix, sums = model.prefix, model._prefix_suffix_sums
+    runs, ends, sums = model._runs, model._run_ends, model._run_sums
     lift = model.tail.total + sigma if sigma else model.tail.total
-    for n in indices:
-        term, room = prefix[n - 1], sums[n] + lift if lift else sums[n]
-        if term > room:
-            yield n, (room, term)
+    step = indices.step
+    for r in range(bisect_left(ends, indices[0]), bisect_left(ends, indices[-1]) + step, step):
+        value, count = runs[r]
+        room = sums[r + 1] + lift if lift else sums[r + 1]
+        if value <= room:
+            continue
+        end = ends[r]
+        lo, hi = (indices[0], indices[-1])[::step]
+        found = range(max(end - count + _run_excess_start(value, count, room), lo), min(end, hi) + 1)
+        for n in found[::step]:
+            yield n, (room + _run_sum((value, end - n)) if n < end else room, value)
 
 
 def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
@@ -98,8 +113,9 @@ def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction
     (sigma + sum_{k>n} a_k, a_n).
 
     Completeness is sigma = 0; membership in the unit-anchored body is
-    sigma = 1 - total. Prefix indices are checked one by one; the tail's
-    ``excesses`` settles the rest in closed form, yielding endless runs lazily:
+    sigma = 1 - total. The prefix is checked per run of equal terms, whose
+    violations are a suffix of the run; the tail's ``excesses`` settles the
+    rest in closed form, yielding endless runs lazily:
 
     * geometric: one run from the first violating index;
     * radix: none for sigma >= 0, otherwise a suffix of every block;

@@ -27,6 +27,14 @@ a radix block only gcd(num, k) for its radix k. ``greedy`` steps the
 residual in units of the current term, so its integers grow with the
 ratio's numerator, not with the common denominator of the terms.
 
+A model holds its prefix as canonical runs of (value, multiplicity), with
+adjacent equal values merged, and spells the public ``prefix`` tuple out
+from them. Every check, sum and derived model pays per run, not per term:
+``_from_runs(runs, tail)`` builds a model from runs, checking each run
+once (``_checked_runs``), ``_scaled_runs`` scales every run's value, and
+``_run_excess_start`` is the condition engine's rule for one run, which
+the prefix scan and the radix tail's blocks both read.
+
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
 ``_digit_bits`` spells its digits out as bits, which ``_block_sums`` groups
@@ -37,8 +45,8 @@ index; ``_checked_tail`` is the one check that a value is a tail.
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
 equal atoms weight/dim, an optional abelian tail contributes one atom per
-term, and :func:`from_algebra` merges everything into a single non-increasing
-sequence model.
+term, and :func:`from_algebra` merges the factors' runs with the tail's into
+a single non-increasing sequence model.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
@@ -390,16 +398,17 @@ class MixedRadixTail:
         return MixedRadixTail(self.scale * factor, self.radices)
 
     def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-        """Slot i of a block of k - 1 slots of value v leaves (k - i) * v
-        after it, so it violates exactly when (k - i - 1) * v < -sigma:
-        never for sigma >= 0, and otherwise on a suffix of every block."""
+        """A block of k - 1 slots of value v leaves exactly v after it, so
+        by the run rule (``_run_excess_start``) with room sigma + v its
+        violations are a suffix of the block: never for sigma >= 0, and
+        otherwise a nonempty one in every block."""
         if sigma >= 0:
             return
         offset = 0
         for value, size in self.runs():
-            k = size + 1
-            for i in range(max(1, k + math.floor(sigma / value)), k):
-                yield offset + i, (sigma + (k - i) * value, value)
+            room = sigma + value
+            for i in range(_run_excess_start(value, size, room), size + 1):
+                yield offset + i, (room + (size - i) * value, value)
             offset += size
 
     def first_excess(self, sigma) -> Optional[int]:
@@ -512,15 +521,31 @@ def _digit_bits(digits, radices) -> list[int]:
 
 def _block_sums(bits, radices) -> list[int]:
     """The ones of ``bits`` per radix block, a cut last block counting its
-    part, reading no radix past it: the inverse of ``_digit_bits``."""
-    sums: list[int] = []
-    index = 0
-    radices = iter(radices)
-    while index < len(bits):
-        end = index + next(radices) - 1
-        sums.append(sum(bits[index:end]))
-        index = end
-    return sums
+    part, reading no radix past it: the inverse of ``_digit_bits``.
+
+    The blocks start at the running sums of k - 1; ``takewhile`` stops at
+    the first start past the bits, which reads the cut last block's radix
+    and none after it. A block's ones are the difference of the running
+    count of ones at its two ends, so no step runs in Python per block.
+    """
+    size = len(bits)
+    starts = list(itertools.takewhile(size.__gt__, itertools.accumulate(map((-1).__add__, radices), initial=0)))
+    ones = list(itertools.accumulate(bits, initial=0)).__getitem__
+    return list(map(operator.sub, map(ones, starts[1:] + [size]), map(ones, starts)))
+
+
+def _run_excess_start(value: Fraction, count: int, room: Fraction) -> int:
+    """The first violating slot of a run, counted from 1, or ``count + 1``
+    when none violates.
+
+    In a run of ``count`` copies of ``value`` followed by terms that leave
+    ``room`` (the slack plus their sum), slot i has (count - i) * value +
+    room after it, so it violates exactly when
+    i > count - 1 + room / value: the violations are the run's suffix from
+    count + floor(room / value) on, found with one integer floor division.
+    """
+    floor = room.numerator * value.denominator // (room.denominator * value.numerator)
+    return max(1, count + floor)
 
 
 def _checked_bits(bits, support: Optional[int] = None) -> tuple[int, ...]:
@@ -552,32 +577,111 @@ def _checked_tail(tail, label: str = "tail") -> TailModel:
     return tail
 
 
+def _as_fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _checked_runs(runs, tail) -> tuple[tuple[Fraction, int], ...]:
+    """Prefix runs of (value, multiplicity), in order, checked against
+    ``tail`` and made canonical: adjacent equal values merge.
+
+    Each check is made once per run. Runs follow the prefix's order and a
+    run's value is its entries' value, so the first offending entry decides
+    the message, as a check per entry would find it: positivity first, then
+    order, then the junction with the tail. Order and equality come from one
+    integer cross product per pair of neighbouring runs.
+    """
+    runs = tuple(runs)
+    for value, _ in runs:
+        if value.numerator <= 0:
+            raise ValidationError(f"sequence entries must be positive, got {value}")
+    merged: list[tuple[Fraction, int]] = []
+    for value, count in runs:
+        if merged:
+            last, held = merged[-1]
+            drop = last.numerator * value.denominator - value.numerator * last.denominator
+            if drop < 0:
+                raise ValidationError(f"prefix is not non-increasing: {last} before {value}")
+            if not drop:
+                merged[-1] = (last, held + count)
+                continue
+        merged.append((value, count))
+    _checked_tail(tail)
+    first = next(tail.runs(), None) if merged else None
+    if first is not None and merged[-1][0] < first[0]:
+        raise ValidationError(
+            f"junction violation: last prefix entry {merged[-1][0]} is below "
+            f"the first tail term {first[0]}"
+        )
+    return tuple(merged)
+
+
+_count = operator.itemgetter(1)
+
+
+def _run_sum(run: tuple[Fraction, int]) -> Fraction:
+    value, count = run
+    return value * count if count > 1 else value  # one term needs no multiply
+
+
+def _ends_of(runs) -> tuple[int, ...]:
+    """The index of each run's last term."""
+    return tuple(itertools.accumulate(map(_count, runs)))
+
+
+def _scaled_runs(runs, factor: Fraction) -> list[tuple[Fraction, int]]:
+    """Each run's value times ``factor``; with both in lowest terms only
+    the two cross gcds can cancel, so each value is built reduced."""
+    a, b = factor.numerator, factor.denominator
+    scaled = []
+    for value, count in runs:
+        p, q = value.numerator, value.denominator
+        g, h = math.gcd(p, b), math.gcd(a, q)
+        scaled.append((_trusted_fraction(p // g * (a // h), q // h * (b // g)), count))
+    return scaled
+
+
 @dataclass(frozen=True)
 class SequenceModel:
-    """Explicit prefix plus closed-form tail, validated on construction."""
+    """Explicit prefix plus closed-form tail, validated on construction.
+
+    The prefix is held as ``_runs``, its canonical (value, multiplicity)
+    runs with adjacent equal values merged; ``prefix`` spells them out, one
+    entry per term. The constructor groups its entries into runs once and
+    checks them per run; derived models are built from runs by
+    ``_from_runs``.
+    """
 
     prefix: tuple[Fraction, ...] = ()
     tail: TailModel = ZeroTail()
+    _runs: tuple[tuple[Fraction, int], ...] = field(init=False, repr=False, compare=False)
+    # the index of each run's last term
+    _run_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prefix = tuple(Fraction(x) for x in self.prefix)
-        for x in prefix:
-            if x <= 0:
-                raise ValidationError(f"sequence entries must be positive, got {x}")
-        for a, b in zip(prefix, prefix[1:]):
-            if a < b:
-                raise ValidationError(f"prefix is not non-increasing: {a} before {b}")
-        _checked_tail(self.tail)
-        if prefix and not self.finite and prefix[-1] < self.tail.term(1):
-            raise ValidationError(
-                f"junction violation: last prefix entry {prefix[-1]} is below "
-                f"the first tail term {self.tail.term(1)}"
-            )
-        object.__setattr__(self, "prefix", prefix)
+        prefix = tuple(map(_as_fraction, self.prefix))
+        runs = _checked_runs([(value, len(list(group))) for value, group in itertools.groupby(prefix)], self.tail)
+        self.__dict__.update(prefix=prefix, _runs=runs, _run_ends=_ends_of(runs))
+
+    @cached_property
+    def _run_sums(self) -> tuple[Fraction, ...]:
+        """The sum of the prefix from each run on, then a last 0."""
+        sums = [ZERO]
+        for value, count in reversed(self._runs):
+            sums.append(sums[-1] + (value * count if count > 1 else value))
+        return tuple(reversed(sums))
+
+    def _runs_after(self, n: int) -> tuple[tuple[Fraction, int], ...]:
+        """The prefix runs past index n <= len(prefix), the first one cut."""
+        r = bisect_right(self._run_ends, n)
+        if r == len(self._runs):
+            return ()
+        return ((self._runs[r][0], self._run_ends[r] - n),) + self._runs[r + 1 :]
 
     @cached_property
     def total(self) -> Fraction:
-        return sum(self.prefix, ZERO) + self.tail.total
+        # the condition scan reads the run sums as well, so they are shared
+        return (self._run_sums[0] if self._runs else ZERO) + self.tail.total
 
     @property
     def finite(self) -> bool:
@@ -587,13 +691,6 @@ class SequenceModel:
     def support(self) -> Optional[int]:
         """Number of terms, or None when the sequence is infinite."""
         return len(self.prefix) if self.finite else None
-
-    @cached_property
-    def _prefix_suffix_sums(self) -> tuple[Fraction, ...]:
-        sums = [ZERO]
-        for x in reversed(self.prefix):
-            sums.append(sums[-1] + x)
-        return tuple(reversed(sums))
 
     def term(self, n: int) -> Fraction:
         """1-based term access; finite models raise past their support."""
@@ -618,12 +715,38 @@ class SequenceModel:
         """Exact sum of all terms with index strictly greater than n."""
         _check_index(n, 0)
         if n <= len(self.prefix):
-            return self._prefix_suffix_sums[n] + self.tail.total
+            # run r holds index n + 1, and ``left`` of its terms follow n
+            r = bisect_right(self._run_ends, n)
+            if r == len(self._runs):
+                return self.tail.total
+            value, count = self._runs[r]
+            left = self._run_ends[r] - n
+            after = self._run_sums[r] if left == count else self._run_sums[r + 1] + _run_sum((value, left))
+            return after + self.tail.total
         return self.tail.sum_after(n - len(self.prefix))
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact sum of the first n terms."""
         return self.total - self.tail_sum(n)
+
+
+def _from_runs(runs, tail: TailModel) -> SequenceModel:
+    """The model of the prefix runs ``runs``, (value, multiplicity) pairs of
+    a ``Fraction`` and a positive count, in order, followed by ``tail``.
+
+    The runs are checked and merged once per run by ``_checked_runs``, with
+    the constructor's messages, and ``prefix`` is spelled out at C level;
+    no entry is re-wrapped or checked on its own.
+    """
+    runs = _checked_runs(runs, tail)
+    model = object.__new__(SequenceModel)
+    model.__dict__.update(
+        prefix=tuple(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, runs))),
+        tail=tail,
+        _runs=runs,
+        _run_ends=_ends_of(runs),
+    )
+    return model
 
 
 def make_model(prefix: Sequence, tail: Optional[TailModel] = None) -> SequenceModel:
@@ -636,12 +759,12 @@ def _rest(model: SequenceModel, count: int) -> SequenceModel:
     none of those ``count`` terms: the rest of the prefix, or ``tail.rest``
     past it. A cut past a finite support raises OutOfSupportError.
     """
-    prefix, tail = model.prefix, model.tail
-    if count <= len(prefix):
-        return SequenceModel(prefix[count:], tail)
+    length = len(model.prefix)
+    if count <= length:
+        return _from_runs(model._runs_after(count), model.tail)
     if model.finite:
-        raise OutOfSupportError(count, len(prefix))
-    return SequenceModel((), tail.rest(count - len(prefix)))
+        raise OutOfSupportError(count, length)
+    return _from_runs((), model.tail.rest(count - length))
 
 
 def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...], SequenceModel]:
@@ -728,24 +851,27 @@ class AlgebraSpec:
 def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     """Atom traces of the algebra, merged into one non-increasing model.
 
-    Each factor (dim, weight) contributes dim atoms of weight/dim; the
-    abelian tail contributes one atom per term. Tail terms at least as large
-    as the smallest finite atom move into the explicit prefix so the merged
-    sequence stays monotone, and the tail is re-anchored after them. A merged
-    prefix of more than ``MAX_ATOMS`` terms raises ResourceLimitError.
+    Each factor (dim, weight) contributes a run of dim atoms of weight/dim;
+    the abelian tail contributes one atom per term. Tail runs at least as
+    large as the smallest finite atom move into the explicit prefix so the
+    merged sequence stays monotone, and the tail is re-anchored after them.
+    The runs are merged by value, so a factor costs one run whatever its
+    dimension. A merged prefix of more than ``MAX_ATOMS`` terms raises
+    ResourceLimitError.
     """
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
     if not spec.factors:
-        return SequenceModel((), tail)
-    a_min = min(f.weight / f.dim for f in spec.factors)
+        return _from_runs((), tail)
+    runs = [(f.weight / f.dim, f.dim) for f in spec.factors]
+    a_min = min(value for value, _ in runs)
     dims = sum(f.dim for f in spec.factors)
     moved = 0
     for value, size in tail.runs():
         if value < a_min or dims + moved > MAX_ATOMS:
             break
+        runs.append((value, size))
         moved += size
     if dims + moved > MAX_ATOMS:
         raise ResourceLimitError(f"the merged prefix reaches {dims + moved} atoms, past the bound of {MAX_ATOMS}")
-    atoms = list(itertools.chain.from_iterable([f.weight / f.dim] * f.dim for f in spec.factors))
-    merged = tuple(sorted(atoms + list(itertools.islice(tail.terms(), moved)), reverse=True))
-    return SequenceModel(merged, tail.rest(moved))
+    runs.sort(key=operator.itemgetter(0), reverse=True)
+    return _from_runs(runs, tail.rest(moved))

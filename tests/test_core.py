@@ -58,6 +58,21 @@ def assert_parts(union: IntervalUnion, expected) -> None:
     assert union._written_parts() == [written[i : i + 2] for i in range(0, len(written), 2)]
 
 
+def endpoint_loop_complement(union: IntervalUnion, within: Interval) -> list[Interval]:
+    """The complement by a walk over every endpoint: the gaps are the pairs
+    of ``within``'s bounds and the parts' endpoints, an empty one skipped
+    and one that starts where the last ended joined to it."""
+    bounds = [within.lo, *(x for part in union for x in (part.lo, part.hi)), within.hi]
+    gaps: list[list[Fraction]] = []
+    for a, b in zip(bounds[0::2], bounds[1::2]):
+        if a < b:
+            if gaps and gaps[-1][1] == a:
+                gaps[-1][1] = b
+            else:
+                gaps.append([a, b])
+    return [Interval(a, b) for a, b in gaps]
+
+
 def probes(pairs) -> list[Fraction]:
     """Every endpoint, the midpoints between neighbouring ones, and points
     just outside them."""
@@ -341,6 +356,27 @@ class TestGridUnionReferee:
             lo, hi = Fraction(-1, 5), Fraction(13)
         gaps = union.complement(Interval(lo, hi))
         assert_parts(gaps, fraction_complement(expected, lo, hi))
+
+    @given(interval_pairs(), st.sampled_from(["loose", "tight", "low", "high", "point"]))
+    def test_complement_matches_the_endpoint_loop(self, pairs, bounds):
+        union = IntervalUnion.from_intervals(Interval(lo, hi) for lo, hi in pairs)
+        ends = [x for part in union for x in (part.lo, part.hi)] or [Fraction(1, 2)]
+        lo, hi = {
+            "loose": (Fraction(-1, 5), Fraction(13)),
+            "tight": (ends[0], ends[-1]),
+            "low": (ends[0], Fraction(13)),
+            "high": (Fraction(-1, 5), ends[-1]),
+            # a degenerate ``within`` holds only an empty union or one point
+            "point": (ends[0], ends[0]),
+        }[bounds]
+        if bounds == "point" and ends[-1] != ends[0]:
+            lo, hi = ends[0], ends[-1]
+        within = Interval(lo, hi)
+        assert list(union.complement(within)) == endpoint_loop_complement(union, within)
+
+    def test_complement_of_the_empty_union_in_a_point_is_empty(self):
+        within = Interval(Fraction(1, 3), Fraction(1, 3))
+        assert list(IntervalUnion.empty().complement(within)) == endpoint_loop_complement(IntervalUnion.empty(), within) == []
 
     @given(interval_pairs(), interval_pairs())
     def test_covers(self, mine, theirs):

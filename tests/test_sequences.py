@@ -301,6 +301,67 @@ class TestFirstExcessReferee:
         self.check(CANCELLING_MODELS[name].tail)
 
 
+def loop_block_sums(bits, radices) -> list[int]:
+    """The ones per radix block by a step per block, reading one radix per
+    block started."""
+    sums: list[int] = []
+    index = 0
+    radices = iter(radices)
+    while index < len(bits):
+        end = index + next(radices) - 1
+        sums.append(sum(bits[index:end]))
+        index = end
+    return sums
+
+
+class _Counted:
+    """An iterator that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.read = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.read += 1
+        return item
+
+
+def block_sums_outcome(block_sums, bits, word):
+    radices = _Counted(sequences._radices(word))
+    try:
+        result = block_sums(bits, radices)
+    except OutOfSupportError as error:
+        result = (OutOfSupportError, error.args)
+    return result, radices.read
+
+
+class TestBlockSumsReferee:
+    def test_matches_the_loop_and_reads_no_radix_past_the_cut_block(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            word = random_word(rng, max_entry=rng.choice((2, 3, 9)))
+            if rng.random() < 0.3:
+                word = RadixWord(word.pre + word.period, ())
+            bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 40)))
+            expected = block_sums_outcome(loop_block_sums, bits, word)
+            assert block_sums_outcome(sequences._block_sums, bits, word) == expected
+
+    def test_a_cut_last_block_counts_its_part(self):
+        word = RadixWord((), (4,))
+        assert sequences._block_sums((1, 1, 0, 1, 1), word.iter_entries()) == [2, 2]
+        assert block_sums_outcome(sequences._block_sums, (1, 1, 0, 1, 1), word)[1] == 2
+
+    def test_a_finite_word_raises_where_the_loop_does(self):
+        word = RadixWord((3, 2), ())
+        assert block_sums_outcome(sequences._block_sums, (1, 0, 1), word) == ([1, 1], 2)
+        raised = block_sums_outcome(sequences._block_sums, (1, 0, 1, 0), word)
+        assert raised == block_sums_outcome(loop_block_sums, (1, 0, 1, 0), word)
+        assert raised[0][0] is OutOfSupportError
+
+
 class TestSequenceModel:
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValidationError):
