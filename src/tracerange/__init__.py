@@ -69,7 +69,6 @@ from .extreme_points import (
     sequence_to_radix,
 )
 from .dsl import parse_algebra, parse_spec, parse_word
-from .svg import emit_svg
 from .cli import CommandResult, main, run_command
 
 __all__ = [
@@ -127,3 +126,10 @@ __all__ = [
     "verify_expansion",
     "__version__",
 ]
+
+
+def __getattr__(name):  # the svg renderer is imported on first use, so a launch does not load it
+    if name != "emit_svg":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .svg import emit_svg
+    return emit_svg

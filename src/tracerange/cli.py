@@ -29,12 +29,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
 from . import __version__
-from .core import _check_writable, format_rational, parse_rational
+from .core import _Record, _check_writable, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import (
     DomainError,
@@ -59,12 +58,13 @@ from .serialize import (
     verdict_to_doc,
     word_to_doc,
 )
-from .svg import emit_svg
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    body: str
+
+class CommandResult(_Record):
+    _fields = ("exit_code", "body")
+
+    def __init__(self, exit_code: int, body: str):
+        self.__dict__.update(exit_code=exit_code, body=body)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,6 +168,7 @@ def _run_range(args) -> str:
         rows = ["lo,hi"]
         rows.extend(f"{lo},{hi}" for lo, hi in approxes[0].union._written_parts())
         return "\n".join(rows)
+    from .svg import emit_svg  # loaded only for the one format that draws
     return emit_svg(approxes)
 
 

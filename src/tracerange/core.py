@@ -18,7 +18,6 @@ import operator
 import re
 import sys
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, compress, repeat
@@ -28,6 +27,7 @@ from .errors import ParseError, ResourceLimitError, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_setattr = object.__setattr__  # sets a field past the records' frozen ``__setattr__``
 
 
 def _digit_limit() -> int:
@@ -123,18 +123,65 @@ def format_rational(value) -> str:
     return _write_ratio(q.numerator, q.denominator)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """The base of the package's frozen records, which generate no code.
+
+    Each record names its fields in ``_fields`` and sets them in its own
+    ``__init__``; records held in bulk use ``_setattr``, which needs no
+    ``__dict__`` (150 bytes less). ``==`` (same class only), ``hash`` and
+    ``repr`` read the fields as a frozen dataclass's do; assigning or deleting
+    one raises ``dataclasses.FrozenInstanceError``, imported on that path only.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self, names: tuple[str, ...] = ()) -> str:
+        """``Name(field=value!r, ...)`` over ``names`` or else the fields. A
+        value holding a rational past the digit limit, itself or in a tuple,
+        is refused as ``format_rational`` refuses it: ``ResourceLimitError``
+        naming its bit size."""
+        names = names or self._fields
+        values = [getattr(self, name) for name in names]
+        try:
+            return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values))})"
+        except ValueError:
+            for value in values:
+                for x in value if isinstance(value, tuple) else (value,):
+                    if isinstance(x, (int, Fraction)):
+                        _check_writable(Fraction(x))
+            raise
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Interval(_Record):
     """Closed interval [lo, hi] with rational endpoints, lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
+            _setattr(self, "lo", Fraction(self.lo))
         if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
+            _setattr(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValidationError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -187,8 +234,7 @@ def _coalesce(pairs: list[tuple[int, int]]) -> list[int]:
     return merged
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class IntervalUnion:
+class IntervalUnion(_Record):
     """Finite union of closed intervals, sorted, disjoint, maximally coalesced.
 
     The parts never touch: consecutive parts satisfy previous.hi < next.lo
@@ -203,8 +249,7 @@ class IntervalUnion:
     that repeat no ``Fraction`` or ``Interval`` check.
     """
 
-    _den: int
-    _ends: tuple[int, ...]
+    _fields = ("_den", "_ends")
 
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = tuple(parts)
@@ -239,8 +284,8 @@ class IntervalUnion:
         if g > 1:
             den //= g
             ends = [x // g for x in ends]
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_ends", tuple(ends))
+        _setattr(self, "_den", den)
+        _setattr(self, "_ends", tuple(ends))
 
     def _ends_over(self, den: int) -> list[int]:
         """The endpoints over ``den``, a multiple of ``_den``."""
@@ -357,4 +402,4 @@ class IntervalUnion:
         return len(self._ends) // 2
 
     def __repr__(self) -> str:
-        return f"IntervalUnion(parts={self.parts!r})"
+        return super().__repr__(("parts",))

@@ -95,47 +95,39 @@ def _parse_int_token(cur: _Cursor) -> int:
 
 def _parse_word_body(cur: _Cursor) -> RadixWord:
     """Integers with an optional '|' separating head from period."""
-    first_group: list[int] = []
-    second_group: Optional[list[int]] = None
+    groups: list[list[int]] = [[]]
     while True:
         cur.skip_ws()
         ch = cur.peek()
         if ch == "|":
-            if second_group is not None:
+            if len(groups) == 2:
                 raise ParseError("a word may contain only one '|'", cur.pos)
             cur.pos += 1
-            second_group = []
-            continue
-        if ch.isdigit():
-            target = first_group if second_group is None else second_group
-            target.append(_parse_int_token(cur))
-            continue
-        break
-    if second_group is None:
-        if not first_group:
-            raise ParseError("expected a radix word", cur.pos)
-        return RadixWord((), tuple(first_group))
-    if not second_group:
-        raise ParseError("expected a period after '|'", cur.pos)
-    return RadixWord(tuple(first_group), tuple(second_group))
+            groups.append([])
+        elif ch.isdigit():
+            groups[-1].append(_parse_int_token(cur))
+        else:
+            break
+    if not groups[-1]:
+        raise ParseError("expected a period after '|'" if len(groups) == 2 else "expected a radix word", cur.pos)
+    pre, period = groups if len(groups) == 2 else ([], groups[0])
+    return RadixWord(tuple(pre), tuple(period))
+
+
+# a tail call's name -> (separator, reader of its second argument, tail built from both)
+_TAIL_CALLS = {"geo": (",", _parse_rational_token, GeometricTail), "radix": (";", _parse_word_body, MixedRadixTail)}
 
 
 def _parse_tail_call(cur: _Cursor, name: str, name_pos: int) -> TailModel:
-    if name == "geo":
-        cur.expect("(")
-        first = _parse_rational_token(cur)
-        cur.expect(",")
-        ratio = _parse_rational_token(cur)
-        cur.expect(")")
-        return GeometricTail(first, ratio)
-    if name == "radix":
-        cur.expect("(")
-        scale = _parse_rational_token(cur)
-        cur.expect(";")
-        word = _parse_word_body(cur)
-        cur.expect(")")
-        return MixedRadixTail(scale, word)
-    raise ParseError(f"unknown tail '{name}'", name_pos)
+    if name not in _TAIL_CALLS:
+        raise ParseError(f"unknown tail '{name}'", name_pos)
+    separator, read_second, build = _TAIL_CALLS[name]
+    cur.expect("(")
+    first = _parse_rational_token(cur)
+    cur.expect(separator)
+    second = read_second(cur)
+    cur.expect(")")
+    return build(first, second)
 
 
 def _json_int(text: str) -> int:

@@ -32,11 +32,10 @@ digit costs the same at every place value.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import ONE, ZERO
+from .core import ONE, ZERO, _Record
 from .errors import DomainError, ResourceLimitError, UnsupportedSpecError, ValidationError
 from .representability import ConditionVerdict, _first_excess
 from .sequences import (
@@ -72,8 +71,7 @@ __all__ = [
 MAX_DIGITS = 100_000
 
 
-@dataclass(frozen=True)
-class ExtremalityReport:
+class ExtremalityReport(_Record):
     """Outcome of decoding a sequence against the mixed-radix patterns.
 
     ``status`` is ``"extreme"`` (with the recovered word) or
@@ -83,18 +81,17 @@ class ExtremalityReport:
     it keep working and report documents keep their ``"depth": null`` key.
     """
 
-    status: str
-    word: Optional[RadixWord] = None
-    witness_index: Optional[int] = None
-    depth: None = None
+    _fields = ("status", "word", "witness_index", "depth")
 
-    def __post_init__(self):
+    def __init__(
+        self, status: str, word: Optional[RadixWord] = None, witness_index: Optional[int] = None, depth: None = None
+    ):
         expected = {"extreme": (True, False), "non_extreme": (False, True)}
-        if self.status not in expected:
-            raise ValidationError(f"unknown extremality status {self.status!r}")
-        has = (self.word is not None, self.witness_index is not None)
-        if has != expected[self.status] or self.depth is not None:
-            raise ValidationError(f"fields do not match status {self.status!r}")
+        if status not in expected:
+            raise ValidationError(f"unknown extremality status {status!r}")
+        if (word is not None, witness_index is not None) != expected[status] or depth is not None:
+            raise ValidationError(f"fields do not match status {status!r}")
+        self.__dict__.update(status=status, word=word, witness_index=witness_index, depth=depth)
 
     @classmethod
     def extreme(cls, word: RadixWord) -> "ExtremalityReport":

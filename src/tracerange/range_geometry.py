@@ -33,11 +33,11 @@ can referee one another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
-from .core import IntervalUnion, ZERO, _coalesce, _over
+from .core import IntervalUnion, ZERO, _Record, _coalesce, _over
 from .errors import ResourceLimitError, ValidationError
 from .representability import ConditionVerdict, _prefix_excesses, kakeya_check
 from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
@@ -55,37 +55,14 @@ def _too_many_pieces(pieces: int | str) -> ResourceLimitError:
     return ResourceLimitError(f"the cover fold reaches {pieces} pieces, past the bound of {MAX_PIECES}")
 
 
-def _merge_dedup(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    out: list[Fraction] = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        a, b = xs[i], ys[j]
-        if a < b:
-            pick = a
-            i += 1
-        elif b < a:
-            pick = b
-            j += 1
-        else:
-            pick = a
-            i += 1
-            j += 1
-        if not out or out[-1] != pick:
-            out.append(pick)
-    rest = xs[i:] or ys[j:]
-    for pick in rest:
-        if not out or out[-1] != pick:
-            out.append(pick)
-    return out
-
-
 def subset_sums(terms: Sequence) -> list[Fraction]:
     """All distinct subset sums, ascending, by iterated sorted merge."""
     values = [Fraction(t) for t in terms]
     _check_term_count(len(values))
     sums = [ZERO]
     for a in values:
-        sums = _merge_dedup(sums, [s + a for s in sums])
+        # the sort merges the two sorted runs, and groupby keeps each sum once
+        sums = [s for s, _ in groupby(sorted(sums + [s + a for s in sums]))]
     return sums
 
 
@@ -154,8 +131,7 @@ class SubsetSumOracle:
         return tuple(bits)
 
 
-@dataclass(frozen=True)
-class RangeApproximation:
+class RangeApproximation(_Record):
     """Finite-depth outer approximation of the achievable set.
 
     ``exact`` records whether the union equals the full achievable set, which
@@ -163,9 +139,10 @@ class RangeApproximation:
     completeness condition by itself.
     """
 
-    depth: int
-    union: IntervalUnion
-    exact: bool
+    _fields = ("depth", "union", "exact")
+
+    def __init__(self, depth: int, union: IntervalUnion, exact: bool):
+        self.__dict__.update(depth=depth, union=union, exact=exact)
 
 
 def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
@@ -233,16 +210,15 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     return RangeApproximation(depth, IntervalUnion._on_grid(den, ends), exact)
 
 
-@dataclass(frozen=True)
-class ConvexityVerdict:
+class ConvexityVerdict(_Record):
     """Whether the trace range of an algebra is convex (a full interval)."""
 
-    convex: bool
-    certificate: ConditionVerdict
+    _fields = ("convex", "certificate")
 
-    def __post_init__(self):
-        if self.convex != self.certificate.holds:
+    def __init__(self, convex: bool, certificate: ConditionVerdict):
+        if convex != certificate.holds:
             raise ValidationError("convexity must match its certificate")
+        self.__dict__.update(convex=convex, certificate=certificate)
 
 
 def convexity_verdict(spec: AlgebraSpec) -> ConvexityVerdict:

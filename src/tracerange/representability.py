@@ -38,47 +38,46 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
+from .core import _Record
 from .errors import DomainError, ValidationError
 from .sequences import SequenceModel, _check_index, _checked_bits, _run_excess_start, _run_sum
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(_Record):
     """Outcome of a termwise condition check.
 
     ``gap`` pairs the violated bound with the violating term, as an open
     interval (bound, term); it exists exactly when a violation does.
     """
 
-    holds: bool
-    first_violation: Optional[int] = None
-    gap: Optional[tuple[Fraction, Fraction]] = None
+    _fields = ("holds", "first_violation", "gap")
 
-    def __post_init__(self):
-        if self.holds != (self.first_violation is None):
+    def __init__(
+        self, holds: bool, first_violation: Optional[int] = None, gap: Optional[tuple[Fraction, Fraction]] = None
+    ):
+        if holds != (first_violation is None):
             raise ValidationError("verdict must carry a violation index iff it fails")
-        if (self.gap is None) != (self.first_violation is None):
+        if (gap is None) != (first_violation is None):
             raise ValidationError("gap must be present iff there is a violation")
-        if self.gap is not None:
-            lo, hi = self.gap
+        if gap is not None:
+            lo, hi = gap
             if not lo < hi:
                 raise ValidationError(f"gap must be a nonempty open interval, got ({lo}, {hi})")
+        self.__dict__.update(holds=holds, first_violation=first_violation, gap=gap)
 
 
-@dataclass(frozen=True)
-class BitExpansion:
+class BitExpansion(_Record):
     """Result of a greedy expansion: bits taken, their exact sum, and what is
     left of the target together with the tail mass still available."""
 
-    bits: tuple[int, ...]
-    achieved: Fraction
-    residual: Fraction
-    residual_bound: Fraction
+    _fields = ("bits", "achieved", "residual", "residual_bound")
+
+    def __init__(self, bits: tuple[int, ...], achieved: Fraction, residual: Fraction, residual_bound: Fraction):
+        self.__dict__.update(bits=bits, achieved=achieved, residual=residual, residual_bound=residual_bound)
 
 
 def _prefix_excesses(model: SequenceModel, sigma, indices: range) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:

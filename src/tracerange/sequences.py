@@ -55,12 +55,11 @@ import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import ZERO, _trusted_fraction
+from .core import ZERO, _Record, _setattr, _trusted_fraction
 from .errors import (
     DomainError,
     OutOfSupportError,
@@ -91,8 +90,7 @@ def _primitive_period(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-@dataclass(frozen=True)
-class RadixWord:
+class RadixWord(_Record):
     """An eventually periodic word of integer radices, all at least 2.
 
     ``pre`` is the aperiodic head, ``period`` repeats forever afterwards.
@@ -102,12 +100,10 @@ class RadixWord:
     denoting the same radix stream compare equal.
     """
 
-    pre: tuple[int, ...] = ()
-    period: tuple[int, ...] = ()
+    _fields = ("pre", "period")
 
-    def __post_init__(self):
-        pre = tuple(self.pre)
-        period = tuple(self.period)
+    def __init__(self, pre: tuple[int, ...] = (), period: tuple[int, ...] = ()):
+        pre, period = tuple(pre), tuple(period)
         for k in pre + period:
             if isinstance(k, bool) or not isinstance(k, int):
                 raise ValidationError(f"radix entries must be integers, got {k!r}")
@@ -118,8 +114,8 @@ class RadixWord:
             while pre and pre[-1] == period[-1]:
                 pre = pre[:-1]
                 period = (period[-1],) + period[:-1]
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "period", period)
+        _setattr(self, "pre", pre)
+        _setattr(self, "period", period)
 
     @property
     def finite(self) -> bool:
@@ -150,8 +146,7 @@ def _radices(word: RadixWord) -> Iterator[int]:
     raise OutOfSupportError(len(word.pre) + 1, len(word.pre))
 
 
-@dataclass(frozen=True)
-class ZeroTail:
+class ZeroTail(_Record):
     """No terms after the prefix: each method answers for the empty stream."""
 
     @property
@@ -187,18 +182,17 @@ class ZeroTail:
         return ZERO
 
 
-@dataclass(frozen=True)
-class GeometricTail:
-    first: Fraction
-    ratio: Fraction
+class GeometricTail(_Record):
+    _fields = ("first", "ratio")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", Fraction(self.first))
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        if self.first <= 0:
-            raise ValidationError(f"geometric first term must be positive, got {self.first}")
-        if not (0 < self.ratio < 1):
-            raise ValidationError(f"geometric ratio outside (0, 1): {self.ratio}")
+    def __init__(self, first: Fraction, ratio: Fraction):
+        first, ratio = Fraction(first), Fraction(ratio)
+        if first <= 0:
+            raise ValidationError(f"geometric first term must be positive, got {first}")
+        if not (0 < ratio < 1):
+            raise ValidationError(f"geometric ratio outside (0, 1): {ratio}")
+        _setattr(self, "first", first)
+        _setattr(self, "ratio", ratio)
 
     @cached_property
     def total(self) -> Fraction:
@@ -342,19 +336,19 @@ class GeometricTail:
         return Fraction(self.first.numerator * s, self.first.denominator * q ** max(len(bits) - 1, 0))
 
 
-@dataclass(frozen=True)
-class MixedRadixTail:
-    scale: Fraction
-    radices: RadixWord
+class MixedRadixTail(_Record):
+    _fields = ("scale", "radices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale <= 0:
-            raise ValidationError(f"radix tail scale must be positive, got {self.scale}")
-        if not isinstance(self.radices, RadixWord):
+    def __init__(self, scale: Fraction, radices: RadixWord):
+        scale = Fraction(scale)
+        if scale <= 0:
+            raise ValidationError(f"radix tail scale must be positive, got {scale}")
+        if not isinstance(radices, RadixWord):
             raise ValidationError("radices must be a RadixWord")
-        if self.radices.finite:
+        if radices.finite:
             raise ValidationError("a radix tail needs an infinite word (nonempty period)")
+        _setattr(self, "scale", scale)
+        _setattr(self, "radices", radices)
 
     @property
     def total(self) -> Fraction:
@@ -641,27 +635,23 @@ def _scaled_runs(runs, factor: Fraction) -> list[tuple[Fraction, int]]:
     return scaled
 
 
-@dataclass(frozen=True)
-class SequenceModel:
+class SequenceModel(_Record):
     """Explicit prefix plus closed-form tail, validated on construction.
 
     The prefix is held as ``_runs``, its canonical (value, multiplicity)
     runs with adjacent equal values merged; ``prefix`` spells them out, one
     entry per term. The constructor groups its entries into runs once and
     checks them per run; derived models are built from runs by
-    ``_from_runs``.
+    ``_from_runs``. ``_run_ends`` holds the index of each run's last term;
+    neither is a field, so neither is compared, hashed or shown.
     """
 
-    prefix: tuple[Fraction, ...] = ()
-    tail: TailModel = ZeroTail()
-    _runs: tuple[tuple[Fraction, int], ...] = field(init=False, repr=False, compare=False)
-    # the index of each run's last term
-    _run_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = tuple(map(_as_fraction, self.prefix))
-        runs = _checked_runs([(value, len(list(group))) for value, group in itertools.groupby(prefix)], self.tail)
-        self.__dict__.update(prefix=prefix, _runs=runs, _run_ends=_ends_of(runs))
+    def __init__(self, prefix: tuple[Fraction, ...] = (), tail: TailModel = ZeroTail()):
+        prefix = tuple(map(_as_fraction, prefix))
+        runs = _checked_runs([(value, len(list(group))) for value, group in itertools.groupby(prefix)], tail)
+        self.__dict__.update(prefix=prefix, tail=tail, _runs=runs, _run_ends=_ends_of(runs))
 
     @cached_property
     def _run_sums(self) -> tuple[Fraction, ...]:
@@ -785,67 +775,68 @@ def _term_or_none(model: SequenceModel, n: int) -> Optional[Fraction]:
         return None
 
 
-def _suffix_signature(model: SequenceModel, start: int) -> TailModel:
-    """Canonical tail of the terms past position ``start``.
-
-    Only meaningful for start >= len(prefix), and start equal to it on a
-    finite model. It is the tail of ``_rest(model, start)``, read as a radix
-    tail where it is one (a geometric tail of ratio 1/2 is the all-2 word),
-    so two models with the same term stream get equal signatures.
-    """
-    tail = _rest(model, start).tail
-    return tail.as_radix() or tail
+def _leading_runs(model: SequenceModel, count: int) -> tuple[tuple[Fraction, int], ...]:
+    """The first ``count`` terms, or all of a finite model with fewer, as
+    canonical runs (``_checked_runs`` merges the last prefix run with an equal
+    first tail run), so two models give equal runs exactly when those terms agree."""
+    runs = []
+    for value, size in itertools.chain(model._runs, model.tail.runs()):
+        if not count:
+            break
+        size = min(size, count)
+        runs.append((value, size))
+        count -= size
+    return _checked_runs(runs, ZeroTail())
 
 
 def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:
     """Exact equality of the term streams, regardless of representation.
 
-    Decidable because tails are closed forms: compare terms through both
-    explicit prefixes, then compare canonical signatures of the suffixes.
+    Decidable because tails are closed forms: compare both models run by
+    run through the longer explicit prefix, then the tails of what follows
+    it (``_rest``), each read as a radix tail where it is one (a geometric
+    tail of ratio 1/2 is the all-2 word), so equal streams give equal tails.
     """
     head = max(len(a.prefix), len(b.prefix))
-    for n in range(1, head + 1):
-        if _term_or_none(a, n) != _term_or_none(b, n):
-            return False
-    return _suffix_signature(a, head) == _suffix_signature(b, head)
+    if _leading_runs(a, head) != _leading_runs(b, head):
+        return False
+    x, y = (_rest(model, head).tail for model in (a, b))
+    return (x.as_radix() or x) == (y.as_radix() or y)
 
 
-@dataclass(frozen=True)
-class MatrixFactor:
+class MatrixFactor(_Record):
     """A dim x dim matrix block carrying ``weight`` of the trace."""
 
-    dim: int
-    weight: Fraction
+    _fields = ("dim", "weight")
 
-    def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(f"factor dimension must be an integer >= 1, got {self.dim!r}")
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.weight <= 0:
-            raise ValidationError(f"factor weight must be positive, got {self.weight}")
+    def __init__(self, dim: int, weight: Fraction):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValidationError(f"factor dimension must be an integer >= 1, got {dim!r}")
+        weight = Fraction(weight)
+        if weight <= 0:
+            raise ValidationError(f"factor weight must be positive, got {weight}")
+        self.__dict__.update(dim=dim, weight=weight)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(_Record):
     """Finite atomic tracial algebra: matrix factors plus an optional abelian tail.
 
     The trace is a state, so factor weights and the tail total must sum to 1
     exactly.
     """
 
-    factors: tuple[MatrixFactor, ...] = ()
-    abelian_tail: Optional[TailModel] = None
+    _fields = ("factors", "abelian_tail")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: tuple[MatrixFactor, ...] = (), abelian_tail: Optional[TailModel] = None):
+        factors = tuple(factors)
         for f in factors:
             if not isinstance(f, MatrixFactor):
                 raise ValidationError("factors must be MatrixFactor instances")
-        tail = ZeroTail() if self.abelian_tail is None else self.abelian_tail
+        tail = ZeroTail() if abelian_tail is None else abelian_tail
         total = sum((f.weight for f in factors), ZERO) + _checked_tail(tail, "abelian tail").total
         if total != 1:
             raise ValidationError(f"factor weights and tail must sum to 1, got {total}")
-        object.__setattr__(self, "factors", factors)
+        self.__dict__.update(factors=factors, abelian_tail=abelian_tail)
 
 
 def from_algebra(spec: AlgebraSpec) -> SequenceModel:

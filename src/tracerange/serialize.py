@@ -141,15 +141,9 @@ def model_from_doc(obj: Any) -> SequenceModel:
 
 
 def algebra_to_doc(spec: AlgebraSpec) -> dict:
-    doc: dict = {
-        "factors": [
-            {"dim": f.dim, "weight": format_rational(f.weight)} for f in spec.factors
-        ]
-    }
-    doc["abelianTail"] = (
-        tail_to_doc(spec.abelian_tail) if spec.abelian_tail is not None else None
-    )
-    return doc
+    factors = [{"dim": f.dim, "weight": format_rational(f.weight)} for f in spec.factors]
+    tail = tail_to_doc(spec.abelian_tail) if spec.abelian_tail is not None else None
+    return {"factors": factors, "abelianTail": tail}
 
 
 def algebra_from_doc(obj: Any) -> AlgebraSpec:
@@ -176,14 +170,8 @@ def algebra_from_doc(obj: Any) -> AlgebraSpec:
 
 
 def verdict_to_doc(verdict: ConditionVerdict) -> dict:
-    gap = None
-    if verdict.gap is not None:
-        gap = [format_rational(verdict.gap[0]), format_rational(verdict.gap[1])]
-    return {
-        "holds": verdict.holds,
-        "firstViolation": verdict.first_violation,
-        "gap": gap,
-    }
+    gap = None if verdict.gap is None else [format_rational(x) for x in verdict.gap]
+    return {"holds": verdict.holds, "firstViolation": verdict.first_violation, "gap": gap}
 
 
 def expansion_to_doc(expansion: BitExpansion) -> dict:

@@ -6,15 +6,22 @@ space (about 512 MB) and CPU time (about 10 s) are capped with
 without a bound would end by a signal (SIGXCPU, or SIGKILL past the CPU
 hard limit) or as an ``"internal"`` envelope around a ``MemoryError``
 instead of an answer or a typed refusal. No wall-clock time is asserted.
+
+The ``repr`` of a record holding a rational past the int-to-text digit
+limit is checked in process: it is refused by the rule the JSON writer
+follows, with the same ``ResourceLimitError``.
 """
 
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from tracerange import GeometricTail, RadixWord, ResourceLimitError, SequenceModel, format_rational, kakeya_check
 
 resource = pytest.importorskip("resource")  # POSIX only
 
@@ -100,3 +107,36 @@ def test_a_closed_stdout_ends_without_a_traceback():
     child.stderr.close()
     assert child.wait() == 0
     assert stderr == b""
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-text digit limit")
+    return limit
+
+
+def test_a_verdict_repr_past_the_digit_limit_is_refused_as_json_is():
+    _digit_limit()
+    verdict = kakeya_check(SequenceModel((), GeometricTail(Fraction(1, 2), Fraction(1, 10**5000))))
+    with pytest.raises(ResourceLimitError) as written:
+        format_rational(verdict.gap[0])
+    with pytest.raises(ResourceLimitError) as shown:
+        repr(verdict)
+    assert str(shown.value) == str(written.value) == "output rational too large to write: 16611 bits"
+
+
+def test_a_record_repr_refuses_exactly_past_the_digit_limit():
+    limit = _digit_limit()
+    below, past = 10 ** (limit - 1), 10**limit
+    tail = GeometricTail(Fraction(1, 2), Fraction(1, below))
+    assert repr(tail) == f"GeometricTail(first=Fraction(1, 2), ratio=Fraction(1, {below}))"
+    assert repr(RadixWord((below,), (2,))) == f"RadixWord(pre=({below},), period=(2,))"
+    with pytest.raises(ResourceLimitError, match=f"{past.bit_length()} bits"):
+        repr(GeometricTail(Fraction(1, 2), Fraction(1, past)))
+    # an integer entry is refused by the same rule, and a record holding the
+    # refused one refuses too
+    with pytest.raises(ResourceLimitError, match=f"{past.bit_length()} bits"):
+        repr(SequenceModel((), GeometricTail(Fraction(1, 2), Fraction(1, past))))
+    with pytest.raises(ResourceLimitError, match=f"{past.bit_length()} bits"):
+        repr(RadixWord((past,), (2,)))

@@ -31,12 +31,13 @@ from tracerange import (
     kakeya_check,
     list_violations,
     radix_to_sequence,
+    same_sequence,
     sequence_to_radix,
     split_leading,
     verify_expansion,
 )
 from tracerange.errors import OutOfSupportError
-from tracerange.sequences import _from_runs
+from tracerange.sequences import _from_runs, _rest
 from tracerange.serialize import model_to_doc
 
 from support import REFEREE_MODELS, random_unit_admissible_model
@@ -163,6 +164,93 @@ class TestRunFormReferee:
         model = SequenceModel((F(1, 4), F(1, 4)), MixedRadixTail(F(1, 2), RadixWord((), (3,))))
         assert_same_as_rebuilt(model)
         assert list_violations(model, 8) == []
+
+
+def termwise_same_sequence(a: SequenceModel, b: SequenceModel) -> bool:
+    """The term-by-term comparison ``same_sequence`` replaced: every index
+    through the longer prefix, a finite model's missing term read as None,
+    then the suffix tails read as radix tails where they are ones."""
+    head = max(len(a.prefix), len(b.prefix))
+    for n in range(1, head + 1):
+        if outcome(lambda: a.term(n)) != outcome(lambda: b.term(n)):
+            return False
+    x, y = (_rest(model, head).tail for model in (a, b))
+    return (x.as_radix() or x) == (y.as_radix() or y)
+
+
+def rebuilt_at(model: SequenceModel, count: int) -> SequenceModel:
+    """The same terms, with the first ``count`` spelled out before the
+    closed form of the rest."""
+    head, rest = split_leading(model, count)
+    return SequenceModel(head + rest.prefix, rest.tail)
+
+
+EMBEDDED = face_embed(radix_to_sequence(RadixWord((), (2,))), 10)  # 9 copies of 1/10, then 1/20, ...
+NEAR_PAIRS = [
+    # one term off inside the run of 1/10, and at its last slot
+    (EMBEDDED, SequenceModel((F(1, 10),) * 5 + (F(1, 11),) * 4, EMBEDDED.tail)),
+    (EMBEDDED, SequenceModel((F(1, 10),) * 8 + (F(1, 11),), EMBEDDED.tail)),
+    # the run ends one term early or late, at the boundary with the tail
+    (EMBEDDED, SequenceModel((F(1, 10),) * 8, MixedRadixTail(F(3, 20), RadixWord((), (2,))))),
+    (EMBEDDED, SequenceModel((F(1, 10),) * 10, EMBEDDED.tail)),
+    # a run boundary moved by one term inside the prefix
+    (SequenceModel((F(1, 2), F(1, 4), F(1, 4), F(1, 8))), SequenceModel((F(1, 2), F(1, 4), F(1, 8), F(1, 8)))),
+    (SequenceModel((F(1, 3),) * 3 + (F(1, 9),) * 2), SequenceModel((F(1, 3),) * 2 + (F(1, 9),) * 3)),
+    # the prefix's last run continues into the tail's first block
+    (SequenceModel((F(1, 6),), MixedRadixTail(F(1, 2), RadixWord((), (3,)))),
+     SequenceModel((F(1, 6),) * 3, MixedRadixTail(F(1, 6), RadixWord((), (3,))))),
+    (SequenceModel((F(1, 6),), MixedRadixTail(F(1, 2), RadixWord((), (3,)))),
+     SequenceModel((F(1, 6),) * 3, MixedRadixTail(F(1, 6), RadixWord((), (4,))))),
+    # a finite model that stops inside the other's run
+    (SequenceModel((F(1, 4),) * 3), SequenceModel((F(1, 4),) * 2)),
+    (SequenceModel((F(1, 4),) * 2), SequenceModel((), MixedRadixTail(F(3, 4), RadixWord((4,), (2,))))),
+]
+
+
+class TestSameSequenceReferee:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_runs_agree_with_the_termwise_loop(self, seed):
+        rng = random.Random(seed)
+        models = [build(rng) for build in REFEREE_MODELS] + list(derived_models(rng))
+        for model in models:
+            others = [model, rebuilt_at(model, rng.randint(0, len(model.prefix) + (0 if model.finite else 5)))]
+            lead = next(model.iter_terms(), None)  # a cut at a finite support leaves no term
+            if lead is not None and lead < 1:
+                radix = rng.randint(2, 5)
+                others.append(face_extract(face_embed(model, radix), radix))
+                others.append(face_embed(model, radix))
+            others += rng.sample(models, 3)
+            for other in others:
+                expected = termwise_same_sequence(model, other)
+                assert same_sequence(model, other) == same_sequence(other, model) == expected
+            assert same_sequence(model, others[1]) and same_sequence(model, others[0])
+
+    @pytest.mark.parametrize("a, b", NEAR_PAIRS)
+    def test_pairs_one_term_apart(self, a, b):
+        expected = termwise_same_sequence(a, b)
+        assert same_sequence(a, b) == same_sequence(b, a) == expected
+
+    def test_the_near_pairs_differ_unless_a_run_merges_across_the_junction(self):
+        verdicts = [termwise_same_sequence(a, b) for a, b in NEAR_PAIRS]
+        assert verdicts == [False] * 6 + [True] + [False] * 3
+
+    def test_a_long_run_reads_as_many_terms_as_a_short_one(self, monkeypatch):
+        base = radix_to_sequence(RadixWord((), (2,)))
+        term = SequenceModel.term
+        counts = []
+        for radix in (10, 10**5):
+            a, b = face_embed(base, radix), face_embed(base, radix)
+            calls = [0]
+
+            def counted_term(model, n):
+                calls[0] += 1
+                return term(model, n)
+
+            monkeypatch.setattr(SequenceModel, "term", counted_term)
+            assert same_sequence(a, b) and not same_sequence(a, face_embed(base, radix + 1))
+            monkeypatch.undo()
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
 
 
 def per_entry_message(prefix, tail) -> str:
