@@ -70,6 +70,8 @@ class CommandResult(_Record):
 class _Parser(argparse.ArgumentParser):
     """argparse that reports malformed argv as ParseError instead of exiting."""
 
+    commands = None  # the action ``add_subparsers`` returned, if any
+
     def error(self, message):
         raise ParseError(message)
 
@@ -83,7 +85,7 @@ def _add_spec_argument(parser: argparse.ArgumentParser) -> None:
 def _parser() -> _Parser:
     parser = _Parser(prog="tracerange", description="exact subset-sum ranges of trace sequences")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="test the completeness condition")
     _add_spec_argument(check)
@@ -111,7 +113,7 @@ def _parser() -> _Parser:
     vna.add_argument("--file", help="read the spec from a file instead")
 
     extreme = sub.add_parser("extreme", help="extreme sequences and radix words")
-    mode = extreme.add_subparsers(dest="mode", required=True)
+    mode = extreme.commands = extreme.add_subparsers(dest="mode", required=True)
     encode = mode.add_parser("encode", help="the pattern sequence of a radix word")
     encode.add_argument("word", help="radix word, e.g. '3 | 2' or '2'")
     encode.add_argument("--terms", type=int, default=20, help="terms to list (default 20)")
@@ -124,6 +126,19 @@ def _parser() -> _Parser:
     digits.add_argument("--count", type=int, default=20, help="digits to emit (default 20)")
 
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, stepping straight into the parser of
+    each leading command name as argparse's subparser action would; any
+    other argv (empty, an option first, an unknown name) takes the parser
+    it has reached, so help, version and error text are unchanged."""
+    parser, args = _parser(), argparse.Namespace()
+    while parser.commands is not None and argv and argv[0] in parser.commands.choices:
+        setattr(args, parser.commands.dest, argv[0])
+        parser = parser.commands.choices[argv[0]]
+        argv = argv[1:]
+    return parser.parse_args(argv, args)
 
 
 def _spec_text(args) -> str:
@@ -142,8 +157,9 @@ def _spec_text(args) -> str:
     return inline
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+# ``json.dumps(doc, indent=2, sort_keys=True)`` without a new encoder per
+# document; each document is a fresh tree, so no cycle check is needed
+_dump = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
 
 
 def _parse_depths(raw: str) -> list[int]:
@@ -244,7 +260,7 @@ def run_command(argv) -> CommandResult:
     buffer = io.StringIO()
     try:
         with contextlib.redirect_stdout(buffer):
-            args = _parser().parse_args(list(argv))
+            args = _parse(list(argv))
     except SystemExit as stop:  # --help and --version land here
         return CommandResult(int(stop.code or 0), buffer.getvalue().rstrip("\n"))
     except ParseError as exc:

@@ -13,12 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import _check_writable
+from .core import IntervalUnion, _check_writable
 from .errors import ValidationError
 from .range_geometry import RangeApproximation
 
 _WIDTH = 800
 _MARGIN_X = 48
+_USABLE = _WIDTH - 2 * _MARGIN_X
 _MARGIN_Y = 44
 _BAND_HEIGHT = 26
 _BAND_GAP = 18
@@ -32,6 +33,14 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _grid_xs(union: IntervalUnion, span: Fraction) -> list[float]:
+    """The x of each endpoint of ``union`` (lo, hi, lo, hi, ...), each from
+    one int true division on the union's grid; it is correctly rounded, as
+    ``float(endpoint / span)`` is, so the two floats are equal."""
+    num, den = span.denominator, union._den * span.numerator
+    return [_MARGIN_X + end * num / den * _USABLE for end in union._ends]
+
+
 def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
     """Render bands for the given approximations, ordered by depth."""
     approxes = list(approximations)
@@ -40,17 +49,10 @@ def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
     for earlier, later in zip(approxes, approxes[1:]):
         if earlier.depth >= later.depth:
             raise ValidationError("approximations must come in increasing depth order")
-    span = Fraction(1)
-    for approx in approxes:
-        for part in approx.union:
-            if part.hi > span:
-                span = part.hi
+    # the largest endpoint of a union is its last
+    span = max([Fraction(1)] + [Fraction(a.union._ends[-1], a.union._den) for a in approxes if a.union])
     _check_writable(span)
-    usable = _WIDTH - 2 * _MARGIN_X
     height = 2 * _MARGIN_Y + len(approxes) * _BAND_HEIGHT + (len(approxes) - 1) * _BAND_GAP
-
-    def x_of(value: Fraction) -> float:
-        return _MARGIN_X + float(value / span) * usable
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
@@ -60,11 +62,10 @@ def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
     ]
     axis_y = height - _MARGIN_Y // 2
     lines.append(
-        f'  <line x1="{_fmt(x_of(Fraction(0)))}" y1="{axis_y}" '
-        f'x2="{_fmt(x_of(span))}" y2="{axis_y}" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
+        f'  <line x1="{_fmt(_MARGIN_X)}" y1="{axis_y}" '
+        f'x2="{_fmt(_MARGIN_X + _USABLE)}" y2="{axis_y}" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
     )
-    for value, label in ((Fraction(0), "0"), (span, str(span))):
-        x = x_of(value)
+    for x, label in ((_MARGIN_X, "0"), (_MARGIN_X + _USABLE, str(span))):
         lines.append(
             f'  <line x1="{_fmt(x)}" y1="{axis_y - 4}" x2="{_fmt(x)}" y2="{axis_y + 4}" '
             f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
@@ -83,9 +84,9 @@ def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
             f'font-family="monospace" fill="{_AXIS_COLOR}">'
             f"depth {approx.depth} ({tag})</text>"
         )
-        for part in approx.union:
-            left = x_of(part.lo)
-            width = max(x_of(part.hi) - left, 0.75)
+        xs = iter(_grid_xs(approx.union, span))
+        for left, right in zip(xs, xs):
+            width = max(right - left, 0.75)
             lines.append(
                 f'  <rect x="{_fmt(left)}" y="{top}" width="{_fmt(width)}" '
                 f'height="{_BAND_HEIGHT}" fill="{fill}"/>'

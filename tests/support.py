@@ -18,6 +18,9 @@ from tracerange import (
 )
 
 HALF = Fraction(1, 2)
+# a cover of 2^N pieces at depth N, with endpoints of tens of thousands of
+# bits and a span of 1
+HUGE_ENDPOINTS = f"1/2, 4/10, geo(9/{10**4000 - 1}, 1/{10**2000})"
 
 
 def dyadic() -> SequenceModel:

@@ -3,11 +3,14 @@
 import hashlib
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
+from support import HUGE_ENDPOINTS, cantor_like, random_complete_model, random_fraction
 
-from tracerange import cli
+from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, svg
 from tracerange.cli import main, run_command
+from tracerange.dsl import parse_spec
 
 F = Fraction
 
@@ -450,3 +453,125 @@ class TestByteAnchor:
             assert main(argv) == 0, argv
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == self.CHECK_DIGEST
+
+
+# the valid requests of acceptance criterion 10, one or more per command
+ACCEPTANCE_ARGV = [
+    ["check", "geo(1/2, 1/2)"],
+    ["check", "geo(2/3, 1/3)"],
+    ["check", "1/2, 1/4, radix(1/4; 2)"],
+    ["expand", "geo(1/2, 1/2)", "1/3", "--bits", "6"],
+    ["range", "geo(2/3, 1/3)", "--depth", "3"],
+    ["range", "geo(2/3, 1/3)", "--depth", "2", "--format", "csv"],
+    ["range", "geo(2/3, 1/3)", "--depth", "1,2,3", "--format", "svg"],
+    ["gaps", "3/5, 2/5", "--depth", "4"],
+    ["vna", '{"factors": [{"dim": 3, "weight": "1/1"}]}'],
+    ["extreme", "decode", "1/2, 1/4, geo(1/8, 1/2)"],
+    ["extreme", "encode", "3 | 2", "--terms", "6"],
+    ["digits", "2 | 3", "5/6", "--count", "3"],
+]
+ANCHOR_ARGV = [
+    argv
+    for spec in TestByteAnchor.MODELS
+    for argv in (
+        ["range", spec, "--depth", "3"],
+        ["range", spec, "--depth", "7"],
+        ["range", spec, "--depth", "5", "--format", "csv"],
+        ["range", spec, "--depth", "1,4,6", "--format", "svg"],
+        ["gaps", spec, "--depth", "12"],
+    )
+]
+ANCHOR_ARGV += [["check", spec] for spec in TestByteAnchor.CHECK_MODELS]
+ANCHOR_ARGV += [["vna", algebra] for algebra in TestByteAnchor.ALGEBRAS]
+# help, version and malformed argv at both levels, and failures of every kind
+EDGE_ARGV = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["--version"],
+    ["check", "--help"],
+    ["range", "-h"],
+    ["extreme", "--help"],
+    ["extreme", "encode", "-h"],
+    ["check", "--version"],
+    ["bogus"],
+    ["extreme"],
+    ["extreme", "bogus"],
+    ["--file", "x", "check"],
+    ["range", CANTOR, "--depth=3"],
+    ["range", CANTOR, "--dep", "3"],
+    ["range", CANTOR, "--format", "xml"],
+    ["range", CANTOR, "--depth", "24"],
+    ["gaps", CANTOR, "--depth", "x"],
+    ["check", "--", DYADIC],
+    ["check", "-1/2"],
+    ["check", DYADIC, "extra"],
+    ["check", "1/2,,"],
+    ["check", "0"],
+    ["expand", DYADIC],
+    ["expand", DYADIC, "2"],
+    ["extreme", "encode", "2", "extra"],
+    ["digits", "2"],
+]
+FRONT_END_ARGV = EDGE_ARGV + ACCEPTANCE_ARGV + ANCHOR_ARGV
+
+
+class TestFrontEnd:
+    """The direct dispatch and the shared encoder, each against the route it
+    replaces: the top-level parser and ``json.dumps``."""
+
+    def test_direct_dispatch_answers_as_the_top_level_parser(self, monkeypatch):
+        direct = [run_command(argv) for argv in FRONT_END_ARGV]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+        for argv, result in zip(FRONT_END_ARGV, direct):
+            routed = run_command(argv)
+            assert (result.exit_code, result.body) == (routed.exit_code, routed.body), argv
+        assert {result.exit_code for result in direct} == {0, 1, 2, 3}
+
+    def test_one_encoder_writes_what_json_dumps_writes(self, monkeypatch):
+        docs = []
+        dump = cli._dump
+
+        def recorded(doc):
+            docs.append(doc)
+            return dump(doc)
+
+        monkeypatch.setattr(cli, "_dump", recorded)
+        commands = set()
+        for argv in FRONT_END_ARGV:
+            seen = len(docs)
+            run_command(argv)
+            if len(docs) > seen:
+                commands.add(" ".join(argv[:2] if argv[:1] == ["extreme"] else argv[:1]))
+        every = {"check", "expand", "range", "gaps", "vna", "extreme encode", "extreme decode", "digits"}
+        assert every <= commands
+        for doc in docs:
+            assert dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+
+def _acceptance_covers():
+    """The covers of acceptance criteria 3 to 5, and the byte-anchor covers."""
+    rng = Random(20260818)
+    for ratio in (F(1, 3), F(1, 4), F(2, 5), F(5, 11)):
+        first = random_fraction(rng, F(1, 8), F(2, 3))
+        yield achievable_outer(SequenceModel((), GeometricTail(first, ratio)), 8)
+    for _ in range(20):
+        model = random_complete_model(rng)
+        yield from (achievable_outer(model, depth) for depth in (4, 8, 12))
+    yield from (achievable_outer(cantor_like(), depth) for depth in range(1, 11))
+    for spec in TestByteAnchor.MODELS:
+        yield from (achievable_outer(parse_spec(spec), depth) for depth in (1, 4, 6, 7))
+
+
+class TestSvgGrid:
+    def test_grid_x_is_the_fraction_x(self):
+        approxes = list(_acceptance_covers()) + [achievable_outer(parse_spec(HUGE_ENDPOINTS), 6)]
+        spans = set()
+        for approx in approxes:
+            union = approx.union
+            span = max([F(1)] + [part.hi for part in union])
+            spans.add(span)
+            expected = [svg._MARGIN_X + float(F(end, union._den) / span) * svg._USABLE for end in union._ends]
+            assert svg._grid_xs(union, span) == expected
+        assert len(spans) > 10

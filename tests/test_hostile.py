@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from support import HUGE_ENDPOINTS
 
 from tracerange import GeometricTail, RadixWord, ResourceLimitError, SequenceModel, format_rational, kakeya_check
 
@@ -45,6 +46,8 @@ HOSTILE = {
     # a total past the int-to-text digit limit: the svg axis label cannot be written
     "svg-span-10^4000": SVG_SPAN,
 }
+# 1024 pieces with endpoints of about 66,000 bits
+SVG_ENDPOINTS = ["range", HUGE_ENDPOINTS, "--depth", "10", "--format", "svg"]
 
 
 def _capped(limit, value):
@@ -89,6 +92,15 @@ def test_an_svg_span_too_large_to_write_is_refused_as_json_is():
     assert (proc.returncode, json_proc.returncode) == (2, 2)
     assert json.loads(proc.stdout) == json.loads(json_proc.stdout)
     assert json.loads(proc.stdout)["error"]["kind"] == "resource"
+
+
+def test_huge_svg_endpoints_are_drawn_within_the_cpu_cap():
+    # each x is one int division on the integer grid; a Fraction division
+    # per endpoint took about 12 s of CPU on this input
+    proc = _run(SVG_ENDPOINTS)
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}"
+    assert proc.stdout.startswith("<svg ")
+    assert proc.stdout.count("<rect ") == 1 + 1024
 
 
 def test_a_closed_stdout_ends_without_a_traceback():
