@@ -1,7 +1,10 @@
 """Command line front end.
 
 Every command reads exact rational input, works exactly, and prints a JSON
-document (or CSV/SVG for ``range``). Exit codes are part of the contract:
+document (or CSV/SVG for ``range``). ``_COMMANDS`` maps each command (and
+each mode of ``extreme``) to the one function that builds its model, runs
+its engine and writes its answer. Exit codes are part of the contract, and
+each error class of ``errors`` carries its own code and ``kind``:
 
 * 0 - success
 * 1 - the input parsed but was rejected (validation or domain errors)
@@ -35,28 +38,14 @@ from itertools import islice
 from . import __version__
 from .core import _Record, _check_writable, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
-from .errors import (
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-    ValidationError,
-)
-from .extreme_points import (
-    mixed_radix_digits,
-    radix_to_sequence,
-    sequence_to_radix,
-)
+from .errors import ParseError, ResourceLimitError, TraceRangeError
+from .extreme_points import mixed_radix_digits, radix_to_sequence, sequence_to_radix
 from .range_geometry import ConvexityVerdict, achievable_outer
 from .representability import _violations, greedy_expand, kakeya_check
 from .sequences import _check_index, from_algebra
 from .serialize import (
-    approximation_to_doc,
-    convexity_to_doc,
-    expansion_to_doc,
-    model_to_doc,
-    report_to_doc,
-    verdict_to_doc,
-    word_to_doc,
+    approximation_to_doc, convexity_to_doc, expansion_to_doc, model_to_doc,
+    report_to_doc, verdict_to_doc, word_to_doc,
 )
 
 
@@ -133,6 +122,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     each leading command name as argparse's subparser action would; any
     other argv (empty, an option first, an unknown name) takes the parser
     it has reached, so help, version and error text are unchanged."""
+    for entry in argv:
+        if not isinstance(entry, str):  # argparse would raise TypeError on it
+            raise ParseError(f"command line entries must be str, got {type(entry).__name__}")
     parser, args = _parser(), argparse.Namespace()
     while parser.commands is not None and argv and argv[0] in parser.commands.choices:
         setattr(args, parser.commands.dest, argv[0])
@@ -166,13 +158,14 @@ def _parse_depths(raw: str) -> list[int]:
     depths = []
     for piece in raw.split(","):
         piece = piece.strip()
-        if not piece or not (piece.isdigit() or (piece[0] == "-" and piece[1:].isdigit())):
+        # ``isdecimal`` holds for exactly the digits ``int`` reads: "٣" but not "²"
+        if not piece or not (piece.isdecimal() or (piece[0] == "-" and piece[1:].isdecimal())):
             raise ParseError(f"--depth must be integers separated by commas, got {raw!r}")
         depths.append(int(piece))
     return depths
 
 
-def _run_range(args) -> str:
+def _range(args) -> str:
     model = parse_spec(_spec_text(args))
     depths = _parse_depths(args.depth)
     if args.format in ("json", "csv") and len(depths) != 1:
@@ -188,63 +181,58 @@ def _run_range(args) -> str:
     return emit_svg(approxes)
 
 
-def _dispatch(args) -> str:
-    if args.command == "check":
-        model = parse_spec(_spec_text(args))
-        return _dump(verdict_to_doc(kakeya_check(model)))
-    if args.command == "expand":
-        model = parse_spec(_spec_text(args))
-        target = parse_rational(args.target)
-        return _dump(expansion_to_doc(greedy_expand(model, target, args.bits)))
-    if args.command == "range":
-        return _run_range(args)
-    if args.command == "gaps":
-        model = parse_spec(_spec_text(args))
-        # each end is checked as the scan yields it, in the order it is
-        # written, so a gap too large to write stops the scan there
-        found = [
-            (n, _check_writable(lo), _check_writable(hi))
-            for n, (lo, hi) in _violations(model, args.depth)
-        ]
-        doc = {
-            "depth": args.depth,
-            "violations": [
-                {
-                    "index": n,
-                    "gap": [format_rational(lo), format_rational(hi)],
-                }
-                for n, lo, hi in found
-            ],
-        }
-        return _dump(doc)
-    if args.command == "vna":
-        model = from_algebra(parse_algebra(_spec_text(args)))
-        certificate = kakeya_check(model)
-        doc = convexity_to_doc(ConvexityVerdict(certificate.holds, certificate))
-        doc["model"] = model_to_doc(model)
-        return _dump(doc)
-    if args.command == "extreme":
-        if args.mode == "encode":
-            word = parse_word(args.word)
-            model = radix_to_sequence(word)
-            doc = {"model": model_to_doc(model)}
-            # a radix model is endless, so any count of terms is in its
-            # support; each term is checked as it comes, as for ``gaps``
-            count = _check_index(args.terms, 0, "count")
-            terms = [_check_writable(x) for x in islice(model.iter_terms(), count)]
-            doc["terms"] = [format_rational(x) for x in terms]
-            return _dump(doc)
-        model = parse_spec(_spec_text(args))
-        return _dump(report_to_doc(sequence_to_radix(model)))
-    assert args.command == "digits"
-    word = parse_word(args.word)
-    target = parse_rational(args.target)
-    doc = {
-        "word": word_to_doc(word),
-        "target": format_rational(target),
-        "digits": list(mixed_radix_digits(word, target, args.count)),
-    }
+def _gaps(args) -> str:
+    model = parse_spec(_spec_text(args))
+    # each end is checked as the scan yields it, in the order it is
+    # written, so a gap too large to write stops the scan there
+    found = [
+        (n, _check_writable(lo), _check_writable(hi))
+        for n, (lo, hi) in _violations(model, args.depth)
+    ]
+    violations = [{"index": n, "gap": [format_rational(lo), format_rational(hi)]} for n, lo, hi in found]
+    return _dump({"depth": args.depth, "violations": violations})
+
+
+def _vna(args) -> str:
+    model = from_algebra(parse_algebra(_spec_text(args)))
+    certificate = kakeya_check(model)
+    doc = convexity_to_doc(ConvexityVerdict(certificate.holds, certificate))
+    doc["model"] = model_to_doc(model)
     return _dump(doc)
+
+
+def _encode(args) -> str:
+    model = radix_to_sequence(parse_word(args.word))
+    doc = {"model": model_to_doc(model)}
+    # a radix model is endless, so any count of terms is in its
+    # support; each term is checked as it comes, as for ``gaps``
+    count = _check_index(args.terms, 0, "count")
+    terms = [_check_writable(x) for x in islice(model.iter_terms(), count)]
+    doc["terms"] = [format_rational(x) for x in terms]
+    return _dump(doc)
+
+
+def _digits(args) -> str:
+    word, target = parse_word(args.word), parse_rational(args.target)
+    digits = mixed_radix_digits(word, target, args.count)
+    return _dump({"word": word_to_doc(word), "target": format_rational(target), "digits": list(digits)})
+
+
+# one entry per leaf parser, keyed by its name (``extreme`` by its mode);
+# each entry looks its engines up in this module's globals at call time, so
+# rebinding a name such as ``cli.kakeya_check`` reaches every command
+_COMMANDS = {
+    "check": lambda args: _dump(verdict_to_doc(kakeya_check(parse_spec(_spec_text(args))))),
+    "expand": lambda args: _dump(
+        expansion_to_doc(greedy_expand(parse_spec(_spec_text(args)), parse_rational(args.target), args.bits))
+    ),
+    "range": _range,
+    "gaps": _gaps,
+    "vna": _vna,
+    "encode": _encode,
+    "decode": lambda args: _dump(report_to_doc(sequence_to_radix(parse_spec(_spec_text(args))))),
+    "digits": _digits,
+}
 
 
 def _failure(code: int, kind: str, exc: Exception) -> CommandResult:
@@ -261,20 +249,11 @@ def run_command(argv) -> CommandResult:
     try:
         with contextlib.redirect_stdout(buffer):
             args = _parse(list(argv))
+        return CommandResult(0, _COMMANDS[getattr(args, "mode", args.command)](args))
     except SystemExit as stop:  # --help and --version land here
         return CommandResult(int(stop.code or 0), buffer.getvalue().rstrip("\n"))
-    except ParseError as exc:
-        return _failure(3, "parse", exc)
-    try:
-        return CommandResult(0, _dispatch(args))
-    except ParseError as exc:
-        return _failure(3, "parse", exc)
-    except ResourceLimitError as exc:
-        return _failure(2, "resource", exc)
-    except ValidationError as exc:
-        return _failure(1, "validation", exc)
-    except DomainError as exc:
-        return _failure(1, "domain", exc)
+    except TraceRangeError as exc:  # each class carries its exit code and kind
+        return _failure(exc.exit_code, exc.kind, exc)
     except Exception as exc:  # safety net
         return _failure(1, "internal", exc)
 

@@ -173,17 +173,14 @@ class Interval(_Record):
     _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+        if lo > hi:
+            raise ValidationError(f"interval endpoints out of order: {lo} > {hi}")
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if type(self.lo) is not Fraction:
-            _setattr(self, "lo", Fraction(self.lo))
-        if type(self.hi) is not Fraction:
-            _setattr(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValidationError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     def contains(self, point) -> bool:
         return self.lo <= point <= self.hi
@@ -194,8 +191,9 @@ class Interval(_Record):
 
 def _trusted_intervals(los: list[Fraction], his: list[Fraction]) -> tuple[Interval, ...]:
     """``Interval``s from endpoints known to satisfy lo <= hi pairwise, with
-    no ``Interval.__post_init__`` check and no Python-level call per part
-    (``object.__setattr__`` returns None, so ``any`` runs each pass out)."""
+    neither the coercion nor the order check of ``Interval.__init__`` and no
+    Python-level call per part (``object.__setattr__`` returns None, so
+    ``any`` runs each pass out)."""
     parts = tuple(map(object.__new__, repeat(Interval, len(los))))
     any(map(object.__setattr__, parts, repeat("lo"), los))
     any(map(object.__setattr__, parts, repeat("hi"), his))

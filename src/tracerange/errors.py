@@ -1,16 +1,24 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ValidationError and DomainError become 1,
-ResourceLimitError becomes 2, ParseError becomes 3.
+Each class carries what the CLI answers it with: ``exit_code`` is the
+process exit code and ``kind`` the envelope's ``error.kind``, and a subclass
+inherits its parent's pair. ValidationError is 1 ``"validation"``,
+DomainError 1 ``"domain"``, ResourceLimitError 2 ``"resource"`` and
+ParseError 3 ``"parse"``. The package never raises a bare TraceRangeError;
+one ends as 1 ``"internal"``, as any unexpected exception does.
 """
 
 
 class TraceRangeError(Exception):
     """Base class for every error raised deliberately by this package."""
 
+    exit_code, kind = 1, "internal"
+
 
 class ValidationError(TraceRangeError):
     """A value or structure violates a constructor invariant."""
+
+    exit_code, kind = 1, "validation"
 
 
 class UnsupportedSpecError(ValidationError):
@@ -19,6 +27,8 @@ class UnsupportedSpecError(ValidationError):
 
 class DomainError(TraceRangeError):
     """An operation was invoked outside its stated precondition."""
+
+    exit_code, kind = 1, "domain"
 
 
 class OutOfSupportError(DomainError):
@@ -38,9 +48,13 @@ class OutOfSupportError(DomainError):
 class ResourceLimitError(TraceRangeError):
     """An enumeration or an emitted value would exceed a size bound."""
 
+    exit_code, kind = 2, "resource"
+
 
 class ParseError(TraceRangeError):
     """Input text does not conform to the spec DSL or the document grammar."""
+
+    exit_code, kind = 3, "parse"
 
     def __init__(self, message, position=None):
         super().__init__(message)

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from support import HUGE_ENDPOINTS, cantor_like, random_complete_model, random_fraction
 
-from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, svg
+from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, errors, svg
 from tracerange.cli import main, run_command
 from tracerange.dsl import parse_spec
 
@@ -208,6 +208,20 @@ class TestRangeFormats:
         code, doc = body_json(["range", CANTOR, "--depth", "2,x"])
         assert code == 3
 
+    @pytest.mark.parametrize("depth", ["²", "3,²"])
+    def test_digit_that_int_cannot_read_is_a_parse_failure(self, depth):
+        # "²" is a digit to ``str.isdigit`` but ``int`` does not read it
+        code, doc = body_json(["range", DYADIC, "--depth", depth])
+        assert code == 3
+        assert doc["error"] == {
+            "kind": "parse",
+            "message": f"--depth must be integers separated by commas, got {depth!r}",
+            "position": None,
+        }
+
+    def test_decimal_digits_of_any_script_are_read(self):
+        assert run_command(["range", DYADIC, "--depth", "٣"]) == run_command(["range", DYADIC, "--depth", "3"])
+
 
 class TestAlgebraCommand:
     def test_convexity_body_includes_model(self):
@@ -369,6 +383,12 @@ class TestHarness:
         assert main(["check", "1/2,,"]) == 3
         assert "expected a rational number" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [[1], ["check", 1]])
+    def test_entry_that_is_not_a_str_is_a_parse_failure(self, argv):
+        code, doc = body_json(argv)
+        assert code == 3
+        assert doc == {"error": {"kind": "parse", "message": "command line entries must be str, got int", "position": None}}
+
     def test_internal_fault_names_its_type(self, monkeypatch):
         def exhausted(model):
             raise MemoryError()
@@ -377,6 +397,56 @@ class TestHarness:
         code, doc = body_json(["check", DYADIC])
         assert code == 1
         assert doc == {"error": {"kind": "internal", "message": "", "position": None, "type": "MemoryError"}}
+
+
+def _leaves(parser, name=None):
+    """The name of each leaf parser under ``parser``: a command, or a mode of ``extreme``."""
+    if parser.commands is None:
+        return [name]
+    return [leaf for key, child in parser.commands.choices.items() for leaf in _leaves(child, key)]
+
+
+class TestTables:
+    """The command table against the parsers, and the error table against the
+    documented exit codes and kinds."""
+
+    def test_each_leaf_parser_has_one_command(self):
+        leaves = _leaves(cli._parser())
+        assert len(leaves) == len(set(leaves)) == 8
+        assert set(leaves) == set(cli._COMMANDS)
+
+    # the documented (exit_code, kind) of every error class, subclasses included
+    ERRORS = [
+        (errors.TraceRangeError, 1, "internal"),
+        (errors.ValidationError, 1, "validation"),
+        (errors.UnsupportedSpecError, 1, "validation"),
+        (errors.DomainError, 1, "domain"),
+        (errors.OutOfSupportError, 1, "domain"),
+        (errors.ResourceLimitError, 2, "resource"),
+        (errors.ParseError, 3, "parse"),
+    ]
+
+    def test_each_error_class_carries_its_exit_code_and_kind(self):
+        defined = {cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)}
+        assert defined == {error for error, _, _ in self.ERRORS}
+        for error, exit_code, kind in self.ERRORS:
+            assert (error.exit_code, error.kind) == (exit_code, kind), error
+
+    @pytest.mark.parametrize(
+        "error",
+        [errors.TraceRangeError("bare"), errors.OutOfSupportError(3, 2), errors.UnsupportedSpecError("unsupported")],
+    )
+    def test_an_engine_error_ends_in_its_envelope(self, monkeypatch, error):
+        def failing(model):
+            raise error
+
+        monkeypatch.setattr(cli, "kakeya_check", failing)
+        code, doc = body_json(["check", DYADIC])
+        assert code == error.exit_code
+        expected = {"kind": error.kind, "message": str(error), "position": None}
+        if error.kind == "internal":  # as for any exception the package does not raise itself
+            expected["type"] = type(error).__name__
+        assert doc == {"error": expected}
 
 
 class TestByteAnchor:

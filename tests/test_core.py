@@ -500,22 +500,22 @@ class TestGridUnionReferee:
         model = SequenceModel((), self.CANTOR_TAILS[0])
         union = achievable_outer(model, 10).union
         assert len(union) == 1024 and "parts" not in union.__dict__
-        calls = {"Fraction.__new__": 0, "Interval.__post_init__": 0}
-        fraction_new, post_init = Fraction.__new__, Interval.__post_init__
+        calls = {"Fraction.__new__": 0, "Interval.__init__": 0}
+        fraction_new, init = Fraction.__new__, Interval.__init__
 
         def counted_new(cls, *args, **kwargs):
             calls["Fraction.__new__"] += 1
             return fraction_new(cls, *args, **kwargs)
 
-        def counted_post_init(self):
-            calls["Interval.__post_init__"] += 1
-            post_init(self)
+        def counted_init(self, lo, hi):
+            calls["Interval.__init__"] += 1
+            init(self, lo, hi)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
-        monkeypatch.setattr(Interval, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Interval, "__init__", counted_init)
         parts = union.parts
-        assert calls == {"Fraction.__new__": 0, "Interval.__post_init__": 0}
+        assert calls == {"Fraction.__new__": 0, "Interval.__init__": 0}
         assert len(parts) == 1024
         # the spies do count the checked constructors
         Interval(Fraction(1, 3), Fraction(1, 2))
-        assert calls["Fraction.__new__"] == 2 and calls["Interval.__post_init__"] == 1
+        assert calls["Fraction.__new__"] == 2 and calls["Interval.__init__"] == 1
