@@ -139,14 +139,14 @@ def _first_deviation(
     """
     end = start + count
     n = start
-    if n <= len(model.prefix):
+    if n <= model._length:
         r = bisect_left(model._run_ends, n)
         if model._runs[r][0] != value:
             return n
         n = model._run_ends[r] + 1
         if n >= end:
             return None
-        if n <= len(model.prefix):
+        if n <= model._length:
             return n
     run = next(_rest(model, n - 1).tail.runs(), None)
     if run is None or run[0] != value:
@@ -177,7 +177,7 @@ def sequence_to_radix(model: SequenceModel) -> ExtremalityReport:
     mult = 1
     position = 1
     while True:
-        if position > len(model.prefix):
+        if position > model._length:
             signature = _rest(model, position - 1).tail.as_radix()
             # the remainder, rescaled by mult, is worth exactly 1
             if signature is not None and (signature.scale.numerator, signature.scale.denominator) == (1, mult):

@@ -155,7 +155,7 @@ def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
     the cut for L (one check when the cut is a finite model's support, whose
     last term always violates) and on past it for the flag.
     """
-    offset = len(model.prefix)
+    offset = model._length
     endless = model.tail.first_excess(0) is not None
     if endless and cut > offset:
         return cut, False
@@ -182,13 +182,13 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     _check_index(depth, 0, "depth")
     cut = depth
     if model.finite:
-        cut = min(depth, len(model.prefix))
+        cut = min(depth, model._length)
     last, exact = _violations_around(model, cut)
     # at zero slack a tail that violates does so at every index, and a
     # violating step appends a whole copy, so the fold's first
     # last - len(prefix) steps, the tail's, double the pieces exactly;
     # 2^doublings > MAX_PIECES just when doublings reaches its bit length
-    doublings = last - len(model.prefix)
+    doublings = last - model._length
     if doublings >= MAX_PIECES.bit_length():
         raise _too_many_pieces(f"2^{doublings}")
     terms = model.first_terms(last)

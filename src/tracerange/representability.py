@@ -24,14 +24,15 @@ Equality takes the term, which is what makes expansions of exactly
 representable targets terminate in zeros instead of trailing maximal runs.
 
 The expansion runs on integers and builds its ``Fraction`` results once
-at the end. The short prefix is stepped over its own common denominator;
-the tail's ``greedy`` method then steps the residual in units of the
-current term (for a geometric tail, Renyi's beta-transformation), so the
-integers grow with the ratio's numerator rather than with the terms'
-common denominator, and over a radix block not at all. The certified check
-is an integer test on that ratio at every step. ``verify_expansion`` is
-the independent referee: it reads the tail's bits as one numeral (the
-tail's ``numeral``), a route that shares no step with the greedy.
+at the end. The prefix steps over its own common denominator a run at a
+time, ones while they fit and then zeros, checked at the run's end where
+its room is tightest; the tail's ``greedy`` then steps the residual in
+units of the current term (for a geometric tail, Renyi's
+beta-transformation), so the integers grow with the ratio's numerator
+rather than with the terms' common denominator, and over a radix block not
+at all, checked by an integer test at every step. ``verify_expansion`` is
+the independent referee: it counts each prefix run's ones and reads the
+tail's bits as one numeral (``numeral``), sharing no step with the greedy.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction
     * zero: none, so a finite model's last term violates at sigma = 0.
     """
     sigma = sigma or 0  # a zero slack is never added
-    offset = len(model.prefix)
+    offset = model._length
     yield from _prefix_excesses(model, sigma, range(1, offset + 1))
     for j, gap in model.tail.excesses(sigma):
         yield offset + j, gap
@@ -157,29 +158,28 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
     if not (0 <= target <= model.total):
         raise DomainError(f"target {target} outside [0, {model.total}]")
     certified = kakeya_check(model).holds
-    steps = min(bit_count, len(model.prefix)) if model.finite else bit_count
-    lead = model.prefix[:steps]
+    steps = min(bit_count, model._length) if model.finite else bit_count
+    lead = model._runs[: bisect_left(model._run_ends, steps) + 1]  # the runs the steps reach
     # the prefix steps over its own lcm, with the total so the room is exact
     total = model.total
-    den = math.lcm(target.denominator, total.denominator, *(x.denominator for x in lead))
+    den = math.lcm(target.denominator, total.denominator, *(x.denominator for x, _ in lead))
     residual = target.numerator * (den // target.denominator)
     remaining = total.numerator * (den // total.denominator)
     bits: list[int] = []
-    for n, x in enumerate(lead, start=1):
+    for x, count in lead:
+        count = min(count, steps - len(bits))
         a = x.numerator * (den // x.denominator)
-        remaining -= a
-        if residual >= a:
-            bits.append(1)
-            residual -= a
-        else:
-            bits.append(0)
+        took = min(count, residual // a)
+        residual -= took * a
+        remaining -= count * a
+        bits += (1,) * took + (0,) * (count - took)
         if certified:
             assert 0 <= residual <= remaining, (
                 f"greedy residual {Fraction(residual, den)} escaped "
-                f"[0, {Fraction(remaining, den)}] at step {n}"
+                f"[0, {Fraction(remaining, den)}] at step {len(bits)}"
             )
-    if steps > len(lead):  # past the whole prefix the tail steps on
-        tail_bits, rest = model.tail.greedy(residual, den, steps - len(lead), certified)
+    if steps > len(bits):  # past the whole prefix the tail steps on
+        tail_bits, rest = model.tail.greedy(residual, den, steps - len(bits), certified)
         bits += tail_bits
     else:
         rest = Fraction(residual, den)
@@ -195,11 +195,13 @@ def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
     """
     target = Fraction(target)
     bits = _checked_bits(bits, model.support)
-    lead = [x for x, bit in zip(model.prefix, bits) if bit]
-    den = math.lcm(target.denominator, *(x.denominator for x in lead))
-    chosen = sum(x.numerator * (den // x.denominator) for x in lead)
+    # the ones in the slice of the bits of each prefix run they reach, times its value
+    ends = model._run_ends[: bisect_left(model._run_ends, len(bits)) + 1]
+    lead = [(x, d) for (x, _), start, end in zip(model._runs, (0,) + ends, ends) if (d := bits[start:end].count(1))]
+    den = math.lcm(target.denominator, *(x.denominator for x, _ in lead))
+    chosen = sum(d * x.numerator * (den // x.denominator) for x, d in lead)
     left = Fraction(target.numerator * (den // target.denominator) - chosen, den)
-    return abs(left - model.tail.numeral(bits[len(model.prefix):]))
+    return abs(left - model.tail.numeral(bits[model._length:]))
 
 
 def gap_certificate(model: SequenceModel, n: int) -> tuple[Fraction, Fraction]:

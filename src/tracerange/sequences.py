@@ -27,9 +27,9 @@ a radix block only gcd(num, k) for its radix k. ``greedy`` steps the
 residual in units of the current term, so its integers grow with the
 ratio's numerator, not with the common denominator of the terms.
 
-A model holds its prefix as canonical runs of (value, multiplicity), with
-adjacent equal values merged, and spells the public ``prefix`` tuple out
-from them. Every check, sum and derived model pays per run, not per term:
+A model holds its prefix only as canonical runs of (value, multiplicity),
+compares and hashes on them, and spells the ``prefix`` tuple out when it is
+read (``_spelled``). Every check, sum, read and derived model pays per run:
 ``_from_runs(runs, tail)`` builds a model from runs, checking each run
 once (``_checked_runs``), ``_scaled_runs`` scales every run's value, and
 ``_run_excess_start`` is the condition engine's rule for one run, which
@@ -358,7 +358,7 @@ class MixedRadixTail(_Record):
         return self.scale / _walk(self, j)[2]
 
     def terms(self) -> Iterator[Fraction]:
-        return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.runs()))
+        return _spelled(self.runs())
 
     def runs(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (value, multiplicity) per block, forever.
@@ -571,10 +571,6 @@ def _checked_tail(tail, label: str = "tail") -> TailModel:
     return tail
 
 
-def _as_fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _checked_runs(runs, tail) -> tuple[tuple[Fraction, int], ...]:
     """Prefix runs of (value, multiplicity), in order, checked against
     ``tail`` and made canonical: adjacent equal values merge.
@@ -618,6 +614,11 @@ def _run_sum(run: tuple[Fraction, int]) -> Fraction:
     return value * count if count > 1 else value  # one term needs no multiply
 
 
+def _spelled(runs) -> Iterator:
+    """Each run's value, repeated its multiplicity, at C level."""
+    return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, runs))
+
+
 def _ends_of(runs) -> tuple[int, ...]:
     """The index of each run's last term."""
     return tuple(itertools.accumulate(map(_count, runs)))
@@ -638,28 +639,33 @@ def _scaled_runs(runs, factor: Fraction) -> list[tuple[Fraction, int]]:
 class SequenceModel(_Record):
     """Explicit prefix plus closed-form tail, validated on construction.
 
-    The prefix is held as ``_runs``, its canonical (value, multiplicity)
-    runs with adjacent equal values merged; ``prefix`` spells them out, one
-    entry per term. The constructor groups its entries into runs once and
-    checks them per run; derived models are built from runs by
-    ``_from_runs``. ``_run_ends`` holds the index of each run's last term;
-    neither is a field, so neither is compared, hashed or shown.
+    The prefix is held only as ``_runs``, its canonical (value,
+    multiplicity) runs, so ``==`` and ``hash`` read ``("_runs", "tail")``,
+    the same relation as the terms; ``prefix`` spells them out on first
+    read, for ``repr``. The constructor checks its entries per run and keeps
+    its tuple; ``_from_runs`` builds derived models from runs.
     """
 
-    _fields = ("prefix", "tail")
+    _fields = ("_runs", "tail")
 
     def __init__(self, prefix: tuple[Fraction, ...] = (), tail: TailModel = ZeroTail()):
-        prefix = tuple(map(_as_fraction, prefix))
+        prefix = tuple(x if type(x) is Fraction else Fraction(x) for x in prefix)
         runs = _checked_runs([(value, len(list(group))) for value, group in itertools.groupby(prefix)], tail)
         self.__dict__.update(prefix=prefix, tail=tail, _runs=runs, _run_ends=_ends_of(runs))
+
+    def __repr__(self) -> str:
+        return super().__repr__(("prefix", "tail"))
+
+    @cached_property
+    def prefix(self) -> tuple[Fraction, ...]:
+        return tuple(_spelled(self._runs))
+
+    _length = property(lambda self: self._run_ends[-1] if self._run_ends else 0)  # the number of prefix terms
 
     @cached_property
     def _run_sums(self) -> tuple[Fraction, ...]:
         """The sum of the prefix from each run on, then a last 0."""
-        sums = [ZERO]
-        for value, count in reversed(self._runs):
-            sums.append(sums[-1] + (value * count if count > 1 else value))
-        return tuple(reversed(sums))
+        return tuple(itertools.accumulate(map(_run_sum, reversed(self._runs)), initial=ZERO))[::-1]
 
     def _runs_after(self, n: int) -> tuple[tuple[Fraction, int], ...]:
         """The prefix runs past index n <= len(prefix), the first one cut."""
@@ -671,7 +677,7 @@ class SequenceModel(_Record):
     @cached_property
     def total(self) -> Fraction:
         # the condition scan reads the run sums as well, so they are shared
-        return (self._run_sums[0] if self._runs else ZERO) + self.tail.total
+        return self._run_sums[0] + self.tail.total
 
     @property
     def finite(self) -> bool:
@@ -680,40 +686,39 @@ class SequenceModel(_Record):
     @property
     def support(self) -> Optional[int]:
         """Number of terms, or None when the sequence is infinite."""
-        return len(self.prefix) if self.finite else None
+        return self._length if self.finite else None
 
     def term(self, n: int) -> Fraction:
         """1-based term access; finite models raise past their support."""
         _check_index(n, 1)
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
+        if n <= self._length:
+            return self._runs[bisect_left(self._run_ends, n)][0]
         if self.finite:
-            raise OutOfSupportError(n, len(self.prefix))
-        return self.tail.term(n - len(self.prefix))
+            raise OutOfSupportError(n, self._length)
+        return self.tail.term(n - self._length)
 
     def iter_terms(self) -> Iterator[Fraction]:
-        return itertools.chain(self.prefix, self.tail.terms())
+        # the tail's terms, not its runs, so a geometric term is not wrapped
+        return itertools.chain(_spelled(self._runs), self.tail.terms())
 
     def first_terms(self, count: int) -> tuple[Fraction, ...]:
         _check_index(count, 0, "count")
         terms = tuple(itertools.islice(self.iter_terms(), count))
         if len(terms) < count:
-            raise OutOfSupportError(count, len(self.prefix))
+            raise OutOfSupportError(count, self._length)
         return terms
 
     def tail_sum(self, n: int) -> Fraction:
         """Exact sum of all terms with index strictly greater than n."""
         _check_index(n, 0)
-        if n <= len(self.prefix):
-            # run r holds index n + 1, and ``left`` of its terms follow n
+        if n <= self._length:
+            # run r holds index n + 1, and ``left`` is its part after n
             r = bisect_right(self._run_ends, n)
             if r == len(self._runs):
                 return self.tail.total
-            value, count = self._runs[r]
-            left = self._run_ends[r] - n
-            after = self._run_sums[r] if left == count else self._run_sums[r + 1] + _run_sum((value, left))
-            return after + self.tail.total
-        return self.tail.sum_after(n - len(self.prefix))
+            left = (self._runs[r][0], self._run_ends[r] - n)
+            return self._run_sums[r + 1] + _run_sum(left) + self.tail.total
+        return self.tail.sum_after(n - self._length)
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact sum of the first n terms."""
@@ -725,17 +730,12 @@ def _from_runs(runs, tail: TailModel) -> SequenceModel:
     a ``Fraction`` and a positive count, in order, followed by ``tail``.
 
     The runs are checked and merged once per run by ``_checked_runs``, with
-    the constructor's messages, and ``prefix`` is spelled out at C level;
-    no entry is re-wrapped or checked on its own.
+    the constructor's messages. No term is spelled out: ``prefix`` waits
+    for its first read.
     """
     runs = _checked_runs(runs, tail)
     model = object.__new__(SequenceModel)
-    model.__dict__.update(
-        prefix=tuple(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, runs))),
-        tail=tail,
-        _runs=runs,
-        _run_ends=_ends_of(runs),
-    )
+    model.__dict__.update(tail=tail, _runs=runs, _run_ends=_ends_of(runs))
     return model
 
 
@@ -749,7 +749,7 @@ def _rest(model: SequenceModel, count: int) -> SequenceModel:
     none of those ``count`` terms: the rest of the prefix, or ``tail.rest``
     past it. A cut past a finite support raises OutOfSupportError.
     """
-    length = len(model.prefix)
+    length = model._length
     if count <= length:
         return _from_runs(model._runs_after(count), model.tail)
     if model.finite:
@@ -797,7 +797,7 @@ def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:
     it (``_rest``), each read as a radix tail where it is one (a geometric
     tail of ratio 1/2 is the all-2 word), so equal streams give equal tails.
     """
-    head = max(len(a.prefix), len(b.prefix))
+    head = max(a._length, b._length)
     if _leading_runs(a, head) != _leading_runs(b, head):
         return False
     x, y = (_rest(model, head).tail for model in (a, b))

@@ -26,6 +26,7 @@ from .sequences import (
     SequenceModel,
     TailModel,
     ZeroTail,
+    _spelled,
 )
 
 
@@ -122,7 +123,7 @@ def tail_from_doc(obj: Any) -> TailModel:
 
 def model_to_doc(model: SequenceModel) -> dict:
     return {
-        "prefix": [format_rational(x) for x in model.prefix],
+        "prefix": list(_spelled((format_rational(x), count) for x, count in model._runs)),
         "tail": tail_to_doc(model.tail),
     }
 

@@ -10,11 +10,15 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from tracerange import (
+    AlgebraSpec,
     GeometricTail,
+    MatrixFactor,
     MixedRadixTail,
     RadixWord,
     SequenceModel,
     ZeroTail,
+    face_embed,
+    from_algebra,
 )
 
 HALF = Fraction(1, 2)
@@ -138,6 +142,58 @@ REFEREE_MODELS = (
     random_radix_model,
     random_prefixed_model,
 )
+
+
+def _embeddable(rng: random.Random) -> SequenceModel:
+    """A referee model, scaled down to a leading term of 1 when it opens above 1."""
+    model = REFEREE_MODELS[rng.randrange(len(REFEREE_MODELS))](rng)
+    lead = model.first_terms(1)[0]
+    return scale_model(model, 1 / lead) if lead > 1 else model
+
+
+def random_embedded_model(rng: random.Random) -> SequenceModel:
+    """A face embedding at radix 2 to 40: a run of radix - 1 equal terms
+    before the scaled referee model."""
+    return face_embed(_embeddable(rng), rng.randint(2, 40))
+
+
+def random_nested_embedding(rng: random.Random) -> SequenceModel:
+    """Two or three face embeddings in a row, a run from each."""
+    model = _embeddable(rng)
+    for _ in range(rng.randint(2, 3)):
+        model = face_embed(model, rng.randint(2, 40))
+    return model
+
+
+def random_algebra_merge(rng: random.Random) -> SequenceModel:
+    """``from_algebra`` over one to three factors of dims 2 to 50, whose atoms
+    may repeat across factors, and a tail holding the rest of the trace."""
+    factors = [MatrixFactor(rng.randint(2, 50), Fraction(1, rng.choice((4, 8, 12)))) for _ in range(rng.randint(1, 3))]
+    rest = 1 - sum(f.weight for f in factors)
+    tail = rng.choice(
+        [
+            GeometricTail(rest / 2, HALF),
+            GeometricTail(rest / 3, Fraction(2, 3)),
+            MixedRadixTail(rest, random_word(rng)),
+        ]
+    )
+    return from_algebra(AlgebraSpec(tuple(factors), tail))
+
+
+# models whose prefixes hold long runs, built from runs; apart from
+# REFEREE_MODELS, so the seeds that draw those keep their models
+RUN_FORM_MODELS = (random_embedded_model, random_nested_embedding, random_algebra_merge)
+
+
+def run_cuts(model: SequenceModel, rng: random.Random) -> list[int]:
+    """Cuts at each prefix run's end, one before and one after it, one at a
+    random slot inside it, and a few past the prefix/tail junction."""
+    cuts, start = {0}, 0
+    for _, count in model._runs:
+        end = start + count
+        cuts |= {end - 1, end, end + 1, rng.randint(start + 1, end)}
+        start = end
+    return sorted(cuts | {start + 2, start + 7})
 
 
 def fraction_terms(model: SequenceModel, count: int) -> list[Fraction]:

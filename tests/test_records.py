@@ -22,6 +22,7 @@ import pytest
 
 import tracerange as t
 from tracerange.cli import CommandResult
+from tracerange.sequences import _from_runs
 
 F = Fraction
 R = inspect.Parameter.empty  # a parameter with no default
@@ -72,7 +73,7 @@ RECORDS = {
     ),
     "SequenceModel": (
         _geo_model,
-        ("prefix", "tail"),
+        ("_runs", "tail"),
         {"prefix": (), "tail": t.ZeroTail()},
         "SequenceModel(prefix=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), "
         "tail=GeometricTail(first=Fraction(1, 8), ratio=Fraction(1, 2)))",
@@ -172,14 +173,28 @@ class TestRecord:
         )
 
 
-def test_a_model_compares_its_fields_not_its_runs_or_cached_values():
-    model = _geo_model()
-    # the runs and the cached sums sit in the instance dict beside the fields
-    assert model._runs == ((F(1, 2), 1), (F(1, 4), 2))
-    assert model.total == F(5, 4) and {"_runs", "_run_ends", "total"} <= set(vars(model))
+def test_a_model_compares_its_fields_not_its_cached_values():
+    derived = t.face_extract(t.face_embed(_geo_model(), 3))
+    # a model built from runs spells its prefix out only when it is read
+    assert "prefix" not in vars(derived)
+    assert derived.prefix == (F(1, 2), F(1, 4), F(1, 4)) and "prefix" in vars(derived)
+    assert derived.total == F(5, 4) and {"_run_ends", "prefix", "total"} <= set(vars(derived))
     fresh = _geo_model()
     assert "total" not in vars(fresh)
-    assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+    assert derived == fresh and hash(derived) == hash(fresh) and repr(derived) == repr(fresh)
+
+
+def test_models_built_three_ways_compare_and_hash_equal():
+    tail = t.GeometricTail(F(1, 8), F(1, 2))
+    built = _geo_model()
+    # equal runs handed over split are merged into the canonical runs
+    split = _from_runs([(F(1, 2), 1), (F(1, 4), 1), (F(1, 4), 1)], tail)
+    round_trip = t.face_extract(t.face_embed(built, 5))
+    assert built._runs == split._runs == round_trip._runs == ((F(1, 2), 1), (F(1, 4), 2))
+    assert "prefix" not in vars(split) and "prefix" not in vars(round_trip)
+    assert built == split == round_trip
+    assert hash(built) == hash(split) == hash(round_trip)
+    assert repr(built) == repr(split) == repr(round_trip)
 
 
 def _run_isolated(code: str) -> subprocess.CompletedProcess:

@@ -33,6 +33,7 @@ from tracerange.representability import _excesses
 
 from support import (
     REFEREE_MODELS,
+    RUN_FORM_MODELS,
     all_threes,
     cantor_like,
     dyadic,
@@ -43,6 +44,7 @@ from support import (
     random_complete_model,
     random_fraction,
     random_word,
+    run_cuts,
     scale_model,
 )
 from test_sequences import CANCELLING_MODELS
@@ -222,6 +224,21 @@ class TestIntegerReferee:
             noise = tuple(rng.randint(0, 1) for _ in bits)
             assert verify_expansion(model, noise, target) == fraction_verify(model, noise, target)
 
+    def test_run_form_models_match_fraction_loops(self):
+        # the greedy steps a prefix run at once and verify counts its ones;
+        # cut inside each run, at its end and past the prefix/tail junction
+        rng = random.Random(2719)
+        for trial in range(60):
+            model = RUN_FORM_MODELS[trial % len(RUN_FORM_MODELS)](rng)
+            target = random_fraction(rng, F(0), model.total, grain=rng.choice([4, 16, 97, 1000]))
+            for bit_count in run_cuts(model, rng):
+                expansion = greedy_expand(model, target, bit_count)
+                assert expansion == BitExpansion(*fraction_greedy(model, target, bit_count)), (model, bit_count)
+                bits = expansion.bits
+                assert verify_expansion(model, bits, target) == fraction_verify(model, bits, target)
+                noise = tuple(rng.randint(0, 1) for _ in bits)
+                assert verify_expansion(model, noise, target) == fraction_verify(model, noise, target)
+
 
 class TestNumeralReferee:
     """``verify_expansion``, which evaluates the tail's bits as a numeral,
@@ -305,6 +322,15 @@ class TestUnitStepReferee:
         for trial in range(36):
             model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
             self.check(scale_model(model, rng.choice([F(1), F(3, 4), F(7, 3)])), rng)
+
+    def test_run_form_models(self):
+        rng = random.Random(6022)
+        for trial in range(30):
+            model = RUN_FORM_MODELS[trial % len(RUN_FORM_MODELS)](rng)
+            for count in run_cuts(model, rng):
+                for target in self.targets(model, rng):
+                    expansion = greedy_expand(model, target, count)
+                    assert expansion == BitExpansion(*fraction_greedy(model, target, count)), (model, target, count)
 
     @pytest.mark.parametrize("name", [name for name, model in CANCELLING_MODELS.items() if not model.finite])
     def test_cancelling_models(self, name):

@@ -320,3 +320,47 @@ class TestCostContract:
         # the spy does count: the embedding builds 1/radix at least
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+
+class TestPrefixStaysUnspelled:
+    """A deterministic spy, no clock: a model built from runs spells its
+    ``prefix`` tuple out only when something reads it. Every engine and the
+    model's identity read the runs, so a run of a million terms costs them
+    no more than a run of ten."""
+
+    R = 10**6
+
+    def test_no_engine_spells_out_a_million_term_run(self):
+        base = radix_to_sequence(RadixWord((), (2,)))
+        model, twin = face_embed(base, self.R), face_embed(base, self.R)
+        unit = F(1, self.R)
+        target = F(1, 3)
+        bits = (1,) * 64  # 64 copies of 1/R fit under 1/3
+        reads = {
+            "face_embed": lambda: model._runs == ((unit, self.R - 1),),
+            "==": lambda: model == twin,
+            "hash": lambda: hash(model) == hash(twin),
+            "same_sequence": lambda: same_sequence(model, twin),
+            "sequence_to_radix": lambda: sequence_to_radix(model).word == RadixWord((self.R,), (2,)),
+            "kakeya_check": lambda: kakeya_check(model).holds,
+            "admissibility_check": lambda: admissibility_check(model).holds,
+            "face_extract": lambda: face_extract(model) == base,
+            "term": lambda: model.term(self.R // 2) == unit and model.term(self.R + 9) == unit / 2**10,
+            "tail_sum": lambda: model.tail_sum(self.R // 2) == F(self.R - self.R // 2, self.R),
+            "greedy_expand": lambda: greedy_expand(model, target, 64).bits == bits,
+            "verify_expansion": lambda: verify_expansion(model, bits, target) == target - 64 * unit,
+        }
+        for name, read in reads.items():
+            assert read(), name
+            assert "prefix" not in vars(model) and "prefix" not in vars(twin), name
+
+    def test_repr_and_document_match_a_spelled_out_model(self):
+        radix = 10**5
+        model = face_embed(radix_to_sequence(RadixWord((), (2,))), radix)
+        spelled = SequenceModel((F(1, radix),) * (radix - 1), model.tail)
+        assert "prefix" not in vars(model) and "prefix" in vars(spelled)
+        assert json.dumps(model_to_doc(model)) == json.dumps(model_to_doc(spelled))
+        # the document writes each run's text once, and reads no spelled-out prefix
+        assert "prefix" not in vars(model)
+        assert repr(model) == repr(spelled)
+        assert model.prefix == spelled.prefix
