@@ -33,10 +33,10 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .core import _Record, _check_writable, format_rational, parse_rational
+from .core import _Record, _check_writable, _unread_integer, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
 from .extreme_points import mixed_radix_digits, radix_to_sequence, sequence_to_radix
@@ -149,19 +149,63 @@ def _spec_text(args) -> str:
     return inline
 
 
-# ``json.dumps(doc, indent=2, sort_keys=True)`` without a new encoder per
-# document; each document is a fresh tree, so no cycle check is needed
-_dump = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
+def _write_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for what a document
+    holds: dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
+    ``None``. Anything else raises ``TypeError``, and an ``int`` past the
+    int-to-text digit limit the ``ValueError`` that ``json`` raises. ``pad``
+    is the newline and indent written before the value's closing bracket."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _write_json(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_write_json(item, inner) for item in value]) + pad + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# every document is written as ``json.dumps(doc, indent=2, sort_keys=True)``
+# writes it. Before 3.13 ``json`` indents only in pure-Python generators, and
+# ``_write_json`` writes the same bytes in about half their time; from 3.13
+# ``json`` indents in C and is the faster, so there one encoder serves every
+# document, with no cycle check, as each document is a fresh tree.
+if sys.version_info < (3, 13):
+    _dump = _write_json
+else:
+    _dump = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
 
 
 def _parse_depths(raw: str) -> list[int]:
-    depths = []
+    depths, malformed = [], f"--depth must be integers separated by commas, got {raw!r}"
     for piece in raw.split(","):
         piece = piece.strip()
         # ``isdecimal`` holds for exactly the digits ``int`` reads: "٣" but not "²"
         if not piece or not (piece.isdecimal() or (piece[0] == "-" and piece[1:].isdecimal())):
-            raise ParseError(f"--depth must be integers separated by commas, got {raw!r}")
-        depths.append(int(piece))
+            raise ParseError(malformed)
+        try:
+            depths.append(int(piece))
+        except ValueError:  # more digits than the interpreter's digit limit
+            raise _unread_integer(piece, malformed) from None
     return depths
 
 
@@ -204,10 +248,11 @@ def _vna(args) -> str:
 def _encode(args) -> str:
     model = radix_to_sequence(parse_word(args.word))
     doc = {"model": model_to_doc(model)}
-    # a radix model is endless, so any count of terms is in its
-    # support; each term is checked as it comes, as for ``gaps``
+    # a radix model is endless, so any count of terms is in its support;
+    # each term is checked as it comes, as for ``gaps``, so a count past
+    # what can be written stops at the first term too large to write
     count = _check_index(args.terms, 0, "count")
-    terms = [_check_writable(x) for x in islice(model.iter_terms(), count)]
+    terms = [_check_writable(x) for _, x in zip(range(count), model.iter_terms())]
     doc["terms"] = [format_rational(x) for x in terms]
     return _dump(doc)
 

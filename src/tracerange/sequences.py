@@ -186,10 +186,15 @@ class GeometricTail(_Record):
     _fields = ("first", "ratio")
 
     def __init__(self, first: Fraction, ratio: Fraction):
-        first, ratio = Fraction(first), Fraction(ratio)
-        if first <= 0:
+        # a Fraction is kept as it is, as ``Interval`` keeps it, and its
+        # denominator is positive, so signs and bounds read its numerator
+        if type(first) is not Fraction:
+            first = Fraction(first)
+        if type(ratio) is not Fraction:
+            ratio = Fraction(ratio)
+        if first.numerator <= 0:
             raise ValidationError(f"geometric first term must be positive, got {first}")
-        if not (0 < ratio < 1):
+        if not 0 < ratio.numerator < ratio.denominator:
             raise ValidationError(f"geometric ratio outside (0, 1): {ratio}")
         _setattr(self, "first", first)
         _setattr(self, "ratio", ratio)
@@ -340,8 +345,9 @@ class MixedRadixTail(_Record):
     _fields = ("scale", "radices")
 
     def __init__(self, scale: Fraction, radices: RadixWord):
-        scale = Fraction(scale)
-        if scale <= 0:
+        if type(scale) is not Fraction:  # as in ``GeometricTail``
+            scale = Fraction(scale)
+        if scale.numerator <= 0:
             raise ValidationError(f"radix tail scale must be positive, got {scale}")
         if not isinstance(radices, RadixWord):
             raise ValidationError("radices must be a RadixWord")

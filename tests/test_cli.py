@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 from support import HUGE_ENDPOINTS, cantor_like, random_complete_model, random_fraction
 
 from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, errors, svg
@@ -95,6 +98,8 @@ class TestExitCodes:
             ["extreme", "encode", "2 1" + "0" * 5000],
             ["extreme", "decode", '{"tail": {"kind": "radix", "scale": "1", "period": [1' + "0" * 5000 + "]}}"],
             ["check", '{"prefix": [1' + "0" * 5000 + "]}"],
+            ["range", DYADIC, "--depth", "1" + "0" * 5000],
+            ["range", DYADIC, "--depth", "3, -1" + "0" * 5000, "--format", "svg"],
         ],
     )
     def test_integer_past_the_digit_limit_is_a_parse_failure(self, argv):
@@ -112,6 +117,8 @@ class TestExitCodes:
             (["gaps", f"geo(1/2, 1/{10**1000})", "--depth", "1000000"], 16611),
             (["gaps", f"geo(1/2, 1/{10**1000})", "--depth", "8"], 16611),
             (["extreme", "encode", "2", "--terms", "20000"], 14286),
+            # a count past ``sys.maxsize`` stops at the same term
+            (["extreme", "encode", "2", "--terms", str(2**63)], 14286),
         ],
     )
     def test_output_too_large_is_refused_at_its_first_rational(self, argv, bits):
@@ -616,7 +623,64 @@ class TestFrontEnd:
         every = {"check", "expand", "range", "gaps", "vna", "extreme encode", "extreme decode", "digits"}
         assert every <= commands
         for doc in docs:
-            assert dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+            expected = json.dumps(doc, indent=2, sort_keys=True)
+            # the writer is called by name, so it is checked on an interpreter
+            # whose ``_dump`` is ``json``'s own encoder as well
+            assert dump(doc) == cli._write_json(doc) == expected
+
+
+# strings that ``json`` escapes: quotes, backslashes, controls, non-ASCII
+# and astral characters (written as surrogate pairs)
+_JSON_TEXT = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7fé€\u2028\U0001f600') | st.characters(), max_size=12)
+_JSON_LEAVES = (
+    _JSON_TEXT
+    | st.integers(min_value=-(10**4000), max_value=10**4000)
+    | st.sampled_from([0, -1, 10**3999, -(10**3999), True, False, None])
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_JSON_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    """``cli._write_json`` against ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCS)
+    @example({"a": [], "b": {}, "": [[[]], {}]})
+    @example([{}, "", 0, None])
+    @example(None)
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert cli._write_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (0.5, "Object of type float is not JSON serializable"),
+            ({"a": [1, (2, 3)]}, "Object of type tuple is not JSON serializable"),
+            ([{1: "a"}], "keys must be str, not int"),
+            ({None: 2}, "keys must be str, not NoneType"),
+        ],
+    )
+    def test_anything_else_is_a_type_error(self, doc, message):
+        with pytest.raises(TypeError) as error:
+            cli._write_json(doc)
+        assert str(error.value) == message
+
+    def test_an_int_past_the_digit_limit_raises_what_json_raises(self):
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("this interpreter has no int-to-text digit limit")
+        doc = {"a": [10**5000]}
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(ValueError) as error:
+            cli._write_json(doc)
+        assert str(error.value) == str(expected.value)
+
+    def test_dump_is_the_writer_before_3_13(self):
+        assert (cli._dump is cli._write_json) == (sys.version_info < (3, 13))
 
 
 

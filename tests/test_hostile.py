@@ -45,6 +45,10 @@ HOSTILE = {
     "vna-dim-3e7": ["vna", '{"factors":[{"dim":30000000,"weight":"1/1"}]}'],
     # a total past the int-to-text digit limit: the svg axis label cannot be written
     "svg-span-10^4000": SVG_SPAN,
+    # a depth with more digits than ``int`` reads: a parse failure, as in the DSL
+    "depth-of-5000-digits": ["range", "geo(1/2,1/2)", "--depth", "1" * 5000],
+    # a term count past ``sys.maxsize``: stopped at the first term too large to write
+    "encode-terms-2^63": ["extreme", "encode", "2", "--terms", str(2**63)],
 }
 # 1024 pieces with endpoints of about 66,000 bits
 SVG_ENDPOINTS = ["range", HUGE_ENDPOINTS, "--depth", "10", "--format", "svg"]

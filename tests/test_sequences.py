@@ -45,6 +45,15 @@ from support import (
 F = Fraction
 
 
+def fraction_refusal(arg):
+    """The exception class and message of ``Fraction(arg)``."""
+    try:
+        Fraction(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"Fraction({arg!r}) reads")
+
+
 class TestRadixWord:
     def test_period_reduced_to_primitive_root(self):
         assert RadixWord((), (2, 3, 2, 3)) == RadixWord((), (2, 3))
@@ -89,6 +98,53 @@ class TestTails:
             GeometricTail(F(0), F(1, 2))
         with pytest.raises(ValidationError):
             GeometricTail(F(1, 2), F(1))
+
+    # each case: the arguments, then the exception and message they raise,
+    # or None where the tail is built
+    WORD = RadixWord((), (3,))
+    TAIL_CASES = [
+        (GeometricTail, (F(1, 2), F(1, 3)), None),
+        (GeometricTail, (1, "1/3"), None),
+        (GeometricTail, ("2/4", F(1, 3)), None),
+        (GeometricTail, (0, F(1, 2)), (ValidationError, "geometric first term must be positive, got 0")),
+        (GeometricTail, ("-1/3", "1/2"), (ValidationError, "geometric first term must be positive, got -1/3")),
+        (GeometricTail, (F(-2, 6), 1), (ValidationError, "geometric first term must be positive, got -1/3")),
+        (GeometricTail, (0, 2), (ValidationError, "geometric first term must be positive, got 0")),
+        (GeometricTail, (1, 1), (ValidationError, "geometric ratio outside (0, 1): 1")),
+        (GeometricTail, ("1/2", "3/2"), (ValidationError, "geometric ratio outside (0, 1): 3/2")),
+        (GeometricTail, (F(1, 2), F(0)), (ValidationError, "geometric ratio outside (0, 1): 0")),
+        (GeometricTail, (F(1, 2), -F(1, 2)), (ValidationError, "geometric ratio outside (0, 1): -1/2")),
+        (GeometricTail, (F(1, 2), 2), (ValidationError, "geometric ratio outside (0, 1): 2")),
+        (GeometricTail, ("x", F(1, 2)), fraction_refusal("x")),
+        (GeometricTail, (1, "1/0"), fraction_refusal("1/0")),
+        (GeometricTail, (None, F(1, 2)), fraction_refusal(None)),
+        (MixedRadixTail, (F(2, 3), WORD), None),
+        (MixedRadixTail, (1, WORD), None),
+        (MixedRadixTail, ("4/6", WORD), None),
+        (MixedRadixTail, (0, WORD), (ValidationError, "radix tail scale must be positive, got 0")),
+        (MixedRadixTail, ("-2/3", WORD), (ValidationError, "radix tail scale must be positive, got -2/3")),
+        (MixedRadixTail, (F(-1), WORD), (ValidationError, "radix tail scale must be positive, got -1")),
+        (MixedRadixTail, (1, (3,)), (ValidationError, "radices must be a RadixWord")),
+        (MixedRadixTail, (1, RadixWord((3,), ())), (ValidationError, "a radix tail needs an infinite word (nonempty period)")),
+        (MixedRadixTail, ("1/x", WORD), fraction_refusal("1/x")),
+    ]
+
+    @pytest.mark.parametrize("cls, args, expected", TAIL_CASES)
+    def test_tail_arguments_give_fractions_or_their_pinned_refusal(self, cls, args, expected):
+        if expected is None:
+            rationals = cls(*args)._values()[: 1 if cls is MixedRadixTail else 2]
+            assert all(type(x) is Fraction for x in rationals)
+            assert rationals == tuple(map(Fraction, args[: len(rationals)]))
+            return
+        with pytest.raises(Exception) as error:
+            cls(*args)
+        assert (error.type, str(error.value)) == expected
+
+    def test_a_fraction_argument_is_kept(self):
+        first, ratio, scale = F(1, 2), F(1, 3), F(2, 3)
+        tail = GeometricTail(first, ratio)
+        assert tail.first is first and tail.ratio is ratio
+        assert MixedRadixTail(scale, self.WORD).scale is scale
 
     def test_radix_blocks_and_terms(self):
         tail = MixedRadixTail(F(1), RadixWord((), (3,)))
