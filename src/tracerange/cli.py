@@ -57,9 +57,72 @@ class CommandResult(_Record):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports malformed argv as ParseError instead of exiting."""
+    """argparse that reports malformed argv as ParseError instead of exiting,
+    and reads plain argv (see ``read_plain``) from its own actions."""
 
     commands = None  # the action ``add_subparsers`` returned, if any
+
+    def __init__(self, *args, **kwargs):
+        # what ``add_argument`` recorded (``__init__`` adds ``-h`` through it):
+        # every action, the positionals in order, the one-value store options
+        # by each of their strings, and whether ``read_plain`` may read argv
+        self.actions, self.positionals, self.options, self.plain = [], [], {}, True
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions.append(action)
+        store = kwargs.get("action") in (None, "store")
+        if not action.option_strings:
+            self.positionals.append(action)
+            self.plain &= store and action.nargs in (None, "?")
+        elif store and action.nargs is None:
+            self.options.update(dict.fromkeys(action.option_strings, action))
+        # argparse refuses a required option that is absent, and passes an
+        # absent option's str default through its ``type``; the reader does neither
+        self.plain &= not (action.option_strings and action.required)
+        self.plain &= not (isinstance(action.default, str) and action.type is not None)
+        return action
+
+    def read_plain(self, argv: list[str], namespace: argparse.Namespace) -> bool:
+        """Read ``argv`` into ``namespace`` as ``parse_args`` would, if it is
+        plain, and say whether it was. Plain is exactly this parser's
+        positionals, then ``--option value`` pairs, each option an exact
+        string of a one-value store option, and no value starting with "-";
+        each value must pass its action's ``type`` and ``choices``. Any other
+        argv leaves ``namespace`` untouched, for argparse to answer."""
+        count = len(self.positionals)
+        if not self.plain or self.commands is not None or len(argv) < count or (len(argv) - count) % 2:
+            return False
+        pairs = [*zip(self.positionals, argv), *zip(map(self.options.get, argv[count::2]), argv[count + 1 :: 2])]
+        read = []
+        for action, text in pairs:
+            if action is None or text[:1] == "-":
+                return False
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return False
+            if action.choices is not None and value not in action.choices:
+                return False
+            read.append((action.dest, value))
+        for action in self.actions:
+            dest, default = action.dest, action.default
+            if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS and not hasattr(namespace, dest):
+                setattr(namespace, dest, default)
+        for dest, value in read:
+            setattr(namespace, dest, value)
+        return True
+
+    def parse_args(self, args=None, namespace=None):
+        """argparse's own parse; what ``--help`` and ``--version`` print is
+        kept off stdout and carried by their ``SystemExit`` as ``printed``."""
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            try:
+                return super().parse_args(args, namespace)
+            except SystemExit as stop:
+                stop.printed = printed.getvalue()
+                raise
 
     def error(self, message):
         raise ParseError(message)
@@ -119,9 +182,11 @@ def _parser() -> _Parser:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``_parser().parse_args(argv)``, stepping straight into the parser of
-    each leading command name as argparse's subparser action would; any
-    other argv (empty, an option first, an unknown name) takes the parser
-    it has reached, so help, version and error text are unchanged."""
+    each leading command name as argparse's subparser action would. The
+    parser reached reads the rest itself if it is plain; any other argv
+    (empty, an option first, an unknown name, help, ``--opt=value``, ...)
+    takes that parser's ``parse_args``, so help, version and error text are
+    unchanged."""
     for entry in argv:
         if not isinstance(entry, str):  # argparse would raise TypeError on it
             raise ParseError(f"command line entries must be str, got {type(entry).__name__}")
@@ -130,7 +195,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         setattr(args, parser.commands.dest, argv[0])
         parser = parser.commands.choices[argv[0]]
         argv = argv[1:]
-    return parser.parse_args(argv, args)
+    return args if parser.read_plain(argv, args) else parser.parse_args(argv, args)
 
 
 def _spec_text(args) -> str:
@@ -290,13 +355,11 @@ def _failure(code: int, kind: str, exc: Exception) -> CommandResult:
 
 def run_command(argv) -> CommandResult:
     """Run one command line; never raises, never exits."""
-    buffer = io.StringIO()
     try:
-        with contextlib.redirect_stdout(buffer):
-            args = _parse(list(argv))
+        args = _parse(list(argv))
         return CommandResult(0, _COMMANDS[getattr(args, "mode", args.command)](args))
-    except SystemExit as stop:  # --help and --version land here
-        return CommandResult(int(stop.code or 0), buffer.getvalue().rstrip("\n"))
+    except SystemExit as stop:  # --help and --version land here, with what they printed
+        return CommandResult(int(stop.code or 0), getattr(stop, "printed", "").rstrip("\n"))
     except TraceRangeError as exc:  # each class carries its exit code and kind
         return _failure(exc.exit_code, exc.kind, exc)
     except Exception as exc:  # safety net

@@ -297,6 +297,8 @@ class IntervalUnion(_Record):
 
     @cached_property
     def parts(self) -> tuple[Interval, ...]:
+        if not self._ends:  # every one-piece cover's complement
+            return ()
         # ``_place`` has checked the order of every endpoint
         ends = self._reduced(_trusted_fraction)
         return _trusted_intervals(ends[0::2], ends[1::2])

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output bodies, error envelopes."""
 
+import argparse
 import hashlib
 import json
 import sys
@@ -627,6 +628,146 @@ class TestFrontEnd:
             # the writer is called by name, so it is checked on an interpreter
             # whose ``_dump`` is ``json``'s own encoder as well
             assert dump(doc) == cli._write_json(doc) == expected
+
+
+def _parsed(argv):
+    """``cli._parse(argv)`` as a comparable value: the namespace's fields, or
+    the exception's type and message (for an exit, its code and printed text)."""
+    try:
+        return vars(cli._parse(argv))
+    except SystemExit as stop:
+        return SystemExit, stop.code, stop.printed
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _bench_like_argv(rng):
+    """One request of a shape the ``cli`` benchmark sends."""
+    spec = rng.choice(TestByteAnchor.CHECK_MODELS)
+    word = rng.choice(("2", "3 | 2", "2 3", "5 | 3 2"))
+    target = str(random_fraction(rng, F(0), F(1)))
+    depth = str(rng.choice((2, 4, 6, 8)))
+    return rng.choice([
+        ["check", spec],
+        ["expand", spec, target],
+        ["range", spec],
+        ["range", spec, "--depth", depth],
+        ["range", spec, "--format", "csv"],
+        ["range", spec, "--depth", "1,3", "--format", "svg"],
+        ["gaps", spec],
+        ["gaps", spec, "--depth", depth],
+        ["vna", rng.choice(TestByteAnchor.ALGEBRAS)],
+        ["extreme", "encode", word, "--terms", depth],
+        ["extreme", "decode", spec],
+        ["digits", word, target, "--count", depth],
+    ])
+
+
+# each leaf's command words, positional count and options
+LEAVES = [
+    (["check"], 1, ["--file"]),
+    (["expand"], 2, ["--file", "--bits"]),
+    (["range"], 1, ["--file", "--depth", "--format"]),
+    (["gaps"], 1, ["--file", "--depth"]),
+    (["vna"], 1, ["--file"]),
+    (["extreme", "encode"], 1, ["--terms"]),
+    (["extreme", "decode"], 1, ["--file"]),
+    (["digits"], 2, ["--count"]),
+]
+# values argparse reads in ways of its own: negative-looking, empty, padded,
+# signed, non-ASCII digits, underscores, option-like
+HOSTILE = ["-1", "-1/2", "--", "-", "", " 3", "+3", "٣", "3_0", "x", "--dep", "--depth=3", "-h"]
+PLAIN = ["3", "12", DYADIC, "3 | 2", "1/3", "1,4", "json", "csv", "svg", "xml", '{"factors": []}']
+OPTIONS = ["--file", "--bits", "--depth", "--format", "--terms", "--count", "--dep", "--depth=3", "-h", "--", "--bogus", "-1"]
+
+
+def _pick(rng, usual, other):
+    return rng.choice(other if rng.random() < 0.15 else usual)
+
+
+def _near_plain_argv(rng):
+    """A leaf (now and then none) with about its count of positionals and up
+    to three option pairs, mostly its own options and plain values, now and
+    then any option or a hostile value, and now and then an option pair
+    moved before the positionals."""
+    path, count, options = rng.choice(LEAVES + [([], 0, []), (["extreme"], 0, []), (["bogus"], 0, [])])
+    count = max(0, count + rng.choice((0, 0, 0, -1, 1)))
+    words = [_pick(rng, PLAIN, HOSTILE) for _ in range(count)]
+    pairs = [[_pick(rng, options or OPTIONS, OPTIONS), _pick(rng, PLAIN, HOSTILE)] for _ in range(rng.randrange(4))]
+    if pairs and rng.random() < 0.15:
+        words = pairs.pop() + words
+    return path + words + [word for pair in pairs for word in pair]
+
+
+class TestPlainReader:
+    """``_Parser.read_plain`` against the route it stands in for: the leaf
+    parser's ``parse_args`` after the subcommand step."""
+
+    def assert_as_argparse(self, monkeypatch, corpus):
+        """Each argv gives the same namespace, or the same exception and
+        message, by both routes; returns how many the reader read."""
+        reads = []
+        read_plain = cli._Parser.read_plain
+
+        def counted(parser, argv, namespace):
+            reads.append(read_plain(parser, argv, namespace))
+            return reads[-1]
+
+        monkeypatch.setattr(cli._Parser, "read_plain", counted)
+        fast = [_parsed(argv) for argv in corpus]
+        monkeypatch.setattr(cli._Parser, "read_plain", lambda parser, argv, namespace: False)
+        for argv, outcome in zip(corpus, fast):
+            assert outcome == _parsed(argv), argv
+        return reads.count(True)
+
+    def test_front_end_argv(self, monkeypatch):
+        assert self.assert_as_argparse(monkeypatch, FRONT_END_ARGV) == len(ACCEPTANCE_ARGV + ANCHOR_ARGV) + 4
+
+    def test_bench_like_argv(self, monkeypatch):
+        rng = Random(23)
+        corpus = [_bench_like_argv(rng) for _ in range(600)]
+        assert self.assert_as_argparse(monkeypatch, corpus) == len(corpus)
+
+    def test_seeded_near_plain_argv(self, monkeypatch):
+        rng = Random(2023)
+        corpus = [_near_plain_argv(rng) for _ in range(4000)]
+        read = self.assert_as_argparse(monkeypatch, corpus)
+        assert 400 < read < 3000  # both routes are taken often
+
+    def test_plain_argv_of_every_command_never_reaches_argparse(self, monkeypatch):
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            calls.append(args)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for argv in ACCEPTANCE_ARGV:
+            assert run_command(argv).exit_code == 0, argv
+        assert {" ".join(argv[:2] if argv[0] == "extreme" else argv[:1]) for argv in ACCEPTANCE_ARGV} == {
+            "check", "expand", "range", "gaps", "vna", "extreme encode", "extreme decode", "digits",
+        }
+        assert calls == []
+        # the spy sees what the reader leaves to argparse
+        assert run_command(["range", CANTOR, "--depth=3"]).exit_code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "add, argv",
+        [
+            (lambda parser: parser.add_argument("items", nargs="+"), ["a", "b"]),
+            (lambda parser: parser.add_argument("--need", required=True), []),
+            (lambda parser: parser.add_argument("--n", type=int, default="3"), []),
+            (lambda parser: setattr(parser, "commands", parser.add_subparsers(dest="mode")), []),
+        ],
+    )
+    def test_a_grammar_the_reader_cannot_stand_in_for_takes_argparse(self, add, argv):
+        parser = cli._Parser(prog="leaf")
+        add(parser)
+        namespace = argparse.Namespace()
+        assert not parser.read_plain(argv, namespace)
+        assert vars(namespace) == {}
 
 
 # strings that ``json`` escapes: quotes, backslashes, controls, non-ASCII

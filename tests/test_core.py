@@ -285,6 +285,14 @@ class TestIntervalUnion:
         within = Interval(Fraction(1, 3), Fraction(2, 3))
         assert list(IntervalUnion.empty().complement(within)) == [within]
 
+    def test_empty_union_has_no_parts(self):
+        assert IntervalUnion.empty().parts == ()
+        # the complement of a one-piece cover over its own bounds is built on a grid
+        piece = Interval(Fraction(1, 3), Fraction(2, 3))
+        gaps = IntervalUnion.from_intervals([piece]).complement(piece)
+        assert gaps.parts == () and list(gaps) == [] and len(gaps) == 0
+        assert gaps == IntervalUnion.empty()
+
     def test_complement_rejects_part_outside_within(self):
         union = IntervalUnion.from_intervals(
             [Interval(Fraction(1, 4), Fraction(1, 3)), Interval(Fraction(3, 2), Fraction(2))]
