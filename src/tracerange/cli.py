@@ -36,7 +36,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .core import _Record, _check_writable, _unread_integer, format_rational, parse_rational
+from .core import _Record, _check_writable, _read_int, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
 from .extreme_points import mixed_radix_digits, radix_to_sequence, sequence_to_radix
@@ -209,6 +209,8 @@ def _spec_text(args) -> str:
                 return handle.read()
         except OSError as exc:
             raise ResourceLimitError(f"cannot read {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot read {path} as UTF-8: {exc.reason} at byte {exc.start}") from None
     if inline is None:
         raise ParseError("missing spec: pass it inline or with --file")
     return inline
@@ -267,10 +269,7 @@ def _parse_depths(raw: str) -> list[int]:
         # ``isdecimal`` holds for exactly the digits ``int`` reads: "٣" but not "²"
         if not piece or not (piece.isdecimal() or (piece[0] == "-" and piece[1:].isdecimal())):
             raise ParseError(malformed)
-        try:
-            depths.append(int(piece))
-        except ValueError:  # more digits than the interpreter's digit limit
-            raise _unread_integer(piece, malformed) from None
+        depths.append(_read_int(piece, malformed))  # refused past the digit limit
     return depths
 
 

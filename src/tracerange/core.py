@@ -41,15 +41,30 @@ def _digit_limit() -> int:
 _INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _unread_integer(text: str, malformed: str, position=None) -> ParseError:
-    """The ``ParseError`` for integer text that ``int`` refused: a
-    well-formed integer with more digits than the interpreter's digit limit
-    allows is named by both counts rather than echoed; anything else gets
-    the message ``malformed``."""
+def _read_int(text: str, malformed=None, position=None) -> int:
+    """``int(text)``, or else a ``ParseError``: a well-formed integer past
+    the interpreter's digit limit is named by both counts rather than echoed,
+    and anything else gets ``malformed``, by default a message quoting
+    ``text`` (so ``json.loads`` takes this as its ``parse_int``)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     digits, limit = sum(map(str.isdigit, text)), _digit_limit()
     if limit and digits > limit and _INT_TEXT.fullmatch(text):
         malformed = f"integer of {digits} digits is past the limit of {limit} digits"
-    return ParseError(malformed, position)
+    raise ParseError(malformed or f"malformed integer {text!r}", position)
+
+
+def _read_rational(num_text: str, den_text, malformed: str, position=None) -> Fraction:
+    """Each text read by ``_read_int``, no denominator when it is None; a zero one is a ValidationError."""
+    num = _read_int(num_text, malformed, position)
+    if den_text is None:
+        return Fraction(num)
+    den = _read_int(den_text, malformed, position)
+    if den == 0:
+        raise ValidationError("denominator must be nonzero")
+    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,19 +75,8 @@ def parse_rational(text: str) -> Fraction:
     if not body:
         raise ParseError("empty rational")
     num_text, sep, den_text = body.partition("/")
-    try:
-        num = int(num_text.strip())
-    except ValueError:
-        raise _unread_integer(num_text, f"malformed rational {text!r}") from None
-    if not sep:
-        return Fraction(num)
-    try:
-        den = int(den_text.strip())
-    except ValueError:
-        raise _unread_integer(den_text, f"malformed rational {text!r}") from None
-    if den == 0:
-        raise ValidationError("denominator must be nonzero")
-    return Fraction(num, den)
+    den_text = den_text.strip() if sep else None
+    return _read_rational(num_text.strip(), den_text, f"malformed rational {text!r}")
 
 
 def _too_large(num: int, den: int) -> ResourceLimitError:

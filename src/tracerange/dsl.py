@@ -12,7 +12,12 @@ so ``1/2, 1/4, 1/4`` is a finite sequence, ``geo(1/2, 1/2)`` the halving
 sequence, ``1/3, 1/3, geo(1/6, 1/2)`` a prefix with a geometric tail, and
 ``radix(1; 3 | 2)`` the pattern of the word 3, 2, 2, 2, ... A word without
 a bar is taken as fully periodic. Anything starting with '{' is parsed as
-the equivalent JSON document instead.
+the equivalent JSON document instead; JSON nested past the interpreter's
+recursion limit is refused as a parse failure.
+
+Each token is read once, by one compiled pattern that reads the whitespace
+before it as well; a prefix entry is one match with the comma after it. An
+entry written as the one before it joins that entry's run unread.
 
 Parse errors carry the character position where reading failed.
 """
@@ -21,9 +26,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Optional
+from fractions import Fraction
 
-from .core import _unread_integer, parse_rational
+from .core import _read_int, _read_rational
 from .errors import ParseError
 from .sequences import (
     AlgebraSpec,
@@ -33,12 +38,18 @@ from .sequences import (
     SequenceModel,
     TailModel,
     ZeroTail,
+    _from_runs,
 )
 from .serialize import algebra_from_doc, model_from_doc, word_from_doc
 
-_RATIONAL = re.compile(r"-?\d+(?:/-?\d+)?")
-_INTEGER = re.compile(r"\d+")
-_NAME = re.compile(r"[A-Za-z_]+")
+_WS = re.compile(r"\s*")
+# a rational token, with its numerator's and denominator's texts
+_TOKEN = r"\s*(?P<token>(?P<num>-?\d+)(?:/(?P<den>-?\d+))?)"
+_RATIONAL = re.compile(_TOKEN)
+# a prefix entry: a tail call's name, or a rational token and the comma after it, if any
+_ENTRY = re.compile(rf"\s*(?P<name>[A-Za-z_]+)|{_TOKEN}\s*(?P<comma>,?)")
+# an item of a radix word: an integer or the bar
+_WORD_ITEM = re.compile(r"\s*(?:(?P<int>\d+)|(?P<bar>\|))")
 
 
 class _Cursor:
@@ -46,68 +57,49 @@ class _Cursor:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        """The next non-whitespace character, "" at the end; the cursor moves to it."""
+        self.pos = _WS.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def expect(self, char: str) -> None:
-        self.skip_ws()
         if self.peek() != char:
             raise ParseError(f"expected '{char}'", self.pos)
         self.pos += 1
 
-    def match(self, pattern: re.Pattern) -> Optional[str]:
-        self.skip_ws()
+    def read(self, pattern: re.Pattern, what: str) -> re.Match:
+        """The match of ``pattern`` at the cursor, which moves past it; when
+        there is none, ``expected <what>`` at the first non-whitespace."""
         found = pattern.match(self.text, self.pos)
         if found is None:
-            return None
+            self.peek()
+            raise ParseError(f"expected {what}", self.pos)
         self.pos = found.end()
-        return found.group()
+        return found
 
 
-def _parse_rational_token(cur: _Cursor):
-    token = cur.match(_RATIONAL)
-    if token is None:
-        raise ParseError("expected a rational number", cur.pos)
-    try:
-        return parse_rational(token)
-    except ParseError as exc:
-        # a token past the interpreter's integer digit limit lands here
-        raise ParseError(str(exc), cur.pos - len(token)) from None
+def _rational(found: re.Match) -> Fraction:
+    """The value of a ``_TOKEN`` match, refused at the token's start past the digit limit."""
+    return _read_rational(found["num"], found["den"], "expected a rational number", found.start("token"))
 
 
-def _parse_int_token(cur: _Cursor) -> int:
-    token = cur.match(_INTEGER)
-    if token is None:
-        raise ParseError("expected an integer", cur.pos)
-    try:
-        return int(token)
-    except ValueError:
-        raise _unread_integer(token, "expected an integer", cur.pos - len(token)) from None
+def _parse_rational_token(cur: _Cursor) -> Fraction:
+    return _rational(cur.read(_RATIONAL, "a rational number"))
 
 
 def _parse_word_body(cur: _Cursor) -> RadixWord:
     """Integers with an optional '|' separating head from period."""
     groups: list[list[int]] = [[]]
-    while True:
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch == "|":
+    while (found := _WORD_ITEM.match(cur.text, cur.pos)) is not None:
+        if found.lastgroup == "bar":
             if len(groups) == 2:
-                raise ParseError("a word may contain only one '|'", cur.pos)
-            cur.pos += 1
+                raise ParseError("a word may contain only one '|'", found.start("bar"))
             groups.append([])
-        elif ch.isdigit():
-            groups[-1].append(_parse_int_token(cur))
         else:
-            break
+            groups[-1].append(_read_int(found["int"], "expected an integer", found.start("int")))
+        cur.pos = found.end()
+    if cur.peek().isdigit():  # a digit that ``int`` does not read, such as "²"
+        raise ParseError("expected an integer", cur.pos)
     if not groups[-1]:
         raise ParseError("expected a period after '|'" if len(groups) == 2 else "expected a radix word", cur.pos)
     pre, period = groups if len(groups) == 2 else ([], groups[0])
@@ -130,18 +122,13 @@ def _parse_tail_call(cur: _Cursor, name: str, name_pos: int) -> TailModel:
     return build(first, second)
 
 
-def _json_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise _unread_integer(text, f"malformed integer {text!r}") from None
-
-
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_int=_json_int)
+        return json.loads(text, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested past the interpreter's recursion limit") from None
 
 
 def parse_spec(text: str) -> SequenceModel:
@@ -149,24 +136,24 @@ def parse_spec(text: str) -> SequenceModel:
     if text.lstrip().startswith("{"):
         return model_from_doc(_load_json(text))
     cur = _Cursor(text)
-    prefix = []
+    runs: list[list] = []  # [value, count] per run of entries written alike
+    token = None
     tail: TailModel = ZeroTail()
     while True:
-        cur.skip_ws()
-        name_pos = cur.pos
-        name = cur.match(_NAME)
-        if name is not None:
-            tail = _parse_tail_call(cur, name, name_pos)
+        found = cur.read(_ENTRY, "a rational number")
+        if found["name"]:
+            tail = _parse_tail_call(cur, found["name"], found.start("name"))
             break
-        prefix.append(_parse_rational_token(cur))
-        cur.skip_ws()
-        if cur.peek() == ",":
-            cur.pos += 1
-            continue
-        break
-    if not cur.at_end():
+        if found["token"] == token:
+            runs[-1][1] += 1
+        else:
+            token = found["token"]
+            runs.append([_rational(found), 1])
+        if not found["comma"]:
+            break
+    if cur.peek():
         raise ParseError("unexpected trailing input", cur.pos)
-    return SequenceModel(tuple(prefix), tail)
+    return _from_runs(runs, tail)
 
 
 def parse_word(text: str) -> RadixWord:
@@ -175,14 +162,13 @@ def parse_word(text: str) -> RadixWord:
         return word_from_doc(_load_json(text))
     cur = _Cursor(text)
     word = _parse_word_body(cur)
-    if not cur.at_end():
+    if cur.peek():
         raise ParseError("unexpected trailing input", cur.pos)
     return word
 
 
 def parse_algebra(text: str) -> AlgebraSpec:
     """An algebra spec; JSON only, there is no shorthand for these."""
-    stripped = text.lstrip()
-    if not stripped.startswith("{"):
+    if not text.lstrip().startswith("{"):
         raise ParseError("an algebra spec must be a JSON object", 0)
     return algebra_from_doc(_load_json(text))

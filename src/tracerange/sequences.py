@@ -111,9 +111,14 @@ class RadixWord(_Record):
                 raise ValidationError(f"radix entries must be at least 2, got {k}")
         if period:
             period = _primitive_period(period)
-            while pre and pre[-1] == period[-1]:
-                pre = pre[:-1]
-                period = (period[-1],) + period[:-1]
+            # the pre suffix that restates the period, read backwards, moves
+            # into a period rotated right by its length
+            n, size = len(period), 0
+            while size < len(pre) and pre[-1 - size] == period[-1 - size % n]:
+                size += 1
+            if size:
+                pre, turn = pre[:-size], size % n
+                period = period[n - turn :] + period[: n - turn]
         _setattr(self, "pre", pre)
         _setattr(self, "period", period)
 
@@ -585,23 +590,31 @@ def _checked_runs(runs, tail) -> tuple[tuple[Fraction, int], ...]:
     run's value is its entries' value, so the first offending entry decides
     the message, as a check per entry would find it: positivity first, then
     order, then the junction with the tail. Order and equality come from one
-    integer cross product per pair of neighbouring runs.
+    integer cross product per pair of neighbouring runs, and none for a run
+    holding the object before it; equal values share a sign, so positivity
+    is read off the merged runs.
     """
-    runs = tuple(runs)
-    for value, _ in runs:
+    merged: list[list] = []  # [value, count] per merged run
+    rise = None  # the first neighbouring pair whose values rise
+    for value, count in runs:
+        if merged and value is merged[-1][0]:
+            merged[-1][1] += count
+            continue
+        num, den = value.numerator, value.denominator
+        if merged:
+            drop = last_num * den - num * last_den
+            if not drop:
+                merged[-1][1] += count
+                continue
+            if drop < 0 and rise is None:
+                rise = merged[-1][0], value
+        merged.append([value, count])
+        last_num, last_den = num, den
+    for value, _ in merged:
         if value.numerator <= 0:
             raise ValidationError(f"sequence entries must be positive, got {value}")
-    merged: list[tuple[Fraction, int]] = []
-    for value, count in runs:
-        if merged:
-            last, held = merged[-1]
-            drop = last.numerator * value.denominator - value.numerator * last.denominator
-            if drop < 0:
-                raise ValidationError(f"prefix is not non-increasing: {last} before {value}")
-            if not drop:
-                merged[-1] = (last, held + count)
-                continue
-        merged.append((value, count))
+    if rise is not None:
+        raise ValidationError(f"prefix is not non-increasing: {rise[0]} before {rise[1]}")
     _checked_tail(tail)
     first = next(tail.runs(), None) if merged else None
     if first is not None and merged[-1][0] < first[0]:
@@ -609,7 +622,7 @@ def _checked_runs(runs, tail) -> tuple[tuple[Fraction, int], ...]:
             f"junction violation: last prefix entry {merged[-1][0]} is below "
             f"the first tail term {first[0]}"
         )
-    return tuple(merged)
+    return tuple(map(tuple, merged))
 
 
 _count = operator.itemgetter(1)
@@ -656,7 +669,7 @@ class SequenceModel(_Record):
 
     def __init__(self, prefix: tuple[Fraction, ...] = (), tail: TailModel = ZeroTail()):
         prefix = tuple(x if type(x) is Fraction else Fraction(x) for x in prefix)
-        runs = _checked_runs([(value, len(list(group))) for value, group in itertools.groupby(prefix)], tail)
+        runs = _checked_runs(zip(prefix, itertools.repeat(1)), tail)
         self.__dict__.update(prefix=prefix, tail=tail, _runs=runs, _run_ends=_ends_of(runs))
 
     def __repr__(self) -> str:

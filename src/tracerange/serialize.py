@@ -2,9 +2,12 @@
 
 Exact rationals travel as "p/q" strings so nothing is ever rounded; plain
 integers are accepted on input, floats never are. Field names are camelCase.
-Structural problems (wrong type, unknown field, unknown kind) raise
-ParseError; value problems (zero denominators, negative terms, bad radices)
-surface as the constructors' usual ValidationError.
+Structural problems (wrong type, unknown or missing field, unknown kind)
+raise ParseError; value problems (zero denominators, negative terms, bad
+radices) surface as the constructors' usual ValidationError. One check,
+``_check_keys``, names a document's unknown fields and then the required
+ones it lacks (``"<where> needs 'a' and 'b'"``), and a radix tail's word
+is read by ``word_from_doc``.
 """
 
 from __future__ import annotations
@@ -36,10 +39,13 @@ def _expect_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _check_keys(obj: dict, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> None:
+    """No field of ``obj`` outside ``allowed``, then every one of ``required``."""
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"{where} has unknown fields: {', '.join(sorted(unknown))}")
+    if not all(map(obj.__contains__, required)):
+        raise ParseError(f"{where} needs {' and '.join(map(repr, required))}")
 
 
 def _doc_rational(value: Any, where: str) -> Fraction:
@@ -102,21 +108,14 @@ def tail_from_doc(obj: Any) -> TailModel:
         _check_keys(doc, {"kind"}, "zero tail")
         return ZeroTail()
     if kind == "geometric":
-        _check_keys(doc, {"kind", "first", "ratio"}, "geometric tail")
-        if "first" not in doc or "ratio" not in doc:
-            raise ParseError("geometric tail needs 'first' and 'ratio'")
+        _check_keys(doc, {"kind", "first", "ratio"}, "geometric tail", ("first", "ratio"))
         return GeometricTail(
             _doc_rational(doc["first"], "first"),
             _doc_rational(doc["ratio"], "ratio"),
         )
     if kind == "radix":
-        _check_keys(doc, {"kind", "scale", "pre", "period"}, "radix tail")
-        if "scale" not in doc:
-            raise ParseError("radix tail needs 'scale'")
-        word = RadixWord(
-            _doc_int_list(doc.get("pre", []), "pre"),
-            _doc_int_list(doc.get("period", []), "period"),
-        )
+        _check_keys(doc, {"kind", "scale", "pre", "period"}, "radix tail", ("scale",))
+        word = word_from_doc({key: doc[key] for key in ("pre", "period") if key in doc})
         return MixedRadixTail(_doc_rational(doc["scale"], "scale"), word)
     raise ParseError(f"unknown tail kind {kind!r}")
 
@@ -156,9 +155,7 @@ def algebra_from_doc(obj: Any) -> AlgebraSpec:
     factors = []
     for i, item in enumerate(raw_factors):
         entry = _expect_mapping(item, f"factors[{i}]")
-        _check_keys(entry, {"dim", "weight"}, f"factors[{i}]")
-        if "dim" not in entry or "weight" not in entry:
-            raise ParseError(f"factors[{i}] needs 'dim' and 'weight'")
+        _check_keys(entry, {"dim", "weight"}, f"factors[{i}]", ("dim", "weight"))
         factors.append(
             MatrixFactor(
                 _doc_int(entry["dim"], f"factors[{i}].dim"),

@@ -357,6 +357,18 @@ class TestSpecFiles:
         code, doc = body_json(["check", "--file", str(tmp_path / "absent.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["check"], ["vna"], ["extreme", "decode"]])
+    def test_a_file_that_is_not_utf8_is_a_parse_failure(self, tmp_path, command):
+        spec = tmp_path / "model.txt"
+        spec.write_bytes(b"\xff\xfe1/2")
+        code, doc = body_json([*command, "--file", str(spec)])
+        assert code == 3
+        assert doc["error"] == {
+            "kind": "parse",
+            "message": f"cannot read {spec} as UTF-8: invalid start byte at byte 0",
+            "position": None,
+        }
+
 
 class TestHarness:
     def test_help(self):

@@ -9,7 +9,9 @@ instead of an answer or a typed refusal. No wall-clock time is asserted.
 
 The ``repr`` of a record holding a rational past the int-to-text digit
 limit is checked in process: it is refused by the rule the JSON writer
-follows, with the same ``ResourceLimitError``.
+follows, with the same ``ResourceLimitError``. So is JSON nested past the
+recursion limit, for each command that reads a JSON document, since a
+command line holding it whole is longer than the kernel passes to a child.
 """
 
 import json
@@ -23,6 +25,7 @@ import pytest
 from support import HUGE_ENDPOINTS
 
 from tracerange import GeometricTail, RadixWord, ResourceLimitError, SequenceModel, format_rational, kakeya_check
+from tracerange.cli import run_command
 
 resource = pytest.importorskip("resource")  # POSIX only
 
@@ -49,6 +52,9 @@ HOSTILE = {
     "depth-of-5000-digits": ["range", "geo(1/2,1/2)", "--depth", "1" * 5000],
     # a term count past ``sys.maxsize``: stopped at the first term too large to write
     "encode-terms-2^63": ["extreme", "encode", "2", "--terms", str(2**63)],
+    # JSON nested 10^5 deep (left open, so the argument stays under the
+    # kernel's per-argument size): refused as a parse failure
+    "json-nested-10^5": ["check", '{"prefix": ' + "[" * 10**5],
 }
 # 1024 pieces with endpoints of about 66,000 bits
 SVG_ENDPOINTS = ["range", HUGE_ENDPOINTS, "--depth", "10", "--format", "svg"]
@@ -156,3 +162,32 @@ def test_a_record_repr_refuses_exactly_past_the_digit_limit():
         repr(SequenceModel((), GeometricTail(Fraction(1, 2), Fraction(1, past))))
     with pytest.raises(ResourceLimitError, match=f"{past.bit_length()} bits"):
         repr(RadixWord((past,), (2,)))
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_failure():
+    nested = "[" * 10**5 + "]" * 10**5
+    proc = _run(HOSTILE["json-nested-10^5"])
+    assert proc.returncode == 3, proc.stdout
+    for argv in (
+        ["check", '{"prefix": ' + nested + "}"],
+        ["vna", '{"factors": ' + nested + "}"],
+        ["extreme", "decode", '{"prefix": ' + nested + "}"],
+        ["extreme", "encode", '{"pre": ' + nested + "}"],
+    ):
+        result = run_command(argv)
+        assert result.exit_code == 3, result.body
+        assert json.loads(result.body)["error"] == {
+            "kind": "parse",
+            "message": "invalid JSON: nested past the interpreter's recursion limit",
+            "position": None,
+        }
+
+
+def test_a_long_radix_head_that_restates_the_period_is_read_within_the_cpu_cap(tmp_path):
+    # a word canonicalised one absorbed entry at a time, each a tuple copy,
+    # took about 15 s at 10^5 entries
+    spec = tmp_path / "spec.txt"
+    spec.write_text("radix(1; " + "2 " * 10**5 + "| 2)")
+    proc = _run(["check", "--file", str(spec)])
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}"
+    assert json.loads(proc.stdout)["holds"] is True

@@ -81,6 +81,28 @@ class TestRadixWord:
         with pytest.raises(OutOfSupportError):
             word.entries(3)
 
+    @staticmethod
+    def absorbed_one_at_a_time(pre, period):
+        """The canonical form as it was first computed: one absorbed pre
+        entry, and one tuple copy of each part, per step."""
+        period = sequences._primitive_period(period)
+        while pre and pre[-1] == period[-1]:
+            pre = pre[:-1]
+            period = (period[-1],) + period[:-1]
+        return pre, period
+
+    @given(
+        st.lists(st.integers(min_value=2, max_value=4), max_size=12),
+        st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=6),
+    )
+    def test_absorbed_suffix_matches_the_one_at_a_time_loop(self, pre, period):
+        word = RadixWord(tuple(pre), tuple(period))
+        assert (word.pre, word.period) == self.absorbed_one_at_a_time(tuple(pre), tuple(period))
+
+    def test_a_head_restating_the_period_many_times_is_absorbed(self):
+        word = RadixWord((5, 3) + (2, 3) * 10**5, (2, 3))
+        assert (word.pre, word.period) == ((5,), (3, 2))
+
     @given(radix_words, st.integers(min_value=0, max_value=10))
     def test_shift_drops_entries(self, word, count):
         assert word.shift(count).entries(8) == word.entries(count + 8)[count:]

@@ -1,6 +1,7 @@
 """JSON document conversions and the inline spec grammar."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,93 @@ class TestAlgebraGrammar:
     def test_weights_must_close(self):
         with pytest.raises(ValidationError, match="sum to 1"):
             parse_algebra('{"factors": [{"dim": 2, "weight": "1/3"}]}')
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-text digit limit")
+    return limit
+
+
+class TestPinnedParseText:
+    """The parse stage's answers and error text on fixed inputs, as the
+    token-by-token reader gave them before each token was read once."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1/2,\t1/4", make_model([F(1, 2), F(1, 4)])),
+            ("1/2\n,\n1/4", make_model([F(1, 2), F(1, 4)])),
+            ("1/2,\xa01/4", make_model([F(1, 2), F(1, 4)])),
+            ("1/2,　1/4", make_model([F(1, 2), F(1, 4)])),
+            ("geo(\t1/2,\xa01/2　)", dyadic()),
+            ("radix(1;\n3\xa0|　2)", SequenceModel((), MixedRadixTail(F(1), RadixWord((3,), (2,))))),
+            ("١/٢", make_model([F(1, 2)])),
+        ],
+    )
+    def test_unicode_whitespace_and_digits(self, text, expected):
+        assert parse_spec(text) == expected
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("1/2　x", "unexpected trailing input", 4),
+            ("1/2\t1/4", "unexpected trailing input", 4),
+            ("\xa0", "expected a rational number", 1),
+        ],
+    )
+    def test_positions_past_unicode_whitespace(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_spec(text)
+        assert (str(info.value), info.value.position) == (message, position)
+
+    @pytest.mark.parametrize(
+        "template,position",
+        [("{n}/3", 0), ("1/{n}", 0), ("1/4, {n}/3", 5), ("1/4, 1/{n}", 5), ("geo(1/2, {n}/7)", 9)],
+    )
+    def test_a_5000_digit_number_is_refused_at_its_token(self, template, position):
+        limit = _digit_limit()
+        with pytest.raises(ParseError) as info:
+            parse_spec(template.format(n="1" * 5000))
+        assert str(info.value) == f"integer of 5000 digits is past the limit of {limit} digits"
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text", ["1/0", "1/2, 1/0", "geo(1/0, 1/2)"])
+    def test_a_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValidationError, match="^denominator must be nonzero$"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "read,doc,message",
+        [
+            (ser.model_from_doc, {"extra": 1}, "sequence spec has unknown fields: extra"),
+            (ser.model_from_doc, {"prefix": [], "b": 1, "a": 2}, "sequence spec has unknown fields: a, b"),
+            (ser.tail_from_doc, {"kind": "zero", "x": 1}, "zero tail has unknown fields: x"),
+            (ser.tail_from_doc, {"kind": "geometric", "first": "1/2"}, "geometric tail needs 'first' and 'ratio'"),
+            (ser.tail_from_doc, {"kind": "geometric", "ratio": "1/2"}, "geometric tail needs 'first' and 'ratio'"),
+            (
+                ser.tail_from_doc,
+                {"kind": "geometric", "first": "1/2", "ratio": "1/2", "scale": 1},
+                "geometric tail has unknown fields: scale",
+            ),
+            (ser.tail_from_doc, {"kind": "radix", "pre": [2]}, "radix tail needs 'scale'"),
+            # the missing scale is named before the word is read
+            (ser.tail_from_doc, {"kind": "radix", "pre": [1], "period": [2]}, "radix tail needs 'scale'"),
+            (ser.tail_from_doc, {"kind": "radix", "scale": "1", "first": 1}, "radix tail has unknown fields: first"),
+            (ser.word_from_doc, {"pre": [], "x": 1}, "radix word has unknown fields: x"),
+            (ser.algebra_from_doc, {"factors": [], "y": 1}, "algebra spec has unknown fields: y"),
+            (ser.algebra_from_doc, {"factors": [{"dim": 2}]}, "factors[0] needs 'dim' and 'weight'"),
+            (ser.algebra_from_doc, {"factors": [{"weight": "1"}]}, "factors[0] needs 'dim' and 'weight'"),
+            (
+                ser.algebra_from_doc,
+                {"factors": [{"dim": 1, "weight": "1/2"}, {"dim": 2, "weight": "1/2", "z": 0}]},
+                "factors[1] has unknown fields: z",
+            ),
+            (ser.algebra_from_doc, {"factors": [{"dim": 1, "weight": "1/2"}, {}]}, "factors[1] needs 'dim' and 'weight'"),
+        ],
+    )
+    def test_document_field_messages(self, read, doc, message):
+        with pytest.raises(ParseError) as info:
+            read(doc)
+        assert (str(info.value), info.value.position) == (message, None)
