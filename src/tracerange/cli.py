@@ -36,7 +36,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .core import _Record, _check_writable, _read_int, format_rational, parse_rational
+from .core import _Record, _check_writable, _quoted, _read_int, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
 from .extreme_points import mixed_radix_digits, radix_to_sequence, sequence_to_radix
@@ -263,7 +263,7 @@ else:
 
 
 def _parse_depths(raw: str) -> list[int]:
-    depths, malformed = [], f"--depth must be integers separated by commas, got {raw!r}"
+    depths, malformed = [], f"--depth must be integers separated by commas, got {_quoted(raw)}"
     for piece in raw.split(","):
         piece = piece.strip()
         # ``isdecimal`` holds for exactly the digits ``int`` reads: "٣" but not "²"

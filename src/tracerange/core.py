@@ -37,6 +37,18 @@ def _digit_limit() -> int:
     return getter() if getter is not None else 0
 
 
+# an error message quotes at most this many characters of the input it names
+QUOTE_WINDOW = 100
+
+
+def _quoted(text: str, show=repr) -> str:
+    """``show(text)``; a text longer than ``QUOTE_WINDOW`` characters is shown
+    by its first ``QUOTE_WINDOW`` and then a marker of its length."""
+    if len(text) <= QUOTE_WINDOW:
+        return show(text)
+    return f"{show(text[:QUOTE_WINDOW])}... ({len(text)} characters)"
+
+
 # the decimal integer text that ``int`` reads
 _INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
@@ -45,7 +57,7 @@ def _read_int(text: str, malformed=None, position=None) -> int:
     """``int(text)``, or else a ``ParseError``: a well-formed integer past
     the interpreter's digit limit is named by both counts rather than echoed,
     and anything else gets ``malformed``, by default a message quoting
-    ``text`` (so ``json.loads`` takes this as its ``parse_int``)."""
+    ``text`` (``_quoted``), so ``json.loads`` takes this as its ``parse_int``."""
     try:
         return int(text)
     except ValueError:
@@ -53,7 +65,7 @@ def _read_int(text: str, malformed=None, position=None) -> int:
     digits, limit = sum(map(str.isdigit, text)), _digit_limit()
     if limit and digits > limit and _INT_TEXT.fullmatch(text):
         malformed = f"integer of {digits} digits is past the limit of {limit} digits"
-    raise ParseError(malformed or f"malformed integer {text!r}", position)
+    raise ParseError(malformed or f"malformed integer {_quoted(text)}", position)
 
 
 def _read_rational(num_text: str, den_text, malformed: str, position=None) -> Fraction:
@@ -76,7 +88,7 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError("empty rational")
     num_text, sep, den_text = body.partition("/")
     den_text = den_text.strip() if sep else None
-    return _read_rational(num_text.strip(), den_text, f"malformed rational {text!r}")
+    return _read_rational(num_text.strip(), den_text, f"malformed rational {_quoted(text)}")
 
 
 def _too_large(num: int, den: int) -> ResourceLimitError:

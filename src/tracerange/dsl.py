@@ -28,7 +28,7 @@ import json
 import re
 from fractions import Fraction
 
-from .core import _read_int, _read_rational
+from .core import _quoted, _read_int, _read_rational
 from .errors import ParseError
 from .sequences import (
     AlgebraSpec,
@@ -112,7 +112,7 @@ _TAIL_CALLS = {"geo": (",", _parse_rational_token, GeometricTail), "radix": (";"
 
 def _parse_tail_call(cur: _Cursor, name: str, name_pos: int) -> TailModel:
     if name not in _TAIL_CALLS:
-        raise ParseError(f"unknown tail '{name}'", name_pos)
+        raise ParseError(f"unknown tail {_quoted(name)}", name_pos)
     separator, read_second, build = _TAIL_CALLS[name]
     cur.expect("(")
     first = _parse_rational_token(cur)

@@ -14,14 +14,16 @@ exactly k - 1 times. Any deviation pins a concrete witness index where no
 pattern can match. Once the cursor leaves the explicit prefix the remaining
 tail is a closed form, so the decoder recognizes the pattern's own tail
 outright, and every sequence is decided after at most one peel per run of
-the prefix plus two. A peel reads the model's runs, not its terms, so it
-costs the same however many copies a run holds.
+the prefix plus two. A peel reads one run of the whole model
+(``_term_runs``, which reads a prefix run that goes on into the tail as
+one), not its terms, so it costs the same however many copies it holds.
 
 The face embedding sends the whole body into itself: prepend radix - 1
 copies of 1/radix and shrink everything by that factor. Both it and the
 extraction that inverts it work on the model's runs, one run prepended or
-removed and one multiply per run; extraction doubles as a shape test for
-membership in the face.
+removed and one multiply per run; extraction reads the leading run's
+length off the same stream and doubles as a shape test for membership in
+the face.
 
 Mixed-radix digits are the greedy expansion's radix block step on a
 scale-1 tail, one digit per block: one integer numerator over the target's
@@ -31,7 +33,6 @@ digit costs the same at every place value.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
@@ -51,7 +52,7 @@ from .sequences import (
     _radices,
     _rest,
     _scaled_runs,
-    _term_or_none,
+    _term_runs,
 )
 
 __all__ = [
@@ -125,88 +126,60 @@ def radix_to_sequence(word: RadixWord, scale=1) -> SequenceModel:
     return SequenceModel((), MixedRadixTail(Fraction(scale), word))
 
 
-def _first_deviation(
-    model: SequenceModel, start: int, count: int, value: Fraction
-) -> Optional[int]:
-    """Least index in [start, start + count) whose term differs from
-    ``value``, or None when all of them match.
-
-    Indices past a finite support count as deviations. The check reads
-    whole runs: the prefix run holding ``start`` either matches to its end
-    or pins the break at ``start``, and the next prefix run holds a smaller
-    value. Past the prefix, the first run of ``_rest(model, n - 1)`` holds
-    index n, and it either matches from n to its end or pins the break at n.
-    """
-    end = start + count
-    n = start
-    if n <= model._length:
-        r = bisect_left(model._run_ends, n)
-        if model._runs[r][0] != value:
-            return n
-        n = model._run_ends[r] + 1
-        if n >= end:
-            return None
-        if n <= model._length:
-            return n
-    run = next(_rest(model, n - 1).tail.runs(), None)
-    if run is None or run[0] != value:
-        return n
-    following = n + run[1]
-    return following if following < end else None
-
-
 def sequence_to_radix(model: SequenceModel) -> ExtremalityReport:
     """Decode a sequence against the unit-scale mixed-radix patterns.
 
-    Maintains the product of radices peeled so far; at each cursor position
-    the rescaled term must be a unit fraction 1/k repeated exactly k - 1
-    times, or no pattern matches and the position is a witness. Once the
-    cursor sits in the closed-form tail, a remainder worth exactly 1 after
-    rescaling closes the word.
+    Maintains the product of radices peeled so far and makes one peel per
+    run of the model (``_term_runs``): rescaled, the run's value must be a
+    unit fraction 1/k held exactly k - 1 times, or no pattern matches. The
+    witness is the run's start for a wrong value, the first index past k - 1
+    copies or past the run for a wrong count, and the end of a stream that
+    ends. Once the cursor sits in the closed-form tail, a remainder worth
+    exactly 1 after rescaling closes the word.
 
-    The loop always ends. A peel takes exactly k - 1 copies of the value at
-    the cursor, and if the run is longer the next peel reads a rescaled
-    value of 1 and stops, so each peel inside the prefix ends on a run
-    boundary. Past the prefix at most two more peels follow. A radix
-    remainder that does not close breaks within them. A geometric
-    remainder's terms all differ, so each peel there is radix 2, and a
-    second one needs ratio 1/2, which reads as a radix; so it breaks
-    within two peels too. An empty remainder stops at once.
+    The loop always ends, after one run per run of the prefix plus two (its
+    last run may go on into the tail). Past the prefix, a radix remainder
+    that does not close breaks on its first run, whose whole block would
+    close it. A geometric remainder's runs are single terms, so each peel
+    there is radix 2, and a second one needs ratio 1/2, which reads as a
+    radix; so it breaks on its second run. An empty remainder stops at once.
     """
     emitted: list[int] = []
     mult = 1
     position = 1
+    runs = _term_runs(model)
     while True:
         if position > model._length:
-            signature = _rest(model, position - 1).tail.as_radix()
+            cut = position - 1 - model._length  # tail terms peeled so far
+            signature = (model.tail.rest(cut) if cut else model.tail).as_radix()
             # the remainder, rescaled by mult, is worth exactly 1
             if signature is not None and (signature.scale.numerator, signature.scale.denominator) == (1, mult):
                 word = signature.radices
                 closed = RadixWord(tuple(emitted) + word.pre, word.period)
                 return ExtremalityReport.extreme(closed)
-        a = _term_or_none(model, position)
-        if a is None:
+        run = next(runs, None)
+        if run is None:
             # every pattern needs a positive term here; the sequence ended
             return ExtremalityReport.non_extreme(position)
+        a, count = run
         # a in lowest terms rescales to 1/k exactly when a = 1/(mult * k)
         k, off = divmod(a.denominator, mult)
         if a.numerator != 1 or off or k < 2:
             return ExtremalityReport.non_extreme(position)
-        deviation = _first_deviation(model, position, k - 1, a)
-        if deviation is not None:
-            return ExtremalityReport.non_extreme(deviation)
+        if count != k - 1:
+            return ExtremalityReport.non_extreme(position + min(count, k - 1))
         emitted.append(k)
         mult *= k
-        position += k - 1
+        position += count
 
 
 def face_embed(model: SequenceModel, radix: int) -> SequenceModel:
     """Send a sequence into the face of the given radix: prepend radix - 1
     copies of 1/radix, then shrink everything by that factor."""
     _check_index(radix, 2, "radix")
-    lead = _term_or_none(model, 1)
-    if lead is not None and lead > 1:
-        raise DomainError(f"cannot embed: leading term {lead} exceeds 1")
+    lead = next(_term_runs(model), None)
+    if lead is not None and lead[0] > 1:
+        raise DomainError(f"cannot embed: leading term {lead[0]} exceeds 1")
     unit = Fraction(1, radix)
     return _from_runs([(unit, radix - 1)] + _scaled_runs(model._runs, unit), model.tail.scaled(unit))
 
@@ -219,9 +192,10 @@ def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceM
     scaled back up. With ``radix`` omitted it is read off the leading term.
     Raises DomainError when the shape does not match.
     """
-    first = _term_or_none(model, 1)
-    if first is None:
+    lead = next(_term_runs(model), None)
+    if lead is None:
         raise DomainError("cannot extract from an empty sequence")
+    first, count = lead
     if radix is None:
         if first.numerator != 1 or first.denominator < 2:
             raise DomainError(f"leading term {first} is not a unit fraction below 1")
@@ -230,13 +204,11 @@ def face_extract(model: SequenceModel, radix: Optional[int] = None) -> SequenceM
         _check_index(radix, 2, "radix")
         if first != Fraction(1, radix):
             raise DomainError(f"leading term {first} is not 1/{radix}")
-    deviation = _first_deviation(model, 1, radix - 1, first)
-    if deviation is not None:
+    if count < radix - 1:
         raise DomainError(
-            f"leading run stops at index {deviation}, expected {radix - 1} copies of {first}"
+            f"leading run stops at index {count + 1}, expected {radix - 1} copies of {first}"
         )
-    past = _term_or_none(model, radix)
-    if past == first:
+    if count > radix - 1:
         raise DomainError(f"leading run of {first} extends past {radix - 1} copies")
     rest = _rest(model, radix - 1)
     return _from_runs(_scaled_runs(rest._runs, Fraction(radix)), rest.tail.scaled(radix))

@@ -40,7 +40,9 @@ periods; ``_block_digits`` is the greedy's step over whole radix blocks and
 ``_digit_bits`` spells its digits out as bits, which ``_block_sums`` groups
 back into ones per block; ``_checked_bits`` is the one check of a 0/1
 vector; ``_rest(model, count)`` is the closed form of the terms after an
-index; ``_checked_tail`` is the one check that a value is a tail.
+index; ``_term_runs(model)`` is the one stream of a model's canonical runs,
+prefix and tail, that the decoder, the face maps and ``same_sequence`` read;
+``_checked_tail`` is the one check that a value is a tail.
 
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
@@ -787,25 +789,34 @@ def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...
     return model.first_terms(count), _rest(model, count)
 
 
-def _term_or_none(model: SequenceModel, n: int) -> Optional[Fraction]:
-    try:
-        return model.term(n)
-    except OutOfSupportError:
-        return None
+def _term_runs(model: SequenceModel) -> Iterator[tuple[Fraction, int]]:
+    """The model's terms as canonical (value, multiplicity) runs: the prefix
+    runs, then the tail's, the last prefix run merged into an equal first
+    tail run. Neighbouring runs differ, as the tail's own runs do."""
+    runs, tail = model._runs, model.tail.runs()
+    first = next(tail, None)
+    if runs and first is not None and runs[-1][0] == first[0]:
+        yield from runs[:-1]
+        yield first[0], runs[-1][1] + first[1]
+    else:
+        yield from runs
+        if first is not None:
+            yield first
+    yield from tail
 
 
 def _leading_runs(model: SequenceModel, count: int) -> tuple[tuple[Fraction, int], ...]:
     """The first ``count`` terms, or all of a finite model with fewer, as
-    canonical runs (``_checked_runs`` merges the last prefix run with an equal
-    first tail run), so two models give equal runs exactly when those terms agree."""
+    canonical runs (``_term_runs``), so two models give equal runs exactly
+    when those terms agree."""
     runs = []
-    for value, size in itertools.chain(model._runs, model.tail.runs()):
+    for value, size in _term_runs(model):
         if not count:
             break
         size = min(size, count)
         runs.append((value, size))
         count -= size
-    return _checked_runs(runs, ZeroTail())
+    return tuple(runs)
 
 
 def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:

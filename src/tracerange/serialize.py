@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Optional
 
-from .core import format_rational, parse_rational
+from .core import _quoted, format_rational, parse_rational
 from .errors import ParseError
 from .extreme_points import ExtremalityReport
 from .range_geometry import ConvexityVerdict, RangeApproximation
@@ -43,7 +43,7 @@ def _check_keys(obj: dict, allowed: set[str], where: str, required: tuple[str, .
     """No field of ``obj`` outside ``allowed``, then every one of ``required``."""
     unknown = set(obj) - allowed
     if unknown:
-        raise ParseError(f"{where} has unknown fields: {', '.join(sorted(unknown))}")
+        raise ParseError(f"{where} has unknown fields: {_quoted(', '.join(sorted(unknown)), str)}")
     if not all(map(obj.__contains__, required)):
         raise ParseError(f"{where} needs {' and '.join(map(repr, required))}")
 
@@ -117,7 +117,7 @@ def tail_from_doc(obj: Any) -> TailModel:
         _check_keys(doc, {"kind", "scale", "pre", "period"}, "radix tail", ("scale",))
         word = word_from_doc({key: doc[key] for key in ("pre", "period") if key in doc})
         return MixedRadixTail(_doc_rational(doc["scale"], "scale"), word)
-    raise ParseError(f"unknown tail kind {kind!r}")
+    raise ParseError(f"unknown tail kind {_quoted(kind) if isinstance(kind, str) else _quoted(repr(kind), str)}")
 
 
 def model_to_doc(model: SequenceModel) -> dict:

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import hypothesis.strategies as st
 
@@ -216,6 +217,36 @@ def fraction_terms(model: SequenceModel, count: int) -> list[Fraction]:
             prod *= k
             terms.extend([tail.scale / prod] * (k - 1))
     return terms[:count]
+
+
+def fraction_decode(model: SequenceModel, count: int) -> tuple[list[int], Optional[int]]:
+    """The decoder stepped over the first ``count`` terms of
+    ``fraction_terms``, one term at a time: the radices of the blocks peeled
+    whole inside them, and the first index where no pattern matches, or None
+    when there is none among them.
+
+    A block opens at a term a with a * mult = 1/k for an integer k >= 2,
+    mult the product of the radices before it, and holds k - 1 copies of a;
+    a run longer than that breaks at the next block's first term, whose
+    rescaled value is 1."""
+    terms = fraction_terms(model, count)
+    radices, mult, n = [], 1, 1  # n is the index read next
+    while n <= count:
+        if n > len(terms):
+            return radices, n
+        a = terms[n - 1]
+        k = 1 / (a * mult)
+        if k.denominator != 1 or k < 2:
+            return radices, n
+        for _ in range(int(k) - 1):
+            if n > count:
+                return radices, None
+            if n > len(terms) or terms[n - 1] != a:
+                return radices, n
+            n += 1
+        radices.append(int(k))
+        mult *= int(k)
+    return radices, None
 
 
 def fraction_greedy(model: SequenceModel, target: Fraction, bit_count: int):

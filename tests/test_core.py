@@ -27,7 +27,7 @@ from tracerange import (
     subset_sums,
 )
 
-from tracerange.core import _check_writable, _trusted_fraction
+from tracerange.core import QUOTE_WINDOW, _check_writable, _trusted_fraction
 
 from support import (
     REFEREE_MODELS,
@@ -124,6 +124,15 @@ class TestRationals:
         assert str(caught.value) == "integer of 5001 digits is past the limit of 4300 digits"
         with pytest.raises(ParseError, match="malformed rational"):
             parse_rational("1/1" + "0" * 5000 + "x")
+
+    def test_a_malformed_rational_is_quoted_up_to_the_window(self):
+        whole = "x" * QUOTE_WINDOW
+        with pytest.raises(ParseError) as caught:
+            parse_rational(whole)
+        assert str(caught.value) == f"malformed rational {whole!r}"
+        with pytest.raises(ParseError) as caught:
+            parse_rational(whole + "yz")
+        assert str(caught.value) == f"malformed rational {whole!r}... ({QUOTE_WINDOW + 2} characters)"
 
 
 class TestTrustedFraction:

@@ -29,19 +29,22 @@ from tracerange import (
     greedy_expand,
     make_model,
     mixed_radix_digits,
+    parse_spec,
     radix_to_sequence,
     same_sequence,
     sequence_to_radix,
 )
 from tracerange import extreme_points
-from tracerange.extreme_points import MAX_DIGITS, _first_deviation
-from tracerange.sequences import _rest
+from tracerange.extreme_points import MAX_DIGITS
+from tracerange.sequences import _rest, _term_runs
 
 from support import (
     REFEREE_MODELS,
+    RUN_FORM_MODELS,
     all_threes,
     cantor_like,
     dyadic,
+    fraction_decode,
     fraction_digits,
     fraction_terms,
     fraction_violations,
@@ -59,6 +62,38 @@ ALL_THREES_WORD = RadixWord((), (3,))
 
 def geo(first, ratio):
     return SequenceModel((), GeometricTail(first, ratio))
+
+
+def decode_families(rng, rounds):
+    """Face embeddings, by radices (), (2,), (3, 2) and (2, 4, 3, 2), of the
+    referee and run-form models, of radix patterns cut into a prefix and a
+    tail, of such patterns with one term moved, and of models whose last
+    prefix run goes on into the tail; each scaled to a leading term of at
+    most 1."""
+    models = []
+    for _ in range(rounds):
+        models += [build(rng) for build in REFEREE_MODELS + RUN_FORM_MODELS]
+        pattern = radix_to_sequence(random_word(rng))
+        cut = rng.randint(0, 12)
+        models.append(SequenceModel(pattern.first_terms(cut), _rest(pattern, cut).tail))
+        terms = list(pattern.first_terms(cut + 3))
+        terms[rng.randrange(cut + 3)] *= F(rng.choice((1, 2, 99, 101)), rng.choice((1, 2, 100)))
+        tail = _rest(pattern, cut + 3).tail
+        if min(terms) >= next(tail.runs())[0]:
+            models.append(SequenceModel(tuple(sorted(terms, reverse=True)), tail))
+        tail = MixedRadixTail(F(rng.randint(1, 3), rng.randint(1, 3)), random_word(rng))
+        models.append(SequenceModel((tail.term(1),) * rng.randint(1, 6), tail))
+        tail = GeometricTail(F(1, rng.choice((2, 3, 4, 8))), F(1, 2))
+        models.append(SequenceModel((tail.first,) * rng.randint(1, 3), tail))
+    for model in models:
+        lead = model.term(1)
+        if lead > 1:
+            model = scale_model(model, 1 / lead)
+        for radices in ((), (2,), (3, 2), (2, 4, 3, 2)):
+            embedded = model
+            for radix in radices:
+                embedded = face_embed(embedded, radix)
+            yield embedded
 
 
 class TestAdmissibility:
@@ -190,37 +225,38 @@ class TestSequenceDecoding:
         assert sequence_to_radix(model) == ExtremalityReport.extreme(want)
 
     def test_peels_stay_within_prefix_runs_plus_two(self, monkeypatch):
-        # each peel inside the prefix ends on a run boundary, and past it
-        # the closed-form tail closes the word or breaks within two peels
-        peels = []
+        # each peel reads one run of the model's run stream; inside the
+        # prefix a peel takes a whole run or breaks, and past it the
+        # closed-form tail closes the word or breaks within two runs
+        reads = []
 
-        def spy(model, start, count, value):
-            peels.append(start)
-            return _first_deviation(model, start, count, value)
+        def spy(model):
+            for run in _term_runs(model):
+                reads.append(run)
+                yield run
 
-        monkeypatch.setattr(extreme_points, "_first_deviation", spy)
-        rng = random.Random(4711)
-        models = []
-        for _ in range(20):
-            models += [build(rng) for build in REFEREE_MODELS]
-            pattern = radix_to_sequence(random_word(rng))
-            cut = rng.randint(0, 12)
-            models.append(SequenceModel(pattern.first_terms(cut), _rest(pattern, cut).tail))
+        monkeypatch.setattr(extreme_points, "_term_runs", spy)
         decided = set()
-        for model in models:
-            lead = model.term(1)
-            if lead > 1:
-                model = scale_model(model, 1 / lead)
-            for radices in ((), (2,), (3, 2), (2, 4, 3, 2)):
-                embedded = model
-                for radix in radices:
-                    embedded = face_embed(embedded, radix)
-                peels.clear()
-                report = sequence_to_radix(embedded)
-                runs = len(list(itertools.groupby(embedded.prefix)))
-                assert len(peels) <= runs + 2, (embedded, report, peels)
-                decided.add(report.status)
+        for embedded in decode_families(random.Random(4711), 20):
+            reads.clear()
+            report = sequence_to_radix(embedded)
+            runs = len(list(itertools.groupby(embedded.prefix)))
+            assert len(reads) <= runs + 2, (embedded, report, reads)
+            decided.add(report.status)
         assert decided == {"extreme", "non_extreme"}
+
+    def test_a_prefix_run_that_goes_on_into_the_tail_is_one_run(self):
+        # three copies of 1/4 open a radix-4 block; a fourth breaks it
+        report = sequence_to_radix(parse_spec("1/4, radix(1; 4 | 2)"))
+        assert report == ExtremalityReport.non_extreme(4)
+        report = sequence_to_radix(parse_spec("1/4, 1/4, radix(1/2; 2 | 3)"))
+        assert report == ExtremalityReport.extreme(RadixWord((4,), (3,)))
+        # 1/4, 1/4 after 1/2 rescale to 1/2, a radix-2 block of one term
+        report = sequence_to_radix(parse_spec("1/2, 1/4, 1/4, radix(1/4; 3)"))
+        assert report == ExtremalityReport.non_extreme(3)
+        # a million-term run across the junction is read as one run
+        report = sequence_to_radix(parse_spec("1/2, 1/2000000, radix(1/2; 1000000)"))
+        assert report == ExtremalityReport.non_extreme(10**6 + 1)
 
     def test_report_field_consistency(self):
         with pytest.raises(ValidationError):
@@ -320,44 +356,64 @@ class TestFaceMaps:
             assert face_membership(embedded, radix)
 
 
-class TestFirstDeviationReferee:
-    """The run-at-a-time deviation finder against a plain scan of
-    ``fraction_terms``: starts in the prefix, at the junction, inside radix
-    blocks and deep in the tail, with the term at the start and with a
-    nearby rational that differs from it."""
+def referee_extract(terms, radix):
+    """``face_extract``'s answer read off the terms: its message, or the
+    terms after the leading run scaled back up."""
+    if not terms:
+        return "cannot extract from an empty sequence"
+    first = terms[0]
+    if radix is None:
+        if first.numerator != 1 or first.denominator < 2:
+            return f"leading term {first} is not a unit fraction below 1"
+        radix = first.denominator
+    elif first != F(1, radix):
+        return f"leading term {first} is not 1/{radix}"
+    copies = next((i for i, term in enumerate(terms) if term != first), len(terms))
+    if copies < radix - 1:
+        return f"leading run stops at index {copies + 1}, expected {radix - 1} copies of {first}"
+    if copies > radix - 1:
+        return f"leading run of {first} extends past {radix - 1} copies"
+    return [radix * term for term in terms[radix - 1 :]]
 
-    COUNTS = (1, 2, 3, 7, 40)
 
-    @staticmethod
-    def scan(terms, start, count, value):
-        for n in range(start, start + count):
-            if n > len(terms) or terms[n - 1] != value:
-                return n
-        return None
+class TestDecodeReferee:
+    """The decoder against ``fraction_decode``, which peels the terms of
+    ``fraction_terms`` one at a time, and ``face_extract`` against a scan
+    of the same terms, over the face embeddings of every model family."""
 
-    def check(self, model, starts):
-        terms = fraction_terms(model, max(starts) + max(self.COUNTS))
-        for start in starts:
-            if start > len(terms):
-                continue  # past a finite support there is no term to start from
-            term = terms[start - 1]
-            for value in (term, term + term / 997):
-                for count in self.COUNTS:
-                    want = self.scan(terms, start, count, value)
-                    assert _first_deviation(model, start, count, value) == want, (model, start, count)
+    WINDOW = 300  # terms read past the prefix; every witness falls inside
 
-    def test_referee_models(self):
-        rng = random.Random(2718)
-        for _ in range(10):
-            for build in REFEREE_MODELS:
-                model = build(rng)
-                head = len(model.prefix)
-                self.check(model, list(range(1, head + 13)) + [head + 30, head + 77, head + 200])
+    def test_decoder_and_extraction_match_the_term_referee(self):
+        statuses = set()
+        for model in decode_families(random.Random(2718), 12):
+            count = len(model.prefix) + self.WINDOW
+            radices, witness = fraction_decode(model, count)
+            report = sequence_to_radix(model)
+            statuses.add(report.status)
+            if witness is None:
+                assert report.status == "extreme", model
+                assert report.word.entries(len(radices)) == tuple(radices), model
+            else:
+                assert report == ExtremalityReport.non_extreme(witness), model
+            terms = fraction_terms(model, count)
+            for radix in (None, 2, 3, 4, 5):
+                want = referee_extract(terms, radix)
+                try:
+                    inner = face_extract(model, radix)
+                except DomainError as exc:
+                    assert str(exc) == want, (model, radix)
+                else:
+                    # as many terms as the model has past the run, up to the window
+                    assert fraction_terms(inner, count - len(terms) + len(want)) == want, (model, radix)
+        assert statuses == {"extreme", "non_extreme"}
 
-    def test_inside_a_huge_block(self):
-        model = SequenceModel((F(1, 2), F(1, 1000)), MixedRadixTail(F(1), RadixWord((), (1000,))))
-        self.check(model, [1, 2, 3, 4, 500, 1001, 1002])
-        assert _first_deviation(model, 2, 10**6, F(1, 1000)) == 1002
+    def test_a_prefix_run_that_goes_on_into_the_tail_is_too_long_to_extract(self):
+        model = parse_spec("1/4, radix(1; 4 | 2)")
+        for radix in (None, 4):
+            with pytest.raises(DomainError, match="leading run of 1/4 extends past 3 copies"):
+                face_extract(model, radix)
+        with pytest.raises(DomainError, match="leading run of 1/1000000 extends past 999999 copies"):
+            face_extract(parse_spec("1/1000000, radix(1; 1000000)"))
 
 
 class TestDigits:

@@ -191,3 +191,27 @@ def test_a_long_radix_head_that_restates_the_period_is_read_within_the_cpu_cap(t
     proc = _run(["check", "--file", str(spec)])
     assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}"
     assert json.loads(proc.stdout)["holds"] is True
+
+
+_LONG = 10**6
+# each names a malformed input in its error message; the message quotes a
+# fixed window of it and its length, not the whole input
+QUOTING = {
+    "rational-of-10^6-nines": ["expand", "geo(1/2,1/2)", "1/x" + "9" * _LONG],
+    "vna-weight": ["vna", json.dumps({"factors": [{"dim": 1, "weight": "z" * _LONG}]})],
+    "depth-list": ["range", "geo(1/2,1/2)", "--depth", "1," * (_LONG // 2) + "x"],
+    "tail-call-name": ["check", "1/2, " + "x" * _LONG],
+    "tail-kind": ["check", json.dumps({"tail": {"kind": "k" * _LONG}})],
+    "tail-kind-list": ["check", json.dumps({"tail": {"kind": [1] * 10**5}})],
+    "field-name": ["check", json.dumps({"f" * _LONG: 1})],
+    "field-names-10^5": ["check", json.dumps({f"f{i}": 1 for i in range(10**5)})],
+}
+
+
+@pytest.mark.parametrize("argv", list(QUOTING.values()), ids=list(QUOTING))
+def test_an_error_quotes_a_window_of_a_long_input(argv):
+    result = run_command(argv)
+    assert result.exit_code == 3, result.body[:300]
+    assert json.loads(result.body)["error"]["kind"] == "parse"
+    assert len(result.body.encode()) < 2000, result.body[:300]
+    assert "characters)" in result.body
