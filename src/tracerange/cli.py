@@ -36,7 +36,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .core import _Record, _check_writable, _quoted, _read_int, format_rational, parse_rational
+from .core import QUOTE_WINDOW, _Record, _check_writable, _quoted, _read_int, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
 from .extreme_points import mixed_radix_digits, radix_to_sequence, sequence_to_radix
@@ -116,13 +116,22 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_args(self, args=None, namespace=None):
         """argparse's own parse; what ``--help`` and ``--version`` print is
-        kept off stdout and carried by their ``SystemExit`` as ``printed``."""
+        kept off stdout and carried by their ``SystemExit`` as ``printed``.
+        An error quotes each entry of ``args``, and its value after "=" or
+        "-x", by ``_quoted`` where argparse would echo it whole."""
         with contextlib.redirect_stdout(io.StringIO()) as printed:
             try:
                 return super().parse_args(args, namespace)
             except SystemExit as stop:
                 stop.printed = printed.getvalue()
                 raise
+            except ParseError as exc:
+                message = str(exc)
+                texts = {text for e in args for text in (e, e.partition("=")[2], e[2:]) if len(text) > QUOTE_WINDOW}
+                # the longest first, so no text is cut inside a longer one
+                for text in sorted(texts, key=len, reverse=True):
+                    message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text, str))
+                raise ParseError(message) from None
 
     def error(self, message):
         raise ParseError(message)
@@ -208,7 +217,7 @@ def _spec_text(args) -> str:
             with open(path, "r", encoding="utf-8") as handle:
                 return handle.read()
         except OSError as exc:
-            raise ResourceLimitError(f"cannot read {path}: {exc.strerror}") from None
+            raise ResourceLimitError(f"cannot read {_quoted(path, str)}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"cannot read {path} as UTF-8: {exc.reason} at byte {exc.start}") from None
     if inline is None:

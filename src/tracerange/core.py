@@ -17,7 +17,7 @@ import math
 import operator
 import re
 import sys
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, compress, repeat
@@ -258,9 +258,10 @@ class IntervalUnion(_Record):
     A union is held on one integer grid: ``_ends`` lists the endpoints
     lo_1, hi_1, lo_2, hi_2, ... as integer multiples of ``1 / _den``, with
     ``_den`` as small as those endpoints allow, so equal unions hold equal
-    grids. Every operation works on those integers; the ``Interval`` parts
-    are built only when read, from one gcd per endpoint, in batch passes
-    that repeat no ``Fraction`` or ``Interval`` check.
+    grids. Every operation but ``insert`` and ``covers`` (which coalesce the
+    parts they read) works on those integers; the ``Interval`` parts are
+    built only when read, from one gcd per endpoint, in batch passes that
+    repeat no ``Fraction`` or ``Interval`` check.
     """
 
     _fields = ("_den", "_ends")
@@ -301,11 +302,6 @@ class IntervalUnion(_Record):
         _setattr(self, "_den", den)
         _setattr(self, "_ends", tuple(ends))
 
-    def _ends_over(self, den: int) -> list[int]:
-        """The endpoints over ``den``, a multiple of ``_den``."""
-        scale = den // self._den
-        return [x * scale for x in self._ends]
-
     def _reduced(self, build) -> list:
         """``build(num, den)`` for each endpoint in lowest terms, in order."""
         den = self._den
@@ -344,12 +340,9 @@ class IntervalUnion(_Record):
         return cls._on_grid(den, _coalesce(pairs))
 
     def insert(self, interval: Interval) -> "IntervalUnion":
-        """Union with one more interval, re-coalescing as needed."""
-        den = math.lcm(self._den, interval.lo.denominator, interval.hi.denominator)
-        ends = self._ends_over(den)
-        pairs = list(zip(ends[0::2], ends[1::2]))
-        insort(pairs, (_over(den, interval.lo), _over(den, interval.hi)))
-        return IntervalUnion._on_grid(den, _coalesce(pairs))
+        """Union with one more interval: ``from_intervals`` over the parts
+        and ``interval``, which re-coalesces as needed."""
+        return IntervalUnion.from_intervals((*self.parts, interval))
 
     def complement(self, within: Interval) -> "IntervalUnion":
         """Closure of ``within`` minus this union.
@@ -368,7 +361,8 @@ class IntervalUnion(_Record):
         lo, hi = _over(den, within.lo), _over(den, within.hi)
         if not self._ends:
             return IntervalUnion._on_grid(den, [lo, hi] if lo < hi else [])
-        ends = self._ends_over(den)
+        scale = den // self._den
+        ends = [x * scale for x in self._ends]
         if ends[0] < lo or ends[-1] > hi:
             # parts are sorted, so the first one out of bounds is the first
             # part, or else the first part reaching past ``hi``
@@ -397,15 +391,12 @@ class IntervalUnion(_Record):
         return i % 2 == 1 or (i > 0 and rest == 0 and ends[i - 1] == floor)
 
     def covers(self, other: "IntervalUnion") -> bool:
-        """True when every part of ``other`` sits inside some part of self."""
-        den = math.lcm(self._den, other._den)
-        mine, theirs = self._ends_over(den), other._ends_over(den)
-        for lo, hi in zip(theirs[0::2], theirs[1::2]):
-            i = bisect_right(mine, lo)
-            # the part holding lo ends at mine[i] (odd i) or exactly at lo
-            if i == 0 or hi > mine[i if i % 2 else i - 1]:
-                return False
-        return True
+        """True when every part of ``other`` sits inside some part of self.
+
+        The parts of a union are strictly separated, so that holds exactly
+        when ``other`` adds nothing: ``from_intervals`` over the parts of
+        both is self again."""
+        return IntervalUnion.from_intervals((*self.parts, *other.parts)) == self
 
     def total_length(self) -> Fraction:
         ends = self._ends

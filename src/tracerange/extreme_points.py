@@ -151,7 +151,7 @@ def sequence_to_radix(model: SequenceModel) -> ExtremalityReport:
     while True:
         if position > model._length:
             cut = position - 1 - model._length  # tail terms peeled so far
-            signature = (model.tail.rest(cut) if cut else model.tail).as_radix()
+            signature = model.tail.rest(cut).as_radix()
             # the remainder, rescaled by mult, is worth exactly 1
             if signature is not None and (signature.scale.numerator, signature.scale.denominator) == (1, mult):
                 word = signature.radices

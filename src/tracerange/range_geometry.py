@@ -24,10 +24,11 @@ past it is refused before any term is built, and any other fold once a step
 takes it past the bound.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
-``SubsetSumOracle`` (a hash table with witnesses) enumerate the sums
-themselves, of at most ``MAX_TERMS`` terms. Their enumerations share no code
-with the fold, with each other or with the greedy expansion, so the routes
-can referee one another.
+``SubsetSumOracle`` (two hash tables with witnesses, one per half of the
+terms, met in the middle) enumerate the sums themselves, of at most
+``MAX_TERMS`` terms. Their enumerations share no code with the fold, with
+each other or with the greedy expansion, so the routes can referee one
+another.
 """
 
 from __future__ import annotations
@@ -69,29 +70,22 @@ def subset_sums(terms: Sequence) -> list[Fraction]:
 class SubsetSumOracle:
     """Hash-based representability table with witnesses.
 
-    Builds the full sum -> chosen-indices map for short term lists and a
-    meet-in-the-middle pair of half tables for longer ones. Either way the
-    enumeration route is disjoint from both ``subset_sums`` and the greedy
-    expansion, which is the point: it serves as the independent referee.
-    Sums are kept as integers over the lcm of the term denominators, which
-    the oracle computes itself.
+    Builds a meet-in-the-middle pair of half tables, sum -> chosen indices
+    over each half of the term list (Horowitz and Sahni, J. ACM 21(2),
+    1974), at every length. The enumeration route is disjoint from both
+    ``subset_sums`` and the greedy expansion, which is the point: it serves
+    as the independent referee. Sums are kept as integers over the lcm of
+    the term denominators, which the oracle computes itself.
     """
-
-    _FULL_TABLE_MAX = 16
 
     def __init__(self, terms: Sequence):
         values = tuple(Fraction(t) for t in terms)
         _check_term_count(len(values))
         self._den = math.lcm(*(t.denominator for t in values))
         self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
-        if len(self._terms) <= self._FULL_TABLE_MAX:
-            self._table = self._enumerate(self._terms, 0)
-            self._left = self._right = None
-        else:
-            half = len(self._terms) // 2
-            self._table = None
-            self._left = self._enumerate(self._terms[:half], 0)
-            self._right = self._enumerate(self._terms[half:], half)
+        half = len(self._terms) // 2
+        self._left = self._enumerate(self._terms[:half], 0)
+        self._right = self._enumerate(self._terms[half:], half)
 
     @staticmethod
     def _enumerate(terms: tuple[int, ...], base: int) -> dict:
@@ -109,8 +103,6 @@ class SubsetSumOracle:
         if self._den % target.denominator:
             return None  # every subset sum is a multiple of 1 / den
         target = target.numerator * (self._den // target.denominator)
-        if self._table is not None:
-            return self._table.get(target)
         for value, chosen in self._left.items():
             match = self._right.get(target - value)
             if match is not None:

@@ -244,6 +244,8 @@ class GeometricTail(_Record):
         return self.total * self.ratio**j
 
     def rest(self, j: int) -> "GeometricTail":
+        if not j:
+            return self
         return GeometricTail(self.first * self.ratio**j, self.ratio)
 
     def scaled(self, factor: Fraction) -> "GeometricTail":
@@ -392,8 +394,11 @@ class MixedRadixTail(_Record):
         return self.scale * Fraction(k - offset, prod)
 
     def rest(self, j: int) -> "MixedRadixTail":
-        """The terms after local slot j; a block cut inside folds its
-        ``left`` unused slots into one leading block of radix ``left + 1``."""
+        """The terms after local slot j: the tail itself at j = 0, and else a
+        block cut inside folds its ``left`` unused slots into one leading
+        block of radix ``left + 1``."""
+        if not j:
+            return self
         blocks, offset, prod, k = _walk(self, j)
         left = k - 1 - offset
         word = self.radices.shift(blocks + 1)

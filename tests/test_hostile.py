@@ -26,6 +26,7 @@ from support import HUGE_ENDPOINTS
 
 from tracerange import GeometricTail, RadixWord, ResourceLimitError, SequenceModel, format_rational, kakeya_check
 from tracerange.cli import run_command
+from tracerange.core import QUOTE_WINDOW
 
 resource = pytest.importorskip("resource")  # POSIX only
 
@@ -205,6 +206,15 @@ QUOTING = {
     "tail-kind-list": ["check", json.dumps({"tail": {"kind": [1] * 10**5}})],
     "field-name": ["check", json.dumps({"f" * _LONG: 1})],
     "field-names-10^5": ["check", json.dumps({f"f{i}": 1 for i in range(10**5)})],
+    # argparse's own messages, which name an argv entry or an option's value
+    "unrecognized-argument": ["check", "1/2", "x" * _LONG],
+    "command-name": ["c" * _LONG],
+    "unrecognized-option": ["check", "1/2", "--bogus" + "z" * _LONG],
+    "format-choice": ["range", "1/2", "--format", "q" * _LONG],
+    "bits-of-10^6-nines": ["expand", "geo(1/2,1/2)", "1/3", "--bits", "9" * _LONG],
+    "mode-name": ["extreme", "w" * _LONG],
+    "bits-after-equals": ["expand", "geo(1/2,1/2)", "1/3", "--bits=" + "9" * _LONG],
+    "help-with-an-attached-value": ["check", "-h" + "z" * _LONG],
 }
 
 
@@ -213,5 +223,21 @@ def test_an_error_quotes_a_window_of_a_long_input(argv):
     result = run_command(argv)
     assert result.exit_code == 3, result.body[:300]
     assert json.loads(result.body)["error"]["kind"] == "parse"
+    assert len(result.body.encode()) < 2000, result.body[:300]
+    assert "characters)" in result.body
+
+
+def test_argparse_quotes_each_entry_past_the_window_and_no_other():
+    fits, past, longer = "x" * QUOTE_WINDOW, "x" * (QUOTE_WINDOW + 1), "x" * 300
+    message = json.loads(run_command(["check", "1/2", fits]).body)["error"]["message"]
+    assert message == f"unrecognized arguments: {fits}"
+    # an entry that sits inside a longer one is not cut out of it
+    message = json.loads(run_command(["check", "1/2", past, longer]).body)["error"]["message"]
+    assert message == f"unrecognized arguments: {fits}... ({QUOTE_WINDOW + 1} characters) {fits}... (300 characters)"
+
+
+def test_a_long_file_name_is_quoted_by_the_window():
+    result = run_command(["check", "--file", "d" * _LONG])
+    assert result.exit_code == 2, result.body[:300]
     assert len(result.body.encode()) < 2000, result.body[:300]
     assert "characters)" in result.body

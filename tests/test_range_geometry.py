@@ -94,8 +94,7 @@ class TestSubsetSumOracle:
         oracle = SubsetSumOracle([F(1, 2), F(1, 4)])
         assert oracle.witness(F(1, 3)) is None
 
-    def test_meet_in_middle_path(self):
-        # 18 terms forces the split enumeration
+    def test_witness_among_eighteen_dyadic_terms(self):
         terms = [F(1, 2**i) for i in range(1, 19)]
         oracle = SubsetSumOracle(terms)
         bits = oracle.witness(F(5, 16))
@@ -350,13 +349,14 @@ class TestFoldReferee:
 
 
 class TestOracleReferee:
-    """The integer-keyed oracle against the sorted-merge enumeration."""
+    """The integer-keyed oracle against the sorted-merge enumeration, on
+    four term lists of each length from 0 to 20."""
 
     def test_witnesses_and_membership_match_subset_sums(self):
         rng = random.Random(3141)
-        for trial in range(120):
+        for trial in range(84):
             den = rng.choice([1, 6, 12, 35, 60])
-            terms = [F(rng.randint(1, 2 * den), rng.choice([1, den])) for _ in range(rng.randint(0, 17))]
+            terms = [F(rng.randint(1, 2 * den), rng.choice([1, den])) for _ in range(trial % 21)]
             oracle = SubsetSumOracle(terms)
             sums = subset_sums(terms)
             members = set(sums)

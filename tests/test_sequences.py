@@ -349,6 +349,14 @@ class TestTailContractReferee:
         self.check(ZeroTail())
         assert ZeroTail().rest(5) == ZeroTail() and ZeroTail().as_radix() is None
 
+    @pytest.mark.parametrize(
+        "tail",
+        [ZeroTail(), GeometricTail(F(1, 3), F(2, 5)), MixedRadixTail(F(3, 4), RadixWord((5, 3), (2, 4, 3)))],
+        ids=lambda tail: type(tail).__name__,
+    )
+    def test_the_rest_after_no_term_is_the_tail_itself(self, tail):
+        assert tail.rest(0) is tail
+
 
 class TestFirstExcessReferee:
     """``first_excess(sigma)``, the index-only form of the excess search,
@@ -607,6 +615,18 @@ class TestAlgebraSpec:
         model = from_algebra(spec)
         assert model.prefix == (F(1, 5),) * 4
         assert model.tail == MixedRadixTail(F(1, 5), RadixWord((), (2,)))
+
+    @pytest.mark.parametrize(
+        "tail",
+        [GeometricTail(F(1, 4), F(1, 2)), MixedRadixTail(F(1, 2), RadixWord((3,), (2,)))],
+        ids=lambda tail: type(tail).__name__,
+    )
+    def test_a_tail_below_the_smallest_atom_is_kept_whole(self, tail):
+        # no tail run reaches the atom 1/2, so none moves into the prefix
+        spec = AlgebraSpec((MatrixFactor(1, F(1, 2)),), tail)
+        model = from_algebra(spec)
+        assert model.prefix == (F(1, 2),)
+        assert model.tail is spec.abelian_tail
 
     def test_merge_pure_tail(self):
         spec = AlgebraSpec((), GeometricTail(F(1, 2), F(1, 2)))
