@@ -118,10 +118,14 @@ class _Parser(argparse.ArgumentParser):
         """argparse's own parse; what ``--help`` and ``--version`` print is
         kept off stdout and carried by their ``SystemExit`` as ``printed``.
         An error quotes each entry of ``args``, and its value after "=" or
-        "-x", by ``_quoted`` where argparse would echo it whole."""
+        "-x", by ``_quoted`` where argparse would echo it whole, and so the
+        list of unrecognized arguments, joined as argparse joins it."""
         with contextlib.redirect_stdout(io.StringIO()) as printed:
             try:
-                return super().parse_args(args, namespace)
+                namespace, extra = self.parse_known_args(args, namespace)
+                if extra:
+                    self.error(f"unrecognized arguments: {_quoted(' '.join(extra), str)}")
+                return namespace
             except SystemExit as stop:
                 stop.printed = printed.getvalue()
                 raise

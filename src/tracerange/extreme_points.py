@@ -38,7 +38,7 @@ from typing import Optional
 
 from .core import ONE, ZERO, _Record
 from .errors import DomainError, ResourceLimitError, UnsupportedSpecError, ValidationError
-from .representability import ConditionVerdict, _first_excess
+from .representability import ConditionVerdict, _least_violation
 from .sequences import (
     MixedRadixTail,
     RadixWord,
@@ -111,7 +111,7 @@ def admissibility_check(model: SequenceModel) -> ConditionVerdict:
     Tails settle in closed form, so sequences whose total exceeds 1 still
     get a finite witness.
     """
-    return _first_excess(model, ONE - model.total)
+    return _least_violation(model, ONE - model.total)
 
 
 def radix_to_sequence(word: RadixWord, scale=1) -> SequenceModel:

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .core import IntervalUnion, ZERO, _Record, _coalesce, _over
 from .errors import ResourceLimitError, ValidationError
-from .representability import ConditionVerdict, _prefix_excesses, kakeya_check
+from .representability import ConditionVerdict, _excesses, kakeya_check
 from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
 
 MAX_TERMS = 24
@@ -141,19 +141,20 @@ def _violations_around(model: SequenceModel, cut: int) -> tuple[int, bool]:
     """(L, exact): L is the last index n <= cut with a_n above the sum after
     it, or 0; exact says no index past the cut has one.
 
-    At zero slack the only tail that violates is a geometric one with ratio
-    below 1/2, and it violates at every index, so a cut inside it is L at
-    once. Any other violation sits in the prefix, which is scanned back from
-    the cut for L (one check when the cut is a finite model's support, whose
-    last term always violates) and on past it for the flag.
+    One forward pass over the violations settles both: the first index past
+    the cut ends it. At zero slack the only tail that violates is a
+    geometric one with ratio below 1/2, and it violates at every index, so
+    its first index at or inside the cut makes L the cut at once, however
+    deep the cut is.
     """
-    offset = model._length
-    endless = model.tail.first_excess(0) is not None
-    if endless and cut > offset:
-        return cut, False
-    found = next(_prefix_excesses(model, 0, range(min(cut, offset), 0, -1)), None)
-    past = endless or next(_prefix_excesses(model, 0, range(cut + 1, offset + 1)), None) is not None
-    return 0 if found is None else found[0], not past
+    last, offset = 0, model._length
+    for n, _ in _excesses(model, 0):
+        if n > cut:
+            return last, False
+        if n > offset:
+            return cut, False
+        last = n
+    return last, True
 
 
 def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:

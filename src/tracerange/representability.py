@@ -9,12 +9,10 @@ subset sum can enter, which :func:`gap_certificate` hands out.
 
 Membership in the unit-anchored body (``extreme_points``) is the same test
 with a slack, a_n <= sigma + sum_{k>n} a_k with sigma = 1 - total. One
-generator, ``_excesses``, settles it for any sigma, and every condition
-check reads it; each tail family holds its closed form once, in its
-``excesses`` method. The prefix scan, ``_prefix_excesses``, reads the
-prefix per run with the same run rule as a radix tail's blocks, and takes
-the indices forwards or backwards, so the cover can look back from its cut
-for the last violation.
+forward generator, ``_excesses``, settles it for any sigma, and every
+condition check and the cover's cut read it; each tail family holds its
+closed form once, in its ``excesses`` method. The prefix is read per run
+with the same run rule as a radix tail's blocks.
 
 The greedy rule, run against target r with partial result r_0 = 0:
 
@@ -81,54 +79,37 @@ class BitExpansion(_Record):
         self.__dict__.update(bits=bits, achieved=achieved, residual=residual, residual_bound=residual_bound)
 
 
-def _prefix_excesses(model: SequenceModel, sigma, indices: range) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-    """Each prefix index n of ``indices`` (a range of step 1 or -1), in
-    their order, with a_n > sigma + sum_{k>n} a_k, with its gap; a zero
-    slack is never added, and an empty range reads nothing of the model.
-
-    The prefix is read per run. By the run rule (``_run_excess_start``) the
-    violations of a run are a suffix of it, so a run whose last slot holds
-    is passed over with one comparison, and only violating indices are
-    visited.
-    """
-    if not indices:
-        return
-    runs, ends, sums = model._runs, model._run_ends, model._run_sums
-    lift = model.tail.total + sigma if sigma else model.tail.total
-    step = indices.step
-    for r in range(bisect_left(ends, indices[0]), bisect_left(ends, indices[-1]) + step, step):
-        value, count = runs[r]
-        room = sums[r + 1] + lift if lift else sums[r + 1]
-        if value <= room:
-            continue
-        end = ends[r]
-        lo, hi = (indices[0], indices[-1])[::step]
-        found = range(max(end - count + _run_excess_start(value, count, room), lo), min(end, hi) + 1)
-        for n in found[::step]:
-            yield n, (room + _run_sum((value, end - n)) if n < end else room, value)
-
-
 def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
     """Each index n with a_n > sigma + sum_{k>n} a_k, in order, with its gap
     (sigma + sum_{k>n} a_k, a_n).
 
     Completeness is sigma = 0; membership in the unit-anchored body is
-    sigma = 1 - total. The prefix is checked per run of equal terms, whose
-    violations are a suffix of the run; the tail's ``excesses`` settles the
-    rest in closed form, yielding endless runs lazily:
+    sigma = 1 - total. The prefix is read per run. By the run rule
+    (``_run_excess_start``) the violations of a run are a suffix of it, so
+    a run whose last slot holds is passed over with one comparison, and
+    only violating indices are visited; an empty prefix reads nothing of
+    the model. The tail's ``excesses`` settles the rest in closed form,
+    yielding endless runs lazily:
 
     * geometric: one run from the first violating index;
     * radix: none for sigma >= 0, otherwise a suffix of every block;
     * zero: none, so a finite model's last term violates at sigma = 0.
     """
     sigma = sigma or 0  # a zero slack is never added
+    if model._runs:
+        lift = model.tail.total + sigma if sigma else model.tail.total
+        for (value, count), end, after in zip(model._runs, model._run_ends, model._run_sums[1:]):
+            room = after + lift if lift else after
+            if value <= room:
+                continue
+            for n in range(end - count + _run_excess_start(value, count, room), end + 1):
+                yield n, (room + _run_sum((value, end - n)) if n < end else room, value)
     offset = model._length
-    yield from _prefix_excesses(model, sigma, range(1, offset + 1))
     for j, gap in model.tail.excesses(sigma):
         yield offset + j, gap
 
 
-def _first_excess(model: SequenceModel, sigma) -> ConditionVerdict:
+def _least_violation(model: SequenceModel, sigma) -> ConditionVerdict:
     """The least index violating a_n <= sigma + sum_{k>n} a_k, as a verdict."""
     found = next(_excesses(model, sigma), None)
     if found is None:
@@ -142,7 +123,7 @@ def kakeya_check(model: SequenceModel) -> ConditionVerdict:
 
     Tails settle in closed form (see ``_excesses``), so the scan is finite.
     """
-    return _first_excess(model, 0)
+    return _least_violation(model, 0)
 
 
 def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:

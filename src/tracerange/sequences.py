@@ -16,11 +16,10 @@ approximations) are never numeric estimates. Each family owns its closed
 forms as one method set, so no caller tests a tail's type: ``terms()``,
 ``runs()`` of (value, multiplicity), ``sum_after(j)``, ``rest(j)`` (the
 terms after local index j), ``scaled(f)``, ``excesses(sigma)`` (the
-condition engine's tail indices) with ``first_excess(sigma)`` (the first of
-them, index only), ``as_radix()`` (None unless the terms form a
-radix pattern), and ``numeral(bits)`` (the sum a 0/1 vector selects); the
-two endless families add ``greedy(num, den, count, certified)``, the greedy
-rule's run of steps.
+condition engine's tail indices, in order), ``as_radix()`` (None unless the
+terms form a radix pattern), and ``numeral(bits)`` (the sum a 0/1 vector
+selects); the two endless families add ``greedy(num, den, count,
+certified)``, the greedy rule's run of steps.
 ``terms()`` builds each term once from a reduced ``(num, den)`` pair: a
 geometric step cancels only gcd(num, q) and gcd(p, den) for ratio p/q, and
 a radix block only gcd(num, k) for its radix k. ``greedy`` steps the
@@ -33,7 +32,7 @@ read (``_spelled``). Every check, sum, read and derived model pays per run:
 ``_from_runs(runs, tail)`` builds a model from runs, checking each run
 once (``_checked_runs``), ``_scaled_runs`` scales every run's value, and
 ``_run_excess_start`` is the condition engine's rule for one run, which
-the prefix scan and the radix tail's blocks both read.
+its forward pass over the prefix runs and the radix tail's blocks both read.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
@@ -178,9 +177,6 @@ class ZeroTail(_Record):
     def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         return iter(())
 
-    def first_excess(self, sigma) -> Optional[int]:
-        return None
-
     def as_radix(self) -> Optional["MixedRadixTail"]:
         return None
 
@@ -211,7 +207,8 @@ class GeometricTail(_Record):
         return self.first / (1 - self.ratio)
 
     def term(self, j: int) -> Fraction:
-        return self.first * self.ratio ** (j - 1)
+        # the first term, which the excess run starts from, takes no power
+        return self.first * self.ratio ** (j - 1) if j > 1 else self.first
 
     def _chunks(self) -> Iterator[Iterator[Fraction]]:
         """The terms first * ratio^k on reduced (num, den) pairs, in chunks.
@@ -251,9 +248,11 @@ class GeometricTail(_Record):
     def scaled(self, factor: Fraction) -> "GeometricTail":
         return GeometricTail(self.first * factor, self.ratio)
 
-    def first_excess(self, sigma) -> Optional[int]:
-        """The least j with f*r^(j-1) > sigma + sum_after(j), or None,
-        found on integers without building a term or a gap.
+    def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+        """The violations form one run from the least j with
+        f*r^(j-1) > sigma + sum_after(j), found on integers without building
+        a term or a gap, and stepped from there by scaling term and rest by
+        the ratio.
 
         The excess reads d * r^(j-1) > sigma with d = f*(1-2r)/(1-r),
         monotone in j; with f = a/b, r = p/q and sigma = s/t it runs on
@@ -271,18 +270,11 @@ class GeometricTail(_Record):
             return lhs * p ** (j - 1) > rhs * q ** (j - 1)
 
         if not excess(1) and sigma >= 0:
-            return None
+            return
         hi = 1
         while not excess(hi):
             hi *= 2
-        return bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
-
-    def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
-        """The violations form one run from ``first_excess``, stepped by
-        scaling term and rest by the ratio."""
-        j = self.first_excess(sigma)
-        if j is None:
-            return
+        j = bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
         term, rest = self.term(j), self.sum_after(j)
         # from its first index the run is endless unless sigma > 0
         while sigma <= 0 or term > sigma + rest:
@@ -422,11 +414,6 @@ class MixedRadixTail(_Record):
             for i in range(_run_excess_start(value, size, room), size + 1):
                 yield offset + i, (room + (size - i) * value, value)
             offset += size
-
-    def first_excess(self, sigma) -> Optional[int]:
-        """The first index ``excesses`` yields: none for sigma >= 0, and
-        otherwise there is one, since every block's last slot violates."""
-        return None if sigma >= 0 else next(self.excesses(sigma))[0]
 
     def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
         """The greedy rule over the first ``count`` >= 1 slots against the

@@ -748,13 +748,13 @@ class TestPlainReader:
 
     def test_plain_argv_of_every_command_never_reaches_argparse(self, monkeypatch):
         calls = []
-        parse_args = argparse.ArgumentParser.parse_args
+        parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def spy(parser, *args, **kwargs):
             calls.append(args)
-            return parse_args(parser, *args, **kwargs)
+            return parse_known_args(parser, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
         for argv in ACCEPTANCE_ARGV:
             assert run_command(argv).exit_code == 0, argv
         assert {" ".join(argv[:2] if argv[0] == "extreme" else argv[:1]) for argv in ACCEPTANCE_ARGV} == {

@@ -215,6 +215,12 @@ QUOTING = {
     "mode-name": ["extreme", "w" * _LONG],
     "bits-after-equals": ["expand", "geo(1/2,1/2)", "1/3", "--bits=" + "9" * _LONG],
     "help-with-an-attached-value": ["check", "-h" + "z" * _LONG],
+    # a list of unrecognized arguments, each short, is quoted as argparse joins it;
+    # argparse's own search for the next option string is quadratic in their
+    # count (50,000 options take about a minute), so the options stop at 5,000
+    "10^5-unrecognized-arguments": ["check", "1/2"] + ["x"] * 10**5,
+    "5*10^3-unrecognized-options": ["check", "1/2"] + ["--zz"] * 5000,
+    "5*10^4-values-after-bits": ["expand", "geo(1/2,1/2)", "1/3", "--bits", "4"] + ["7"] * 50000,
 }
 
 
@@ -232,8 +238,21 @@ def test_argparse_quotes_each_entry_past_the_window_and_no_other():
     message = json.loads(run_command(["check", "1/2", fits]).body)["error"]["message"]
     assert message == f"unrecognized arguments: {fits}"
     # an entry that sits inside a longer one is not cut out of it
+    nines = "9" * QUOTE_WINDOW
+    argv = ["expand", "geo(1/2,1/2)", "1/3", "--bits", "9" * 300 + "x", "9" * (QUOTE_WINDOW + 1)]
+    message = json.loads(run_command(argv).body)["error"]["message"]
+    assert message == f"argument --bits: invalid int value: '{nines}'... (301 characters)"
+
+
+def test_argparse_quotes_a_list_of_unrecognized_arguments_past_the_window_and_no_other():
+    # 40 entries join to 79 characters, inside the window: the body is argparse's own
+    result = run_command(["check", "1/2"] + ["x"] * 40)
+    assert result.exit_code == 3
+    assert json.loads(result.body)["error"]["message"] == "unrecognized arguments: " + " ".join(["x"] * 40)
+    assert len(result.body.encode()) == 184
+    fits, past, longer = "x" * QUOTE_WINDOW, "x" * (QUOTE_WINDOW + 1), "x" * 300
     message = json.loads(run_command(["check", "1/2", past, longer]).body)["error"]["message"]
-    assert message == f"unrecognized arguments: {fits}... ({QUOTE_WINDOW + 1} characters) {fits}... (300 characters)"
+    assert message == f"unrecognized arguments: {fits}... ({QUOTE_WINDOW + 302} characters)"
 
 
 def test_a_long_file_name_is_quoted_by_the_window():

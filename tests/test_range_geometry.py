@@ -25,13 +25,16 @@ from tracerange import (
     convexity_verdict,
     kakeya_check,
     make_model,
+    parse_spec,
     range_geometry,
     split_leading,
     subset_sums,
 )
+from tracerange.range_geometry import _violations_around
 
 from support import (
     REFEREE_MODELS,
+    RUN_FORM_MODELS,
     all_threes,
     cantor_like,
     dyadic,
@@ -44,6 +47,7 @@ from support import (
     random_prefixed_model,
     random_radix_model,
 )
+from test_sequences import CANCELLING_MODELS
 
 F = Fraction
 
@@ -222,6 +226,12 @@ class TestFoldFromLastViolation:
             match=r"^the cover fold reaches 2\^1000000000 pieces, past the bound of 65536$",
         ):
             achievable_outer(cantor_like(), 10**9)
+        # a prefix ahead of the tail: the scan still stops at the tail's first index
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^the cover fold reaches 2\^999999999 pieces, past the bound of 65536$",
+        ):
+            achievable_outer(parse_spec("1/2, geo(1/8, 1/3)"), 10**9)
 
     def test_first_terms_stops_at_the_last_violation(self, monkeypatch):
         asked = []
@@ -268,6 +278,49 @@ class TestFoldFromLastViolation:
             approx = achievable_outer(model, cut)
             assert approx.union == expected
             assert approx.exact
+
+
+class TestViolationsAroundReferee:
+    """``_violations_around(model, cut)``, the (L, exact) the fold starts
+    from, against a ``Fraction`` scan at every cut from 0 to 40: L is the
+    last violating index up to the cut, or 0, and exact says none lies past
+    it. At zero slack a tail violates at every index or at none, so a scan
+    one index past both the prefix and the deepest cut sees every violation
+    that decides either."""
+
+    DEPTH = 40
+
+    @classmethod
+    def check(cls, model: SequenceModel) -> None:
+        found = [n for n, _ in fraction_violations(model, max(cls.DEPTH, len(model.prefix)) + 1)]
+        for cut in range(cls.DEPTH + 1):
+            last = max((n for n in found if n <= cut), default=0)
+            exact = all(n <= cut for n in found)
+            assert _violations_around(model, cut) == (last, exact), (model, cut)
+
+    def test_referee_and_run_form_models(self):
+        rng = random.Random(2718)
+        for _ in range(6):
+            for build in REFEREE_MODELS + RUN_FORM_MODELS:
+                self.check(build(rng))
+
+    @pytest.mark.parametrize("name", CANCELLING_MODELS)
+    def test_models_that_cancel_for_several_steps(self, name):
+        self.check(CANCELLING_MODELS[name])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "1/2, 1/4, geo(1/16, 1/3)",
+            "1/2, geo(1/8, 1/3)",
+            "3/4, 1/2, 1/8, 1/16, geo(1/32, 2/5)",
+            "1/4, 1/4, 1/8, 1/8, geo(1/16, 1/3)",
+            ", ".join(["1/64"] * 50) + ", geo(1/128, 1/3)",
+        ],
+    )
+    def test_a_prefix_ahead_of_a_cantor_tail(self, spec):
+        # the cut falls inside the prefix and past it, into the tail
+        self.check(parse_spec(spec))
 
 
 class TestPieceBound:
