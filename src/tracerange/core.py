@@ -3,12 +3,13 @@
 Scalars are Python ``Fraction``s (arbitrary precision, lowest terms,
 positive denominator). An ``IntervalUnion`` holds its endpoints as integers
 over one common denominator and works on those integers. It checks their
-whole order once, on that grid, when it is built; its ``Interval`` parts,
-with ``Fraction`` endpoints, are built from the grid only when read, without
-checking each part again: one gcd per endpoint, then the trusted
-constructors fill the fields. Nothing in this module, or anywhere else in the
-library, rounds; the single lossy surface of the package is coordinate
-formatting in the SVG renderer.
+whole order once, on that grid, when it is built, and reduces each endpoint
+to lowest terms at most once, one gcd each: the JSON writer, the ``Interval``
+parts (``Fraction`` endpoints, built only when read, without checking each
+part again) and the complement, which inherits the pairs it shares, all read
+that one pass. Nothing in this module, or anywhere else in the library,
+rounds; the single lossy surface of the package is coordinate formatting in
+the SVG renderer.
 """
 
 from __future__ import annotations
@@ -143,12 +144,13 @@ class _Record:
     """The base of the package's frozen records, which generate no code.
 
     Each record names its fields in ``_fields`` and sets them in its own
-    ``__init__``; records held in bulk use ``_setattr``, which needs no
-    ``__dict__`` (150 bytes less). ``==`` (same class only), ``hash`` and
+    ``__init__``; ``Interval``, held in bulk, keeps them in slots, and the
+    others in a ``__dict__``. ``==`` (same class only), ``hash`` and
     ``repr`` read the fields as a frozen dataclass's do; assigning or deleting
     one raises ``dataclasses.FrozenInstanceError``, imported on that path only.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
@@ -186,7 +188,7 @@ class _Record:
 class Interval(_Record):
     """Closed interval [lo, hi] with rational endpoints, lo <= hi."""
 
-    _fields = ("lo", "hi")
+    __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         if type(lo) is not Fraction:
@@ -198,6 +200,9 @@ class Interval(_Record):
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
 
+    def __reduce__(self):  # copy and pickle call the constructor, not the frozen ``__setattr__``
+        return Interval, (self.lo, self.hi)
+
     def contains(self, point) -> bool:
         return self.lo <= point <= self.hi
 
@@ -208,11 +213,11 @@ class Interval(_Record):
 def _trusted_intervals(los: list[Fraction], his: list[Fraction]) -> tuple[Interval, ...]:
     """``Interval``s from endpoints known to satisfy lo <= hi pairwise, with
     neither the coercion nor the order check of ``Interval.__init__`` and no
-    Python-level call per part (``object.__setattr__`` returns None, so
-    ``any`` runs each pass out)."""
+    Python-level call per part: each slot descriptor's ``__set__`` fills
+    its field (it returns None, so ``any`` runs each pass out)."""
     parts = tuple(map(object.__new__, repeat(Interval, len(los))))
-    any(map(object.__setattr__, parts, repeat("lo"), los))
-    any(map(object.__setattr__, parts, repeat("hi"), his))
+    any(map(Interval.lo.__set__, parts, los))
+    any(map(Interval.hi.__set__, parts, his))
     return parts
 
 
@@ -259,12 +264,14 @@ class IntervalUnion(_Record):
     lo_1, hi_1, lo_2, hi_2, ... as integer multiples of ``1 / _den``, with
     ``_den`` as small as those endpoints allow, so equal unions hold equal
     grids. Every operation but ``insert`` and ``covers`` (which coalesce the
-    parts they read) works on those integers; the ``Interval`` parts are
-    built only when read, from one gcd per endpoint, in batch passes that
-    repeat no ``Fraction`` or ``Interval`` check.
+    parts they read) works on those integers. The writer and the ``Interval``
+    parts, built only when read and checked by no ``Fraction`` or ``Interval``
+    constructor, share one lowest-terms pass, which ``complement`` hands on;
+    it is kept beside the ``parts`` cache, not as a field (``_fields``).
     """
 
     _fields = ("_den", "_ends")
+    _pairs = None  # ``_lowest_terms``' memo, set on the union by ``_setattr``
 
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = tuple(parts)
@@ -302,24 +309,34 @@ class IntervalUnion(_Record):
         _setattr(self, "_den", den)
         _setattr(self, "_ends", tuple(ends))
 
-    def _reduced(self, build) -> list:
-        """``build(num, den)`` for each endpoint in lowest terms, in order."""
-        den = self._den
-        return [build(x // (g := math.gcd(x, den)), den // g) for x in self._ends]
+    def _lowest_terms(self) -> tuple[list[int], list[int]]:
+        """The endpoints' lowest-terms numerators and denominators, one gcd
+        each on the first read (a plain loop: a small union pays no set-up)."""
+        pairs = self._pairs
+        if pairs is None:
+            den, gcd, nums, dens = self._den, math.gcd, [], []
+            for x in self._ends:
+                g = gcd(x, den)
+                nums.append(x // g)
+                dens.append(den // g)
+            _setattr(self, "_pairs", pairs := (nums, dens))
+        return pairs
 
     @cached_property
     def parts(self) -> tuple[Interval, ...]:
-        if not self._ends:  # every one-piece cover's complement
-            return ()
         # ``_place`` has checked the order of every endpoint
-        ends = self._reduced(_trusted_fraction)
+        ends = list(map(_trusted_fraction, *self._lowest_terms()))
         return _trusted_intervals(ends[0::2], ends[1::2])
 
     def _written_parts(self) -> list[list[str]]:
         """Each part's endpoints written "p/q", as ``format_rational`` writes
         them, one ``[lo, hi]`` list per part as the JSON document holds it."""
-        texts = iter(self._reduced(_write_ratio))
-        return list(map(list, zip(texts, texts)))
+        nums, dens = map(iter, pairs := self._lowest_terms())  # zipped twice: a part's lo, then its hi
+        try:
+            return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]
+        except ValueError:  # every text is truthy, so ``all`` runs to the first refusal
+            all(map(_write_ratio, *pairs))
+            raise
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -357,29 +374,34 @@ class IntervalUnion(_Record):
         empty, and two gaps touch only across a degenerate part, so those
         parts are dropped first and only the two end gaps can be empty.
         """
-        den = math.lcm(self._den, within.lo.denominator, within.hi.denominator)
-        lo, hi = _over(den, within.lo), _over(den, within.hi)
-        if not self._ends:
-            return IntervalUnion._on_grid(den, [lo, hi] if lo < hi else [])
+        a, b = within.lo, within.hi
+        den = math.lcm(self._den, a.denominator, b.denominator)
+        lo, hi = _over(den, a), _over(den, b)
         scale = den // self._den
-        ends = [x * scale for x in self._ends]
-        if ends[0] < lo or ends[-1] > hi:
+        ends = self._ends if scale == 1 else [x * scale for x in self._ends]
+        if ends and (ends[0] < lo or ends[-1] > hi):
             # parts are sorted, so the first one out of bounds is the first
             # part, or else the first part reaching past ``hi``
             i = 0 if ends[0] < lo else bisect_right(ends, hi) // 2
             raise ValidationError(
                 f"union part [{Fraction(ends[2 * i], den)}, {Fraction(ends[2 * i + 1], den)}] "
-                f"is not inside [{within.lo}, {within.hi}]"
+                f"is not inside [{a}, {b}]"
             )
-        los, his = ends[0::2], ends[1::2]
-        if not all(map(operator.lt, los, his)):
-            ends = list(chain.from_iterable(compress(zip(los, his), map(operator.lt, los, his))))
+        los, his, kept = ends[0::2], ends[1::2], None
+        if not all(map(operator.lt, los, his)):  # a flag per endpoint: points go, both ends
+            kept = list(map(operator.lt, los, his))
+            kept = list(chain.from_iterable(zip(kept, kept)))
+            ends = list(compress(ends, kept))
         gaps = [lo, *ends, hi]
-        if gaps[0] == gaps[1]:
-            del gaps[:2]
-        if gaps and gaps[-2] == gaps[-1]:
-            del gaps[-2:]
-        return IntervalUnion._on_grid(den, gaps)
+        cut = slice(2 if gaps[0] == gaps[1] else 0, -2 if gaps[-2] == gaps[-1] else None)
+        union = IntervalUnion._on_grid(den, gaps[cut])
+        if union._ends:  # lowest terms do not depend on the grid: frame and trim the pairs alike
+            nums, dens = self._lowest_terms()
+            if kept:
+                nums, dens = compress(nums, kept), compress(dens, kept)
+            framed = [a.numerator, *nums, b.numerator], [a.denominator, *dens, b.denominator]
+            _setattr(union, "_pairs", (framed[0][cut], framed[1][cut]))
+        return union
 
     def contains(self, point) -> bool:
         q = point if type(point) is Fraction else Fraction(point)
@@ -403,7 +425,8 @@ class IntervalUnion(_Record):
         return Fraction(sum(ends[1::2]) - sum(ends[0::2]), self._den)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.parts)
+        # an empty union, such as every one-piece cover's complement, fills no cache
+        return iter(self.parts if self._ends else ())
 
     def __len__(self) -> int:
         return len(self._ends) // 2

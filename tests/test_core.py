@@ -27,6 +27,7 @@ from tracerange import (
     subset_sums,
 )
 
+from tracerange import core
 from tracerange.core import QUOTE_WINDOW, _check_writable, _trusted_fraction
 
 from support import (
@@ -203,6 +204,22 @@ class TestWritableGuard:
         q = Fraction(10**5000, 7)
         assert _check_writable(q) is q
 
+    @pytest.mark.parametrize("text_first", [True, False], ids=["text-first", "gaps-first"])
+    def test_the_cover_and_gaps_that_inherit_its_endpoint_are_refused(self, text_first):
+        # [0, 2] and [10^640, 10^640 + 2]: the second gap ends at 10^640,
+        # a pair the complement takes from the cover's lowest-terms pass
+        model = SequenceModel((Fraction(10**640),), GeometricTail(Fraction(1), Fraction(1, 2)))
+        cover = achievable_outer(model, 1).union
+        message = "output rational too large to write: 2127 bits"
+        if text_first:
+            with pytest.raises(ResourceLimitError, match=message):
+                cover._written_parts()
+        gaps = cover.complement(Interval(Fraction(-1, 7), model.total + Fraction(1, 11)))
+        assert len(gaps) == 3 and gaps.parts[1].hi == 10**640
+        for union in (gaps, cover):
+            with pytest.raises(ResourceLimitError, match=message):
+                union._written_parts()
+
 
 class TestInterval:
     def test_contains_endpoints(self):
@@ -340,6 +357,42 @@ class TestIntervalUnion:
         for probe in [Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(13, 9)]:
             direct = any(iv.contains(probe) for iv in union)
             assert union.contains(probe) == direct
+
+
+class TestSharedLowestTerms:
+    """A union reduces its endpoints once, and its writer, its parts and its
+    complement's parts all read that pass; each read matches the ``Fraction``
+    referees whatever the order of reads."""
+
+    @staticmethod
+    def withins(total: Fraction) -> list[tuple[Fraction, Fraction]]:
+        # both end gaps empty, both not (off the grid, so scale > 1), and each alone
+        return [
+            (Fraction(0), total),
+            (Fraction(-1, 7), total + Fraction(1, 11)),
+            (Fraction(0), total + Fraction(1, 11)),
+            (Fraction(-1, 7), total),
+        ]
+
+    @pytest.mark.parametrize("text_first", [True, False], ids=["text-first", "gaps-first"])
+    def test_covers_and_their_complements_match_the_referees(self, text_first):
+        rng = random.Random(2029)
+        for build in REFEREE_MODELS:
+            model = build(rng)
+            for depth in range(13):
+                # a finite model's cut stops at its last term, so its parts are points
+                cut = min(depth, len(model.prefix)) if model.finite else depth
+                pieces = fraction_fold(model, cut)
+                for lo, hi in self.withins(model.total):
+                    cover = achievable_outer(model, depth).union
+                    text = cover._written_parts() if text_first else None
+                    gaps = cover.complement(Interval(lo, hi))
+                    assert_parts(gaps, fraction_complement(pieces, lo, hi))
+                    # the pairs handed on are those the gaps would reduce themselves
+                    fresh = IntervalUnion._on_grid(gaps._den, list(gaps._ends))
+                    assert gaps._lowest_terms() == fresh._lowest_terms()
+                    assert text is None or text == cover._written_parts()
+                assert_parts(cover, pieces)
 
 
 class TestGridUnionReferee:
@@ -512,6 +565,36 @@ class TestGridUnionReferee:
                 assert part == validated and hash(part) == hash(validated)
                 for twin in (pickle.loads(pickle.dumps(part)), copy.copy(part), copy.deepcopy(part)):
                     assert twin == validated and hash(twin) == hash(validated)
+
+    @pytest.mark.parametrize("text_first", [True, False], ids=["text-first", "gaps-first"])
+    @pytest.mark.parametrize("tail", CANTOR_TAILS, ids=repr)
+    def test_one_gcd_per_endpoint_for_the_text_and_the_gaps(self, tail, text_first, monkeypatch):
+        # the gaps' 2046 endpoints are the cover's inner ones: they share the
+        # cover's 2048 reductions, whichever is read first, where a pass of
+        # their own would make it 4,094, plus one per union built
+        model = SequenceModel((), tail)
+        cover = achievable_outer(model, 10).union
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def gcd(*args):
+                calls.append(args)
+                return math.gcd(*args)
+
+        monkeypatch.setattr(core, "math", CountingMath())
+        within = Interval(Fraction(0), model.total)
+        if text_first:
+            text = cover._written_parts()
+            gaps = cover.complement(within).parts
+        else:
+            gaps = cover.complement(within).parts
+            text = cover._written_parts()
+        assert (len(text), len(gaps)) == (1024, 1023)
+        assert len(calls) <= 2048 + 4
 
     def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
         model = SequenceModel((), self.CANTOR_TAILS[0])

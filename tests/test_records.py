@@ -197,6 +197,58 @@ def test_models_built_three_ways_compare_and_hash_equal():
     assert repr(built) == repr(split) == repr(round_trip)
 
 
+def _twins(record) -> list:
+    """``record`` through pickle at every protocol, ``copy`` and ``deepcopy``."""
+    pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return pickled + [copy.copy(record), copy.deepcopy(record)]
+
+
+class TestSlottedInterval:
+    """``Interval`` keeps its two fields in slots and has no ``__dict__``; it
+    still refuses assignment, and copies and pickles to an equal twin."""
+
+    def _intervals(self):
+        checked = t.Interval(F(1, 3), F(1, 2))
+        # one built by the trusted constructors, with no ``__init__``
+        trusted = t.IntervalUnion.from_intervals([checked]).parts[0]
+        return checked, trusted
+
+    def test_no_dict(self):
+        for interval in self._intervals():
+            assert not hasattr(interval, "__dict__")
+            assert type(interval).__slots__ == ("lo", "hi")
+
+    def test_lo_cannot_be_assigned_or_deleted(self):
+        for interval in self._intervals():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                interval.lo = F(0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del interval.lo
+            assert interval.lo == F(1, 3)
+
+    def test_every_pickle_protocol_and_copy_gives_an_equal_twin(self):
+        assert pickle.HIGHEST_PROTOCOL >= 5
+        for interval in self._intervals():
+            for twin in _twins(interval):
+                assert type(twin) is t.Interval and twin is not interval
+                assert twin == interval and hash(twin) == hash(interval) and repr(twin) == repr(interval)
+                assert not hasattr(twin, "__dict__")
+
+    def test_a_union_with_its_lowest_terms_read_twins_one_without(self):
+        def build():
+            return t.achievable_outer(t.SequenceModel((), t.GeometricTail(F(2, 3), F(1, 3))), 3).union
+
+        read, fresh = build(), build()
+        read._written_parts()
+        gaps = read.complement(t.Interval(F(0), F(1)))
+        assert "_pairs" in vars(read) and "_pairs" in vars(gaps) and "_pairs" not in vars(fresh)
+        assert "_pairs" not in repr(read) and repr(read) == repr(fresh)
+        for twin in _twins(read):
+            assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+            assert twin._written_parts() == fresh._written_parts() and list(twin) == list(fresh)
+        assert gaps == fresh.complement(t.Interval(F(0), F(1)))
+
+
 def _run_isolated(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
