@@ -11,125 +11,50 @@ SVG renderer's coordinates.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Interval,
-    IntervalUnion,
-    format_rational,
-    parse_rational,
-)
-from .errors import (
-    DomainError,
-    OutOfSupportError,
-    ParseError,
-    ResourceLimitError,
-    TraceRangeError,
-    UnsupportedSpecError,
-    ValidationError,
-)
-from .sequences import (
-    AlgebraSpec,
-    GeometricTail,
-    MatrixFactor,
-    MixedRadixTail,
-    RadixWord,
-    SequenceModel,
-    ZeroTail,
-    from_algebra,
-    make_model,
-    same_sequence,
-    split_leading,
-)
-from .representability import (
-    BitExpansion,
-    ConditionVerdict,
-    gap_certificate,
-    greedy_expand,
-    kakeya_check,
-    list_violations,
-    verify_expansion,
-)
-from .range_geometry import (
-    ConvexityVerdict,
-    RangeApproximation,
-    SubsetSumOracle,
-    achievable_outer,
-    convexity_verdict,
-    subset_sums,
-)
-from .extreme_points import (
-    ExtremalityReport,
-    admissibility_check,
-    bits_to_digits,
-    digits_to_bits,
-    face_embed,
-    face_extract,
-    face_membership,
-    mixed_radix_digits,
-    radix_to_sequence,
-    sequence_to_radix,
-)
-from .dsl import parse_algebra, parse_spec, parse_word
-from .cli import CommandResult, main, run_command
-
-__all__ = [
-    "AlgebraSpec",
-    "BitExpansion",
-    "CommandResult",
-    "ConditionVerdict",
-    "ConvexityVerdict",
-    "DomainError",
-    "ExtremalityReport",
-    "GeometricTail",
-    "Interval",
-    "IntervalUnion",
-    "MatrixFactor",
-    "MixedRadixTail",
-    "OutOfSupportError",
-    "ParseError",
-    "RadixWord",
-    "RangeApproximation",
-    "ResourceLimitError",
-    "SequenceModel",
-    "SubsetSumOracle",
-    "TraceRangeError",
-    "UnsupportedSpecError",
-    "ValidationError",
-    "ZeroTail",
-    "achievable_outer",
-    "admissibility_check",
-    "bits_to_digits",
-    "convexity_verdict",
-    "digits_to_bits",
-    "emit_svg",
-    "face_embed",
-    "face_extract",
-    "face_membership",
-    "format_rational",
-    "from_algebra",
-    "gap_certificate",
-    "greedy_expand",
-    "kakeya_check",
-    "list_violations",
-    "main",
-    "make_model",
-    "mixed_radix_digits",
-    "parse_algebra",
-    "parse_rational",
-    "parse_spec",
-    "parse_word",
-    "radix_to_sequence",
-    "run_command",
-    "same_sequence",
-    "sequence_to_radix",
-    "split_leading",
-    "subset_sums",
-    "verify_expansion",
-    "__version__",
-]
+# each module, with the public names it defines: a name's module is imported
+# when the name is first read, so importing the package loads no module
+_MODULES = {
+    "core": ("Interval", "IntervalUnion", "format_rational", "parse_rational"),
+    "errors": (
+        "DomainError", "OutOfSupportError", "ParseError", "ResourceLimitError", "TraceRangeError",
+        "UnsupportedSpecError", "ValidationError",
+    ),
+    "sequences": (
+        "AlgebraSpec", "GeometricTail", "MatrixFactor", "MixedRadixTail", "RadixWord", "SequenceModel", "ZeroTail",
+        "from_algebra", "make_model", "same_sequence", "split_leading",
+    ),
+    "representability": (
+        "BitExpansion", "ConditionVerdict", "gap_certificate", "greedy_expand", "kakeya_check", "list_violations",
+        "verify_expansion",
+    ),
+    "range_geometry": (
+        "ConvexityVerdict", "RangeApproximation", "SubsetSumOracle", "achievable_outer", "convexity_verdict",
+        "subset_sums",
+    ),
+    "extreme_points": (
+        "ExtremalityReport", "admissibility_check", "bits_to_digits", "digits_to_bits", "face_embed",
+        "face_extract", "face_membership", "mixed_radix_digits", "radix_to_sequence", "sequence_to_radix",
+    ),
+    "serialize": (),
+    "dsl": ("parse_algebra", "parse_spec", "parse_word"),
+    "cli": ("CommandResult", "main", "run_command"),
+    "svg": ("emit_svg",),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = [*sorted(_HOME), "__version__"]
 
 
-def __getattr__(name):  # the svg renderer is imported on first use, so a launch does not load it
-    if name != "emit_svg":
+def __getattr__(name):
+    """Import the module that defines ``name``, or the submodule ``name``, on
+    its first read, and keep the value here so later reads skip this hook."""
+    home = _HOME.get(name)
+    if home is None and name not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .svg import emit_svg
-    return emit_svg
+    from importlib import import_module
+    module = import_module(f"{__name__}.{home or name}")
+    value = globals()[name] = getattr(module, name) if home else module
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_MODULES})

@@ -20,7 +20,7 @@ import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator
 
@@ -267,18 +267,19 @@ class IntervalUnion(_Record):
     parts they read) works on those integers. The writer and the ``Interval``
     parts, built only when read and checked by no ``Fraction`` or ``Interval``
     constructor, share one lowest-terms pass, which ``complement`` hands on;
-    it is kept beside the ``parts`` cache, not as a field (``_fields``).
+    it is kept beside the ``parts`` memo, not as a field (``_fields``).
     """
 
     _fields = ("_den", "_ends")
     _pairs = None  # ``_lowest_terms``' memo, set on the union by ``_setattr``
+    _parts = None  # ``parts``' memo, set the same way
 
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = tuple(parts)
         ends = [x for part in parts for x in (part.lo, part.hi)]
         den = math.lcm(*(x.denominator for x in ends))
         self._place(den, [_over(den, x) for x in ends])
-        self.__dict__["parts"] = parts  # already canonical, as just checked
+        _setattr(self, "_parts", parts)  # already canonical, as just checked
 
     @classmethod
     def _on_grid(cls, den: int, ends: list[int]) -> "IntervalUnion":
@@ -322,11 +323,13 @@ class IntervalUnion(_Record):
             _setattr(self, "_pairs", pairs := (nums, dens))
         return pairs
 
-    @cached_property
+    @property
     def parts(self) -> tuple[Interval, ...]:
-        # ``_place`` has checked the order of every endpoint
-        ends = list(map(_trusted_fraction, *self._lowest_terms()))
-        return _trusted_intervals(ends[0::2], ends[1::2])
+        parts = self._parts
+        if parts is None:  # ``_place`` has checked the order of every endpoint
+            ends = list(map(_trusted_fraction, *self._lowest_terms()))
+            _setattr(self, "_parts", parts := _trusted_intervals(ends[0::2], ends[1::2]))
+        return parts
 
     def _written_parts(self) -> list[list[str]]:
         """Each part's endpoints written "p/q", as ``format_rational`` writes
@@ -425,7 +428,7 @@ class IntervalUnion(_Record):
         return Fraction(sum(ends[1::2]) - sum(ends[0::2]), self._den)
 
     def __iter__(self) -> Iterator[Interval]:
-        # an empty union, such as every one-piece cover's complement, fills no cache
+        # an empty union, such as every one-piece cover's complement, sets no memo
         return iter(self.parts if self._ends else ())
 
     def __len__(self) -> int:

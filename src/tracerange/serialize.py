@@ -13,13 +13,10 @@ is read by ``word_from_doc``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .core import _quoted, format_rational, parse_rational
 from .errors import ParseError
-from .extreme_points import ExtremalityReport
-from .range_geometry import ConvexityVerdict, RangeApproximation
-from .representability import BitExpansion, ConditionVerdict
 from .sequences import (
     AlgebraSpec,
     GeometricTail,
@@ -31,6 +28,11 @@ from .sequences import (
     ZeroTail,
     _spelled,
 )
+
+if TYPE_CHECKING:  # the records are read only in annotations, so the engines are not loaded
+    from .extreme_points import ExtremalityReport
+    from .range_geometry import ConvexityVerdict, RangeApproximation
+    from .representability import BitExpansion, ConditionVerdict
 
 
 def _expect_mapping(obj: Any, where: str) -> dict:

@@ -599,7 +599,7 @@ class TestGridUnionReferee:
     def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
         model = SequenceModel((), self.CANTOR_TAILS[0])
         union = achievable_outer(model, 10).union
-        assert len(union) == 1024 and "parts" not in union.__dict__
+        assert len(union) == 1024 and union._parts is None
         calls = {"Fraction.__new__": 0, "Interval.__init__": 0}
         fraction_new, init = Fraction.__new__, Interval.__init__
 
@@ -619,3 +619,5 @@ class TestGridUnionReferee:
         # the spies do count the checked constructors
         Interval(Fraction(1, 3), Fraction(1, 2))
         assert calls["Fraction.__new__"] == 2 and calls["Interval.__init__"] == 1
+        # a second read returns the memo, and a union built from parts keeps them as given
+        assert union.parts is parts and IntervalUnion(parts).parts is parts

@@ -5,7 +5,8 @@ dataclass would, copies and pickles to an equal twin, and refuses to have
 a field assigned or deleted with ``dataclasses.FrozenInstanceError``. The
 records generate no code, so importing the package loads neither
 ``dataclasses`` nor ``inspect``, and the svg renderer is loaded only when
-it is asked for.
+it is asked for. A bare ``import tracerange`` loads none of the package's
+modules: each is loaded when one of its public names is first read.
 """
 
 import copy
@@ -259,9 +260,68 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_svg():
         "import sys, tracerange\n"
         "loaded = {'dataclasses', 'inspect', 'tracerange.svg'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
+        "loaded = [name for name in sys.modules if name.startswith('tracerange.')]\n"
+        "assert not loaded, loaded  # nor any other module of the package\n"
         "from tracerange import emit_svg\n"
         "assert emit_svg is sys.modules['tracerange.svg'].emit_svg\n"
         "assert 'emit_svg' in tracerange.__all__\n"
+    )
+    proc = _run_isolated(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+# the package's ``__all__``, in its order
+PUBLIC_NAMES = """
+    AlgebraSpec BitExpansion CommandResult ConditionVerdict ConvexityVerdict DomainError ExtremalityReport
+    GeometricTail Interval IntervalUnion MatrixFactor MixedRadixTail OutOfSupportError ParseError RadixWord
+    RangeApproximation ResourceLimitError SequenceModel SubsetSumOracle TraceRangeError UnsupportedSpecError
+    ValidationError ZeroTail achievable_outer admissibility_check bits_to_digits convexity_verdict digits_to_bits
+    emit_svg face_embed face_extract face_membership format_rational from_algebra gap_certificate greedy_expand
+    kakeya_check list_violations main make_model mixed_radix_digits parse_algebra parse_rational parse_spec
+    parse_word radix_to_sequence run_command same_sequence sequence_to_radix split_leading subset_sums
+    verify_expansion __version__
+""".split()
+
+
+def test_a_star_import_binds_every_public_name_as_its_module_defines_it():
+    code = (
+        "import sys\n"
+        "names = {}\n"
+        "exec('from tracerange import *', names)\n"
+        "del names['__builtins__']\n"
+        f"assert list(names) == {PUBLIC_NAMES!r}, list(names)\n"
+        "version = names.pop('__version__')\n"
+        "assert version == sys.modules['tracerange'].__version__\n"
+        "for name, value in names.items():\n"
+        "    home = sys.modules[value.__module__]\n"
+        "    assert home.__name__.startswith('tracerange.') and vars(home)[name] is value, name\n"
+    )
+    proc = _run_isolated(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_submodule_and_every_public_name_resolve_after_a_bare_import():
+    code = (
+        "import sys, tracerange\n"
+        "assert tracerange.cli is sys.modules['tracerange.cli']\n"
+        "assert tracerange.cli.run_command is tracerange.run_command\n"
+        "assert vars(tracerange)['run_command'] is tracerange.run_command  # kept: a second read skips the hook\n"
+        "listed = dir(tracerange)\n"
+        "assert all(name in listed for name in tracerange.__all__)\n"
+        "assert 'tracerange.svg' not in sys.modules\n"
+    )
+    proc = _run_isolated(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parsing_a_spec_loads_no_engine_cli_or_svg():
+    code = (
+        "import sys\n"
+        "from tracerange import parse_spec\n"
+        "assert parse_spec('geo(1/2, 1/2)').total == 1\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('tracerange.'))\n"
+        "assert loaded == ['tracerange.core', 'tracerange.dsl', 'tracerange.errors', 'tracerange.sequences',\n"
+        "                  'tracerange.serialize'], loaded\n"
     )
     proc = _run_isolated(code)
     assert proc.returncode == 0, proc.stderr
