@@ -17,11 +17,11 @@ so scripts can always dispatch on the same shape; an ``"internal"`` fault
 also names its exception ``type``. Output for a given argv is byte for byte
 deterministic.
 
-Resource bounds are fixed module constants, not options: ``range`` refuses a
-cover whose fold would hold more than ``range_geometry.MAX_PIECES`` pieces,
-``vna`` an algebra whose merged prefix would hold more than
-``sequences.MAX_ATOMS`` atoms, and ``digits`` a count above
-``extreme_points.MAX_DIGITS``.
+Resource bounds are fixed rows of one table, ``core._CEILINGS``, not
+options: ``range`` refuses a cover whose fold would hold more than 2^16
+pieces, ``vna`` an algebra whose merged prefix would hold more than 100,000
+atoms, and ``digits`` a count above 100,000. Each command reads its engines
+through the package when it runs, so a launch loads only its own.
 """
 
 from __future__ import annotations
@@ -39,14 +39,15 @@ from . import __version__
 from .core import QUOTE_WINDOW, _Record, _check_writable, _quoted, _read_int, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
-from .extreme_points import mixed_radix_digits, radix_to_sequence, sequence_to_radix
-from .range_geometry import ConvexityVerdict, achievable_outer
-from .representability import _violations, greedy_expand, kakeya_check
 from .sequences import _check_index, from_algebra
 from .serialize import (
     approximation_to_doc, convexity_to_doc, expansion_to_doc, model_to_doc,
     report_to_doc, verdict_to_doc, word_to_doc,
 )
+
+# the package, imported before any of its modules: an engine module read
+# through it (``_engines.range_geometry``) is imported on its first read
+_engines = sys.modules[__package__]
 
 
 class CommandResult(_Record):
@@ -291,15 +292,14 @@ def _range(args) -> str:
     depths = _parse_depths(args.depth)
     if args.format in ("json", "csv") and len(depths) != 1:
         raise ParseError("json and csv output take a single depth")
-    approxes = [achievable_outer(model, depth) for depth in depths]
+    approxes = [_engines.range_geometry.achievable_outer(model, depth) for depth in depths]
     if args.format == "json":
         return _dump(approximation_to_doc(approxes[0]))
     if args.format == "csv":
         rows = ["lo,hi"]
         rows.extend(f"{lo},{hi}" for lo, hi in approxes[0].union._written_parts())
         return "\n".join(rows)
-    from .svg import emit_svg  # loaded only for the one format that draws
-    return emit_svg(approxes)
+    return _engines.svg.emit_svg(approxes)  # loaded only for the one format that draws
 
 
 def _gaps(args) -> str:
@@ -308,7 +308,7 @@ def _gaps(args) -> str:
     # written, so a gap too large to write stops the scan there
     found = [
         (n, _check_writable(lo), _check_writable(hi))
-        for n, (lo, hi) in _violations(model, args.depth)
+        for n, (lo, hi) in _engines.representability._violations(model, args.depth)
     ]
     violations = [{"index": n, "gap": [format_rational(lo), format_rational(hi)]} for n, lo, hi in found]
     return _dump({"depth": args.depth, "violations": violations})
@@ -316,14 +316,14 @@ def _gaps(args) -> str:
 
 def _vna(args) -> str:
     model = from_algebra(parse_algebra(_spec_text(args)))
-    certificate = kakeya_check(model)
-    doc = convexity_to_doc(ConvexityVerdict(certificate.holds, certificate))
+    certificate = _engines.representability.kakeya_check(model)
+    doc = convexity_to_doc(_engines.range_geometry.ConvexityVerdict(certificate.holds, certificate))
     doc["model"] = model_to_doc(model)
     return _dump(doc)
 
 
 def _encode(args) -> str:
-    model = radix_to_sequence(parse_word(args.word))
+    model = _engines.extreme_points.radix_to_sequence(parse_word(args.word))
     doc = {"model": model_to_doc(model)}
     # a radix model is endless, so any count of terms is in its support;
     # each term is checked as it comes, as for ``gaps``, so a count past
@@ -336,23 +336,30 @@ def _encode(args) -> str:
 
 def _digits(args) -> str:
     word, target = parse_word(args.word), parse_rational(args.target)
-    digits = mixed_radix_digits(word, target, args.count)
+    digits = _engines.extreme_points.mixed_radix_digits(word, target, args.count)
     return _dump({"word": word_to_doc(word), "target": format_rational(target), "digits": list(digits)})
 
 
 # one entry per leaf parser, keyed by its name (``extreme`` by its mode);
-# each entry looks its engines up in this module's globals at call time, so
-# rebinding a name such as ``cli.kakeya_check`` reaches every command
+# each entry reads its engines off their home modules when it runs, so a
+# launch loads only the engines of its command, and rebinding a name in its
+# home module, such as ``representability.kakeya_check``, reaches every command
 _COMMANDS = {
-    "check": lambda args: _dump(verdict_to_doc(kakeya_check(parse_spec(_spec_text(args))))),
+    "check": lambda args: _dump(
+        verdict_to_doc(_engines.representability.kakeya_check(parse_spec(_spec_text(args))))
+    ),
     "expand": lambda args: _dump(
-        expansion_to_doc(greedy_expand(parse_spec(_spec_text(args)), parse_rational(args.target), args.bits))
+        expansion_to_doc(_engines.representability.greedy_expand(
+            parse_spec(_spec_text(args)), parse_rational(args.target), args.bits
+        ))
     ),
     "range": _range,
     "gaps": _gaps,
     "vna": _vna,
     "encode": _encode,
-    "decode": lambda args: _dump(report_to_doc(sequence_to_radix(parse_spec(_spec_text(args))))),
+    "decode": lambda args: _dump(
+        report_to_doc(_engines.extreme_points.sequence_to_radix(parse_spec(_spec_text(args))))
+    ),
     "digits": _digits,
 }
 

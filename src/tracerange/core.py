@@ -4,12 +4,19 @@ Scalars are Python ``Fraction``s (arbitrary precision, lowest terms,
 positive denominator). An ``IntervalUnion`` holds its endpoints as integers
 over one common denominator and works on those integers. It checks their
 whole order once, on that grid, when it is built, and reduces each endpoint
-to lowest terms at most once, one gcd each: the JSON writer, the ``Interval``
-parts (``Fraction`` endpoints, built only when read, without checking each
-part again) and the complement, which inherits the pairs it shares, all read
+to lowest terms at most once, one gcd each: the JSON writer (on a grid that
+can hold no endpoint too large to write), the ``Interval`` parts
+(``Fraction`` endpoints, built only when read, without checking each part
+again) and the complement, which inherits the pairs it shares, all read
 that one pass. Nothing in this module, or anywhere else in the library,
 rounds; the single lossy surface of the package is coordinate formatting in
 the SVG renderer.
+
+Every size refusal of the package is made here, before the work it bounds:
+``_check_ceiling`` refuses a count past its row of ``_CEILINGS`` (subset-sum
+terms, cover pieces, mixed-radix digits, merged atoms), and
+``_check_writable`` refuses a rational past the interpreter's int-to-text
+digit limit before any text of it is built.
 """
 
 from __future__ import annotations
@@ -92,10 +99,22 @@ def parse_rational(text: str) -> Fraction:
     return _read_rational(num_text.strip(), den_text, f"malformed rational {_quoted(text)}")
 
 
-def _too_large(num: int, den: int) -> ResourceLimitError:
-    """The refusal of num/den as too large to write, naming its bit size."""
-    bits = max(num.bit_length(), den.bit_length())
-    return ResourceLimitError(f"output rational too large to write: {bits} bits")
+# one row per size ceiling: the largest count allowed, and its refusal's text
+_CEILINGS = {
+    "terms": (24, "{count} terms exceed the subset-sum bound of {ceiling}"),
+    "pieces": (2**16, "the cover fold reaches {count} pieces, past the bound of {ceiling}"),
+    "digits": (100_000, "{count} digits exceed the bound of {ceiling}"),
+    "atoms": (100_000, "the merged prefix reaches {count} atoms, past the bound of {ceiling}"),
+}
+
+
+def _check_ceiling(row: str, count: int, doublings: bool = False) -> None:
+    """Refuse ``count`` past the ceiling of row ``row`` with its text as a
+    ``ResourceLimitError``. With ``doublings`` the count is 2**count, never
+    built: it passes the ceiling just when count reaches its bit length."""
+    ceiling, text = _CEILINGS[row]
+    if count >= ceiling.bit_length() if doublings else count > ceiling:
+        raise ResourceLimitError(text.format(count=f"2^{count}" if doublings else count, ceiling=ceiling))
 
 
 @cache
@@ -104,40 +123,31 @@ def _ten_to(limit: int) -> int:
 
 
 def _check_writable(q: Fraction) -> Fraction:
-    """``q``, once it is known that ``format_rational`` can write it; else the
-    same ``ResourceLimitError`` that writing it would raise.
+    """``q`` (a ``Fraction`` or an ``int``), once it is known that
+    ``format_rational`` can write it; else a ``ResourceLimitError`` naming its
+    bit size. This is the package's one test of a rational too large for
+    the interpreter's int-to-text digit limit, asked before any text of it
+    is built.
 
     An integer fails to write when it has more than ``limit`` digits, that
     is when its magnitude reaches 10**limit. One of at most 3 * limit bits
     is below 8**limit and always fits, so only larger ones are compared.
     """
-    limit = _digit_limit()
-    num, den = q.numerator, q.denominator
-    if limit and max(num.bit_length(), den.bit_length()) > 3 * limit:
-        ceiling = _ten_to(limit)
-        if abs(num) >= ceiling or den >= ceiling:
-            raise _too_large(num, den)
+    limit, num, den = _digit_limit(), q.numerator, q.denominator
+    bits = max(num.bit_length(), den.bit_length())
+    if limit and bits > 3 * limit and (abs(num) >= _ten_to(limit) or den >= _ten_to(limit)):
+        raise ResourceLimitError(f"output rational too large to write: {bits} bits")
     return q
-
-
-def _write_ratio(num: int, den: int) -> str:
-    """"num/den" for a ratio already in lowest terms, refusing one too large
-    for the interpreter's int-to-text digit limit with ``ResourceLimitError``
-    naming its bit size."""
-    try:
-        return f"{num}/{den}"
-    except ValueError:
-        raise _too_large(num, den) from None
 
 
 def format_rational(value) -> str:
     """Canonical "p/q" form; integers are written "p/1" so output is uniform.
 
     A rational too large for the interpreter's int-to-text digit limit is
-    refused with ``ResourceLimitError`` naming its bit size.
+    refused with ``ResourceLimitError`` naming its bit size (``_check_writable``).
     """
-    q = value if type(value) is Fraction else Fraction(value)
-    return _write_ratio(q.numerator, q.denominator)
+    q = _check_writable(value if type(value) is Fraction else Fraction(value))
+    return f"{q.numerator}/{q.denominator}"
 
 
 class _Record:
@@ -165,18 +175,15 @@ class _Record:
     def __repr__(self, names: tuple[str, ...] = ()) -> str:
         """``Name(field=value!r, ...)`` over ``names`` or else the fields. A
         value holding a rational past the digit limit, itself or in a tuple,
-        is refused as ``format_rational`` refuses it: ``ResourceLimitError``
-        naming its bit size."""
+        is refused by ``_check_writable`` before any text is built, as
+        ``format_rational`` refuses it."""
         names = names or self._fields
         values = [getattr(self, name) for name in names]
-        try:
-            return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values))})"
-        except ValueError:
-            for value in values:
-                for x in value if isinstance(value, tuple) else (value,):
-                    if isinstance(x, (int, Fraction)):
-                        _check_writable(Fraction(x))
-            raise
+        for value in values:
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, (int, Fraction)):
+                    _check_writable(x)
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values))})"
 
     def __setattr__(self, name, *value):
         from dataclasses import FrozenInstanceError
@@ -264,10 +271,11 @@ class IntervalUnion(_Record):
     lo_1, hi_1, lo_2, hi_2, ... as integer multiples of ``1 / _den``, with
     ``_den`` as small as those endpoints allow, so equal unions hold equal
     grids. Every operation but ``insert`` and ``covers`` (which coalesce the
-    parts they read) works on those integers. The writer and the ``Interval``
-    parts, built only when read and checked by no ``Fraction`` or ``Interval``
-    constructor, share one lowest-terms pass, which ``complement`` hands on;
-    it is kept beside the ``parts`` memo, not as a field (``_fields``).
+    parts they read) works on those integers. The writer (unless an endpoint
+    may be too large to write) and the ``Interval`` parts, built only when
+    read and checked by no ``Fraction`` or ``Interval`` constructor, share one
+    lowest-terms pass, which ``complement`` hands on; it is kept beside the
+    ``parts`` memo, not as a field (``_fields``).
     """
 
     _fields = ("_den", "_ends")
@@ -333,13 +341,18 @@ class IntervalUnion(_Record):
 
     def _written_parts(self) -> list[list[str]]:
         """Each part's endpoints written "p/q", as ``format_rational`` writes
-        them, one ``[lo, hi]`` list per part as the JSON document holds it."""
-        nums, dens = map(iter, pairs := self._lowest_terms())  # zipped twice: a part's lo, then its hi
-        try:
-            return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]
-        except ValueError:  # every text is truthy, so ``all`` runs to the first refusal
-            all(map(_write_ratio, *pairs))
-            raise
+        them, one ``[lo, hi]`` list per part as the JSON document holds it.
+
+        The ends are sorted, so when ``_den`` and the outermost ends have at
+        most 3 * limit bits every endpoint in lowest terms fits, and the shared
+        lowest-terms pass is read whole. Otherwise each endpoint is reduced
+        and written in order, so the first too large stops the rest."""
+        den, ends, limit = self._den, self._ends, _digit_limit()
+        if limit and ends and max(den.bit_length(), ends[0].bit_length(), ends[-1].bit_length()) > 3 * limit:
+            texts = [format_rational(_trusted_fraction(x // (g := math.gcd(x, den)), den // g)) for x in ends]
+            return [texts[i : i + 2] for i in range(0, len(texts), 2)]
+        nums, dens = map(iter, self._lowest_terms())  # zipped twice: a part's lo, then its hi
+        return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]
 
     @classmethod
     def empty(cls) -> "IntervalUnion":

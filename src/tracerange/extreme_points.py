@@ -36,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import ONE, ZERO, _Record
-from .errors import DomainError, ResourceLimitError, UnsupportedSpecError, ValidationError
+from .core import ONE, ZERO, _Record, _check_ceiling
+from .errors import DomainError, UnsupportedSpecError, ValidationError
 from .representability import ConditionVerdict, _least_violation
 from .sequences import (
     MixedRadixTail,
@@ -68,9 +68,6 @@ __all__ = [
     "radix_to_sequence",
     "sequence_to_radix",
 ]
-
-MAX_DIGITS = 100_000
-
 
 class ExtremalityReport(_Record):
     """Outcome of decoding a sequence against the mixed-radix patterns.
@@ -230,12 +227,12 @@ def mixed_radix_digits(word: RadixWord, target, count: int) -> tuple[int, ...]:
     Digits are chosen greedily (largest digit that still fits), which matches
     the bit expansion of the word's pattern grouped block by block. Exact
     place-value boundaries round toward the terminating expansion, and 1
-    itself comes out as all k - 1 digits. A ``count`` above ``MAX_DIGITS``
-    is refused before any digit is computed.
+    itself comes out as all k - 1 digits. A ``count`` past the digits
+    ceiling of ``core._CEILINGS`` (100,000) is refused before any digit is
+    computed.
     """
     _check_index(count, 0, "count")
-    if count > MAX_DIGITS:
-        raise ResourceLimitError(f"{count} digits exceed the bound of {MAX_DIGITS}")
+    _check_ceiling("digits", count)
     if not isinstance(word, RadixWord):
         raise ValidationError("expected a RadixWord")
     residual = Fraction(target)

@@ -19,15 +19,15 @@ wholly above the union and is appended without a merge. The cost follows the
 number of pieces, not 2^N or the depth. The endpoints are one flat integer
 list lo, hi, lo, hi, ... over one common denominator, which a violating step
 extends by its shifted copy, a merge step coalesces and the union takes whole.
-The fold holds at most ``MAX_PIECES`` pieces: a tail whose steps would double
-past it is refused before any term is built, and any other fold once a step
-takes it past the bound.
+The fold holds at most the pieces ceiling of ``core._CEILINGS`` (2^16): a tail
+whose steps would double past it is refused before any term is built, and
+any other fold once a step takes it past the ceiling.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
 ``SubsetSumOracle`` (two hash tables with witnesses, one per half of the
-terms, met in the middle) enumerate the sums themselves, of at most
-``MAX_TERMS`` terms. Their enumerations share no code with the fold, with
-each other or with the greedy expansion, so the routes can referee one
+terms, met in the middle) enumerate the sums themselves, of at most 24
+terms (the terms ceiling). Their enumerations share no code with the fold,
+with each other or with the greedy expansion, so the routes can referee one
 another.
 """
 
@@ -38,28 +38,15 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .core import IntervalUnion, ZERO, _Record, _coalesce, _over
-from .errors import ResourceLimitError, ValidationError
+from .core import IntervalUnion, ZERO, _Record, _check_ceiling, _coalesce, _over
+from .errors import ValidationError
 from .representability import ConditionVerdict, _excesses, kakeya_check
 from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
-
-MAX_TERMS = 24
-MAX_PIECES = 2**16
-
-
-def _check_term_count(count: int) -> None:
-    if count > MAX_TERMS:
-        raise ResourceLimitError(f"{count} terms exceed the subset-sum bound of {MAX_TERMS}")
-
-
-def _too_many_pieces(pieces: int | str) -> ResourceLimitError:
-    return ResourceLimitError(f"the cover fold reaches {pieces} pieces, past the bound of {MAX_PIECES}")
-
 
 def subset_sums(terms: Sequence) -> list[Fraction]:
     """All distinct subset sums, ascending, by iterated sorted merge."""
     values = [Fraction(t) for t in terms]
-    _check_term_count(len(values))
+    _check_ceiling("terms", len(values))
     sums = [ZERO]
     for a in values:
         # the sort merges the two sorted runs, and groupby keeps each sum once
@@ -80,7 +67,7 @@ class SubsetSumOracle:
 
     def __init__(self, terms: Sequence):
         values = tuple(Fraction(t) for t in terms)
-        _check_term_count(len(values))
+        _check_ceiling("terms", len(values))
         self._den = math.lcm(*(t.denominator for t in values))
         self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
         half = len(self._terms) // 2
@@ -169,8 +156,9 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     from [0, tail_L] and builds only the first L terms. The union's top end
     before step k is tail_k, so a violating step's shifted copy lies wholly
     above it and is appended; any other step merges. A fold that would hold
-    more than ``MAX_PIECES`` pieces is refused with ``ResourceLimitError``,
-    before any term is built when its tail alone doubles past the bound.
+    more pieces than the pieces ceiling (``core._check_ceiling``) is refused
+    with ``ResourceLimitError``, before any term is built when its tail
+    alone doubles past it.
     """
     _check_index(depth, 0, "depth")
     cut = depth
@@ -179,11 +167,8 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     last, exact = _violations_around(model, cut)
     # at zero slack a tail that violates does so at every index, and a
     # violating step appends a whole copy, so the fold's first
-    # last - len(prefix) steps, the tail's, double the pieces exactly;
-    # 2^doublings > MAX_PIECES just when doublings reaches its bit length
-    doublings = last - model._length
-    if doublings >= MAX_PIECES.bit_length():
-        raise _too_many_pieces(f"2^{doublings}")
+    # last - len(prefix) steps, the tail's, double the pieces exactly
+    _check_ceiling("pieces", last - model._length, doublings=True)
     terms = model.first_terms(last)
     slack = model.tail_sum(last)
     den = math.lcm(slack.denominator, *(t.denominator for t in terms))
@@ -197,8 +182,7 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
         if shift <= top:
             run = iter(ends)  # two sorted runs of pairs, merged by the sort
             ends = _coalesce(sorted(zip(run, run)))
-        if len(ends) > 2 * MAX_PIECES:
-            raise _too_many_pieces(len(ends) // 2)
+        _check_ceiling("pieces", len(ends) // 2)
         top += shift
     return RangeApproximation(depth, IntervalUnion._on_grid(den, ends), exact)
 

@@ -60,18 +60,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import ZERO, _Record, _setattr, _trusted_fraction
-from .errors import (
-    DomainError,
-    OutOfSupportError,
-    ResourceLimitError,
-    ValidationError,
-)
-
-# from_algebra's merged prefix holds the factor atoms and the tail terms
-# re-anchored among them; the re-anchor walk stops once they pass this many,
-# and the merge is then refused before any atom is built.
-MAX_ATOMS = 100_000
+from .core import ZERO, _Record, _check_ceiling, _setattr, _trusted_fraction
+from .errors import DomainError, OutOfSupportError, ValidationError
 
 
 def _check_index(n, minimum: int, label: str = "index") -> int:
@@ -869,8 +859,9 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     large as the smallest finite atom move into the explicit prefix so the
     merged sequence stays monotone, and the tail is re-anchored after them.
     The runs are merged by value, so a factor costs one run whatever its
-    dimension. A merged prefix of more than ``MAX_ATOMS`` terms raises
-    ResourceLimitError.
+    dimension. A merged prefix past the atoms ceiling of ``core._CEILINGS``
+    (100,000 terms) raises ResourceLimitError: the factors' atoms are
+    counted before the walk, and the walk stops at the run that passes it.
     """
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
     if not spec.factors:
@@ -878,13 +869,13 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     runs = [(f.weight / f.dim, f.dim) for f in spec.factors]
     a_min = min(value for value, _ in runs)
     dims = sum(f.dim for f in spec.factors)
+    _check_ceiling("atoms", dims)
     moved = 0
     for value, size in tail.runs():
-        if value < a_min or dims + moved > MAX_ATOMS:
+        if value < a_min:
             break
-        runs.append((value, size))
         moved += size
-    if dims + moved > MAX_ATOMS:
-        raise ResourceLimitError(f"the merged prefix reaches {dims + moved} atoms, past the bound of {MAX_ATOMS}")
+        _check_ceiling("atoms", dims + moved)
+        runs.append((value, size))
     runs.sort(key=operator.itemgetter(0), reverse=True)
     return _from_runs(runs, tail.rest(moved))

@@ -21,11 +21,18 @@ from tracerange import (
     face_embed,
     from_algebra,
 )
+from tracerange import core
 
 HALF = Fraction(1, 2)
 # a cover of 2^N pieces at depth N, with endpoints of tens of thousands of
 # bits and a span of 1
 HUGE_ENDPOINTS = f"1/2, 4/10, geo(9/{10**4000 - 1}, 1/{10**2000})"
+
+
+def set_ceiling(monkeypatch, row: str, ceiling: int) -> None:
+    """Patch the ceiling of row ``row`` of ``core._CEILINGS`` for one test,
+    keeping its refusal text."""
+    monkeypatch.setitem(core._CEILINGS, row, (ceiling, core._CEILINGS[row][1]))
 
 
 def dyadic() -> SequenceModel:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from support import HUGE_ENDPOINTS, cantor_like, random_complete_model, random_fraction
 
-from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, errors, svg
+from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, errors, representability, svg
 from tracerange.cli import main, run_command
 from tracerange.dsl import parse_spec
 
@@ -413,7 +413,7 @@ class TestHarness:
         def exhausted(model):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "kakeya_check", exhausted)
+        monkeypatch.setattr(representability, "kakeya_check", exhausted)
         code, doc = body_json(["check", DYADIC])
         assert code == 1
         assert doc == {"error": {"kind": "internal", "message": "", "position": None, "type": "MemoryError"}}
@@ -460,7 +460,7 @@ class TestTables:
         def failing(model):
             raise error
 
-        monkeypatch.setattr(cli, "kakeya_check", failing)
+        monkeypatch.setattr(representability, "kakeya_check", failing)
         code, doc = body_json(["check", DYADIC])
         assert code == error.exit_code
         expected = {"kind": error.kind, "message": str(error), "position": None}

@@ -568,7 +568,7 @@ class TestGridUnionReferee:
 
     @pytest.mark.parametrize("text_first", [True, False], ids=["text-first", "gaps-first"])
     @pytest.mark.parametrize("tail", CANTOR_TAILS, ids=repr)
-    def test_one_gcd_per_endpoint_for_the_text_and_the_gaps(self, tail, text_first, monkeypatch):
+    def test_one_gcd_per_endpoint_for_the_text_and_the_gaps(self, tail, text_first, monkeypatch, digit_limit_640):
         # the gaps' 2046 endpoints are the cover's inner ones: they share the
         # cover's 2048 reductions, whichever is read first, where a pass of
         # their own would make it 4,094, plus one per union built
@@ -595,6 +595,14 @@ class TestGridUnionReferee:
             text = cover._written_parts()
         assert (len(text), len(gaps)) == (1024, 1023)
         assert len(calls) <= 2048 + 4
+        # the tail's 1024 pieces, then their copy shifted by 10^640: the
+        # writer reduces the first 2048 endpoints, refuses the next, 10^640,
+        # and takes no gcd for the 2047 after it
+        refused = achievable_outer(SequenceModel((Fraction(10**640),), tail), 11).union
+        calls.clear()
+        with pytest.raises(ResourceLimitError, match="^output rational too large to write: 2127 bits$"):
+            refused._written_parts()
+        assert len(refused) == 2048 and len(calls) == 2048 + 1
 
     def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
         model = SequenceModel((), self.CANTOR_TAILS[0])

@@ -35,7 +35,7 @@ from tracerange import (
     sequence_to_radix,
 )
 from tracerange import extreme_points
-from tracerange.extreme_points import MAX_DIGITS
+from tracerange.core import _CEILINGS
 from tracerange.sequences import _rest, _term_runs
 
 from support import (
@@ -437,9 +437,10 @@ class TestDigits:
     def test_count_past_the_bound_is_refused_before_any_digit(self):
         with pytest.raises(ResourceLimitError, match="^200000000 digits exceed the bound of 100000$"):
             mixed_radix_digits(ALL_TWOS, F(1, 3), 200_000_000)
+        ceiling = _CEILINGS["digits"][0]
         with pytest.raises(ResourceLimitError):
-            mixed_radix_digits(ALL_TWOS, F(1, 3), MAX_DIGITS + 1)
-        assert len(mixed_radix_digits(ALL_TWOS, F(1, 3), MAX_DIGITS)) == MAX_DIGITS
+            mixed_radix_digits(ALL_TWOS, F(1, 3), ceiling + 1)
+        assert len(mixed_radix_digits(ALL_TWOS, F(1, 3), ceiling)) == ceiling
 
     def test_bits_group_into_digits(self):
         assert bits_to_digits((1, 0, 1, 0), ALL_THREES_WORD) == (1, 1)

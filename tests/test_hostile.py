@@ -1,11 +1,12 @@
 """Hostile inputs end in a typed exit, not a crash, under a memory cap.
 
 Each input runs ``python -m tracerange`` in a child process whose address
-space (about 512 MB) and CPU time (about 10 s) are capped with
-``resource.setrlimit``; the limits act on the child only. An input that ran
-without a bound would end by a signal (SIGXCPU, or SIGKILL past the CPU
-hard limit) or as an ``"internal"`` envelope around a ``MemoryError``
-instead of an answer or a typed refusal. No wall-clock time is asserted.
+space (about 512 MB, or 1.5 GB for the one cover whose fold alone needs
+more) and CPU time (about 10 s) are capped with ``resource.setrlimit``; the
+limits act on the child only. An input that ran without a bound would end
+by a signal (SIGXCPU, or SIGKILL past the CPU hard limit) or as an
+``"internal"`` envelope around a ``MemoryError`` instead of an answer or a
+typed refusal. No wall-clock time is asserted.
 
 The ``repr`` of a record holding a rational past the int-to-text digit
 limit is checked in process: it is refused by the rule the JSON writer
@@ -68,8 +69,8 @@ def _capped(limit, value):
     resource.setrlimit(limit, (value, hard))
 
 
-def _cap_child():
-    _capped(resource.RLIMIT_AS, MEMORY_BYTES)
+def _cap_child(memory=MEMORY_BYTES):
+    _capped(resource.RLIMIT_AS, memory)
     _capped(resource.RLIMIT_CPU, CPU_SECONDS)
 
 
@@ -77,13 +78,13 @@ def _env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
-def _run(argv):
+def _run(argv, memory=MEMORY_BYTES):
     return subprocess.run(
         [sys.executable, "-m", "tracerange", *argv],
         capture_output=True,
         text=True,
         env=_env(),
-        preexec_fn=_cap_child,
+        preexec_fn=lambda: _cap_child(memory),
     )
 
 
@@ -137,6 +138,22 @@ def _digit_limit():
     if not limit:
         pytest.skip("this interpreter has no int-to-text digit limit")
     return limit
+
+
+def test_a_cover_too_large_to_write_is_refused_at_its_first_such_endpoint_within_the_cpu_cap():
+    # 2^16 pieces whose second endpoint is already past the digit limit:
+    # reducing every endpoint before refusing one takes over 30 s of CPU. The
+    # fold holds 2^17 endpoints of about 53,000 bits (about 860 MB) before
+    # the writer runs, so this child gets a 1.5 GB address space; under the
+    # 512 MB cap the fold itself ends in a MemoryError
+    _digit_limit()
+    proc = _run(["range", f"geo(1/2, 1/{10**1000})", "--depth", "16"], memory=1536 * 2**20)
+    assert proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}"
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "resource",
+        "message": "output rational too large to write: 53152 bits",
+        "position": None,
+    }
 
 
 def test_a_verdict_repr_past_the_digit_limit_is_refused_as_json_is():

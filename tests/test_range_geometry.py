@@ -26,7 +26,6 @@ from tracerange import (
     kakeya_check,
     make_model,
     parse_spec,
-    range_geometry,
     split_leading,
     subset_sums,
 )
@@ -46,6 +45,7 @@ from support import (
     random_finite_model,
     random_prefixed_model,
     random_radix_model,
+    set_ceiling,
 )
 from test_sequences import CANCELLING_MODELS
 
@@ -324,21 +324,21 @@ class TestViolationsAroundReferee:
 
 
 class TestPieceBound:
-    """The fold holds at most ``MAX_PIECES`` pieces, bound included."""
+    """The fold holds at most the pieces ceiling of ``core._CEILINGS``, bound included."""
 
     def test_a_prefix_that_doubles_is_refused_inside_the_fold(self, monkeypatch):
         # each power of 1/3 overshoots the rest, so five of them give 32 points
         model = make_model([F(1, 3**k) for k in range(1, 6)])
-        monkeypatch.setattr(range_geometry, "MAX_PIECES", 16)
+        set_ceiling(monkeypatch, "pieces", 16)
         with pytest.raises(ResourceLimitError, match="^the cover fold reaches 32 pieces, past the bound of 16$"):
             achievable_outer(model, 5)
-        monkeypatch.setattr(range_geometry, "MAX_PIECES", 32)
+        set_ceiling(monkeypatch, "pieces", 32)
         approx = achievable_outer(model, 5)
         assert approx.exact
         assert len(approx.union) == 32
 
     def test_the_check_before_the_fold_refuses_exactly_past_the_bound(self, monkeypatch):
-        monkeypatch.setattr(range_geometry, "MAX_PIECES", 32)
+        set_ceiling(monkeypatch, "pieces", 32)
         assert len(achievable_outer(cantor_like(), 5).union) == 32
         with pytest.raises(ResourceLimitError, match=r"^the cover fold reaches 2\^6 pieces, past the bound of 32$"):
             achievable_outer(cantor_like(), 6)

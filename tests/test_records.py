@@ -340,6 +340,20 @@ def test_a_launch_that_draws_nothing_loads_no_svg():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_check_and_expand_load_no_cover_decoder_or_svg_engine():
+    code = (
+        "import sys\n"
+        "from tracerange.cli import run_command\n"
+        "assert run_command(['check', 'geo(1/2,1/2)']).exit_code == 0\n"
+        "assert run_command(['expand', 'geo(1/2,1/2)', '1/3']).exit_code == 0\n"
+        "engines = {'tracerange.extreme_points', 'tracerange.range_geometry', 'tracerange.svg'}\n"
+        "assert not engines & set(sys.modules), sorted(engines & set(sys.modules))\n"
+        "assert 'tracerange.representability' in sys.modules\n"
+    )
+    proc = _run_isolated(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_an_unknown_package_attribute_is_still_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nothing_here'"):
         t.nothing_here

@@ -40,6 +40,7 @@ from support import (
     radix_words,
     random_word,
     scale_model,
+    set_ceiling,
 )
 
 F = Fraction
@@ -633,7 +634,7 @@ class TestAlgebraSpec:
             from_algebra(spec)
 
     def test_merged_prefix_is_bounded_by_max_atoms(self, monkeypatch):
-        monkeypatch.setattr(sequences, "MAX_ATOMS", 6)
+        set_ceiling(monkeypatch, "atoms", 6)
         # the dims alone pass the bound: refused before any atom is built
         wide = AlgebraSpec((MatrixFactor(4, F(1, 2)), MatrixFactor(3, F(1, 2))))
         with pytest.raises(ResourceLimitError, match="reaches 7 atoms, past the bound of 6"):
