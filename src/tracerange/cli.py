@@ -20,8 +20,10 @@ deterministic.
 Resource bounds are fixed rows of one table, ``core._CEILINGS``, not
 options: ``range`` refuses a cover whose fold would hold more than 2^16
 pieces, ``vna`` an algebra whose merged prefix would hold more than 100,000
-atoms, and ``digits`` a count above 100,000. Each command reads its engines
-through the package when it runs, so a launch loads only its own.
+atoms, ``digits`` a count above 100,000, and every command a command line
+that argparse reads with more than 5,000 entries starting with "-". Each
+command reads its engines through the package when it runs, so a launch
+loads only its own.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .core import QUOTE_WINDOW, _Record, _check_writable, _quoted, _read_int, format_rational, parse_rational
+from .core import (
+    QUOTE_WINDOW, _Record, _check_ceiling, _check_writable, _quoted, _read_int, format_rational, parse_rational,
+)
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
 from .sequences import _check_index, from_algebra
@@ -200,7 +204,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser reached reads the rest itself if it is plain; any other argv
     (empty, an option first, an unknown name, help, ``--opt=value``, ...)
     takes that parser's ``parse_args``, so help, version and error text are
-    unchanged."""
+    unchanged. argparse's parse is quadratic in the option strings, so argv
+    with more entries starting with "-" than the options row of
+    ``core._CEILINGS`` is refused before it."""
     for entry in argv:
         if not isinstance(entry, str):  # argparse would raise TypeError on it
             raise ParseError(f"command line entries must be str, got {type(entry).__name__}")
@@ -209,7 +215,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         setattr(args, parser.commands.dest, argv[0])
         parser = parser.commands.choices[argv[0]]
         argv = argv[1:]
-    return args if parser.read_plain(argv, args) else parser.parse_args(argv, args)
+    if parser.read_plain(argv, args):
+        return args
+    _check_ceiling("options", sum(entry[:1] == "-" for entry in argv))
+    return parser.parse_args(argv, args)
 
 
 def _spec_text(args) -> str:
@@ -305,7 +314,10 @@ def _range(args) -> str:
 def _gaps(args) -> str:
     model = parse_spec(_spec_text(args))
     # each end is checked as the scan yields it, in the order it is
-    # written, so a gap too large to write stops the scan there
+    # written, so a gap too large to write stops the scan there. The text
+    # is built only after the whole scan passes: writing each end as it is
+    # checked would turn the digits of every writable end into text, which
+    # costs far more than its check, before a later end is refused
     found = [
         (n, _check_writable(lo), _check_writable(hi))
         for n, (lo, hi) in _engines.representability._violations(model, args.depth)

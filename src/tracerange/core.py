@@ -14,7 +14,8 @@ the SVG renderer.
 
 Every size refusal of the package is made here, before the work it bounds:
 ``_check_ceiling`` refuses a count past its row of ``_CEILINGS`` (subset-sum
-terms, cover pieces, mixed-radix digits, merged atoms), and
+terms, cover pieces, mixed-radix digits, merged atoms, and the option
+strings of a command line that argparse reads), and
 ``_check_writable`` refuses a rational past the interpreter's int-to-text
 digit limit before any text of it is built.
 """
@@ -105,6 +106,9 @@ _CEILINGS = {
     "pieces": (2**16, "the cover fold reaches {count} pieces, past the bound of {ceiling}"),
     "digits": (100_000, "{count} digits exceed the bound of {ceiling}"),
     "atoms": (100_000, "the merged prefix reaches {count} atoms, past the bound of {ceiling}"),
+    # argparse searches for the next option string once per option, so its
+    # parse is quadratic in their count (5,000 take about 0.7 s on a 2-CPU x86-64 VM)
+    "options": (5_000, "{count} arguments starting with '-' exceed the bound of {ceiling}"),
 }
 
 
@@ -339,17 +343,23 @@ class IntervalUnion(_Record):
             _setattr(self, "_parts", parts := _trusted_intervals(ends[0::2], ends[1::2]))
         return parts
 
+    def _fits(self) -> bool:
+        """Whether no endpoint in lowest terms can be too large to write
+        (``_check_writable``): the ends are sorted, so ``_den`` and the
+        outermost ends bound them all, each by at most 3 * limit bits."""
+        den, ends, limit = self._den, self._ends, _digit_limit()
+        return not (limit and ends) or max(den.bit_length(), ends[0].bit_length(), ends[-1].bit_length()) <= 3 * limit
+
     def _written_parts(self) -> list[list[str]]:
         """Each part's endpoints written "p/q", as ``format_rational`` writes
         them, one ``[lo, hi]`` list per part as the JSON document holds it.
 
-        The ends are sorted, so when ``_den`` and the outermost ends have at
-        most 3 * limit bits every endpoint in lowest terms fits, and the shared
-        lowest-terms pass is read whole. Otherwise each endpoint is reduced
-        and written in order, so the first too large stops the rest."""
-        den, ends, limit = self._den, self._ends, _digit_limit()
-        if limit and ends and max(den.bit_length(), ends[0].bit_length(), ends[-1].bit_length()) > 3 * limit:
-            texts = [format_rational(_trusted_fraction(x // (g := math.gcd(x, den)), den // g)) for x in ends]
+        On a grid that ``_fits``, the shared lowest-terms pass is read whole.
+        Otherwise each endpoint is reduced and written in order, so the first
+        too large stops the rest."""
+        if not self._fits():
+            den = self._den
+            texts = [format_rational(_trusted_fraction(x // (g := math.gcd(x, den)), den // g)) for x in self._ends]
             return [texts[i : i + 2] for i in range(0, len(texts), 2)]
         nums, dens = map(iter, self._lowest_terms())  # zipped twice: a part's lo, then its hi
         return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]
@@ -411,7 +421,9 @@ class IntervalUnion(_Record):
         gaps = [lo, *ends, hi]
         cut = slice(2 if gaps[0] == gaps[1] else 0, -2 if gaps[-2] == gaps[-1] else None)
         union = IntervalUnion._on_grid(den, gaps[cut])
-        if union._ends:  # lowest terms do not depend on the grid: frame and trim the pairs alike
+        # lowest terms do not depend on the grid: the pairs, framed and trimmed
+        # alike, are handed on when held or when the writer would take them
+        if union._ends and (self._pairs is not None or self._fits()):
             nums, dens = self._lowest_terms()
             if kept:
                 nums, dens = compress(nums, kept), compress(dens, kept)

@@ -44,7 +44,7 @@ from .sequences import (
     RadixWord,
     SequenceModel,
     _block_digits,
-    _block_sums,
+    _block_ones,
     _check_index,
     _checked_bits,
     _digit_bits,
@@ -55,19 +55,6 @@ from .sequences import (
     _term_runs,
 )
 
-__all__ = [
-    "ExtremalityReport",
-    "RadixWord",
-    "admissibility_check",
-    "bits_to_digits",
-    "digits_to_bits",
-    "face_embed",
-    "face_extract",
-    "face_membership",
-    "mixed_radix_digits",
-    "radix_to_sequence",
-    "sequence_to_radix",
-]
 
 class ExtremalityReport(_Record):
     """Outcome of decoding a sequence against the mixed-radix patterns.
@@ -251,7 +238,7 @@ def bits_to_digits(bits, word: RadixWord) -> tuple[int, ...]:
     how many of them the bits take. A trailing partial block still yields a
     digit.
     """
-    return tuple(_block_sums(_checked_bits(bits), _radices(word)))
+    return tuple(_block_ones(_checked_bits(bits), map((-1).__add__, _radices(word))))
 
 
 def digits_to_bits(digits, word: RadixWord) -> tuple[int, ...]:

@@ -13,15 +13,20 @@ That union is the Minkowski sum {0, a_1} + ... + {0, a_N} + [0, tail_N], and
 k = N down to 1, merge the union with a copy shifted by a_k, coalescing as it
 goes. A step with a_k at most tail_k, the sum of everything after it, turns
 [0, tail_k] into [0, tail_(k-1)], so the fold starts at L, the last violating
-index up to the cut, from [0, tail_L], and builds only the first L terms. The
-union's top end before step k is tail_k, so a violating step's copy lies
-wholly above the union and is appended without a merge. The cost follows the
-number of pieces, not 2^N or the depth. The endpoints are one flat integer
-list lo, hi, lo, hi, ... over one common denominator, which a violating step
-extends by its shifted copy, a merge step coalesces and the union takes whole.
-The fold holds at most the pieces ceiling of ``core._CEILINGS`` (2^16): a tail
-whose steps would double past it is refused before any term is built, and
-any other fold once a step takes it past the ceiling.
+index up to the cut, from [0, tail_L], and reads only the first L terms, as
+runs of (value v, multiplicity m). A run's m steps are the Minkowski sum
+with {0, v, ..., mv}, which is {0, cv} + {0, v, ..., (m - c)v} for
+c = ceil(m/2), so the fold takes it in about log2 m shift-and-merge steps,
+and a run of one is a single step. The union's top end before a step is
+the sum of the terms after it, so a step whose shift passes it lies wholly
+above the union and is appended without a merge. The cost follows the
+number of pieces and runs, not 2^N, the depth or the length of a run. The
+endpoints are one flat integer list lo, hi, lo, hi, ... over one common
+denominator, which an appending step extends by its shifted copy, a merge
+step coalesces and the union takes whole. The fold holds at most the pieces
+ceiling of ``core._CEILINGS`` (2^16): a tail whose steps would double past it
+is refused before any term is built, and any other fold once a step takes it
+past the ceiling.
 
 ``subset_sums`` (an iterated sorted merge that deduplicates as it goes) and
 ``SubsetSumOracle`` (two hash tables with witnesses, one per half of the
@@ -41,7 +46,7 @@ from typing import Optional, Sequence
 from .core import IntervalUnion, ZERO, _Record, _check_ceiling, _coalesce, _over
 from .errors import ValidationError
 from .representability import ConditionVerdict, _excesses, kakeya_check
-from .sequences import AlgebraSpec, SequenceModel, _check_index, from_algebra
+from .sequences import AlgebraSpec, SequenceModel, _check_index, _leading_runs, from_algebra
 
 def subset_sums(terms: Sequence) -> list[Fraction]:
     """All distinct subset sums, ascending, by iterated sorted merge."""
@@ -153,12 +158,12 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
 
     Past L, the last violating index up to the cut, every step fills its
     bracket, so the cover at the cut is the cover at L: the fold starts
-    from [0, tail_L] and builds only the first L terms. The union's top end
-    before step k is tail_k, so a violating step's shifted copy lies wholly
-    above it and is appended; any other step merges. A fold that would hold
-    more pieces than the pieces ceiling (``core._check_ceiling``) is refused
-    with ``ResourceLimitError``, before any term is built when its tail
-    alone doubles past it.
+    from [0, tail_L] and reads only the first L terms, a run of m equal
+    terms in about log2 m steps. A step whose shift passes the union's top
+    end appends its shifted copy; any other step merges. A fold that would
+    hold more pieces than the pieces ceiling (``core._check_ceiling``) is
+    refused with ``ResourceLimitError``, checked after every step, and
+    before any term is built when its tail alone doubles past it.
     """
     _check_index(depth, 0, "depth")
     cut = depth
@@ -169,21 +174,24 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     # violating step appends a whole copy, so the fold's first
     # last - len(prefix) steps, the tail's, double the pieces exactly
     _check_ceiling("pieces", last - model._length, doublings=True)
-    terms = model.first_terms(last)
+    runs = _leading_runs(model, last)
     slack = model.tail_sum(last)
-    den = math.lcm(slack.denominator, *(t.denominator for t in terms))
+    den = math.lcm(slack.denominator, *(v.denominator for v, _ in runs))
     top = _over(den, slack)
     ends = [0, top]
-    for t in reversed(terms):
-        shift = _over(den, t)
-        # a list, built whole before ``ends`` grows: extending ``ends`` by a
-        # lazy map over itself would read what it appends and never stop
-        ends += [x + shift for x in ends]
-        if shift <= top:
-            run = iter(ends)  # two sorted runs of pairs, merged by the sort
-            ends = _coalesce(sorted(zip(run, run)))
-        _check_ceiling("pieces", len(ends) // 2)
-        top += shift
+    for v, m in reversed(runs):
+        value = _over(den, v)
+        while m:  # {0, v, ..., mv} = {0, cv} + {0, v, ..., (m - c)v} for c = ceil(m/2)
+            shift = (m + 1) // 2 * value
+            m //= 2
+            # a list, built whole before ``ends`` grows: extending ``ends`` by
+            # a lazy map over itself would read what it appends and never stop
+            ends += [x + shift for x in ends]
+            if shift <= top:
+                pairs = iter(ends)  # two sorted runs of pairs, merged by the sort
+                ends = _coalesce(sorted(zip(pairs, pairs)))
+            _check_ceiling("pieces", len(ends) // 2)
+            top += shift
     return RangeApproximation(depth, IntervalUnion._on_grid(den, ends), exact)
 
 

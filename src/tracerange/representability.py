@@ -43,7 +43,7 @@ from typing import Iterator, Optional
 
 from .core import _Record
 from .errors import DomainError, ValidationError
-from .sequences import SequenceModel, _check_index, _checked_bits, _run_excess_start, _run_sum
+from .sequences import SequenceModel, _block_ones, _check_index, _checked_bits, _count, _run_excess_start, _run_sum
 
 
 class ConditionVerdict(_Record):
@@ -176,9 +176,9 @@ def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
     """
     target = Fraction(target)
     bits = _checked_bits(bits, model.support)
-    # the ones in the slice of the bits of each prefix run they reach, times its value
-    ends = model._run_ends[: bisect_left(model._run_ends, len(bits)) + 1]
-    lead = [(x, d) for (x, _), start, end in zip(model._runs, (0,) + ends, ends) if (d := bits[start:end].count(1))]
+    # each prefix run's value, with the ones of the bits that it holds
+    ones = _block_ones(bits[: model._length], map(_count, model._runs))
+    lead = [(x, d) for (x, _), d in zip(model._runs, ones) if d]
     den = math.lcm(target.denominator, *(x.denominator for x, _ in lead))
     chosen = sum(d * x.numerator * (den // x.denominator) for x, d in lead)
     left = Fraction(target.numerator * (den // target.denominator) - chosen, den)

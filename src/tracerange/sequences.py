@@ -36,12 +36,14 @@ its forward pass over the prefix runs and the radix tail's blocks both read.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
-``_digit_bits`` spells its digits out as bits, which ``_block_sums`` groups
-back into ones per block; ``_checked_bits`` is the one check of a 0/1
-vector; ``_rest(model, count)`` is the closed form of the terms after an
-index; ``_term_runs(model)`` is the one stream of a model's canonical runs,
-prefix and tail, that the decoder, the face maps and ``same_sequence`` read;
-``_checked_tail`` is the one check that a value is a tail.
+``_digit_bits`` spells its digits out as bits, which ``_block_ones`` counts
+back per block, as it counts the ones of each prefix run; ``_checked_bits``
+is the one check of a 0/1 vector; ``_rest(model, count)`` is the closed
+form of the terms after an index; ``_term_runs(model)`` is the one stream
+of a model's canonical runs, prefix and tail, that the decoder, the face
+maps and ``same_sequence`` read, and ``_leading_runs`` its first terms,
+which the cover fold steps over a run at a time; ``_checked_tail`` is the
+one check that a value is a tail.
 
 The module also models a finite atomic von Neumann algebra with a faithful
 normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
@@ -441,7 +443,7 @@ class MixedRadixTail(_Record):
         radices) with S <- S*k + d over the blocks, a cut one at its full k."""
         s, prod = 0, 1
         radices = self.radices.iter_entries
-        for d, k in zip(_block_sums(bits, radices()), radices()):
+        for d, k in zip(_block_ones(bits, map((-1).__add__, radices())), radices()):
             s = s * k + d
             prod *= k
         return Fraction(self.scale.numerator * s, self.scale.denominator * prod)
@@ -508,19 +510,20 @@ def _digit_bits(digits, radices) -> list[int]:
     return bits
 
 
-def _block_sums(bits, radices) -> list[int]:
-    """The ones of ``bits`` per radix block, a cut last block counting its
-    part, reading no radix past it: the inverse of ``_digit_bits``.
-
-    The blocks start at the running sums of k - 1; ``takewhile`` stops at
-    the first start past the bits, which reads the cut last block's radix
-    and none after it. A block's ones are the difference of the running
-    count of ones at its two ends, so no step runs in Python per block.
-    """
-    size = len(bits)
-    starts = list(itertools.takewhile(size.__gt__, itertools.accumulate(map((-1).__add__, radices), initial=0)))
-    ones = list(itertools.accumulate(bits, initial=0)).__getitem__
-    return list(map(operator.sub, map(ones, starts[1:] + [size]), map(ones, starts)))
+def _block_ones(bits, sizes) -> list[int]:
+    """The ones of the 0/1 ``bits`` per block of ``sizes``, a cut last block
+    counting its part: radix digits (sizes k - 1, the inverse of
+    ``_digit_bits``) or the ones of each prefix run. Each is one
+    ``bytes.count`` between the block's ends, the running sums of the sizes,
+    read lazily up to the block that reaches the end of the bits."""
+    data = bytes(bits)
+    count, end, start, ones = data.count, len(data), 0, []
+    for stop in itertools.accumulate(sizes) if end else ():
+        ones.append(count(1, start, stop))
+        if stop >= end:
+            break
+        start = stop
+    return ones
 
 
 def _run_excess_start(value: Fraction, count: int, room: Fraction) -> int:
@@ -790,9 +793,9 @@ def _term_runs(model: SequenceModel) -> Iterator[tuple[Fraction, int]]:
 def _leading_runs(model: SequenceModel, count: int) -> tuple[tuple[Fraction, int], ...]:
     """The first ``count`` terms, or all of a finite model with fewer, as
     canonical runs (``_term_runs``), so two models give equal runs exactly
-    when those terms agree."""
+    when those terms agree; no count is read for none."""
     runs = []
-    for value, size in _term_runs(model):
+    for value, size in _term_runs(model) if count else ():
         if not count:
             break
         size = min(size, count)

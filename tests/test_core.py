@@ -598,11 +598,17 @@ class TestGridUnionReferee:
         # the tail's 1024 pieces, then their copy shifted by 10^640: the
         # writer reduces the first 2048 endpoints, refuses the next, 10^640,
         # and takes no gcd for the 2047 after it
-        refused = achievable_outer(SequenceModel((Fraction(10**640),), tail), 11).union
+        refused_model = SequenceModel((Fraction(10**640),), tail)
+        refused = achievable_outer(refused_model, 11).union
         calls.clear()
         with pytest.raises(ResourceLimitError, match="^output rational too large to write: 2127 bits$"):
             refused._written_parts()
         assert len(refused) == 2048 and len(calls) == 2048 + 1
+        # its gaps are not handed the reductions the writer would not take:
+        # the one gcd is the gaps' own grid reduction, over all their ends
+        calls.clear()
+        gaps = refused.complement(Interval(Fraction(0), refused_model.total))
+        assert len(gaps) == 2047 and len(calls) == 1 and gaps._pairs is None
 
     def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
         model = SequenceModel((), self.CANTOR_TAILS[0])

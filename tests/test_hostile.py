@@ -211,6 +211,29 @@ def test_a_long_radix_head_that_restates_the_period_is_read_within_the_cpu_cap(t
     assert json.loads(proc.stdout)["holds"] is True
 
 
+def test_a_long_run_of_equal_terms_is_folded_within_the_cpu_cap(tmp_path):
+    # 8,000 copies of 1/8000: a step per term merged the whole union each
+    # time, about 20 s; the fold takes the run in 13 halving steps
+    spec = tmp_path / "spec.txt"
+    spec.write_text(", ".join(["1/8000"] * 8000))
+    proc = _run(["range", "--file", str(spec), "--depth", "8000"])
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}"
+    doc = json.loads(proc.stdout)
+    assert len(doc["intervals"]) == 8001 and doc["exact"] is True
+
+
+def test_options_past_the_ceiling_are_refused_before_argparse_within_the_cpu_cap():
+    # argparse's search for the next option string is quadratic in their
+    # count: 50,000 took about a minute before it answered exit 3
+    proc = _run(["check", "1/2"] + ["--zz"] * 50000)
+    assert proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}"
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "resource",
+        "message": "50000 arguments starting with '-' exceed the bound of 5000",
+        "position": None,
+    }
+
+
 _LONG = 10**6
 # each names a malformed input in its error message; the message quotes a
 # fixed window of it and its length, not the whole input

@@ -29,6 +29,7 @@ from tracerange import (
     split_leading,
     subset_sums,
 )
+from tracerange import range_geometry
 from tracerange.range_geometry import _violations_around
 
 from support import (
@@ -217,10 +218,10 @@ class TestFoldFromLastViolation:
     """The fold starts at the last violation L and appends violating steps."""
 
     def test_bound_is_checked_before_any_term_is_built(self, monkeypatch):
-        def refuse(self, count):
-            raise AssertionError(f"first_terms({count}) built before the bound check")
+        def refuse(model, count):
+            raise AssertionError(f"_leading_runs({count}) built before the bound check")
 
-        monkeypatch.setattr(SequenceModel, "first_terms", refuse)
+        monkeypatch.setattr(range_geometry, "_leading_runs", refuse)
         with pytest.raises(
             ResourceLimitError,
             match=r"^the cover fold reaches 2\^1000000000 pieces, past the bound of 65536$",
@@ -235,13 +236,13 @@ class TestFoldFromLastViolation:
 
     def test_first_terms_stops_at_the_last_violation(self, monkeypatch):
         asked = []
-        first_terms = SequenceModel.first_terms
+        leading_runs = range_geometry._leading_runs
 
-        def spy(self, count):
+        def spy(model, count):
             asked.append(count)
-            return first_terms(self, count)
+            return leading_runs(model, count)
 
-        monkeypatch.setattr(SequenceModel, "first_terms", spy)
+        monkeypatch.setattr(range_geometry, "_leading_runs", spy)
         for model in (dyadic(), all_threes()):
             asked.clear()
             approx = achievable_outer(model, 2000)
@@ -278,6 +279,23 @@ class TestFoldFromLastViolation:
             approx = achievable_outer(model, cut)
             assert approx.union == expected
             assert approx.exact
+
+    def test_a_run_is_folded_in_logarithmic_steps(self, monkeypatch):
+        # 4,000 copies of 1/4000: one run, 12 halving steps where a step per
+        # term took 4,000, each checked against the pieces ceiling
+        steps = []
+        check_ceiling = range_geometry._check_ceiling
+
+        def spy(row, count, doublings=False):
+            if not doublings:
+                steps.append(count)
+            check_ceiling(row, count, doublings)
+
+        monkeypatch.setattr(range_geometry, "_check_ceiling", spy)
+        model = make_model([F(1, 4000)] * 4000)
+        approx = achievable_outer(model, 4000)
+        assert len(steps) <= 12 and steps[-1] == 4001
+        assert approx.union == IntervalUnion(Interval(F(k, 4000), F(k, 4000)) for k in range(4001))
 
 
 class TestViolationsAroundReferee:
@@ -384,15 +402,17 @@ class TestFoldReferee:
 
     def test_fold_matches_the_full_fraction_fold_at_every_cut(self):
         # a Cantor-like tail doubles the pieces at every cut, so it stops at
-        # 12; every other kind reaches 40, past what subset sums can enumerate
+        # 12; every other kind reaches 40, past what subset sums can enumerate.
+        # The run-form models hold long runs, which the fold steps by halves
         rng = random.Random(6007)
-        for trial in range(48):
-            model = self.KINDS[trial % len(self.KINDS)](rng)
+        kinds = [self.KINDS[trial % len(self.KINDS)] for trial in range(48)]
+        for build in kinds + 8 * list(RUN_FORM_MODELS):
+            model = build(rng)
             tail = model.tail
             top = 12 if isinstance(tail, GeometricTail) and tail.ratio < F(1, 2) else 40
             cuts = range(top + 1)
             if model.finite:  # every cut past the support is the support
-                cuts = (*range(len(model.prefix) + 2), top)
+                cuts = (*range(min(len(model.prefix) + 2, top + 1)), top)
             for cut in cuts:
                 approx = achievable_outer(model, cut)
                 cut = min(cut, len(model.prefix)) if model.finite else cut

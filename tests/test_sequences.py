@@ -387,6 +387,11 @@ class _Counted:
         return item
 
 
+def block_ones(bits, radices) -> list[int]:
+    """``sequences._block_ones`` over the blocks of ``radices``, k - 1 slots each."""
+    return sequences._block_ones(bits, (k - 1 for k in radices))
+
+
 def block_sums_outcome(block_sums, bits, word):
     radices = _Counted(sequences._radices(word))
     try:
@@ -405,17 +410,17 @@ class TestBlockSumsReferee:
                 word = RadixWord(word.pre + word.period, ())
             bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 40)))
             expected = block_sums_outcome(loop_block_sums, bits, word)
-            assert block_sums_outcome(sequences._block_sums, bits, word) == expected
+            assert block_sums_outcome(block_ones, bits, word) == expected
 
     def test_a_cut_last_block_counts_its_part(self):
         word = RadixWord((), (4,))
-        assert sequences._block_sums((1, 1, 0, 1, 1), word.iter_entries()) == [2, 2]
-        assert block_sums_outcome(sequences._block_sums, (1, 1, 0, 1, 1), word)[1] == 2
+        assert block_ones((1, 1, 0, 1, 1), word.iter_entries()) == [2, 2]
+        assert block_sums_outcome(block_ones, (1, 1, 0, 1, 1), word)[1] == 2
 
     def test_a_finite_word_raises_where_the_loop_does(self):
         word = RadixWord((3, 2), ())
-        assert block_sums_outcome(sequences._block_sums, (1, 0, 1), word) == ([1, 1], 2)
-        raised = block_sums_outcome(sequences._block_sums, (1, 0, 1, 0), word)
+        assert block_sums_outcome(block_ones, (1, 0, 1), word) == ([1, 1], 2)
+        raised = block_sums_outcome(block_ones, (1, 0, 1, 0), word)
         assert raised == block_sums_outcome(loop_block_sums, (1, 0, 1, 0), word)
         assert raised[0][0] is OutOfSupportError
 
