@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .core import (
-    QUOTE_WINDOW, _Record, _check_ceiling, _check_writable, _quoted, _read_int, format_rational, parse_rational,
+    QUOTE_WINDOW, _Record, _check_ceiling, _quoted, _read_int, _written, format_rational, parse_rational,
 )
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
@@ -313,16 +314,12 @@ def _range(args) -> str:
 
 def _gaps(args) -> str:
     model = parse_spec(_spec_text(args))
-    # each end is checked as the scan yields it, in the order it is
-    # written, so a gap too large to write stops the scan there. The text
-    # is built only after the whole scan passes: writing each end as it is
-    # checked would turn the digits of every writable end into text, which
-    # costs far more than its check, before a later end is refused
-    found = [
-        (n, _check_writable(lo), _check_writable(hi))
-        for n, (lo, hi) in _engines.representability._violations(model, args.depth)
-    ]
-    violations = [{"index": n, "gap": [format_rational(lo), format_rational(hi)]} for n, lo, hi in found]
+    # ``_written`` reads the ends as the scan yields them, in the order they
+    # are written, so a gap too large to write stops the scan there; the
+    # indices wait in the tee until the text is built
+    found, indices = itertools.tee(_engines.representability._violations(model, args.depth))
+    ends = iter(_written(itertools.chain.from_iterable(gap for _, gap in found)))
+    violations = [{"index": n, "gap": [lo, hi]} for (n, _), lo, hi in zip(indices, ends, ends)]
     return _dump({"depth": args.depth, "violations": violations})
 
 
@@ -338,11 +335,10 @@ def _encode(args) -> str:
     model = _engines.extreme_points.radix_to_sequence(parse_word(args.word))
     doc = {"model": model_to_doc(model)}
     # a radix model is endless, so any count of terms is in its support;
-    # each term is checked as it comes, as for ``gaps``, so a count past
-    # what can be written stops at the first term too large to write
+    # ``_written`` checks each term as it comes, as for ``gaps``, so a count
+    # past what can be written stops at the first term too large to write
     count = _check_index(args.terms, 0, "count")
-    terms = [_check_writable(x) for _, x in zip(range(count), model.iter_terms())]
-    doc["terms"] = [format_rational(x) for x in terms]
+    doc["terms"] = _written(x for _, x in zip(range(count), model.iter_terms()))
     return _dump(doc)
 
 

@@ -17,7 +17,9 @@ Every size refusal of the package is made here, before the work it bounds:
 terms, cover pieces, mixed-radix digits, merged atoms, and the option
 strings of a command line that argparse reads), and
 ``_check_writable`` refuses a rational past the interpreter's int-to-text
-digit limit before any text of it is built.
+digit limit before any text of it is built. ``format_rational`` writes one
+rational, and ``_written`` several: it checks each as it reads it and
+builds the text only once every one has passed.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ def format_rational(value) -> str:
     """
     q = _check_writable(value if type(value) is Fraction else Fraction(value))
     return f"{q.numerator}/{q.denominator}"
+
+
+def _written(values: Iterable) -> list[str]:
+    """Each rational of ``values`` written "p/q" as ``format_rational`` does;
+    each is checked as it is read, so the first too large stops the reading,
+    and no text is built until every value has passed."""
+    return [f"{q.numerator}/{q.denominator}" for q in list(map(_check_writable, values))]
 
 
 class _Record:
@@ -355,11 +364,11 @@ class IntervalUnion(_Record):
         them, one ``[lo, hi]`` list per part as the JSON document holds it.
 
         On a grid that ``_fits``, the shared lowest-terms pass is read whole.
-        Otherwise each endpoint is reduced and written in order, so the first
-        too large stops the rest."""
+        Otherwise ``_written`` reads each endpoint as it is reduced, in
+        order, so the first too large stops the rest."""
         if not self._fits():
             den = self._den
-            texts = [format_rational(_trusted_fraction(x // (g := math.gcd(x, den)), den // g)) for x in self._ends]
+            texts = _written(_trusted_fraction(x // (g := math.gcd(x, den)), den // g) for x in self._ends)
             return [texts[i : i + 2] for i in range(0, len(texts), 2)]
         nums, dens = map(iter, self._lowest_terms())  # zipped twice: a part's lo, then its hi
         return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]

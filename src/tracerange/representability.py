@@ -11,8 +11,8 @@ Membership in the unit-anchored body (``extreme_points``) is the same test
 with a slack, a_n <= sigma + sum_{k>n} a_k with sigma = 1 - total. One
 forward generator, ``_excesses``, settles it for any sigma, and every
 condition check and the cover's cut read it; each tail family holds its
-closed form once, in its ``excesses`` method. The prefix is read per run
-with the same run rule as a radix tail's blocks.
+closed form once, in its ``excesses`` method. The prefix runs and a radix
+tail's blocks are read by one run rule, ``sequences._run_excesses``.
 
 The greedy rule, run against target r with partial result r_0 = 0:
 
@@ -36,14 +36,13 @@ tail's bits as one numeral (``numeral``), sharing no step with the greedy.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
 from .core import _Record
 from .errors import DomainError, ValidationError
-from .sequences import SequenceModel, _block_ones, _check_index, _checked_bits, _count, _run_excess_start, _run_sum
+from .sequences import SequenceModel, _block_ones, _check_index, _checked_bits, _count, _leading_runs, _run_excesses
 
 
 class ConditionVerdict(_Record):
@@ -84,9 +83,8 @@ def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction
     (sigma + sum_{k>n} a_k, a_n).
 
     Completeness is sigma = 0; membership in the unit-anchored body is
-    sigma = 1 - total. The prefix is read per run. By the run rule
-    (``_run_excess_start``) the violations of a run are a suffix of it, so
-    a run whose last slot holds is passed over with one comparison, and
+    sigma = 1 - total. The prefix is read per run by the run rule
+    (``_run_excesses``): the violations of a run are a suffix of it, so
     only violating indices are visited; an empty prefix reads nothing of
     the model. The tail's ``excesses`` settles the rest in closed form,
     yielding endless runs lazily:
@@ -98,12 +96,8 @@ def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction
     sigma = sigma or 0  # a zero slack is never added
     if model._runs:
         lift = model.tail.total + sigma if sigma else model.tail.total
-        for (value, count), end, after in zip(model._runs, model._run_ends, model._run_sums[1:]):
-            room = after + lift if lift else after
-            if value <= room:
-                continue
-            for n in range(end - count + _run_excess_start(value, count, room), end + 1):
-                yield n, (room + _run_sum((value, end - n)) if n < end else room, value)
+        afters = model._run_sums[1:]  # a zero lift is added to no room
+        yield from _run_excesses(zip(model._runs, map(lift.__add__, afters) if lift else afters))
     offset = model._length
     for j, gap in model.tail.excesses(sigma):
         yield offset + j, gap
@@ -140,7 +134,7 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
         raise DomainError(f"target {target} outside [0, {model.total}]")
     certified = kakeya_check(model).holds
     steps = min(bit_count, model._length) if model.finite else bit_count
-    lead = model._runs[: bisect_left(model._run_ends, steps) + 1]  # the runs the steps reach
+    lead = _leading_runs(model, min(steps, model._length))  # the prefix runs the steps reach, the last cut
     # the prefix steps over its own lcm, with the total so the room is exact
     total = model.total
     den = math.lcm(target.denominator, total.denominator, *(x.denominator for x, _ in lead))
@@ -148,7 +142,6 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
     remaining = total.numerator * (den // total.denominator)
     bits: list[int] = []
     for x, count in lead:
-        count = min(count, steps - len(bits))
         a = x.numerator * (den // x.denominator)
         took = min(count, residual // a)
         residual -= took * a

@@ -31,8 +31,8 @@ compares and hashes on them, and spells the ``prefix`` tuple out when it is
 read (``_spelled``). Every check, sum, read and derived model pays per run:
 ``_from_runs(runs, tail)`` builds a model from runs, checking each run
 once (``_checked_runs``), ``_scaled_runs`` scales every run's value, and
-``_run_excess_start`` is the condition engine's rule for one run, which
-its forward pass over the prefix runs and the radix tail's blocks both read.
+``_run_excesses`` is the condition engine's run rule, which its forward
+pass over the prefix runs and the radix tail's blocks both read.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
@@ -57,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
@@ -357,7 +358,9 @@ class MixedRadixTail(_Record):
         return self.scale / _walk(self, j)[2]
 
     def terms(self) -> Iterator[Fraction]:
-        return _spelled(self.runs())
+        # a block of more than sys.maxsize slots, past what ``repeat`` can
+        # count, is spelled without an end: no reader takes that many terms
+        return _spelled((value, size) if size <= sys.maxsize else (value,) for value, size in self.runs())
 
     def runs(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (value, multiplicity) per block, forever.
@@ -395,17 +398,12 @@ class MixedRadixTail(_Record):
 
     def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         """A block of k - 1 slots of value v leaves exactly v after it, so
-        by the run rule (``_run_excess_start``) with room sigma + v its
+        by the run rule (``_run_excesses``) with room sigma + v its
         violations are a suffix of the block: never for sigma >= 0, and
         otherwise a nonempty one in every block."""
         if sigma >= 0:
-            return
-        offset = 0
-        for value, size in self.runs():
-            room = sigma + value
-            for i in range(_run_excess_start(value, size, room), size + 1):
-                yield offset + i, (room + (size - i) * value, value)
-            offset += size
+            return iter(())
+        return _run_excesses((run, sigma + run[0]) for run in self.runs())
 
     def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
         """The greedy rule over the first ``count`` >= 1 slots against the
@@ -526,18 +524,24 @@ def _block_ones(bits, sizes) -> list[int]:
     return ones
 
 
-def _run_excess_start(value: Fraction, count: int, room: Fraction) -> int:
-    """The first violating slot of a run, counted from 1, or ``count + 1``
-    when none violates.
+def _run_excesses(pairs) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+    """The run rule: over ``pairs`` of a run and its room, each violating
+    slot, counted from 1 across the runs, with its gap (room after it, value).
 
     In a run of ``count`` copies of ``value`` followed by terms that leave
     ``room`` (the slack plus their sum), slot i has (count - i) * value +
     room after it, so it violates exactly when
     i > count - 1 + room / value: the violations are the run's suffix from
-    count + floor(room / value) on, found with one integer floor division.
+    count + floor(room / value) on, found with one integer floor division,
+    and a run whose last slot holds is passed over with one comparison.
     """
-    floor = room.numerator * value.denominator // (room.denominator * value.numerator)
-    return max(1, count + floor)
+    offset = 0
+    for (value, count), room in pairs:
+        if value > room:
+            floor = room.numerator * value.denominator // (room.denominator * value.numerator)
+            for i in range(max(1, count + floor), count + 1):
+                yield offset + i, (room + _run_sum((value, count - i)) if i < count else room, value)
+        offset += count
 
 
 def _checked_bits(bits, support: Optional[int] = None) -> tuple[int, ...]:
@@ -796,11 +800,10 @@ def _leading_runs(model: SequenceModel, count: int) -> tuple[tuple[Fraction, int
     when those terms agree; no count is read for none."""
     runs = []
     for value, size in _term_runs(model) if count else ():
-        if not count:
-            break
-        size = min(size, count)
-        runs.append((value, size))
+        runs.append((value, min(size, count)))
         count -= size
+        if count <= 0:
+            break
     return tuple(runs)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from support import HUGE_ENDPOINTS, cantor_like, random_complete_model, random_fraction
 
-from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, errors, representability, svg
+from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, core, errors, representability, svg
 from tracerange.cli import main, run_command
 from tracerange.dsl import parse_spec
 
@@ -130,6 +130,35 @@ class TestExitCodes:
             "message": f"output rational too large to write: {bits} bits",
             "position": None,
         }
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        # six gaps' ends; the tail's scale, then seven terms
+        [(["gaps", CANTOR, "--depth", "6"], 12), (["extreme", "encode", "3 | 2", "--terms", "7"], 8)],
+    )
+    def test_each_written_rational_is_checked_once(self, argv, count, monkeypatch):
+        # ``cli`` is patched too, should it hold a check of its own
+        checked, check = [], core._check_writable
+
+        def counting(q):
+            checked.append(q)
+            return check(q)
+
+        monkeypatch.setattr(core, "_check_writable", counting)
+        monkeypatch.setattr(cli, "_check_writable", counting, raising=False)
+        result = run_command(argv)
+        assert result.exit_code == 0
+
+        def rationals(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [x for item in node for x in rationals(item)]
+            return [node] if isinstance(node, str) and "/" in node else []
+
+        written = rationals(json.loads(result.body))  # in the order written
+        assert len(written) == count
+        assert [f"{q.numerator}/{q.denominator}" for q in checked] == written
 
     def test_long_expansion_is_refused_at_its_first_rational(self):
         # the expansion itself is cheap; its achieved sum is too large to write

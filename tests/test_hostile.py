@@ -98,6 +98,21 @@ def test_input_ends_in_a_typed_exit(argv):
         assert doc["error"]["kind"] != "internal", doc["error"]
 
 
+# radix blocks of more than sys.maxsize slots, which ``itertools.repeat``
+# cannot count, spelled without an end as no reader takes that many terms
+HUGE_BLOCKS = {
+    "radix-2^63+1": (str(2**63 + 1), 3, [f"1/{2**63 + 1}"] * 3),
+    "radix-10^21-after-3": (f"3 | {10**21}", 4, ["1/3", "1/3", f"1/{3 * 10**21}", f"1/{3 * 10**21}"]),
+}
+
+
+@pytest.mark.parametrize("word, count, terms", HUGE_BLOCKS.values(), ids=HUGE_BLOCKS.keys())
+def test_a_radix_block_past_sys_maxsize_lists_its_terms(word, count, terms):
+    proc = _run(["extreme", "encode", word, "--terms", str(count)])
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["terms"] == terms
+
+
 def test_an_svg_span_too_large_to_write_is_refused_as_json_is():
     proc = _run(SVG_SPAN)
     json_proc = _run(SVG_SPAN[:-2])

@@ -393,11 +393,18 @@ class TestGapCertificates:
         assert [n for n, _ in found] == [1, 2, 3]
         assert found[0][1] == (F(1, 3), F(2, 3))
 
+    @staticmethod
+    def draws(referee: int, run_form: int):
+        """Each referee builder ``referee`` times in turn, then each
+        run-form builder ``run_form`` times, whose long prefix runs the run
+        rule reads a run at a time; each model is scanned past its prefix."""
+        return (*REFEREE_MODELS,) * referee + (*RUN_FORM_MODELS,) * run_form
+
     def test_list_violations_matches_fraction_loop(self):
         rng = random.Random(1729)
-        for trial in range(240):
-            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
-            depth = rng.randint(0, 40)
+        for build in self.draws(40, 20):
+            model = build(rng)
+            depth = model._length + rng.randint(0, 40)
             assert list_violations(model, depth) == fraction_violations(model, depth)
 
     def test_slack_engine_matches_fraction_loop(self):
@@ -405,12 +412,13 @@ class TestGapCertificates:
         # violate on a suffix of every block, and geometric runs with
         # ratio below 1/2 end after a few indices once sigma > 0
         rng = random.Random(5150)
-        for trial in range(600):
-            model = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
+        for build in self.draws(100, 40):
+            model = build(rng)
             size = model.total * random_fraction(rng, F(1, 8), F(1), grain=7)
             sigma = rng.choice([-1, 1]) * size / 2 ** rng.randint(0, 12)
-            found = itertools.takewhile(lambda item: item[0] <= 60, _excesses(model, sigma))
-            assert list(found) == fraction_violations(model, 60, sigma), (model, sigma)
+            depth = model._length + 60
+            found = itertools.takewhile(lambda item: item[0] <= depth, _excesses(model, sigma))
+            assert list(found) == fraction_violations(model, depth, sigma), (model, sigma)
 
     @given(models(), st.integers(min_value=1, max_value=8))
     def test_listed_gaps_match_certificates(self, model, depth):
