@@ -358,9 +358,12 @@ class MixedRadixTail(_Record):
         return self.scale / _walk(self, j)[2]
 
     def terms(self) -> Iterator[Fraction]:
-        # a block of more than sys.maxsize slots, past what ``repeat`` can
-        # count, is spelled without an end: no reader takes that many terms
-        return _spelled((value, size) if size <= sys.maxsize else (value,) for value, size in self.runs())
+        runs = self.runs()
+        if max(self.radices.pre + self.radices.period) > sys.maxsize:
+            # a block of more than sys.maxsize slots, past what ``repeat``
+            # can count, is spelled without an end: no reader takes that many
+            runs = ((value, size) if size <= sys.maxsize else (value,) for value, size in runs)
+        return _spelled(runs)
 
     def runs(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (value, multiplicity) per block, forever.
@@ -779,16 +782,16 @@ def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...
 
 
 def _term_runs(model: SequenceModel) -> Iterator[tuple[Fraction, int]]:
-    """The model's terms as canonical (value, multiplicity) runs: the prefix
-    runs, then the tail's, the last prefix run merged into an equal first
-    tail run. Neighbouring runs differ, as the tail's own runs do."""
+    """The model's terms as canonical (value, multiplicity) runs, neighbours
+    differing: the prefix runs, then the tail's, the last prefix run merged
+    into an equal first tail run, which is read only once that run is due."""
     runs, tail = model._runs, model.tail.runs()
+    yield from runs[:-1]
     first = next(tail, None)
     if runs and first is not None and runs[-1][0] == first[0]:
-        yield from runs[:-1]
         yield first[0], runs[-1][1] + first[1]
     else:
-        yield from runs
+        yield from runs[-1:]
         if first is not None:
             yield first
     yield from tail
@@ -796,10 +799,11 @@ def _term_runs(model: SequenceModel) -> Iterator[tuple[Fraction, int]]:
 
 def _leading_runs(model: SequenceModel, count: int) -> tuple[tuple[Fraction, int], ...]:
     """The first ``count`` terms, or all of a finite model with fewer, as
-    canonical runs (``_term_runs``), so two models give equal runs exactly
-    when those terms agree; no count is read for none."""
+    canonical runs (``_term_runs``, or the prefix runs alone for a cut inside
+    the prefix), so two models give equal runs exactly when those terms agree."""
     runs = []
-    for value, size in _term_runs(model) if count else ():
+    source = model._runs if count <= model._length else _term_runs(model)
+    for value, size in source if count else ():
         runs.append((value, min(size, count)))
         count -= size
         if count <= 0:

@@ -397,14 +397,14 @@ class TestGapCertificates:
     def draws(referee: int, run_form: int):
         """Each referee builder ``referee`` times in turn, then each
         run-form builder ``run_form`` times, whose long prefix runs the run
-        rule reads a run at a time; each model is scanned past its prefix."""
+        rule reads a run at a time."""
         return (*REFEREE_MODELS,) * referee + (*RUN_FORM_MODELS,) * run_form
 
     def test_list_violations_matches_fraction_loop(self):
         rng = random.Random(1729)
         for build in self.draws(40, 20):
             model = build(rng)
-            depth = model._length + rng.randint(0, 40)
+            depth = rng.randint(0, model._length + 40)  # cuts inside the prefix and past it
             assert list_violations(model, depth) == fraction_violations(model, depth)
 
     def test_slack_engine_matches_fraction_loop(self):
