@@ -3,8 +3,9 @@
 Every command reads exact rational input, works exactly, and prints a JSON
 document (or CSV/SVG for ``range``). ``_COMMANDS`` maps each command (and
 each mode of ``extreme``) to the one function that builds its model, runs
-its engine and writes its answer. Exit codes are part of the contract, and
-each error class of ``errors`` carries its own code and ``kind``:
+its engine and returns its answer, which ``run_command`` alone writes. Exit
+codes are part of the contract, and each error class of ``errors`` carries
+its own code and ``kind``:
 
 * 0 - success
 * 1 - the input parsed but was rejected (validation or domain errors)
@@ -20,10 +21,11 @@ deterministic.
 Resource bounds are fixed rows of one table, ``core._CEILINGS``, not
 options: ``range`` refuses a cover whose fold would hold more than 2^16
 pieces, ``vna`` an algebra whose merged prefix would hold more than 100,000
-atoms, ``digits`` a count above 100,000, and every command a command line
-that argparse reads with more than 5,000 entries starting with "-". Each
-command reads its engines through the package when it runs, so a launch
-loads only its own.
+atoms, ``digits`` a count above 100,000, ``expand`` more than 1,000,000
+steps, ``gaps`` and ``extreme encode`` a list of more than 1,000,000
+rationals, and every command a command line that argparse reads with more
+than 5,000 entries starting with "-". Each command reads its engines
+through the package when it runs, so a launch loads only its own.
 """
 
 from __future__ import annotations
@@ -240,6 +242,10 @@ def _spec_text(args) -> str:
     return inline
 
 
+def _model(args):
+    return parse_spec(_spec_text(args))
+
+
 def _write_json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for what a document
     holds: dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
@@ -297,14 +303,14 @@ def _parse_depths(raw: str) -> list[int]:
     return depths
 
 
-def _range(args) -> str:
-    model = parse_spec(_spec_text(args))
+def _range(args) -> dict | str:
+    model = _model(args)
     depths = _parse_depths(args.depth)
     if args.format in ("json", "csv") and len(depths) != 1:
         raise ParseError("json and csv output take a single depth")
     approxes = [_engines.range_geometry.achievable_outer(model, depth) for depth in depths]
     if args.format == "json":
-        return _dump(approximation_to_doc(approxes[0]))
+        return approximation_to_doc(approxes[0])
     if args.format == "csv":
         rows = ["lo,hi"]
         rows.extend(f"{lo},{hi}" for lo, hi in approxes[0].union._written_parts())
@@ -312,62 +318,56 @@ def _range(args) -> str:
     return _engines.svg.emit_svg(approxes)  # loaded only for the one format that draws
 
 
-def _gaps(args) -> str:
-    model = parse_spec(_spec_text(args))
+def _gaps(args) -> dict:
+    model = _model(args)
     # ``_written`` reads the ends as the scan yields them, in the order they
     # are written, so a gap too large to write stops the scan there; the
     # indices wait in the tee until the text is built
     found, indices = itertools.tee(_engines.representability._violations(model, args.depth))
     ends = iter(_written(itertools.chain.from_iterable(gap for _, gap in found)))
     violations = [{"index": n, "gap": [lo, hi]} for (n, _), lo, hi in zip(indices, ends, ends)]
-    return _dump({"depth": args.depth, "violations": violations})
+    return {"depth": args.depth, "violations": violations}
 
 
-def _vna(args) -> str:
+def _vna(args) -> dict:
     model = from_algebra(parse_algebra(_spec_text(args)))
     certificate = _engines.representability.kakeya_check(model)
-    doc = convexity_to_doc(_engines.range_geometry.ConvexityVerdict(certificate.holds, certificate))
-    doc["model"] = model_to_doc(model)
-    return _dump(doc)
+    verdict = _engines.range_geometry.ConvexityVerdict(certificate.holds, certificate)
+    return {**convexity_to_doc(verdict), "model": model_to_doc(model)}
 
 
-def _encode(args) -> str:
+def _encode(args) -> dict:
     model = _engines.extreme_points.radix_to_sequence(parse_word(args.word))
     doc = {"model": model_to_doc(model)}
     # a radix model is endless, so any count of terms is in its support;
     # ``_written`` checks each term as it comes, as for ``gaps``, so a count
-    # past what can be written stops at the first term too large to write
+    # past what can be written stops at the first term too large to write,
+    # or once one term past the entries ceiling is read
     count = _check_index(args.terms, 0, "count")
     doc["terms"] = _written(x for _, x in zip(range(count), model.iter_terms()))
-    return _dump(doc)
+    return doc
 
 
-def _digits(args) -> str:
+def _digits(args) -> dict:
     word, target = parse_word(args.word), parse_rational(args.target)
     digits = _engines.extreme_points.mixed_radix_digits(word, target, args.count)
-    return _dump({"word": word_to_doc(word), "target": format_rational(target), "digits": list(digits)})
+    return {"word": word_to_doc(word), "target": format_rational(target), "digits": list(digits)}
 
 
-# one entry per leaf parser, keyed by its name (``extreme`` by its mode);
-# each entry reads its engines off their home modules when it runs, so a
-# launch loads only the engines of its command, and rebinding a name in its
-# home module, such as ``representability.kakeya_check``, reaches every command
+# one entry per leaf parser, keyed by its name (``extreme`` by its mode),
+# that returns its answer: a document, or the csv or svg text of ``range``.
+# Each reads its engines off their home modules when it runs, so a launch
+# loads only its own, and a name rebound at home reaches every entry
 _COMMANDS = {
-    "check": lambda args: _dump(
-        verdict_to_doc(_engines.representability.kakeya_check(parse_spec(_spec_text(args))))
-    ),
-    "expand": lambda args: _dump(
-        expansion_to_doc(_engines.representability.greedy_expand(
-            parse_spec(_spec_text(args)), parse_rational(args.target), args.bits
-        ))
+    "check": lambda args: verdict_to_doc(_engines.representability.kakeya_check(_model(args))),
+    "expand": lambda args: expansion_to_doc(
+        _engines.representability.greedy_expand(_model(args), parse_rational(args.target), args.bits)
     ),
     "range": _range,
     "gaps": _gaps,
     "vna": _vna,
     "encode": _encode,
-    "decode": lambda args: _dump(
-        report_to_doc(_engines.extreme_points.sequence_to_radix(parse_spec(_spec_text(args))))
-    ),
+    "decode": lambda args: report_to_doc(_engines.extreme_points.sequence_to_radix(_model(args))),
     "digits": _digits,
 }
 
@@ -384,7 +384,8 @@ def run_command(argv) -> CommandResult:
     """Run one command line; never raises, never exits."""
     try:
         args = _parse(list(argv))
-        return CommandResult(0, _COMMANDS[getattr(args, "mode", args.command)](args))
+        answer = _COMMANDS[getattr(args, "mode", args.command)](args)
+        return CommandResult(0, answer if type(answer) is str else _dump(answer))
     except SystemExit as stop:  # --help and --version land here, with what they printed
         return CommandResult(int(stop.code or 0), getattr(stop, "printed", "").rstrip("\n"))
     except TraceRangeError as exc:  # each class carries its exit code and kind

@@ -14,8 +14,9 @@ the SVG renderer.
 
 Every size refusal of the package is made here, before the work it bounds:
 ``_check_ceiling`` refuses a count past its row of ``_CEILINGS`` (subset-sum
-terms, cover pieces, mixed-radix digits, merged atoms, and the option
-strings of a command line that argparse reads), and
+terms, cover pieces, mixed-radix digits, merged atoms, the entries of an
+answer that lists one per unit of a count, and the option strings of a
+command line that argparse reads), and
 ``_check_writable`` refuses a rational past the interpreter's int-to-text
 digit limit before any text of it is built. ``format_rational`` writes one
 rational, and ``_written`` several: it checks each as it reads it and
@@ -31,7 +32,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, ValidationError
@@ -108,19 +109,24 @@ _CEILINGS = {
     "pieces": (2**16, "the cover fold reaches {count} pieces, past the bound of {ceiling}"),
     "digits": (100_000, "{count} digits exceed the bound of {ceiling}"),
     "atoms": (100_000, "the merged prefix reaches {count} atoms, past the bound of {ceiling}"),
+    # an answer that lists one entry per unit of a count: expansion bits,
+    # listed terms and the rationals ``_written`` writes
+    "entries": (1_000_000, "{count} listed entries exceed the bound of {ceiling}"),
     # argparse searches for the next option string once per option, so its
     # parse is quadratic in their count (5,000 take about 0.7 s on a 2-CPU x86-64 VM)
     "options": (5_000, "{count} arguments starting with '-' exceed the bound of {ceiling}"),
 }
 
 
-def _check_ceiling(row: str, count: int, doublings: bool = False) -> None:
+def _check_ceiling(row: str, count: int, doublings: bool = False) -> int:
     """Refuse ``count`` past the ceiling of row ``row`` with its text as a
-    ``ResourceLimitError``. With ``doublings`` the count is 2**count, never
-    built: it passes the ceiling just when count reaches its bit length."""
+    ``ResourceLimitError``, else return the room left below the ceiling
+    (read for a plain count only). With ``doublings`` the count is 2**count,
+    never built: it passes the ceiling just when count reaches its bit length."""
     ceiling, text = _CEILINGS[row]
     if count >= ceiling.bit_length() if doublings else count > ceiling:
         raise ResourceLimitError(text.format(count=f"2^{count}" if doublings else count, ceiling=ceiling))
+    return ceiling - count
 
 
 @cache
@@ -159,8 +165,11 @@ def format_rational(value) -> str:
 def _written(values: Iterable) -> list[str]:
     """Each rational of ``values`` written "p/q" as ``format_rational`` does;
     each is checked as it is read, so the first too large stops the reading,
-    and no text is built until every value has passed."""
-    return [f"{q.numerator}/{q.denominator}" for q in list(map(_check_writable, values))]
+    and no text is built until every value has passed. One value past the
+    entries ceiling is the last read, and refuses them all by the count read."""
+    read = list(map(_check_writable, islice(values, _CEILINGS["entries"][0] + 1)))
+    _check_ceiling("entries", len(read))
+    return [f"{q.numerator}/{q.denominator}" for q in read]
 
 
 class _Record:

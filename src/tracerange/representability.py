@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
-from .core import _Record
+from .core import _Record, _check_ceiling
 from .errors import DomainError, ValidationError
 from .sequences import SequenceModel, _block_ones, _check_index, _checked_bits, _count, _leading_runs, _run_excesses
 
@@ -124,16 +124,19 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
     """Greedily expand ``target`` over the first ``bit_count`` terms.
 
     Requires 0 <= target <= total. On finite models the expansion stops at
-    the support. When the completeness condition holds the residual is
-    asserted, at every step, to sit inside [0, tail after that step]; with
-    total 1 that bound is exactly 1 minus the partial sum of terms seen.
+    the support; more steps than the entries ceiling of ``core._CEILINGS``
+    (1,000,000) raise ResourceLimitError before the first. When the
+    completeness condition holds the residual is asserted, at every step,
+    to sit inside [0, tail after that step]; with total 1 that bound is
+    exactly 1 minus the partial sum of terms seen.
     """
     target = Fraction(target)
     _check_index(bit_count, 0, "bit count")
     if not (0 <= target <= model.total):
         raise DomainError(f"target {target} outside [0, {model.total}]")
-    certified = kakeya_check(model).holds
     steps = min(bit_count, model._length) if model.finite else bit_count
+    _check_ceiling("entries", steps)
+    certified = kakeya_check(model).holds
     lead = _leading_runs(model, min(steps, model._length))  # the prefix runs the steps reach, the last cut
     # the prefix steps over its own lcm, with the total so the room is exact
     total = model.total

@@ -28,11 +28,13 @@ ratio's numerator, not with the common denominator of the terms.
 
 A model holds its prefix only as canonical runs of (value, multiplicity),
 compares and hashes on them, and spells the ``prefix`` tuple out when it is
-read (``_spelled``). Every check, sum, read and derived model pays per run:
-``_from_runs(runs, tail)`` builds a model from runs, checking each run
-once (``_checked_runs``), ``_scaled_runs`` scales every run's value, and
-``_run_excesses`` is the condition engine's run rule, which its forward
-pass over the prefix runs and the radix tail's blocks both read.
+read (``_spelled``, the one home of the rule that a lazy reading spells a
+run past ``sys.maxsize`` terms without an end). Every check, sum, read and
+derived model pays per run: ``_from_runs(runs, tail)`` builds a model from
+runs, checking each run once (``_checked_runs``), ``_scaled_runs`` scales
+every run's value, and ``_run_excesses`` is the condition engine's run
+rule, which its forward pass over the prefix runs and the radix tail's
+blocks both read.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
@@ -358,12 +360,7 @@ class MixedRadixTail(_Record):
         return self.scale / _walk(self, j)[2]
 
     def terms(self) -> Iterator[Fraction]:
-        runs = self.runs()
-        if max(self.radices.pre + self.radices.period) > sys.maxsize:
-            # a block of more than sys.maxsize slots, past what ``repeat``
-            # can count, is spelled without an end: no reader takes that many
-            runs = ((value, size) if size <= sys.maxsize else (value,) for value, size in runs)
-        return _spelled(runs)
+        return _spelled(self.runs(), max(self.radices.pre + self.radices.period) - 1)
 
     def runs(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (value, multiplicity) per block, forever.
@@ -627,8 +624,12 @@ def _run_sum(run: tuple[Fraction, int]) -> Fraction:
     return value * count if count > 1 else value  # one term needs no multiply
 
 
-def _spelled(runs) -> Iterator:
-    """Each run's value, repeated its multiplicity, at C level."""
+def _spelled(runs, longest: int = 0) -> Iterator:
+    """Each run's value, repeated its multiplicity, at C level. A lazy
+    reading passes ``longest``, a bound on its runs; past ``sys.maxsize``, a
+    run longer than ``repeat`` counts has no end, as no reader takes that many."""
+    if longest > sys.maxsize:
+        runs = ((value, count) if count <= sys.maxsize else (value,) for value, count in runs)
     return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, runs))
 
 
@@ -712,7 +713,7 @@ class SequenceModel(_Record):
 
     def iter_terms(self) -> Iterator[Fraction]:
         # the tail's terms, not its runs, so a geometric term is not wrapped
-        return itertools.chain(_spelled(self._runs), self.tail.terms())
+        return itertools.chain(_spelled(self._runs, self._length), self.tail.terms())
 
     def first_terms(self, count: int) -> tuple[Fraction, ...]:
         _check_index(count, 0, "count")
@@ -870,8 +871,11 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     merged sequence stays monotone, and the tail is re-anchored after them.
     The runs are merged by value, so a factor costs one run whatever its
     dimension. A merged prefix past the atoms ceiling of ``core._CEILINGS``
-    (100,000 terms) raises ResourceLimitError: the factors' atoms are
-    counted before the walk, and the walk stops at the run that passes it.
+    (100,000 terms) raises ResourceLimitError before the walk: the factors'
+    atoms are counted first, and then, since at most ``total / a_min`` tail
+    terms reach ``a_min``, the tail run after the room left is read only
+    when the tail may pass it, and refused with the count of the walk that
+    would reach it.
     """
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
     if not spec.factors:
@@ -879,13 +883,16 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     runs = [(f.weight / f.dim, f.dim) for f in spec.factors]
     a_min = min(value for value, _ in runs)
     dims = sum(f.dim for f in spec.factors)
-    _check_ceiling("atoms", dims)
+    room = _check_ceiling("atoms", dims)
+    if tail.total > room * a_min:
+        value, size = next(tail.rest(room).runs())
+        if value >= a_min:
+            _check_ceiling("atoms", dims + room + size)
     moved = 0
     for value, size in tail.runs():
         if value < a_min:
             break
         moved += size
-        _check_ceiling("atoms", dims + moved)
         runs.append((value, size))
     runs.sort(key=operator.itemgetter(0), reverse=True)
     return _from_runs(runs, tail.rest(moved))

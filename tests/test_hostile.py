@@ -37,6 +37,10 @@ CPU_SECONDS = 10
 
 _BIG = 10**4000
 SVG_SPAN = ["range", f"geo({_BIG - 1}, {_BIG - 1}/{_BIG})", "--depth", "2", "--format", "svg"]
+VNA_SLOW_TAIL = json.dumps({
+    "factors": [{"dim": 1, "weight": "1/1000000000"}],
+    "abelianTail": {"kind": "geometric", "first": "999999999/10000000000000", "ratio": "9999/10000"},
+})
 
 HOSTILE = {
     # 2^24 pieces: refused before any term is built
@@ -57,6 +61,15 @@ HOSTILE = {
     # JSON nested 10^5 deep (left open, so the argument stays under the
     # kernel's per-argument size): refused as a parse failure
     "json-nested-10^5": ["check", '{"prefix": ' + "[" * 10**5],
+    # a tail above the lone atom for about 115,000 terms, of about 27·j bits
+    # each: refused by the count of the one tail run read past the room left
+    "vna-slow-tail": ["vna", VNA_SLOW_TAIL],
+    # 2^63 expansion steps, all inside one radix block: refused before the first
+    "expand-bits-2^63": ["expand", f"radix(1; {2**63 + 1})", "1/3", "--bits", str(2**63)],
+    # 10^7 equal terms, each one small enough to write: refused past 10^6 read
+    "encode-terms-10^7": ["extreme", "encode", str(2**63 + 1), "--terms", "10000000"],
+    # 10^8 expansion steps: refused before the first
+    "expand-bits-10^8": ["expand", "geo(1/2,1/2)", "1/3", "--bits", "100000000"],
 }
 # 1024 pieces with endpoints of about 66,000 bits
 SVG_ENDPOINTS = ["range", HUGE_ENDPOINTS, "--depth", "10", "--format", "svg"]
@@ -88,14 +101,25 @@ def _run(argv, memory=MEMORY_BYTES):
     )
 
 
-@pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
-def test_input_ends_in_a_typed_exit(argv):
+# the refusal that some of them end in, by name
+REFUSALS = {
+    "vna-slow-tail": "the merged prefix reaches 100001 atoms, past the bound of 100000",
+    "expand-bits-2^63": f"{2**63} listed entries exceed the bound of 1000000",
+    "encode-terms-10^7": "1000001 listed entries exceed the bound of 1000000",
+    "expand-bits-10^8": "100000000 listed entries exceed the bound of 1000000",
+}
+
+
+@pytest.mark.parametrize("name, argv", HOSTILE.items(), ids=HOSTILE.keys())
+def test_input_ends_in_a_typed_exit(name, argv):
     proc = _run(argv)
     assert proc.returncode >= 0, f"ended by signal {-proc.returncode}"
     assert 0 <= proc.returncode <= 3, proc.stderr
     doc = json.loads(proc.stdout)
     if proc.returncode:
         assert doc["error"]["kind"] != "internal", doc["error"]
+    if name in REFUSALS:
+        assert (proc.returncode, doc["error"]["kind"], doc["error"]["message"]) == (2, "resource", REFUSALS[name])
 
 
 # radix blocks of more than sys.maxsize slots, which ``itertools.repeat``

@@ -364,3 +364,14 @@ class TestPrefixStaysUnspelled:
         assert "prefix" not in vars(model)
         assert repr(model) == repr(spelled)
         assert model.prefix == spelled.prefix
+
+    def test_lazy_reads_take_the_head_of_a_run_past_sys_maxsize(self):
+        # a run of 2^64 - 1 terms, more than ``itertools.repeat`` counts:
+        # the lazy readings spell it without an end, as no reader takes them all
+        model = face_embed(radix_to_sequence(RadixWord((), (2,))), 2**64)
+        unit = F(1, 2**64)
+        assert model.first_terms(3) == (unit,) * 3
+        head, rest = split_leading(model, 3)
+        assert head == (unit,) * 3 and rest._runs == ((unit, 2**64 - 4),)
+        assert next(model.iter_terms()) == unit
+        assert "prefix" not in vars(model)
