@@ -125,7 +125,8 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
 
     Requires 0 <= target <= total. On finite models the expansion stops at
     the support; more steps than the entries ceiling of ``core._CEILINGS``
-    (1,000,000) raise ResourceLimitError before the first. When the
+    (1,000,000) raise ResourceLimitError before the first, on finite models
+    of more terms too. When the
     completeness condition holds the residual is asserted, at every step,
     to sit inside [0, tail after that step]; with total 1 that bound is
     exactly 1 minus the partial sum of terms seen.

@@ -873,9 +873,10 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     dimension. A merged prefix past the atoms ceiling of ``core._CEILINGS``
     (100,000 terms) raises ResourceLimitError before the walk: the factors'
     atoms are counted first, and then, since at most ``total / a_min`` tail
-    terms reach ``a_min``, the tail run after the room left is read only
-    when the tail may pass it, and refused with the count of the walk that
-    would reach it.
+    terms reach ``a_min``, a tail that may pass the room left is read at
+    terms 1, 2, 4, ... below the room; only if none falls below ``a_min``
+    is the run after the room read, and refused with the count of the walk
+    that would reach it.
     """
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
     if not spec.factors:
@@ -885,9 +886,15 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     dims = sum(f.dim for f in spec.factors)
     room = _check_ceiling("atoms", dims)
     if tail.total > room * a_min:
-        value, size = next(tail.rest(room).runs())
-        if value >= a_min:
-            _check_ceiling("atoms", dims + room + size)
+        # the tail does not rise, so doubling j reads no term past twice the
+        # one where it falls below a_min before reaching the room left
+        j = 1
+        while j < room and next(tail.rest(j).runs())[0] >= a_min:
+            j *= 2
+        if j >= room:
+            value, size = next(tail.rest(room).runs())
+            if value >= a_min:
+                _check_ceiling("atoms", dims + room + size)
     moved = 0
     for value, size in tail.runs():
         if value < a_min:

@@ -41,6 +41,14 @@ VNA_SLOW_TAIL = json.dumps({
     "factors": [{"dim": 1, "weight": "1/1000000000"}],
     "abelianTail": {"kind": "geometric", "first": "999999999/10000000000000", "ratio": "9999/10000"},
 })
+# a ratio just under 1/2 with 150-digit terms, the total 1: about 20 tail
+# terms reach the lone atom, far from the room of 100,000 atoms left
+_WIDE = Fraction(10**149, 2 * 10**149 + 1)
+_WIDE_FIRST = Fraction(999999, 10**6) * (1 - _WIDE)
+VNA_WIDE_RATIO = json.dumps({
+    "factors": [{"dim": 1, "weight": "1/1000000"}],
+    "abelianTail": {"kind": "geometric", "first": format_rational(_WIDE_FIRST), "ratio": format_rational(_WIDE)},
+})
 
 HOSTILE = {
     # 2^24 pieces: refused before any term is built
@@ -64,6 +72,9 @@ HOSTILE = {
     # a tail above the lone atom for about 115,000 terms, of about 27·j bits
     # each: refused by the count of the one tail run read past the room left
     "vna-slow-tail": ["vna", VNA_SLOW_TAIL],
+    # answered: the ceiling is decided by the tail terms down to the atom,
+    # not by the term at the room left, of about 5*10^7 bits
+    "vna-wide-ratio": ["vna", VNA_WIDE_RATIO],
     # 2^63 expansion steps, all inside one radix block: refused before the first
     "expand-bits-2^63": ["expand", f"radix(1; {2**63 + 1})", "1/3", "--bits", str(2**63)],
     # 10^7 equal terms, each one small enough to write: refused past 10^6 read
@@ -108,6 +119,8 @@ REFUSALS = {
     "encode-terms-10^7": "1000001 listed entries exceed the bound of 1000000",
     "expand-bits-10^8": "100000000 listed entries exceed the bound of 1000000",
 }
+# the ones that end in an answer
+ANSWERED = {"vna-wide-ratio"}
 
 
 @pytest.mark.parametrize("name, argv", HOSTILE.items(), ids=HOSTILE.keys())
@@ -120,6 +133,8 @@ def test_input_ends_in_a_typed_exit(name, argv):
         assert doc["error"]["kind"] != "internal", doc["error"]
     if name in REFUSALS:
         assert (proc.returncode, doc["error"]["kind"], doc["error"]["message"]) == (2, "resource", REFUSALS[name])
+    if name in ANSWERED:
+        assert proc.returncode == 0, doc
 
 
 # radix blocks of more than sys.maxsize slots, which ``itertools.repeat``
