@@ -1,9 +1,12 @@
 """Command line front end.
 
 Every command reads exact rational input, works exactly, and prints a JSON
-document (or CSV/SVG for ``range``). ``_COMMANDS`` maps each command (and
-each mode of ``extreme``) to the one function that builds its model, runs
-its engine and returns its answer, which ``run_command`` alone writes. Exit
+document (or CSV/SVG for ``range``). A plain argv is read from its row of
+``_GRAMMAR``; only any other builds argparse from the rows, so a plain
+launch loads no ``argparse`` (nor ``json`` before 3.13). ``_COMMANDS`` maps
+each command (and each mode of ``extreme``) to the one function that builds
+its model, runs its engine and returns its answer, which ``run_command``
+alone writes. Exit
 codes are part of the contract, and each error class of ``errors`` carries
 its own code and ``kind``:
 
@@ -30,15 +33,12 @@ through the package when it runs, so a launch loads only its own.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
 import itertools
-import json
 import os
 import sys
+from _json import encode_basestring_ascii  # the C escaper that ``json.encoder`` re-exports, without ``json``
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .core import (
@@ -64,164 +64,162 @@ class CommandResult(_Record):
         self.__dict__.update(exit_code=exit_code, body=body)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports malformed argv as ParseError instead of exiting,
-    and reads plain argv (see ``read_plain``) from its own actions."""
+_FILE = ("--file", {"help": "read the spec from a file instead"})
+_SPEC = (("spec", {"nargs": "?", "help": "sequence spec (DSL or JSON)"}), _FILE)
+_WORD = ("word", {"help": "radix word, e.g. '3 | 2' or '2'"})
 
-    commands = None  # the action ``add_subparsers`` returned, if any
+# the command line, one row per parser keyed by its command path: its help
+# (the top level's description) and its arguments, each a name and the
+# keywords of its ``add_argument`` call; ``"parsers"``, argparse's own name
+# for the subcommand action, marks the argument the rows below it fill
+_GRAMMAR = {
+    (): ("exact subset-sum ranges of trace sequences", (
+        ("--version", {"action": "version", "version": f"%(prog)s {__version__}"}),
+        ("command", {"action": "parsers", "required": True}),
+    )),
+    ("check",): ("test the completeness condition", _SPEC),
+    ("expand",): ("greedy bit expansion of a target value", (
+        *_SPEC, ("target", {"help": "rational target, e.g. 1/3"}),
+        ("--bits", {"type": int, "default": 32, "help": "number of bits (default 32)"}),
+    )),
+    ("range",): ("outer approximation of the achievable set", (
+        *_SPEC,
+        ("--depth", {"default": "8", "help": "terms to expand, comma separated for several svg bands (default 8)"}),
+        ("--format", {"choices": ("json", "csv", "svg"), "default": "json"}),
+    )),
+    ("gaps",): ("violating indices with their gap certificates", (
+        *_SPEC, ("--depth", {"type": int, "default": 16, "help": "indices to scan (default 16)"}),
+    )),
+    ("vna",): ("convexity of an algebra's trace range", (
+        ("spec", {"nargs": "?", "help": "algebra spec (JSON)"}), _FILE,
+    )),
+    ("extreme",): ("extreme sequences and radix words", (("mode", {"action": "parsers", "required": True}),)),
+    ("extreme", "encode"): ("the pattern sequence of a radix word", (
+        _WORD, ("--terms", {"type": int, "default": 20, "help": "terms to list (default 20)"}),
+    )),
+    ("extreme", "decode"): ("decode a sequence back to its radix word", _SPEC),
+    ("digits",): ("mixed-radix digits of a rational", (
+        _WORD, ("target", {"help": "rational in [0, 1]"}),
+        ("--count", {"type": int, "default": 20, "help": "digits to emit (default 20)"}),
+    )),
+}
 
-    def __init__(self, *args, **kwargs):
-        # what ``add_argument`` recorded (``__init__`` adds ``-h`` through it):
-        # every action, the positionals in order, the one-value store options
-        # by each of their strings, and whether ``read_plain`` may read argv
-        self.actions, self.positionals, self.options, self.plain = [], [], {}, True
-        super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.actions.append(action)
-        store = kwargs.get("action") in (None, "store")
-        if not action.option_strings:
-            self.positionals.append(action)
-            self.plain &= store and action.nargs in (None, "?")
-        elif store and action.nargs is None:
-            self.options.update(dict.fromkeys(action.option_strings, action))
-        # argparse refuses a required option that is absent, and passes an
-        # absent option's str default through its ``type``; the reader does neither
-        self.plain &= not (action.option_strings and action.required)
-        self.plain &= not (isinstance(action.default, str) and action.type is not None)
-        return action
+def _plain_row(arguments):
+    """A row's arguments as ``_read_plain`` reads them: the positionals and
+    the options by name, each as its dest (its name, less dashes), ``type``
+    and ``choices``, then each dest's default; None where it cannot stand
+    in: another action or ``nargs``, a required option, a typed str default."""
+    readers, defaults = {}, {}
+    for name, keywords in arguments:
+        option, get = name[:1] == "-", keywords.get
+        if (get("action", "store") != "store" or get("nargs") not in ((None,) if option else (None, "?"))
+                or option and get("required") or isinstance(get("default"), str) and get("type") is not None):
+            return None
+        readers[name] = (name.lstrip("-"), get("type"), get("choices"))
+        defaults[name.lstrip("-")] = get("default")
+    positionals = [readers.pop(name) for name, _ in arguments if name[:1] != "-"]
+    return positionals, readers, defaults
 
-    def read_plain(self, argv: list[str], namespace: argparse.Namespace) -> bool:
-        """Read ``argv`` into ``namespace`` as ``parse_args`` would, if it is
-        plain, and say whether it was. Plain is exactly this parser's
-        positionals, then ``--option value`` pairs, each option an exact
-        string of a one-value store option, and no value starting with "-";
-        each value must pass its action's ``type`` and ``choices``. Any other
-        argv leaves ``namespace`` untouched, for argparse to answer."""
-        count = len(self.positionals)
-        if not self.plain or self.commands is not None or len(argv) < count or (len(argv) - count) % 2:
+
+def _read_plain(row, argv: list[str], args) -> bool:
+    """Read ``argv`` into ``args`` as argparse would by ``row`` if it is
+    plain, else leave ``args`` as it was, and say which. Plain is exactly the
+    positionals, then ``--option value`` pairs, each option an exact name, no
+    value starting with "-", and each value passing its ``type`` and ``choices``."""
+    if row is None:
+        return False
+    positionals, options, defaults = row
+    count = len(positionals)
+    if len(argv) < count or (len(argv) - count) % 2:
+        return False
+    read = {}
+    for reader, text in [*zip(positionals, argv), *zip(map(options.get, argv[count::2]), argv[count + 1 :: 2])]:
+        if reader is None or text[:1] == "-":
             return False
-        pairs = [*zip(self.positionals, argv), *zip(map(self.options.get, argv[count::2]), argv[count + 1 :: 2])]
-        read = []
-        for action, text in pairs:
-            if action is None or text[:1] == "-":
-                return False
-            try:
-                value = text if action.type is None else action.type(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return False
-            if action.choices is not None and value not in action.choices:
-                return False
-            read.append((action.dest, value))
-        for action in self.actions:
-            dest, default = action.dest, action.default
-            if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS and not hasattr(namespace, dest):
-                setattr(namespace, dest, default)
-        for dest, value in read:
-            setattr(namespace, dest, value)
-        return True
-
-    def parse_args(self, args=None, namespace=None):
-        """argparse's own parse; what ``--help`` and ``--version`` print is
-        kept off stdout and carried by their ``SystemExit`` as ``printed``.
-        An error quotes each entry of ``args``, and its value after "=" or
-        "-x", by ``_quoted`` where argparse would echo it whole, and so the
-        list of unrecognized arguments, joined as argparse joins it."""
-        with contextlib.redirect_stdout(io.StringIO()) as printed:
-            try:
-                namespace, extra = self.parse_known_args(args, namespace)
-                if extra:
-                    self.error(f"unrecognized arguments: {_quoted(' '.join(extra), str)}")
-                return namespace
-            except SystemExit as stop:
-                stop.printed = printed.getvalue()
-                raise
-            except ParseError as exc:
-                message = str(exc)
-                texts = {text for e in args for text in (e, e.partition("=")[2], e[2:]) if len(text) > QUOTE_WINDOW}
-                # the longest first, so no text is cut inside a longer one
-                for text in sorted(texts, key=len, reverse=True):
-                    message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text, str))
-                raise ParseError(message) from None
-
-    def error(self, message):
-        raise ParseError(message)
+        dest, kind, choices = reader
+        try:
+            read[dest] = value = text if kind is None else kind(text)
+        except (TypeError, ValueError):  # what argparse catches from a type, but its own ArgumentTypeError
+            return False
+        if choices is not None and value not in choices:
+            return False
+    vars(args).update({**defaults, **vars(args), **read})  # a default under what ``args`` already holds
+    return True
 
 
-def _add_spec_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("spec", nargs="?", help="sequence spec (DSL or JSON)")
-    parser.add_argument("--file", help="read the spec from a file instead")
+_PLAIN = {path: _plain_row(arguments) for path, (_, arguments) in _GRAMMAR.items()}
+# the dest each subcommand step sets, by the path it steps from
+_STEPS = {path: name for path, row in _GRAMMAR.items() for name, kw in row[1] if kw.get("action") == "parsers"}
 
 
 @lru_cache(maxsize=1)
-def _parser() -> _Parser:
-    parser = _Parser(prog="tracerange", description="exact subset-sum ranges of trace sequences")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
+def _parser() -> dict:
+    """The argparse parser of each row of ``_GRAMMAR``, by its path, for
+    any argv but a plain one: the one route that imports argparse."""
+    import argparse
+    import contextlib
+    import io
 
-    check = sub.add_parser("check", help="test the completeness condition")
-    _add_spec_argument(check)
+    class _Parser(argparse.ArgumentParser):
+        """argparse that reports malformed argv as ParseError instead of exiting."""
 
-    expand = sub.add_parser("expand", help="greedy bit expansion of a target value")
-    _add_spec_argument(expand)
-    expand.add_argument("target", help="rational target, e.g. 1/3")
-    expand.add_argument("--bits", type=int, default=32, help="number of bits (default 32)")
+        def parse_args(self, args=None, namespace=None):
+            """argparse's own parse; what ``--help`` and ``--version`` print is
+            carried off stdout by their ``SystemExit`` as ``printed``. An error
+            quotes each entry of ``args``, its value after "=" or "-x", and the
+            unrecognized arguments as argparse joins them, by ``_quoted``."""
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                try:
+                    namespace, extra = self.parse_known_args(args, namespace)
+                    if extra:
+                        self.error(f"unrecognized arguments: {_quoted(' '.join(extra), str)}")
+                    return namespace
+                except SystemExit as stop:
+                    stop.printed = printed.getvalue()
+                    raise
+                except ParseError as exc:
+                    message = str(exc)
+                    texts = {text for e in args for text in (e, e.partition("=")[2], e[2:]) if len(text) > QUOTE_WINDOW}
+                    # the longest first, so no text is cut inside a longer one
+                    for text in sorted(texts, key=len, reverse=True):
+                        message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text, str))
+                    raise ParseError(message) from None
 
-    rng = sub.add_parser("range", help="outer approximation of the achievable set")
-    _add_spec_argument(rng)
-    rng.add_argument(
-        "--depth",
-        default="8",
-        help="terms to expand, comma separated for several svg bands (default 8)",
-    )
-    rng.add_argument("--format", choices=("json", "csv", "svg"), default="json")
+        def error(self, message):
+            raise ParseError(message)
 
-    gaps = sub.add_parser("gaps", help="violating indices with their gap certificates")
-    _add_spec_argument(gaps)
-    gaps.add_argument("--depth", type=int, default=16, help="indices to scan (default 16)")
-
-    vna = sub.add_parser("vna", help="convexity of an algebra's trace range")
-    vna.add_argument("spec", nargs="?", help="algebra spec (JSON)")
-    vna.add_argument("--file", help="read the spec from a file instead")
-
-    extreme = sub.add_parser("extreme", help="extreme sequences and radix words")
-    mode = extreme.commands = extreme.add_subparsers(dest="mode", required=True)
-    encode = mode.add_parser("encode", help="the pattern sequence of a radix word")
-    encode.add_argument("word", help="radix word, e.g. '3 | 2' or '2'")
-    encode.add_argument("--terms", type=int, default=20, help="terms to list (default 20)")
-    decode = mode.add_parser("decode", help="decode a sequence back to its radix word")
-    _add_spec_argument(decode)
-
-    digits = sub.add_parser("digits", help="mixed-radix digits of a rational")
-    digits.add_argument("word", help="radix word, e.g. '3 | 2' or '2'")
-    digits.add_argument("target", help="rational in [0, 1]")
-    digits.add_argument("--count", type=int, default=20, help="digits to emit (default 20)")
-
-    return parser
+    parsers, commands = {}, {}
+    for path, (text, arguments) in _GRAMMAR.items():
+        parser = parsers[path] = (
+            commands[path[:-1]].add_parser(path[-1], help=text) if path
+            else _Parser(prog="tracerange", description=text)
+        )
+        for name, keywords in arguments:
+            if keywords.get("action") == "parsers":
+                commands[path] = parser.add_subparsers(dest=name, required=keywords.get("required", False))
+            else:
+                parser.add_argument(name, **keywords)
+    return parsers
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, stepping straight into the parser of
-    each leading command name as argparse's subparser action would. The
-    parser reached reads the rest itself if it is plain; any other argv
-    (empty, an option first, an unknown name, help, ``--opt=value``, ...)
-    takes that parser's ``parse_args``, so help, version and error text are
-    unchanged. argparse's parse is quadratic in the option strings, so argv
-    with more entries starting with "-" than the options row of
-    ``core._CEILINGS`` is refused before it."""
+def _parse(argv: list[str]):
+    """``_parser()[()].parse_args(argv)``: each leading command name steps
+    into its row, as argparse's subcommand action would, and the row reached
+    reads a plain rest; any other takes the row's parser. That parse is
+    quadratic in the option strings, so more entries starting with "-" than
+    the options row of ``core._CEILINGS`` are refused before it."""
     for entry in argv:
         if not isinstance(entry, str):  # argparse would raise TypeError on it
             raise ParseError(f"command line entries must be str, got {type(entry).__name__}")
-    parser, args = _parser(), argparse.Namespace()
-    while parser.commands is not None and argv and argv[0] in parser.commands.choices:
-        setattr(args, parser.commands.dest, argv[0])
-        parser = parser.commands.choices[argv[0]]
-        argv = argv[1:]
-    if parser.read_plain(argv, args):
+    path, args = (), SimpleNamespace()
+    while argv and path + (argv[0],) in _GRAMMAR:
+        setattr(args, _STEPS[path], argv[0])
+        path, argv = path + (argv[0],), argv[1:]
+    if _read_plain(_PLAIN[path], argv, args):
         return args
     _check_ceiling("options", sum(entry[:1] == "-" for entry in argv))
-    return parser.parse_args(argv, args)
+    return _parser()[path].parse_args(argv, args)
 
 
 def _spec_text(args) -> str:
@@ -284,12 +282,14 @@ def _write_json(value, pad: str = "\n") -> str:
 # every document is written as ``json.dumps(doc, indent=2, sort_keys=True)``
 # writes it. Before 3.13 ``json`` indents only in pure-Python generators, and
 # ``_write_json`` writes the same bytes in about half their time; from 3.13
-# ``json`` indents in C and is the faster, so there one encoder serves every
-# document, with no cycle check, as each document is a fresh tree.
+# ``json`` indents in C and is the faster, so there it writes every document,
+# with no cycle check, as each document is a fresh tree.
 if sys.version_info < (3, 13):
     _dump = _write_json
 else:
-    _dump = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
+    def _dump(doc) -> str:
+        import json  # loaded by the first document written, not by the launch
+        return json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode(doc)
 
 
 def _parse_depths(raw: str) -> list[int]:

@@ -24,7 +24,6 @@ Parse errors carry the character position where reading failed.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -123,6 +122,8 @@ def _parse_tail_call(cur: _Cursor, name: str, name_pos: int) -> TailModel:
 
 
 def _load_json(text: str):
+    import json  # loaded only by input that is JSON
+
     try:
         return json.loads(text, parse_int=_read_int)
     except json.JSONDecodeError as exc:

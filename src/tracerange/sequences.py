@@ -656,8 +656,10 @@ class SequenceModel(_Record):
     The prefix is held only as ``_runs``, its canonical (value,
     multiplicity) runs, so ``==`` and ``hash`` read ``("_runs", "tail")``,
     the same relation as the terms; ``prefix`` spells them out on first
-    read, for ``repr``. The constructor checks its entries per run and keeps
-    its tuple; ``_from_runs`` builds derived models from runs.
+    read, for ``repr``, and refuses more terms than the entries ceiling of
+    ``core._CEILINGS``, as no spelling that long can be held. The
+    constructor checks its entries per run and keeps its tuple;
+    ``_from_runs`` builds derived models from runs.
     """
 
     _fields = ("_runs", "tail")
@@ -672,6 +674,7 @@ class SequenceModel(_Record):
 
     @cached_property
     def prefix(self) -> tuple[Fraction, ...]:
+        _check_ceiling("entries", self._length)
         return tuple(_spelled(self._runs))
 
     _length = property(lambda self: self._run_ends[-1] if self._run_ends else 0)  # the number of prefix terms

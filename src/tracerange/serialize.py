@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional
 
-from .core import _quoted, format_rational, parse_rational
+from .core import _check_ceiling, _quoted, format_rational, parse_rational
 from .errors import ParseError
 from .sequences import (
     AlgebraSpec,
@@ -123,6 +123,7 @@ def tail_from_doc(obj: Any) -> TailModel:
 
 
 def model_to_doc(model: SequenceModel) -> dict:
+    _check_ceiling("entries", model._length)  # one entry per prefix term, as ``prefix`` spells them
     return {
         "prefix": list(_spelled((format_rational(x), count) for x, count in model._runs)),
         "tail": tail_to_doc(model.tail),

@@ -3,9 +3,13 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -448,19 +452,16 @@ class TestHarness:
         assert doc == {"error": {"kind": "internal", "message": "", "position": None, "type": "MemoryError"}}
 
 
-def _leaves(parser, name=None):
-    """The name of each leaf parser under ``parser``: a command, or a mode of ``extreme``."""
-    if parser.commands is None:
-        return [name]
-    return [leaf for key, child in parser.commands.choices.items() for leaf in _leaves(child, key)]
-
-
 class TestTables:
-    """The command table against the parsers, and the error table against the
-    documented exit codes and kinds."""
+    """The command table against the grammar's leaves, and the error table
+    against the documented exit codes and kinds."""
 
     def test_each_leaf_parser_has_one_command(self):
-        leaves = _leaves(cli._parser())
+        # a leaf row has no subcommand argument, and names a command or a mode of ``extreme``
+        leaves = [
+            path[-1] for path, (_, arguments) in cli._GRAMMAR.items()
+            if all(keywords.get("action") != "parsers" for _, keywords in arguments)
+        ]
         assert len(leaves) == len(set(leaves)) == 8
         assert set(leaves) == set(cli._COMMANDS)
 
@@ -641,7 +642,7 @@ class TestFrontEnd:
 
     def test_direct_dispatch_answers_as_the_top_level_parser(self, monkeypatch):
         direct = [run_command(argv) for argv in FRONT_END_ARGV]
-        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser()[()].parse_args(argv))
         for argv, result in zip(FRONT_END_ARGV, direct):
             routed = run_command(argv)
             assert (result.exit_code, result.body) == (routed.exit_code, routed.body), argv
@@ -741,22 +742,23 @@ def _near_plain_argv(rng):
 
 
 class TestPlainReader:
-    """``_Parser.read_plain`` against the route it stands in for: the leaf
-    parser's ``parse_args`` after the subcommand step."""
+    """``cli._read_plain``, which reads a row of the grammar, against the
+    route it stands in for: the argparse parser built from that row, after
+    the subcommand step."""
 
     def assert_as_argparse(self, monkeypatch, corpus):
         """Each argv gives the same namespace, or the same exception and
         message, by both routes; returns how many the reader read."""
         reads = []
-        read_plain = cli._Parser.read_plain
+        read_plain = cli._read_plain
 
-        def counted(parser, argv, namespace):
-            reads.append(read_plain(parser, argv, namespace))
+        def counted(row, argv, args):
+            reads.append(read_plain(row, argv, args))
             return reads[-1]
 
-        monkeypatch.setattr(cli._Parser, "read_plain", counted)
+        monkeypatch.setattr(cli, "_read_plain", counted)
         fast = [_parsed(argv) for argv in corpus]
-        monkeypatch.setattr(cli._Parser, "read_plain", lambda parser, argv, namespace: False)
+        monkeypatch.setattr(cli, "_read_plain", lambda row, argv, args: False)
         for argv, outcome in zip(corpus, fast):
             assert outcome == _parsed(argv), argv
         return reads.count(True)
@@ -795,20 +797,59 @@ class TestPlainReader:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "add, argv",
+        "argument, argv",
         [
-            (lambda parser: parser.add_argument("items", nargs="+"), ["a", "b"]),
-            (lambda parser: parser.add_argument("--need", required=True), []),
-            (lambda parser: parser.add_argument("--n", type=int, default="3"), []),
-            (lambda parser: setattr(parser, "commands", parser.add_subparsers(dest="mode")), []),
+            (("items", {"nargs": "+"}), ["a", "b"]),
+            (("--need", {"required": True}), []),
+            (("--n", {"type": int, "default": "3"}), []),
+            (("mode", {"action": "parsers"}), []),
         ],
     )
-    def test_a_grammar_the_reader_cannot_stand_in_for_takes_argparse(self, add, argv):
-        parser = cli._Parser(prog="leaf")
-        add(parser)
-        namespace = argparse.Namespace()
-        assert not parser.read_plain(argv, namespace)
-        assert vars(namespace) == {}
+    def test_a_grammar_the_reader_cannot_stand_in_for_takes_argparse(self, argument, argv):
+        args = SimpleNamespace()
+        assert cli._plain_row((argument,)) is None
+        assert not cli._read_plain(cli._plain_row((argument,)), argv, args)
+        assert vars(args) == {}
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ALGEBRA = '{"factors": [{"dim": 2, "weight": "1/2"}], "abelianTail": {"kind": "geometric", "first": "1/4", "ratio": "1/2"}}'
+GEO_JSON = '{"tail": {"kind": "geometric", "first": "1/2", "ratio": "1/2"}}'
+
+
+class TestLaunchWeight:
+    """What a fresh interpreter loads of ``argparse`` and ``json`` to answer
+    one command line: a plain one of each leaf reads its row without
+    argparse, and writes its document without ``json`` before 3.13, where
+    ``json`` writes every document; help, an ``--opt=value`` and JSON input
+    load what they need."""
+
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (["check", DYADIC], set()),
+            (["expand", DYADIC, "1/3", "--bits", "8"], set()),
+            (["range", CANTOR, "--depth", "4", "--format", "svg"], set()),
+            (["gaps", CANTOR, "--depth", "4"], set()),
+            (["vna", ALGEBRA], {"json"}),  # an algebra spec is JSON only
+            (["extreme", "encode", "3 | 2", "--terms", "4"], set()),
+            (["extreme", "decode", DYADIC], set()),
+            (["digits", "3 | 2", "1/3", "--count", "4"], set()),
+            (["check", "--help"], {"argparse"}),
+            (["range", CANTOR, "--depth=3"], {"argparse"}),
+            (["check", GEO_JSON], {"json"}),
+        ],
+    )
+    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs):
+        # without ``site``, so nothing but the package and its command line loads a module
+        code = f"import sys\nfrom tracerange.cli import main\nassert main({argv!r}) == 0\nprint(*sys.modules)"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        if sys.version_info >= (3, 13):
+            needs = needs | {"json"}
+        assert {"argparse", "json"} & loaded == needs
 
 
 # strings that ``json`` escapes: quotes, backslashes, controls, non-ASCII
@@ -863,6 +904,9 @@ class TestWriter:
 
     def test_dump_is_the_writer_before_3_13(self):
         assert (cli._dump is cli._write_json) == (sys.version_info < (3, 13))
+
+    def test_the_escaper_is_the_one_json_writes_with(self):
+        assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 

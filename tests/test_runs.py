@@ -36,7 +36,7 @@ from tracerange import (
     split_leading,
     verify_expansion,
 )
-from tracerange.errors import OutOfSupportError
+from tracerange.errors import OutOfSupportError, ResourceLimitError
 from tracerange.sequences import _from_runs, _rest
 from tracerange.serialize import model_to_doc
 
@@ -375,3 +375,17 @@ class TestPrefixStaysUnspelled:
         assert head == (unit,) * 3 and rest._runs == ((unit, 2**64 - 4),)
         assert next(model.iter_terms()) == unit
         assert "prefix" not in vars(model)
+
+    def test_whole_spellings_refuse_a_prefix_past_the_entries_ceiling(self):
+        # ``prefix``, ``repr`` and the document would each hold every term:
+        # past the ceiling they refuse before spelling any, also past ``sys.maxsize``
+        for radix in (2**64, 10**6 + 2):
+            model = face_embed(radix_to_sequence(RadixWord((), (2,))), radix)
+            for spelling in (lambda m: m.prefix, repr, model_to_doc):
+                with pytest.raises(ResourceLimitError, match=f"^{radix - 1} listed entries exceed the bound of "):
+                    spelling(model)
+            assert "prefix" not in vars(model)
+        # a prefix of exactly the ceiling's count still spells
+        model = face_embed(radix_to_sequence(RadixWord((), (2,))), 10**6 + 1)
+        assert len(model_to_doc(model)["prefix"]) == len(model.prefix) == 10**6
+        assert repr(model).startswith("SequenceModel(prefix=(Fraction(1, 1000001), ")
