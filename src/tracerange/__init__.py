@@ -14,22 +14,22 @@ __version__ = "0.1.0"
 # each module, with the public names it defines: a name's module is imported
 # when the name is first read, so importing the package loads no module
 _MODULES = {
-    "core": ("Interval", "IntervalUnion", "format_rational", "parse_rational"),
+    "core": ("Interval", "format_rational", "parse_rational"),
     "errors": (
         "DomainError", "OutOfSupportError", "ParseError", "ResourceLimitError", "TraceRangeError",
         "UnsupportedSpecError", "ValidationError",
     ),
     "sequences": (
-        "AlgebraSpec", "GeometricTail", "MatrixFactor", "MixedRadixTail", "RadixWord", "SequenceModel", "ZeroTail",
-        "from_algebra", "make_model", "same_sequence", "split_leading",
+        "GeometricTail", "MixedRadixTail", "RadixWord", "SequenceModel", "ZeroTail", "make_model", "same_sequence",
+        "split_leading",
     ),
     "representability": (
         "BitExpansion", "ConditionVerdict", "gap_certificate", "greedy_expand", "kakeya_check", "list_violations",
         "verify_expansion",
     ),
     "range_geometry": (
-        "ConvexityVerdict", "RangeApproximation", "SubsetSumOracle", "achievable_outer", "convexity_verdict",
-        "subset_sums",
+        "AlgebraSpec", "ConvexityVerdict", "IntervalUnion", "MatrixFactor", "RangeApproximation", "SubsetSumOracle",
+        "achievable_outer", "convexity_verdict", "from_algebra", "subset_sums",
     ),
     "extreme_points": (
         "ExtremalityReport", "admissibility_check", "bits_to_digits", "digits_to_bits", "face_embed",

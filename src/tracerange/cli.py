@@ -46,7 +46,7 @@ from .core import (
 )
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
-from .sequences import _check_index, from_algebra
+from .sequences import _check_index
 from .serialize import (
     approximation_to_doc, convexity_to_doc, expansion_to_doc, model_to_doc,
     report_to_doc, verdict_to_doc, word_to_doc,
@@ -330,7 +330,7 @@ def _gaps(args) -> dict:
 
 
 def _vna(args) -> dict:
-    model = from_algebra(parse_algebra(_spec_text(args)))
+    model = _engines.range_geometry.from_algebra(parse_algebra(_spec_text(args)))
     certificate = _engines.representability.kakeya_check(model)
     verdict = _engines.range_geometry.ConvexityVerdict(certificate.holds, certificate)
     return {**convexity_to_doc(verdict), "model": model_to_doc(model)}

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import _quoted, _read_int, _read_rational
 from .errors import ParseError
 from .sequences import (
-    AlgebraSpec,
     GeometricTail,
     MixedRadixTail,
     RadixWord,
@@ -40,6 +40,9 @@ from .sequences import (
     _from_runs,
 )
 from .serialize import algebra_from_doc, model_from_doc, word_from_doc
+
+if TYPE_CHECKING:  # read only in an annotation, so the algebras' module is not loaded
+    from .range_geometry import AlgebraSpec
 
 _WS = re.compile(r"\s*")
 # a rational token, with its numerator's and denominator's texts

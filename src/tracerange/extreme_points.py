@@ -33,12 +33,12 @@ digit costs the same at every place value.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import ONE, ZERO, _Record, _check_ceiling
 from .errors import DomainError, UnsupportedSpecError, ValidationError
-from .representability import ConditionVerdict, _least_violation
 from .sequences import (
     MixedRadixTail,
     RadixWord,
@@ -54,6 +54,13 @@ from .sequences import (
     _scaled_runs,
     _term_runs,
 )
+
+if TYPE_CHECKING:  # read only in an annotation, so the condition engine is not loaded
+    from .representability import ConditionVerdict
+
+# the package: the condition engine is read through it (``_engines.representability``)
+# by the membership test when it runs, so ``digits`` and ``extreme encode`` never load it
+_engines = sys.modules[__package__]
 
 
 class ExtremalityReport(_Record):
@@ -95,7 +102,7 @@ def admissibility_check(model: SequenceModel) -> ConditionVerdict:
     Tails settle in closed form, so sequences whose total exceeds 1 still
     get a finite witness.
     """
-    return _least_violation(model, ONE - model.total)
+    return _engines.representability._least_violation(model, ONE - model.total)
 
 
 def radix_to_sequence(word: RadixWord, scale=1) -> SequenceModel:

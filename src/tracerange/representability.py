@@ -209,5 +209,16 @@ def _violations(model: SequenceModel, depth: int) -> Iterator[tuple[int, tuple[F
 
 
 def list_violations(model: SequenceModel, depth: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
-    """All violating indices up to ``depth`` with their gap certificates."""
-    return list(_violations(model, depth))
+    """All violating indices up to ``depth`` with their gap certificates.
+
+    A list that would hold more than the entries ceiling of
+    ``core._CEILINGS`` is refused before its first entry past it, so a deep
+    scan with few violations still answers. The only tail that violates is
+    a geometric one of ratio below 1/2, which does so at every index, so its
+    first violation fixes the count up to ``depth`` before its gap is listed.
+    """
+    found = []
+    for n, gap in _violations(model, depth):
+        _check_ceiling("entries", len(found) + 1 + (depth - n if n > model._length else 0))
+        found.append((n, gap))
+    return found

@@ -47,11 +47,9 @@ maps and ``same_sequence`` read, and ``_leading_runs`` its first terms,
 which the cover fold steps over a run at a time; ``_checked_tail`` is the
 one check that a value is a tail.
 
-The module also models a finite atomic von Neumann algebra with a faithful
-normal tracial state as an :class:`AlgebraSpec`: matrix factors contribute
-equal atoms weight/dim, an optional abelian tail contributes one atom per
-term, and :func:`from_algebra` merges the factors' runs with the tail's into
-a single non-increasing sequence model.
+The factor algebras whose atoms such a model lists (``AlgebraSpec`` and the
+merge ``from_algebra``) live in ``range_geometry``, beside the convexity
+verdict that reads them; they build their models with ``_from_runs``.
 """
 
 from __future__ import annotations
@@ -719,11 +717,14 @@ class SequenceModel(_Record):
         return itertools.chain(_spelled(self._runs, self._length), self.tail.terms())
 
     def first_terms(self, count: int) -> tuple[Fraction, ...]:
+        """The first ``count`` terms; more than a finite model holds raise
+        OutOfSupportError, and more than the entries ceiling of
+        ``core._CEILINGS`` ResourceLimitError, both before any is listed."""
         _check_index(count, 0, "count")
-        terms = tuple(itertools.islice(self.iter_terms(), count))
-        if len(terms) < count:
+        if self.finite and count > self._length:
             raise OutOfSupportError(count, self._length)
-        return terms
+        _check_ceiling("entries", count)
+        return tuple(itertools.islice(self.iter_terms(), count))
 
     def tail_sum(self, n: int) -> Fraction:
         """Exact sum of all terms with index strictly greater than n."""
@@ -780,7 +781,9 @@ def split_leading(model: SequenceModel, count: int) -> tuple[tuple[Fraction, ...
 
     A radix block cut by the split comes back folded into the leading block
     of the remainder's word rather than as explicit terms. Concatenating the
-    two pieces reproduces the original sequence term for term.
+    two pieces reproduces the original sequence term for term. The terms
+    are listed by ``first_terms``, so a count it refuses is refused before
+    any work.
     """
     return model.first_terms(count), _rest(model, count)
 
@@ -828,81 +831,3 @@ def same_sequence(a: SequenceModel, b: SequenceModel) -> bool:
         return False
     x, y = (_rest(model, head).tail for model in (a, b))
     return (x.as_radix() or x) == (y.as_radix() or y)
-
-
-class MatrixFactor(_Record):
-    """A dim x dim matrix block carrying ``weight`` of the trace."""
-
-    _fields = ("dim", "weight")
-
-    def __init__(self, dim: int, weight: Fraction):
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ValidationError(f"factor dimension must be an integer >= 1, got {dim!r}")
-        weight = Fraction(weight)
-        if weight <= 0:
-            raise ValidationError(f"factor weight must be positive, got {weight}")
-        self.__dict__.update(dim=dim, weight=weight)
-
-
-class AlgebraSpec(_Record):
-    """Finite atomic tracial algebra: matrix factors plus an optional abelian tail.
-
-    The trace is a state, so factor weights and the tail total must sum to 1
-    exactly.
-    """
-
-    _fields = ("factors", "abelian_tail")
-
-    def __init__(self, factors: tuple[MatrixFactor, ...] = (), abelian_tail: Optional[TailModel] = None):
-        factors = tuple(factors)
-        for f in factors:
-            if not isinstance(f, MatrixFactor):
-                raise ValidationError("factors must be MatrixFactor instances")
-        tail = ZeroTail() if abelian_tail is None else abelian_tail
-        total = sum((f.weight for f in factors), ZERO) + _checked_tail(tail, "abelian tail").total
-        if total != 1:
-            raise ValidationError(f"factor weights and tail must sum to 1, got {total}")
-        self.__dict__.update(factors=factors, abelian_tail=abelian_tail)
-
-
-def from_algebra(spec: AlgebraSpec) -> SequenceModel:
-    """Atom traces of the algebra, merged into one non-increasing model.
-
-    Each factor (dim, weight) contributes a run of dim atoms of weight/dim;
-    the abelian tail contributes one atom per term. Tail runs at least as
-    large as the smallest finite atom move into the explicit prefix so the
-    merged sequence stays monotone, and the tail is re-anchored after them.
-    The runs are merged by value, so a factor costs one run whatever its
-    dimension. A merged prefix past the atoms ceiling of ``core._CEILINGS``
-    (100,000 terms) raises ResourceLimitError before the walk: the factors'
-    atoms are counted first, and then, since at most ``total / a_min`` tail
-    terms reach ``a_min``, a tail that may pass the room left is read at
-    terms 1, 2, 4, ... below the room; only if none falls below ``a_min``
-    is the run after the room read, and refused with the count of the walk
-    that would reach it.
-    """
-    tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
-    if not spec.factors:
-        return _from_runs((), tail)
-    runs = [(f.weight / f.dim, f.dim) for f in spec.factors]
-    a_min = min(value for value, _ in runs)
-    dims = sum(f.dim for f in spec.factors)
-    room = _check_ceiling("atoms", dims)
-    if tail.total > room * a_min:
-        # the tail does not rise, so doubling j reads no term past twice the
-        # one where it falls below a_min before reaching the room left
-        j = 1
-        while j < room and next(tail.rest(j).runs())[0] >= a_min:
-            j *= 2
-        if j >= room:
-            value, size = next(tail.rest(room).runs())
-            if value >= a_min:
-                _check_ceiling("atoms", dims + room + size)
-    moved = 0
-    for value, size in tail.runs():
-        if value < a_min:
-            break
-        moved += size
-        runs.append((value, size))
-    runs.sort(key=operator.itemgetter(0), reverse=True)
-    return _from_runs(runs, tail.rest(moved))

@@ -12,15 +12,14 @@ is read by ``word_from_doc``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from .core import _check_ceiling, _quoted, format_rational, parse_rational
 from .errors import ParseError
 from .sequences import (
-    AlgebraSpec,
     GeometricTail,
-    MatrixFactor,
     MixedRadixTail,
     RadixWord,
     SequenceModel,
@@ -31,8 +30,12 @@ from .sequences import (
 
 if TYPE_CHECKING:  # the records are read only in annotations, so the engines are not loaded
     from .extreme_points import ExtremalityReport
-    from .range_geometry import ConvexityVerdict, RangeApproximation
+    from .range_geometry import AlgebraSpec, ConvexityVerdict, RangeApproximation
     from .representability import BitExpansion, ConditionVerdict
+
+# the package: the algebra records are read through it (``_engines.range_geometry``)
+# when an algebra document is read, so reading any other loads no engine
+_engines = sys.modules[__package__]
 
 
 def _expect_mapping(obj: Any, where: str) -> dict:
@@ -155,19 +158,19 @@ def algebra_from_doc(obj: Any) -> AlgebraSpec:
     raw_factors = doc.get("factors", [])
     if not isinstance(raw_factors, list):
         raise ParseError("factors must be a list")
-    factors = []
+    algebras, factors = _engines.range_geometry, []
     for i, item in enumerate(raw_factors):
         entry = _expect_mapping(item, f"factors[{i}]")
         _check_keys(entry, {"dim", "weight"}, f"factors[{i}]", ("dim", "weight"))
         factors.append(
-            MatrixFactor(
+            algebras.MatrixFactor(
                 _doc_int(entry["dim"], f"factors[{i}].dim"),
                 _doc_rational(entry["weight"], f"factors[{i}].weight"),
             )
         )
     raw_tail = doc.get("abelianTail")
     tail = tail_from_doc(raw_tail) if raw_tail is not None else None
-    return AlgebraSpec(tuple(factors), tail)
+    return algebras.AlgebraSpec(tuple(factors), tail)
 
 
 def verdict_to_doc(verdict: ConditionVerdict) -> dict:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntervalUnion, _check_writable
+from .core import _check_writable
 from .errors import ValidationError
-from .range_geometry import RangeApproximation
+from .range_geometry import IntervalUnion, RangeApproximation
 
 _WIDTH = 800
 _MARGIN_X = 48

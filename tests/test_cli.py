@@ -818,29 +818,33 @@ GEO_JSON = '{"tail": {"kind": "geometric", "first": "1/2", "ratio": "1/2"}}'
 
 
 class TestLaunchWeight:
-    """What a fresh interpreter loads of ``argparse`` and ``json`` to answer
-    one command line: a plain one of each leaf reads its row without
-    argparse, and writes its document without ``json`` before 3.13, where
-    ``json`` writes every document; help, an ``--opt=value`` and JSON input
-    load what they need."""
+    """What a fresh interpreter loads of ``argparse``, ``json`` and the
+    package to answer one command line: a plain one of each leaf reads its
+    row without argparse, and writes its document without ``json`` before
+    3.13, where ``json`` writes every document; help, an ``--opt=value`` and
+    JSON input load what they need. Of the package, every launch loads the
+    front end and the spec reader, and each command only the engines it runs."""
+
+    FRONT = {"cli", "core", "dsl", "errors", "sequences", "serialize"}
 
     @pytest.mark.parametrize(
-        "argv, needs",
+        "argv, needs, engines",
         [
-            (["check", DYADIC], set()),
-            (["expand", DYADIC, "1/3", "--bits", "8"], set()),
-            (["range", CANTOR, "--depth", "4", "--format", "svg"], set()),
-            (["gaps", CANTOR, "--depth", "4"], set()),
-            (["vna", ALGEBRA], {"json"}),  # an algebra spec is JSON only
-            (["extreme", "encode", "3 | 2", "--terms", "4"], set()),
-            (["extreme", "decode", DYADIC], set()),
-            (["digits", "3 | 2", "1/3", "--count", "4"], set()),
-            (["check", "--help"], {"argparse"}),
-            (["range", CANTOR, "--depth=3"], {"argparse"}),
-            (["check", GEO_JSON], {"json"}),
+            (["check", DYADIC], set(), {"representability"}),
+            (["expand", DYADIC, "1/3", "--bits", "8"], set(), {"representability"}),
+            (["range", CANTOR, "--depth", "4", "--format", "svg"], set(), {"range_geometry", "representability", "svg"}),
+            (["gaps", CANTOR, "--depth", "4"], set(), {"representability"}),
+            # an algebra spec is JSON only, and its records live with the convexity verdict
+            (["vna", ALGEBRA], {"json"}, {"range_geometry", "representability"}),
+            (["extreme", "encode", "3 | 2", "--terms", "4"], set(), {"extreme_points"}),
+            (["extreme", "decode", DYADIC], set(), {"extreme_points"}),
+            (["digits", "3 | 2", "1/3", "--count", "4"], set(), {"extreme_points"}),
+            (["check", "--help"], {"argparse"}, set()),
+            (["range", CANTOR, "--depth=3"], {"argparse"}, {"range_geometry", "representability"}),
+            (["check", GEO_JSON], {"json"}, {"representability"}),
         ],
     )
-    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs):
+    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs, engines):
         # without ``site``, so nothing but the package and its command line loads a module
         code = f"import sys\nfrom tracerange.cli import main\nassert main({argv!r}) == 0\nprint(*sys.modules)"
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -850,6 +854,8 @@ class TestLaunchWeight:
         if sys.version_info >= (3, 13):
             needs = needs | {"json"}
         assert {"argparse", "json"} & loaded == needs
+        package = {name.partition(".")[2] for name in loaded if name.startswith("tracerange.")}
+        assert package == self.FRONT | engines
 
 
 # strings that ``json`` escapes: quotes, backslashes, controls, non-ASCII

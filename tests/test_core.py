@@ -27,7 +27,7 @@ from tracerange import (
     subset_sums,
 )
 
-from tracerange import core
+from tracerange import range_geometry
 from tracerange.core import QUOTE_WINDOW, _check_writable, _trusted_fraction
 
 from support import (
@@ -585,7 +585,7 @@ class TestGridUnionReferee:
                 calls.append(args)
                 return math.gcd(*args)
 
-        monkeypatch.setattr(core, "math", CountingMath())
+        monkeypatch.setattr(range_geometry, "math", CountingMath())
         within = Interval(Fraction(0), model.total)
         if text_first:
             text = cover._written_parts()

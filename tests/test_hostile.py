@@ -13,6 +13,8 @@ limit is checked in process: it is refused by the rule the JSON writer
 follows, with the same ``ResourceLimitError``. So is JSON nested past the
 recursion limit, for each command that reads a JSON document, since a
 command line holding it whole is longer than the kernel passes to a child.
+So are the library calls that list one entry per unit of a count, which
+are refused before they list any.
 """
 
 import json
@@ -25,7 +27,10 @@ from pathlib import Path
 import pytest
 from support import HUGE_ENDPOINTS
 
-from tracerange import GeometricTail, RadixWord, ResourceLimitError, SequenceModel, format_rational, kakeya_check
+from tracerange import (
+    GeometricTail, OutOfSupportError, RadixWord, ResourceLimitError, SequenceModel, format_rational, kakeya_check,
+    list_violations, make_model, split_leading,
+)
 from tracerange.cli import run_command
 from tracerange.core import QUOTE_WINDOW
 
@@ -135,6 +140,33 @@ def test_input_ends_in_a_typed_exit(name, argv):
         assert (proc.returncode, doc["error"]["kind"], doc["error"]["message"]) == (2, "resource", REFUSALS[name])
     if name in ANSWERED:
         assert proc.returncode == 0, doc
+
+
+_HALVING = SequenceModel((), GeometricTail(Fraction(1, 2), Fraction(1, 2)))
+_CANTOR = SequenceModel((), GeometricTail(Fraction(2, 3), Fraction(1, 3)))
+# 10^8 listed entries, each of which ended in MemoryError under a 1 GB cap
+# before the count was checked; the Cantor tail violates at every index
+LISTINGS = {
+    "first-terms-10^8": lambda: _HALVING.first_terms(10**8),
+    "split-leading-10^8": lambda: split_leading(_HALVING, 10**8),
+    "list-violations-10^8": lambda: list_violations(_CANTOR, 10**8),
+}
+
+
+@pytest.mark.parametrize("call", LISTINGS.values(), ids=LISTINGS.keys())
+def test_a_library_count_past_the_entries_ceiling_is_refused_before_any_entry(call):
+    with pytest.raises(ResourceLimitError, match="^100000000 listed entries exceed the bound of 1000000$"):
+        call()
+
+
+def test_a_deep_scan_with_few_violations_answers_and_a_finite_support_still_bounds_the_terms():
+    assert list_violations(_HALVING, 10**8) == []
+    ahead = SequenceModel((Fraction(1, 2),), GeometricTail(Fraction(1, 8), Fraction(1, 2)))
+    assert list_violations(ahead, 10**8) == [(1, (Fraction(1, 4), Fraction(1, 2)))]
+    finite = make_model([Fraction(1, 2), Fraction(1, 4)])
+    for call in (lambda: finite.first_terms(10**8), lambda: split_leading(finite, 10**8)):
+        with pytest.raises(OutOfSupportError):
+            call()
 
 
 # radix blocks of more than sys.maxsize slots, which ``itertools.repeat``
