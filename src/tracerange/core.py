@@ -17,10 +17,19 @@ command line that argparse reads), and
 digit limit before any text of it is built. ``format_rational`` writes one
 rational, and ``_written`` several: it checks each as it reads it and
 builds the text only once every one has passed.
+
+Sums, closed forms and order tests on a request's path are made on integer
+numerators and denominators, not through ``Fraction``'s operators, and each
+answer value is built once, in lowest terms, by ``_trusted_fraction``:
+``_reduced`` reduces a quotient with one gcd, ``_plus`` adds a rational to a
+quotient of integers and ``_product`` multiplies one by a quotient in
+lowest terms, each with gcds of its operands' sizes and none of the
+answer's, and an order test is one integer cross product.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -77,11 +86,11 @@ def _read_rational(num_text: str, den_text, malformed: str, position=None) -> Fr
     """Each text read by ``_read_int``, no denominator when it is None; a zero one is a ValidationError."""
     num = _read_int(num_text, malformed, position)
     if den_text is None:
-        return Fraction(num)
+        return _trusted_fraction(num, 1)
     den = _read_int(den_text, malformed, position)
     if den == 0:
         raise ValidationError("denominator must be nonzero")
-    return Fraction(num, den)
+    return _reduced(num, den) if den > 0 else _reduced(-num, -den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -217,7 +226,7 @@ class Interval(_Record):
             lo = Fraction(lo)
         if type(hi) is not Fraction:
             hi = Fraction(hi)
-        if lo > hi:
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValidationError(f"interval endpoints out of order: {lo} > {hi}")
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
@@ -241,3 +250,40 @@ def _trusted_fraction(num: int, den: int) -> Fraction:
     q._numerator = num
     q._denominator = den
     return q
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """num/den, for den > 0, in lowest terms with one gcd."""
+    g = math.gcd(num, den)
+    return _trusted_fraction(num // g, den // g)
+
+
+def _plus(num: int, den: int, q: Fraction) -> Fraction:
+    """num/den + q, for den > 0, in lowest terms; q itself when num is 0.
+
+    num/den is reduced first. With both in lowest terms and g the gcd of
+    their denominators, the sum over the lcm can cancel only factors of g
+    (Knuth, TAOCP vol. 2, 4.5.1), so no gcd is taken of the sum's own size:
+    a huge q beside a small num/den costs no more than a pass over q.
+    """
+    if not num:
+        return q
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    n, d = q.numerator, q.denominator
+    g = math.gcd(den, d)
+    if g == 1:
+        return _trusted_fraction(num * d + n * den, den * d)
+    s = den // g
+    t = num * (d // g) + n * s
+    h = math.gcd(t, g)
+    return _trusted_fraction(t // h, s * (d // h))
+
+
+def _product(x: Fraction, num: int, den: int) -> Fraction:
+    """x * num/den, for num/den in lowest terms with den > 0: only the cross
+    gcds, of x's numerator with den and of num with x's denominator, can
+    cancel, so the product is built reduced without a gcd of its own size."""
+    a, b = x.numerator, x.denominator
+    g, h = math.gcd(a, den), math.gcd(num, b)
+    return _trusted_fraction(a // g * (num // h), b // h * (den // g))

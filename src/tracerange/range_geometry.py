@@ -59,11 +59,11 @@ import math
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, compress, groupby, repeat
+from itertools import groupby, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    ZERO, Interval, _Record, _check_ceiling, _digit_limit, _setattr, _trusted_fraction, _written,
+    ZERO, Interval, _Record, _check_ceiling, _digit_limit, _reduced, _setattr, _trusted_fraction, _written,
 )
 from .errors import ValidationError
 from .representability import ConditionVerdict, _excesses, kakeya_check
@@ -251,20 +251,20 @@ class IntervalUnion(_Record):
                 f"union part [{Fraction(ends[2 * i], den)}, {Fraction(ends[2 * i + 1], den)}] "
                 f"is not inside [{a}, {b}]"
             )
-        los, his, kept = ends[0::2], ends[1::2], None
-        if not all(map(operator.lt, los, his)):  # a flag per endpoint: points go, both ends
-            kept = list(map(operator.lt, los, his))
-            kept = list(chain.from_iterable(zip(kept, kept)))
-            ends = list(compress(ends, kept))
+        los, his = ends[0::2], ends[1::2]
+        points = not all(map(operator.lt, los, his))
+        if points:  # points go, both ends
+            ends = [x for part in zip(los, his) if part[0] < part[1] for x in part]
         gaps = [lo, *ends, hi]
         cut = slice(2 if gaps[0] == gaps[1] else 0, -2 if gaps[-2] == gaps[-1] else None)
         union = IntervalUnion._on_grid(den, gaps[cut])
         # lowest terms do not depend on the grid: the pairs, framed and trimmed
-        # alike, are handed on when held or when the writer would take them
-        if union._ends and (self._pairs is not None or self._fits()):
+        # alike, are handed on when held or when the writer would take them,
+        # and no point was dropped: a cover holds points only when it holds
+        # nothing else (a finite cover), so its complement is ``within``
+        # alone, whose two endpoints reduce themselves if read
+        if union._ends and not points and (self._pairs is not None or self._fits()):
             nums, dens = self._lowest_terms()
-            if kept:
-                nums, dens = compress(nums, kept), compress(dens, kept)
             framed = [a.numerator, *nums, b.numerator], [a.denominator, *dens, b.denominator]
             _setattr(union, "_pairs", (framed[0][cut], framed[1][cut]))
         return union
@@ -288,7 +288,7 @@ class IntervalUnion(_Record):
 
     def total_length(self) -> Fraction:
         ends = self._ends
-        return Fraction(sum(ends[1::2]) - sum(ends[0::2]), self._den)
+        return _reduced(sum(ends[1::2]) - sum(ends[0::2]), self._den)
 
     def __iter__(self) -> Iterator[Interval]:
         # an empty union, such as every one-piece cover's complement, sets no memo
@@ -303,7 +303,7 @@ class IntervalUnion(_Record):
 
 def subset_sums(terms: Sequence) -> list[Fraction]:
     """All distinct subset sums, ascending, by iterated sorted merge."""
-    values = [Fraction(t) for t in terms]
+    values = [t if type(t) is Fraction else Fraction(t) for t in terms]
     _check_ceiling("terms", len(values))
     sums = [ZERO]
     for a in values:
@@ -324,7 +324,7 @@ class SubsetSumOracle:
     """
 
     def __init__(self, terms: Sequence):
-        values = tuple(Fraction(t) for t in terms)
+        values = tuple(t if type(t) is Fraction else Fraction(t) for t in terms)
         _check_ceiling("terms", len(values))
         self._den = math.lcm(*(t.denominator for t in values))
         self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
@@ -355,11 +355,11 @@ class SubsetSumOracle:
         return None
 
     def representable(self, target) -> bool:
-        return self._find(Fraction(target)) is not None
+        return self._find(target if type(target) is Fraction else Fraction(target)) is not None
 
     def witness(self, target) -> Optional[tuple[int, ...]]:
         """A bit vector over the term list reaching ``target``, or None."""
-        chosen = self._find(Fraction(target))
+        chosen = self._find(target if type(target) is Fraction else Fraction(target))
         if chosen is None:
             return None
         bits = [0] * len(self._terms)

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import takewhile
+from itertools import repeat, takewhile
 from typing import Iterator, Optional
 
-from .core import _Record, _check_ceiling
+from .core import _plus, _Record, _check_ceiling
 from .errors import DomainError, ValidationError
 from .sequences import SequenceModel, _block_ones, _check_index, _checked_bits, _count, _leading_runs, _run_excesses
 
@@ -95,9 +95,11 @@ def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction
     """
     sigma = sigma or 0  # a zero slack is never added
     if model._runs:
-        lift = model.tail.total + sigma if sigma else model.tail.total
-        afters = model._run_sums[1:]  # a zero lift is added to no room
-        yield from _run_excesses(zip(model._runs, map(lift.__add__, afters) if lift else afters))
+        # the room after each run: the prefix after it, over den, lifted by
+        # the tail and the slack
+        den, sums = model._run_sums
+        lift = _plus(sigma.numerator, sigma.denominator, model.tail.total)
+        yield from _run_excesses(zip(model._runs, zip(sums[1:], repeat(den))), lift)
     offset = model._length
     for j, gap in model.tail.excesses(sigma):
         yield offset + j, gap

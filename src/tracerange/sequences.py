@@ -36,6 +36,15 @@ every run's value, and ``_run_excesses`` is the condition engine's run
 rule, which its forward pass over the prefix runs and the radix tail's
 blocks both read.
 
+Sums, closed forms and comparisons on a request's path are made on integer
+numerators and denominators, and a ``Fraction`` is built once per answer
+value, in lowest terms (``core._reduced``, ``_plus`` and ``_product``): the
+run sums are integers over the lcm of the runs' denominators, a geometric
+power multiplies by p^j/q^j with two cross gcds, and the run rule compares
+a run's value with its room by one cross product. The memos (``total``,
+``prefix``, the run sums) are ``_memo``, a ``cached_property`` without a
+lock.
+
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
 ``_digit_bits`` spells its digits out as bits, which ``_block_ones`` counts
@@ -60,11 +69,28 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import ZERO, _Record, _check_ceiling, _setattr, _trusted_fraction
+from .core import (
+    _CEILINGS, ZERO, _plus, _product, _Record, _check_ceiling, _reduced, _setattr, _trusted_fraction,
+)
 from .errors import DomainError, OutOfSupportError, ValidationError
+
+
+class _memo:
+    """``functools.cached_property`` without its lock (3.11 takes an
+    ``RLock`` on every first read): the first read stores the method's value
+    in the instance ``__dict__`` under the method's name, and, as this
+    descriptor defines no ``__set__``, every later read finds it there."""
+
+    def __init__(self, method):
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
 
 
 def _check_index(n, minimum: int, label: str = "index") -> int:
@@ -195,13 +221,20 @@ class GeometricTail(_Record):
         _setattr(self, "first", first)
         _setattr(self, "ratio", ratio)
 
-    @cached_property
+    @_memo
     def total(self) -> Fraction:
-        return self.first / (1 - self.ratio)
+        # first / (1 - ratio) = first * q/(q - p) for ratio p/q, in lowest terms
+        p, q = self.ratio.numerator, self.ratio.denominator
+        return _product(self.first, q, q - p)
+
+    def _times_power(self, x: Fraction, j: int) -> Fraction:
+        """x * ratio**j; the powers are in lowest terms, so ``_product``
+        needs only the two cross gcds."""
+        return _product(x, self.ratio.numerator**j, self.ratio.denominator**j)
 
     def term(self, j: int) -> Fraction:
         # the first term, which the excess run starts from, takes no power
-        return self.first * self.ratio ** (j - 1) if j > 1 else self.first
+        return self._times_power(self.first, j - 1) if j > 1 else self.first
 
     def _chunks(self) -> Iterator[Iterator[Fraction]]:
         """The terms first * ratio^k on reduced (num, den) pairs, in chunks.
@@ -231,15 +264,15 @@ class GeometricTail(_Record):
         return zip(self.terms(), itertools.repeat(1))
 
     def sum_after(self, j: int) -> Fraction:
-        return self.total * self.ratio**j
+        return self._times_power(self.total, j)
 
     def rest(self, j: int) -> "GeometricTail":
         if not j:
             return self
-        return GeometricTail(self.first * self.ratio**j, self.ratio)
+        return GeometricTail(self._times_power(self.first, j), self.ratio)
 
     def scaled(self, factor: Fraction) -> "GeometricTail":
-        return GeometricTail(self.first * factor, self.ratio)
+        return GeometricTail(_product(self.first, factor.numerator, factor.denominator), self.ratio)
 
     def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         """The violations form one run from the least j with
@@ -253,28 +286,32 @@ class GeometricTail(_Record):
         fails with sigma >= 0, no j passes; otherwise d <= sigma < 0 and
         d * r^(j-1) rises toward 0, so the first j is found by doubling, then
         bisecting. From there the violations run on forever unless
-        sigma > 0, when they stop once d * r^(j-1) falls to sigma.
+        sigma > 0, when they stop once d * r^(j-1) falls to sigma. Each step
+        scales term and rest by the ratio with ``_product``.
         """
         p, q = self.ratio.numerator, self.ratio.denominator
-        lhs = self.first.numerator * (q - 2 * p) * sigma.denominator
-        rhs = sigma.numerator * self.first.denominator * (q - p)
+        s, t = sigma.numerator, sigma.denominator
+        lhs = self.first.numerator * (q - 2 * p) * t
+        rhs = s * self.first.denominator * (q - p)
 
         def excess(j: int) -> bool:
             return lhs * p ** (j - 1) > rhs * q ** (j - 1)
 
-        if not excess(1) and sigma >= 0:
+        if not excess(1) and s >= 0:
             return
         hi = 1
         while not excess(hi):
             hi *= 2
         j = bisect_left(range(hi // 2 + 1, hi), True, key=excess) + hi // 2 + 1
         term, rest = self.term(j), self.sum_after(j)
-        # from its first index the run is endless unless sigma > 0
-        while sigma <= 0 or term > sigma + rest:
-            yield j, (sigma + rest if sigma else rest, term)
+        while True:
+            room = _plus(s, t, rest)  # sigma + rest
+            # from its first index the run is endless unless sigma > 0
+            if s > 0 and term.numerator * room.denominator <= room.numerator * term.denominator:
+                return
+            yield j, (room, term)
             j += 1
-            term *= self.ratio
-            rest *= self.ratio
+            term, rest = _product(term, p, q), _product(rest, p, q)
 
     def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
         """The greedy rule over the first ``count`` >= 1 terms against the
@@ -355,7 +392,7 @@ class MixedRadixTail(_Record):
         return self.scale
 
     def term(self, j: int) -> Fraction:
-        return self.scale / _walk(self, j)[2]
+        return _reduced(self.scale.numerator, self.scale.denominator * _walk(self, j)[2])
 
     def terms(self) -> Iterator[Fraction]:
         return _spelled(self.runs(), max(self.radices.pre + self.radices.period) - 1)
@@ -376,7 +413,7 @@ class MixedRadixTail(_Record):
     def sum_after(self, j: int) -> Fraction:
         # slot ``offset`` of a block worth scale / prod each leaves k - offset
         _, offset, prod, k = _walk(self, j)
-        return self.scale * Fraction(k - offset, prod)
+        return _reduced(self.scale.numerator * (k - offset), self.scale.denominator * prod)
 
     def rest(self, j: int) -> "MixedRadixTail":
         """The terms after local slot j: the tail itself at j = 0, and else a
@@ -389,19 +426,20 @@ class MixedRadixTail(_Record):
         word = self.radices.shift(blocks + 1)
         if left:
             word = RadixWord((left + 1,) + word.pre, word.period)
-        return MixedRadixTail((left + 1) * self.scale / prod, word)
+        return MixedRadixTail(_reduced((left + 1) * self.scale.numerator, self.scale.denominator * prod), word)
 
     def scaled(self, factor: Fraction) -> "MixedRadixTail":
-        return MixedRadixTail(self.scale * factor, self.radices)
+        return MixedRadixTail(_product(self.scale, factor.numerator, factor.denominator), self.radices)
 
     def excesses(self, sigma) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
         """A block of k - 1 slots of value v leaves exactly v after it, so
         by the run rule (``_run_excesses``) with room sigma + v its
         violations are a suffix of the block: never for sigma >= 0, and
         otherwise a nonempty one in every block."""
-        if sigma >= 0:
+        if sigma.numerator >= 0:
             return iter(())
-        return _run_excesses((run, sigma + run[0]) for run in self.runs())
+        # a block of value v leaves the room v + sigma
+        return _run_excesses((((v, k), (v.numerator, v.denominator)) for v, k in self.runs()), sigma)
 
     def greedy(self, num: int, den: int, count: int, certified: bool) -> tuple[list[int], Fraction]:
         """The greedy rule over the first ``count`` >= 1 slots against the
@@ -522,23 +560,28 @@ def _block_ones(bits, sizes) -> list[int]:
     return ones
 
 
-def _run_excesses(pairs) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
+def _run_excesses(pairs, lift: Fraction) -> Iterator[tuple[int, tuple[Fraction, Fraction]]]:
     """The run rule: over ``pairs`` of a run and its room, each violating
     slot, counted from 1 across the runs, with its gap (room after it, value).
+    A room is num/den + ``lift``, for the integer pair (num, den) paired
+    with the run, den > 0 and not necessarily reduced.
 
     In a run of ``count`` copies of ``value`` followed by terms that leave
     ``room`` (the slack plus their sum), slot i has (count - i) * value +
     room after it, so it violates exactly when
     i > count - 1 + room / value: the violations are the run's suffix from
     count + floor(room / value) on, found with one integer floor division,
-    and a run whose last slot holds is passed over with one comparison.
+    and a run whose last slot holds is passed over with one cross product.
     """
+    a, b = lift.numerator, lift.denominator
     offset = 0
-    for (value, count), room in pairs:
-        if value > room:
-            floor = room.numerator * value.denominator // (room.denominator * value.numerator)
+    for (value, count), (num, den) in pairs:
+        p, q = value.numerator, value.denominator
+        room = num * b + a * den  # over den * b
+        if p * den * b > room * q:
+            floor = room * q // (den * b * p)
             for i in range(max(1, count + floor), count + 1):
-                yield offset + i, (room + _run_sum((value, count - i)) if i < count else room, value)
+                yield offset + i, (_plus(num * q + (count - i) * p * den, den * q, lift), value)
         offset += count
 
 
@@ -606,7 +649,7 @@ def _checked_runs(runs, tail) -> tuple[tuple[Fraction, int], ...]:
         raise ValidationError(f"prefix is not non-increasing: {rise[0]} before {rise[1]}")
     _checked_tail(tail)
     first = next(tail.runs(), None) if merged else None
-    if first is not None and merged[-1][0] < first[0]:
+    if first is not None and last_num * first[0].denominator < first[0].numerator * last_den:
         raise ValidationError(
             f"junction violation: last prefix entry {merged[-1][0]} is below "
             f"the first tail term {first[0]}"
@@ -615,11 +658,6 @@ def _checked_runs(runs, tail) -> tuple[tuple[Fraction, int], ...]:
 
 
 _count = operator.itemgetter(1)
-
-
-def _run_sum(run: tuple[Fraction, int]) -> Fraction:
-    value, count = run
-    return value * count if count > 1 else value  # one term needs no multiply
 
 
 def _spelled(runs, longest: int = 0) -> Iterator:
@@ -637,15 +675,9 @@ def _ends_of(runs) -> tuple[int, ...]:
 
 
 def _scaled_runs(runs, factor: Fraction) -> list[tuple[Fraction, int]]:
-    """Each run's value times ``factor``; with both in lowest terms only
-    the two cross gcds can cancel, so each value is built reduced."""
+    """Each run's value times ``factor``, built reduced by ``_product``."""
     a, b = factor.numerator, factor.denominator
-    scaled = []
-    for value, count in runs:
-        p, q = value.numerator, value.denominator
-        g, h = math.gcd(p, b), math.gcd(a, q)
-        scaled.append((_trusted_fraction(p // g * (a // h), q // h * (b // g)), count))
-    return scaled
+    return [(_product(value, a, b), count) for value, count in runs]
 
 
 class SequenceModel(_Record):
@@ -655,7 +687,8 @@ class SequenceModel(_Record):
     multiplicity) runs, so ``==`` and ``hash`` read ``("_runs", "tail")``,
     the same relation as the terms; ``prefix`` spells them out on first
     read, for ``repr``, and refuses more terms than the entries ceiling of
-    ``core._CEILINGS``, as no spelling that long can be held. The
+    ``core._CEILINGS``, as no spelling that long can be held (past it,
+    ``repr`` writes the runs instead). The
     constructor checks its entries per run and keeps its tuple;
     ``_from_runs`` builds derived models from runs.
     """
@@ -668,19 +701,25 @@ class SequenceModel(_Record):
         self.__dict__.update(prefix=prefix, tail=tail, _runs=runs, _run_ends=_ends_of(runs))
 
     def __repr__(self) -> str:
-        return super().__repr__(("prefix", "tail"))
+        # past the entries ceiling ``prefix`` refuses, so the repr writes the
+        # fields the model compares by (``_fields``), and stays total
+        return super().__repr__(("prefix", "tail") if self._length <= _CEILINGS["entries"][0] else ())
 
-    @cached_property
+    @_memo
     def prefix(self) -> tuple[Fraction, ...]:
         _check_ceiling("entries", self._length)
         return tuple(_spelled(self._runs))
 
     _length = property(lambda self: self._run_ends[-1] if self._run_ends else 0)  # the number of prefix terms
 
-    @cached_property
-    def _run_sums(self) -> tuple[Fraction, ...]:
-        """The sum of the prefix from each run on, then a last 0."""
-        return tuple(itertools.accumulate(map(_run_sum, reversed(self._runs)), initial=ZERO))[::-1]
+    @_memo
+    def _run_sums(self) -> tuple[int, tuple[int, ...]]:
+        """The sum of the prefix from each run on, then a last 0, as
+        numerators over one denominator, the lcm of the runs' denominators."""
+        runs = self._runs
+        den = math.lcm(*(value.denominator for value, _ in runs))
+        sums = (value.numerator * (den // value.denominator) * count for value, count in reversed(runs))
+        return den, tuple(itertools.accumulate(sums, initial=0))[::-1]
 
     def _runs_after(self, n: int) -> tuple[tuple[Fraction, int], ...]:
         """The prefix runs past index n <= len(prefix), the first one cut."""
@@ -689,10 +728,13 @@ class SequenceModel(_Record):
             return ()
         return ((self._runs[r][0], self._run_ends[r] - n),) + self._runs[r + 1 :]
 
-    @cached_property
+    @_memo
     def total(self) -> Fraction:
+        if not self._runs:  # a tail alone sums no prefix
+            return self.tail.total
         # the condition scan reads the run sums as well, so they are shared
-        return self._run_sums[0] + self.tail.total
+        den, sums = self._run_sums
+        return _plus(sums[0], den, self.tail.total)
 
     @property
     def finite(self) -> bool:
@@ -734,13 +776,16 @@ class SequenceModel(_Record):
             r = bisect_right(self._run_ends, n)
             if r == len(self._runs):
                 return self.tail.total
-            left = (self._runs[r][0], self._run_ends[r] - n)
-            return self._run_sums[r + 1] + _run_sum(left) + self.tail.total
+            value, left = self._runs[r][0], self._run_ends[r] - n
+            den, sums = self._run_sums
+            num = sums[r + 1] + value.numerator * (den // value.denominator) * left
+            return _plus(num, den, self.tail.total)
         return self.tail.sum_after(n - self._length)
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact sum of the first n terms."""
-        return self.total - self.tail_sum(n)
+        rest = self.tail_sum(n)
+        return _plus(-rest.numerator, rest.denominator, self.total)
 
 
 def _from_runs(runs, tail: TailModel) -> SequenceModel:

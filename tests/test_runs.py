@@ -377,11 +377,11 @@ class TestPrefixStaysUnspelled:
         assert "prefix" not in vars(model)
 
     def test_whole_spellings_refuse_a_prefix_past_the_entries_ceiling(self):
-        # ``prefix``, ``repr`` and the document would each hold every term:
-        # past the ceiling they refuse before spelling any, also past ``sys.maxsize``
+        # ``prefix`` and the document would each hold every term: past the
+        # ceiling they refuse before spelling any, also past ``sys.maxsize``
         for radix in (2**64, 10**6 + 2):
             model = face_embed(radix_to_sequence(RadixWord((), (2,))), radix)
-            for spelling in (lambda m: m.prefix, repr, model_to_doc):
+            for spelling in (lambda m: m.prefix, model_to_doc):
                 with pytest.raises(ResourceLimitError, match=f"^{radix - 1} listed entries exceed the bound of "):
                     spelling(model)
             assert "prefix" not in vars(model)
@@ -389,3 +389,11 @@ class TestPrefixStaysUnspelled:
         model = face_embed(radix_to_sequence(RadixWord((), (2,))), 10**6 + 1)
         assert len(model_to_doc(model)["prefix"]) == len(model.prefix) == 10**6
         assert repr(model).startswith("SequenceModel(prefix=(Fraction(1, 1000001), ")
+
+    def test_repr_past_the_entries_ceiling_writes_the_runs(self):
+        # past the ceiling ``repr`` writes the fields the model compares by,
+        # the runs and the tail, and spells no term, also past ``sys.maxsize``
+        for radix in (2**64, 10**6 + 2):
+            model = face_embed(radix_to_sequence(RadixWord((), (2,))), radix)
+            assert repr(model) == f"SequenceModel(_runs=((Fraction(1, {radix}), {radix - 1}),), tail={model.tail!r})"
+            assert "prefix" not in vars(model)
