@@ -198,15 +198,17 @@ class _Record:
 
     def __repr__(self, names: tuple[str, ...] = ()) -> str:
         """``Name(field=value!r, ...)`` over ``names`` or else the fields. A
-        value holding a rational past the digit limit, itself or in a tuple,
-        is refused by ``_check_writable`` before any text is built, as
-        ``format_rational`` refuses it."""
+        value holding a rational past the digit limit, itself or in a tuple
+        or a tuple's tuple (a model's runs of value and count), is refused by
+        ``_check_writable`` before any text is built, as ``format_rational``
+        refuses it."""
         names = names or self._fields
         values = [getattr(self, name) for name in names]
         for value in values:
             for x in value if isinstance(value, tuple) else (value,):
-                if isinstance(x, (int, Fraction)):
-                    _check_writable(x)
+                for y in x if isinstance(x, tuple) else (x,):
+                    if isinstance(y, (int, Fraction)):
+                        _check_writable(y)
         return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values))})"
 
     def __setattr__(self, name, *value):

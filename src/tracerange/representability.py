@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat, takewhile
+from itertools import takewhile
 from typing import Iterator, Optional
 
 from .core import _plus, _Record, _check_ceiling
@@ -95,11 +95,10 @@ def _excesses(model: SequenceModel, sigma) -> Iterator[tuple[int, tuple[Fraction
     """
     sigma = sigma or 0  # a zero slack is never added
     if model._runs:
-        # the room after each run: the prefix after it, over den, lifted by
-        # the tail and the slack
-        den, sums = model._run_sums
+        # the room after each run: the prefix after it, an integer pair,
+        # lifted by the tail and the slack
         lift = _plus(sigma.numerator, sigma.denominator, model.tail.total)
-        yield from _run_excesses(zip(model._runs, zip(sums[1:], repeat(den))), lift)
+        yield from _run_excesses(zip(model._runs, model._run_sums[1:]), lift)
     offset = model._length
     for j, gap in model.tail.excesses(sigma):
         yield offset + j, gap

@@ -39,11 +39,11 @@ blocks both read.
 Sums, closed forms and comparisons on a request's path are made on integer
 numerators and denominators, and a ``Fraction`` is built once per answer
 value, in lowest terms (``core._reduced``, ``_plus`` and ``_product``): the
-run sums are integers over the lcm of the runs' denominators, a geometric
-power multiplies by p^j/q^j with two cross gcds, and the run rule compares
-a run's value with its room by one cross product. The memos (``total``,
-``prefix``, the run sums) are ``_memo``, a ``cached_property`` without a
-lock.
+run sums are integers, each suffix over the lcm of its own runs'
+denominators, a geometric power multiplies by p^j/q^j with two cross
+gcds, and the run rule compares a run's value with its room by one cross
+product. The memos (``total``, ``prefix``, the run sums) are ``_memo``, a
+``cached_property`` without a lock.
 
 Private helpers: ``_walk`` finds a deep radix slot by skipping whole
 periods; ``_block_digits`` is the greedy's step over whole radix blocks and
@@ -713,13 +713,23 @@ class SequenceModel(_Record):
     _length = property(lambda self: self._run_ends[-1] if self._run_ends else 0)  # the number of prefix terms
 
     @_memo
-    def _run_sums(self) -> tuple[int, tuple[int, ...]]:
-        """The sum of the prefix from each run on, then a last 0, as
-        numerators over one denominator, the lcm of the runs' denominators."""
-        runs = self._runs
-        den = math.lcm(*(value.denominator for value, _ in runs))
-        sums = (value.numerator * (den // value.denominator) * count for value, count in reversed(runs))
-        return den, tuple(itertools.accumulate(sums, initial=0))[::-1]
+    def _run_sums(self) -> tuple[tuple[int, int], ...]:
+        """The sum of the prefix from each run on, then a last 0, as integer
+        pairs (num, den), each over the lcm of its own runs' denominators.
+
+        The sums are built from the last run, the denominator grown only
+        when a run brings a new factor, so a large denominator in an early
+        run leaves the sums after it their own size."""
+        num, den = 0, 1
+        sums = [(num, den)]
+        for value, count in reversed(self._runs):
+            d = value.denominator
+            scale = d // math.gcd(den, d)
+            if scale != 1:
+                num, den = num * scale, den * scale
+            num += value.numerator * (den // d) * count
+            sums.append((num, den))
+        return tuple(reversed(sums))
 
     def _runs_after(self, n: int) -> tuple[tuple[Fraction, int], ...]:
         """The prefix runs past index n <= len(prefix), the first one cut."""
@@ -733,8 +743,8 @@ class SequenceModel(_Record):
         if not self._runs:  # a tail alone sums no prefix
             return self.tail.total
         # the condition scan reads the run sums as well, so they are shared
-        den, sums = self._run_sums
-        return _plus(sums[0], den, self.tail.total)
+        num, den = self._run_sums[0]
+        return _plus(num, den, self.tail.total)
 
     @property
     def finite(self) -> bool:
@@ -776,9 +786,10 @@ class SequenceModel(_Record):
             r = bisect_right(self._run_ends, n)
             if r == len(self._runs):
                 return self.tail.total
+            # run r's sum is over a multiple of the denominators after it
             value, left = self._runs[r][0], self._run_ends[r] - n
-            den, sums = self._run_sums
-            num = sums[r + 1] + value.numerator * (den // value.denominator) * left
+            (_, den), (num, after) = self._run_sums[r : r + 2]
+            num = num * (den // after) + value.numerator * (den // value.denominator) * left
             return _plus(num, den, self.tail.total)
         return self.tail.sum_after(n - self._length)
 

@@ -14,7 +14,8 @@ follows, with the same ``ResourceLimitError``. So is JSON nested past the
 recursion limit, for each command that reads a JSON document, since a
 command line holding it whole is longer than the kernel passes to a child.
 So are the library calls that list one entry per unit of a count, which
-are refused before they list any.
+are refused before they list any, and the prefix's run sums, which a huge
+denominator in one run leaves the size of the runs after it.
 """
 
 import json
@@ -266,6 +267,19 @@ def test_a_record_repr_refuses_exactly_past_the_digit_limit():
         repr(SequenceModel((), GeometricTail(Fraction(1, 2), Fraction(1, past))))
     with pytest.raises(ResourceLimitError, match=f"{past.bit_length()} bits"):
         repr(RadixWord((past,), (2,)))
+
+
+def test_run_sums_after_a_huge_denominator_stay_their_own_size():
+    # a first term over 10^4000 before 10,000 distinct k/2^20 runs: each sum
+    # after the first run is over 2^20; over the lcm of every run each would
+    # hold 13,300 bits, for 20 times the time and 3 times the memory
+    big = 10**4000
+    first = Fraction(big + 1, 2 * big)
+    rest = [Fraction(k, 2**20) for k in range(2**19 - 1, 2**19 - 10**4 - 1, -1)]
+    model = SequenceModel((first, *rest))
+    assert all(2**20 % den == 0 for _, den in model._run_sums[1:])
+    assert model.tail_sum(5000) == sum(rest[4999:], Fraction(0))
+    assert model.total == first + sum(rest, Fraction(0))
 
 
 def test_json_nested_past_the_recursion_limit_is_a_parse_failure():

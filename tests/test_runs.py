@@ -397,3 +397,7 @@ class TestPrefixStaysUnspelled:
             model = face_embed(radix_to_sequence(RadixWord((), (2,))), radix)
             assert repr(model) == f"SequenceModel(_runs=((Fraction(1, {radix}), {radix - 1}),), tail={model.tail!r})"
             assert "prefix" not in vars(model)
+        # a run's value and count past the digit limit refuse as any rational does
+        model = face_embed(radix_to_sequence(RadixWord((), (2,))), 10**5000)
+        with pytest.raises(ResourceLimitError, match="^output rational too large to write: "):
+            repr(model)

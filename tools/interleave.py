@@ -11,8 +11,10 @@ too, so the drift of a shared host falls on both sides alike; separate
 benchmark runs of the same tree can differ by far more than a per-op
 change. Every result is checked with the workload's own ``check``.
 
-Prints each side's ops per second of op time, p50 and p99 in microseconds,
-and the median over the ops of new time / old time. This sizes a per-op
+The first ``OPS`` ops of the seeded list are timed, after ``WARMUP`` ops
+run on each side untimed. Prints each side's ops per second of op time, p50
+and p99 in microseconds (nearest rank, as the benchmark reports them), and
+the median over the ops of new time / old time. This sizes a per-op
 change before the paired ``bench/run.py`` runs that a claim rests on; it is
 not a benchmark of its own.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import math
 import pkgutil
 import statistics
 import sys
@@ -30,6 +31,8 @@ from pathlib import Path
 from time import perf_counter
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+OPS = 3000  # ops timed on each side, from the start of the seeded list
+WARMUP = 50  # ops run on each side before timing
 
 
 def _owned(name: str) -> bool:
@@ -72,26 +75,20 @@ class Side:
         self.workload.check(op, result)
 
 
-def percentile(values: list[float], share: float) -> float:
-    """Nearest-rank percentile."""
-    ordered = sorted(values)
-    return ordered[max(1, math.ceil(len(ordered) * share)) - 1]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="the tree to compare against, such as a copy of the parent commit")
     parser.add_argument("new", type=Path, help="the tree with the change")
     parser.add_argument("--workload", default="cover", help="a module of bench/workloads (default: cover)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--ops", type=int, default=3000, help="ops from the start of the seeded list (default: 3000)")
-    parser.add_argument("--warmup", type=int, default=50, help="ops run on each side before timing (default: 50)")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(BENCH))  # ``workloads`` and the ``reference`` it imports
-    old, new = (Side(tree, args.workload, args.seed, args.ops) for tree in (args.old, args.new))
+    sys.path.insert(0, str(BENCH))  # ``workloads``, the ``reference`` it imports, and ``worker``
+    from worker import percentile
+
+    old, new = (Side(tree, args.workload, args.seed, OPS) for tree in (args.old, args.new))
     count = len(old.ops)
-    for index in range(min(args.warmup, count)):
+    for index in range(min(WARMUP, count)):
         old.run(index)
         new.run(index)
     old.times.clear()
@@ -104,9 +101,9 @@ def main(argv=None) -> int:
 
     print(f"{args.workload} seed {args.seed}: {count} ops on each side, alternated")
     for label, side in (("old", old), ("new", new)):
-        times = side.times
+        times = sorted(side.times)
         print(
-            f"{label}: {len(times) / sum(times):9.1f} ops/s  p50 {statistics.median(times) * 1e6:9.1f} us"
+            f"{label}: {len(times) / sum(times):9.1f} ops/s  p50 {percentile(times, 0.5) * 1e6:9.1f} us"
             f"  p99 {percentile(times, 0.99) * 1e6:9.1f} us"
         )
     ratio = statistics.median(b / a for a, b in zip(old.times, new.times))
