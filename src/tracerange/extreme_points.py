@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .core import ONE, ZERO, _Record, _check_ceiling
+from .core import ONE, _Record, _check_ceiling, _trusted_fraction
 from .errors import DomainError, UnsupportedSpecError, ValidationError
 from .sequences import (
     MixedRadixTail,
@@ -169,9 +169,9 @@ def face_embed(model: SequenceModel, radix: int) -> SequenceModel:
     copies of 1/radix, then shrink everything by that factor."""
     _check_index(radix, 2, "radix")
     lead = next(_term_runs(model), None)
-    if lead is not None and lead[0] > 1:
+    if lead is not None and lead[0].numerator > lead[0].denominator:
         raise DomainError(f"cannot embed: leading term {lead[0]} exceeds 1")
-    unit = Fraction(1, radix)
+    unit = _trusted_fraction(1, radix)
     return _from_runs([(unit, radix - 1)] + _scaled_runs(model._runs, unit), model.tail.scaled(unit))
 
 
@@ -229,8 +229,8 @@ def mixed_radix_digits(word: RadixWord, target, count: int) -> tuple[int, ...]:
     _check_ceiling("digits", count)
     if not isinstance(word, RadixWord):
         raise ValidationError("expected a RadixWord")
-    residual = Fraction(target)
-    if not ZERO <= residual <= ONE:
+    residual = target if type(target) is Fraction else Fraction(target)
+    if not 0 <= residual.numerator <= residual.denominator:
         raise DomainError(f"target {residual} outside [0, 1]")
     # the greedy's block step on a scale-1 tail, one digit per block; a
     # radix pattern meets the completeness condition, so the check holds

@@ -33,7 +33,10 @@ past the ceiling.
 terms, met in the middle) enumerate the sums themselves, of at most 24
 terms (the terms ceiling). Their enumerations share no code with the fold,
 with each other or with the greedy expansion, so the routes can referee one
-another.
+another. The oracle builds what a query reads and no more: no table for a
+target off the lattice of its terms' lcm; on the first target on it, the
+right table whole; and the left table only up to each query's first
+witness, the next query reading what is built and then going on from there.
 
 An ``IntervalUnion`` holds its endpoints as integers over one common
 denominator and works on those integers. It checks their whole order once,
@@ -57,9 +60,11 @@ from __future__ import annotations
 
 import math
 import operator
+from _thread import allocate_lock
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -315,12 +320,23 @@ def subset_sums(terms: Sequence) -> list[Fraction]:
 class SubsetSumOracle:
     """Hash-based representability table with witnesses.
 
-    Builds a meet-in-the-middle pair of half tables, sum -> chosen indices
-    over each half of the term list (Horowitz and Sahni, J. ACM 21(2),
-    1974), at every length. The enumeration route is disjoint from both
+    A meet-in-the-middle pair of half tables, sum -> chosen indices over
+    each half of the term list (Horowitz and Sahni, J. ACM 21(2), 1974),
+    at every length. The enumeration route is disjoint from both
     ``subset_sums`` and the greedy expansion, which is the point: it serves
     as the independent referee. Sums are kept as integers over the lcm of
     the term denominators, which the oracle computes itself.
+
+    The constructor coerces the terms, refuses past the terms ceiling and
+    computes the lcm, and builds no table: a target off that lattice is
+    answered by one modulo test. The first query on the lattice builds the
+    right table whole and starts the left one, and each query checks the
+    left sums against the right table in the order they were written,
+    those already written first, then enumerating more up to its first
+    match. So the left table grows only as far as a query reads, and the
+    witness is the one a whole left table scanned in order would give.
+    Queries on the lattice write the tables one at a time, under a lock,
+    so threads may share an oracle.
     """
 
     def __init__(self, terms: Sequence):
@@ -328,30 +344,42 @@ class SubsetSumOracle:
         _check_ceiling("terms", len(values))
         self._den = math.lcm(*(t.denominator for t in values))
         self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
-        half = len(self._terms) // 2
-        self._left = self._enumerate(self._terms[:half], 0)
-        self._right = self._enumerate(self._terms[half:], half)
+        self._right = None  # the tables, built by the first query on the lattice
+        self._lock = allocate_lock()
 
     @staticmethod
-    def _enumerate(terms: tuple[int, ...], base: int) -> dict:
-        table: dict[int, tuple[int, ...]] = {0: ()}
-        for offset, a in enumerate(terms):
-            additions = {}
-            for value, chosen in table.items():
+    def _enumerate(table: dict, terms: tuple[int, ...], base: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Write each new sum of ``terms`` into ``table`` (sum -> indices,
+        from base on), term by term, each step reading the sums written
+        before it in order, and yield the sum with its indices as it is
+        written. A table's sums are distinct, so the sums one step adds
+        are too."""
+        for index, a in enumerate(terms, base):
+            for value, chosen in list(table.items()):
                 candidate = value + a
-                if candidate not in table and candidate not in additions:
-                    additions[candidate] = chosen + (base + offset,)
-            table.update(additions)
-        return table
+                if candidate not in table:
+                    table[candidate] = chosen = chosen + (index,)
+                    yield candidate, chosen
 
     def _find(self, target: Fraction) -> Optional[tuple[int, ...]]:
-        if self._den % target.denominator:
+        den = self._den
+        if den % target.denominator:
             return None  # every subset sum is a multiple of 1 / den
-        target = target.numerator * (self._den // target.denominator)
-        for value, chosen in self._left.items():
-            match = self._right.get(target - value)
-            if match is not None:
-                return chosen + match
+        target = target.numerator * (den // target.denominator)
+        with self._lock:
+            right = self._right
+            if right is None:  # set last, so a build cut short is begun again
+                half = len(self._terms) // 2
+                right = {0: ()}
+                deque(self._enumerate(right, self._terms[half:], half), 0)
+                self._left = {0: ()}
+                self._unwritten = self._enumerate(self._left, self._terms[:half], 0)
+                self._right = right
+            # the left sums written so far, then the rest as they are written
+            for value, chosen in chain(self._left.items(), self._unwritten):
+                match = right.get(target - value)
+                if match is not None:
+                    return chosen + match
         return None
 
     def representable(self, target) -> bool:

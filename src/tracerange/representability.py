@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Optional
 
-from .core import _plus, _Record, _check_ceiling
+from .core import _plus, _Record, _check_ceiling, _reduced, _trusted_fraction
 from .errors import DomainError, ValidationError
 from .sequences import SequenceModel, _block_ones, _check_index, _checked_bits, _count, _leading_runs, _run_excesses
 
@@ -63,7 +63,7 @@ class ConditionVerdict(_Record):
             raise ValidationError("gap must be present iff there is a violation")
         if gap is not None:
             lo, hi = gap
-            if not lo < hi:
+            if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
                 raise ValidationError(f"gap must be a nonempty open interval, got ({lo}, {hi})")
         self.__dict__.update(holds=holds, first_violation=first_violation, gap=gap)
 
@@ -132,18 +132,19 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
     to sit inside [0, tail after that step]; with total 1 that bound is
     exactly 1 minus the partial sum of terms seen.
     """
-    target = Fraction(target)
+    target = target if type(target) is Fraction else Fraction(target)
     _check_index(bit_count, 0, "bit count")
-    if not (0 <= target <= model.total):
-        raise DomainError(f"target {target} outside [0, {model.total}]")
+    total = model.total
+    t, u = target.numerator, target.denominator
+    if not 0 <= t * total.denominator <= total.numerator * u:
+        raise DomainError(f"target {target} outside [0, {total}]")
     steps = min(bit_count, model._length) if model.finite else bit_count
     _check_ceiling("entries", steps)
     certified = kakeya_check(model).holds
     lead = _leading_runs(model, min(steps, model._length))  # the prefix runs the steps reach, the last cut
     # the prefix steps over its own lcm, with the total so the room is exact
-    total = model.total
-    den = math.lcm(target.denominator, total.denominator, *(x.denominator for x, _ in lead))
-    residual = target.numerator * (den // target.denominator)
+    den = math.lcm(u, total.denominator, *(x.denominator for x, _ in lead))
+    residual = t * (den // u)
     remaining = total.numerator * (den // total.denominator)
     bits: list[int] = []
     for x, count in lead:
@@ -161,8 +162,10 @@ def greedy_expand(model: SequenceModel, target, bit_count: int) -> BitExpansion:
         tail_bits, rest = model.tail.greedy(residual, den, steps - len(bits), certified)
         bits += tail_bits
     else:
-        rest = Fraction(residual, den)
-    return BitExpansion(tuple(bits), target - rest, rest, model.tail_sum(steps))
+        rest = _reduced(residual, den)
+    # target - rest: the small target first, so no gcd takes the residual's size
+    achieved = _plus(t, u, _trusted_fraction(-rest.numerator, rest.denominator))
+    return BitExpansion(tuple(bits), achieved, rest, model.tail_sum(steps))
 
 
 def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
@@ -172,15 +175,20 @@ def verify_expansion(model: SequenceModel, bits, target) -> Fraction:
     an error; clear bits there select nothing and are allowed. The first
     offending entry decides which error is raised.
     """
-    target = Fraction(target)
+    target = target if type(target) is Fraction else Fraction(target)
     bits = _checked_bits(bits, model.support)
     # each prefix run's value, with the ones of the bits that it holds
     ones = _block_ones(bits[: model._length], map(_count, model._runs))
     lead = [(x, d) for (x, _), d in zip(model._runs, ones) if d]
     den = math.lcm(target.denominator, *(x.denominator for x, _ in lead))
     chosen = sum(d * x.numerator * (den // x.denominator) for x, d in lead)
-    left = Fraction(target.numerator * (den // target.denominator) - chosen, den)
-    return abs(left - model.tail.numeral(bits[model._length:]))
+    selected = model.tail.numeral(bits[model._length:])
+    # (target - chosen) / den - selected, the prefix's small part reduced first (``_plus``)
+    left = _plus(
+        target.numerator * (den // target.denominator) - chosen, den,
+        _trusted_fraction(-selected.numerator, selected.denominator),
+    )
+    return left if left.numerator >= 0 else _trusted_fraction(-left.numerator, left.denominator)
 
 
 def gap_certificate(model: SequenceModel, n: int) -> tuple[Fraction, Fraction]:

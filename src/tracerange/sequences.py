@@ -353,7 +353,7 @@ class GeometricTail(_Record):
             d *= p
             assert not checked or n * c <= d, f"greedy residual escaped [0, tail] at tail step {j}"
             n *= q
-        return bits, Fraction(n, den * b * q**count)
+        return bits, _reduced(n, den * b * q**count)
 
     def as_radix(self) -> Optional["MixedRadixTail"]:
         if self.ratio != Fraction(1, 2):
@@ -369,7 +369,7 @@ class GeometricTail(_Record):
         for bit in bits:
             s = s * q + power if bit else s * q
             power *= p
-        return Fraction(self.first.numerator * s, self.first.denominator * q ** max(len(bits) - 1, 0))
+        return _reduced(self.first.numerator * s, self.first.denominator * q ** max(len(bits) - 1, 0))
 
 
 class MixedRadixTail(_Record):
@@ -466,7 +466,7 @@ class MixedRadixTail(_Record):
             f"greedy residual escaped [0, tail] at tail step {count}"
         )
         kept = itertools.chain(itertools.islice(self.radices.iter_entries(), blocks), (offset + 1,))
-        return _digit_bits(digits, kept), Fraction(n, den * sd * prod)
+        return _digit_bits(digits, kept), _reduced(n, den * sd * prod)
 
     def as_radix(self) -> "MixedRadixTail":
         return self
@@ -480,7 +480,7 @@ class MixedRadixTail(_Record):
         for d, k in zip(_block_ones(bits, map((-1).__add__, radices())), radices()):
             s = s * k + d
             prod *= k
-        return Fraction(self.scale.numerator * s, self.scale.denominator * prod)
+        return _reduced(self.scale.numerator * s, self.scale.denominator * prod)
 
 
 def _walk(tail: MixedRadixTail, j: int) -> tuple[int, int, int, int]:
@@ -851,7 +851,8 @@ def _term_runs(model: SequenceModel) -> Iterator[tuple[Fraction, int]]:
     runs, tail = model._runs, model.tail.runs()
     yield from runs[:-1]
     first = next(tail, None)
-    if runs and first is not None and runs[-1][0] == first[0]:
+    # values in lowest terms are equal when their integer pairs are
+    if runs and first is not None and runs[-1][0].as_integer_ratio() == first[0].as_integer_ratio():
         yield first[0], runs[-1][1] + first[1]
     else:
         yield from runs[-1:]

@@ -3,10 +3,11 @@
 The request path adds, multiplies and compares rationals on their integer
 numerators and denominators and builds each answer value once, in lowest
 terms. A seeded referee holds every such value to plain ``Fraction``
-arithmetic, and a counter contract pins that a cover request calls no
-``Fraction`` operator from the package at all.
+arithmetic, and two counter contracts pin that cover and realize
+requests call no ``Fraction`` operator from the package at all.
 """
 
+import functools
 import random
 import sys
 from collections import Counter
@@ -14,10 +15,27 @@ from fractions import Fraction
 
 import pytest
 
-from tracerange import GeometricTail, Interval, MixedRadixTail, SequenceModel, achievable_outer, parse_spec
-from tracerange.serialize import approximation_to_doc
+from tracerange import (
+    GeometricTail,
+    Interval,
+    MixedRadixTail,
+    RadixWord,
+    SequenceModel,
+    SubsetSumOracle,
+    achievable_outer,
+    bits_to_digits,
+    digits_to_bits,
+    face_embed,
+    greedy_expand,
+    mixed_radix_digits,
+    parse_spec,
+    radix_to_sequence,
+    sequence_to_radix,
+    verify_expansion,
+)
+from tracerange.serialize import approximation_to_doc, expansion_to_doc, report_to_doc, word_to_doc
 
-from support import REFEREE_MODELS, RUN_FORM_MODELS, fraction_terms, run_cuts
+from support import REFEREE_MODELS, RUN_FORM_MODELS, fraction_terms, random_word, run_cuts
 
 F = Fraction
 
@@ -74,10 +92,10 @@ class TestIntegerFormsReferee:
                 assert same(tail.rest(j).first, tail.first * tail.ratio**j), (tail, j)
 
 
-# Fraction's arithmetic and ordering operators, with their reflections
+# Fraction's arithmetic, ordering and equality operators, with their reflections, and abs and unary minus
 OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-    "__pow__", "__rpow__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__pow__", "__rpow__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__abs__", "__neg__",
 )
 
 
@@ -100,6 +118,46 @@ def cover_specs(rng: random.Random) -> list[str]:
     return specs
 
 
+def package_operator_calls(monkeypatch, requests) -> Counter:
+    """The ``Fraction`` operator calls made from package frames while each
+    callable of ``requests`` runs, by caller module and operator, once a
+    first check has seen the spy count a call from ``Interval.length``."""
+    calls = Counter()
+
+    def counted(name, original):
+        def spy(*args):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("tracerange."):
+                calls[name, caller] += 1
+            return original(*args)
+
+        return spy
+
+    # the spy does count: ``Interval.length`` subtracts in a package frame
+    monkeypatch.setattr(Fraction, "__sub__", counted("__sub__", Fraction.__sub__))
+    assert Interval(1, 3).length() == 2 and calls == {("__sub__", "tracerange.core"): 1}
+    monkeypatch.undo()
+    calls.clear()
+
+    for name in OPERATORS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    try:
+        for request in requests:
+            request()
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+def cover_request(spec: str, depth: int, points) -> None:
+    model = parse_spec(spec)
+    approx = achievable_outer(model, depth)
+    approximation_to_doc(approx)
+    [approx.union.contains(p) for p in points]
+    gaps = approx.union.complement(Interval(0, model.total))
+    [(part.lo, part.hi) for part in gaps]
+
+
 class TestCoverCallsNoFractionOperator:
     """Counts, not times: a cover request, from its spec to its document,
     its point queries and its gaps, makes its sums and comparisons on
@@ -111,32 +169,70 @@ class TestCoverCallsNoFractionOperator:
         for spec in cover_specs(rng):
             for depth in range(2, 11):
                 points = (F(0), F(rng.randint(0, 60), rng.randint(1, 30)), F(1, 3))
-                requests.append((spec, depth, points))
-        calls = Counter()
+                requests.append(functools.partial(cover_request, spec, depth, points))
+        calls = package_operator_calls(monkeypatch, requests)
+        assert not calls, dict(calls)
 
-        def counted(name, original):
-            def spy(*args):
-                caller = sys._getframe(1).f_globals.get("__name__", "")
-                if caller.startswith("tracerange."):
-                    calls[name, caller] += 1
-                return original(*args)
 
-            return spy
+def expand_request(model, target: Fraction, count: int) -> None:
+    expansion = greedy_expand(model, target, count)
+    verify_expansion(model, expansion.bits, target)
+    expansion_to_doc(expansion)
 
-        # the spy does count: ``Interval.length`` subtracts in a package frame
-        monkeypatch.setattr(Fraction, "__sub__", counted("__sub__", Fraction.__sub__))
-        assert Interval(1, 3).length() == 2 and calls == {("__sub__", "tracerange.core"): 1}
-        monkeypatch.undo()
-        calls.clear()
 
-        for name in OPERATORS:
-            monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
-        for spec, depth, points in requests:
-            model = parse_spec(spec)
-            approx = achievable_outer(model, depth)
-            approximation_to_doc(approx)
-            [approx.union.contains(p) for p in points]
-            gaps = approx.union.complement(Interval(0, model.total))
-            [(part.lo, part.hi) for part in gaps]
-        monkeypatch.undo()
+def digits_request(word: RadixWord, target: Fraction, count: int) -> None:
+    digits = mixed_radix_digits(word, target, count)
+    bits_to_digits(digits_to_bits(digits, word), word)
+    word_to_doc(word)
+
+
+def decode_request(model, radix: int) -> None:
+    report_to_doc(sequence_to_radix(face_embed(model, radix)))
+
+
+def oracle_request(terms, targets) -> None:
+    oracle = SubsetSumOracle(terms)
+    for target in targets:
+        oracle.witness(target)
+        oracle.representable(target)
+
+
+def realize_requests(rng: random.Random) -> list:
+    """Realize-shaped requests: greedy expansions re-checked by
+    ``verify_expansion`` over every referee and run-form model, mixed-radix
+    digits and their bits, decodes of face embeddings (intact and with one
+    term bent) and subset-sum oracle queries, hits, misses and off-lattice
+    targets; each input is built before the spy is on."""
+    requests = []
+    for build in (*REFEREE_MODELS, *RUN_FORM_MODELS) * 6:
+        model = build(rng)
+        target = model.total * F(rng.randint(0, 1000), 1000)
+        requests.append(functools.partial(expand_request, model, target, rng.randint(1, 80)))
+    for _ in range(30):
+        word = random_word(rng)
+        requests.append(functools.partial(digits_request, word, F(rng.randint(0, 999), 999), rng.randint(1, 60)))
+        model = radix_to_sequence(word)
+        if rng.random() < 0.5:  # a block's last term bent, so the decoder finds a witness
+            cut = sum(k - 1 for k in word.entries(rng.randint(1, 4)))
+            terms = list(model.first_terms(cut))
+            terms[-1] *= F(999, 1000)
+            model = SequenceModel(tuple(terms), model.tail.rest(cut))
+        requests.append(functools.partial(decode_request, model, rng.randint(2, 9)))
+    for _ in range(30):
+        den = rng.choice((24, 36, 48, 60))
+        terms = sorted((F(rng.randint(1, den), den) for _ in range(rng.randint(4, 14))), reverse=True)
+        hit = sum((a for a in terms if rng.random() < 0.5), F(0))
+        targets = (hit, hit + F(1, 1009), sum(terms, F(1, den)), hit)
+        requests.append(functools.partial(oracle_request, terms, targets))
+    return requests
+
+
+class TestRealizeCallsNoFractionOperator:
+    """The same spy over realize-shaped requests: expansions and their
+    check, digits, decodes and the subset-sum oracle build each value on
+    integers too."""
+
+    def test_realize_requests_call_no_fraction_operator(self, monkeypatch):
+        requests = realize_requests(random.Random("realize-counter"))
+        calls = package_operator_calls(monkeypatch, requests)
         assert not calls, dict(calls)

@@ -1,6 +1,9 @@
 """Subset-sum enumeration, outer covers, and convexity verdicts."""
 
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -441,6 +444,160 @@ class TestOracleReferee:
                 assert (witness is not None) == (target in members)
                 if witness is not None:
                     assert sum((a for a, b in zip(terms, witness) if b), F(0)) == target
+
+
+def eager_enumerate(terms: tuple[int, ...], base: int) -> dict:
+    """A half table built whole, step by step, as the oracle built both
+    before any query (sum -> chosen indices, in insertion order)."""
+    table: dict[int, tuple[int, ...]] = {0: ()}
+    for offset, a in enumerate(terms):
+        additions = {}
+        for value, chosen in table.items():
+            candidate = value + a
+            if candidate not in table and candidate not in additions:
+                additions[candidate] = chosen + (base + offset,)
+        table.update(additions)
+    return table
+
+
+def eager_witness(terms, target: Fraction):
+    """The witness of the eager build: both half tables whole, the left one
+    scanned in insertion order for the first sum whose complement the right
+    one holds."""
+    den = math.lcm(*(t.denominator for t in terms))
+    if den % target.denominator:
+        return None
+    ints = tuple(t.numerator * (den // t.denominator) for t in terms)
+    half = len(ints) // 2
+    left, right = eager_enumerate(ints[:half], 0), eager_enumerate(ints[half:], half)
+    goal = target.numerator * (den // target.denominator)
+    for value, chosen in left.items():
+        match = right.get(goal - value)
+        if match is not None:
+            bits = [0] * len(ints)
+            for index in chosen + match:
+                bits[index] = 1
+            return tuple(bits)
+    return None
+
+
+def oracle_probes(terms, rng: random.Random) -> list[Fraction]:
+    """Targets on the terms' lattice: subset sums, points past the total
+    and below 0 that miss, and random points, which may fall in a gap;
+    targets off it; and repeats, in a seeded order."""
+    den = math.lcm(1, *(t.denominator for t in terms))
+    total = sum(terms, F(0))
+    hits = [sum((a for a in terms if rng.random() < 0.5), F(0)) for _ in range(5)]
+    misses = [total + F(1, den), F(-1, den)]
+    misses += [F(rng.randint(0, 2 * den * max(1, len(terms))), den) for _ in range(4)]
+    off = [hits[0] + F(1, 1009), F(1, 7 * den)]
+    probes = hits + misses + off
+    probes += rng.sample(probes, 4)
+    rng.shuffle(probes)
+    return probes
+
+
+class TestLazyOracleReferee:
+    """The oracle builds its tables on the first query on the lattice and
+    its left table only up to each query's first match; its answers are
+    the eager build's, tuple for tuple, whatever queries came before."""
+
+    @staticmethod
+    def term_lists(rng: random.Random):
+        for count in range(23):
+            den = rng.choice((1, 6, 12, 24, 60))
+            yield [F(rng.randint(1, 2 * den), rng.choice((1, den))) for _ in range(count)]
+            # terms over 2^count, whose sums seldom collide, so the tables grow large
+            yield [F(rng.randint(1, 2**count), 2**count) for _ in range(count)]
+
+    def test_witness_and_representable_match_the_eager_build(self):
+        rng = random.Random(2718)
+        for terms in self.term_lists(rng):
+            probes = oracle_probes(terms, rng)
+            expected = {target: eager_witness(terms, target) for target in probes}
+            # one oracle asks witness first, the other representable, over
+            # the probes in opposite orders
+            first, second = SubsetSumOracle(terms), SubsetSumOracle(terms)
+            for target in probes:
+                assert first.witness(target) == expected[target], (terms, target)
+                assert first.representable(target) == (expected[target] is not None), (terms, target)
+            for target in reversed(probes):
+                assert second.representable(target) == (expected[target] is not None), (terms, target)
+                assert second.witness(target) == expected[target], (terms, target)
+
+    def test_threads_sharing_one_oracle_get_the_eager_answers(self):
+        # 22 distinct dyadic terms: misses read a left table of 2,048 sums,
+        # long enough for a thread switch inside a query
+        terms = [F(1, 2**i) for i in range(1, 23)]
+        rng = random.Random(1618)
+        probes = [F(rng.randrange(2**22), 2**22) for _ in range(12)] + [F(1), F(3, 2), F(-1, 4), F(1, 3)]
+        expected = {target: eager_witness(terms, target) for target in probes}
+        for _ in range(5):
+            oracle, barrier, answers = SubsetSumOracle(terms), threading.Barrier(4), []
+
+            def ask(order):
+                barrier.wait()
+                for target in order:
+                    try:
+                        answers.append((target, oracle.witness(target)))
+                    except Exception as exc:  # a torn table raises here
+                        answers.append((target, exc))
+
+            orders = [rng.sample(probes, len(probes)) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(answers) == 4 * len(probes)
+            for target, answer in answers:
+                assert answer == expected[target], (target, answer)
+
+
+class TestLazyOracleCounts:
+    """Counts, not times: the sums the oracle writes into its tables, read
+    by a spy on its enumeration (the left half starts at index 0)."""
+
+    TERMS = [F(1, 2**i) for i in range(1, 21)]  # 20 dyadic terms, every sum distinct
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        written = {"left": 0, "right": 0}
+        original = SubsetSumOracle._enumerate
+
+        def counted(table, terms, base):
+            for item in original(table, terms, base):
+                written["right" if base else "left"] += 1
+                yield item
+
+        monkeypatch.setattr(SubsetSumOracle, "_enumerate", staticmethod(counted))
+        return written
+
+    def test_an_off_lattice_target_enumerates_no_sum(self, written):
+        oracle = SubsetSumOracle(self.TERMS)
+        assert oracle.witness(F(1, 3)) is None
+        assert not oracle.representable(F(5, 2**21))
+        assert written == {"left": 0, "right": 0}
+
+    def test_a_hit_stops_before_the_whole_left_table_and_a_miss_completes_it(self, written):
+        oracle = SubsetSumOracle(self.TERMS)
+        whole = 2**10 - 1  # the sums a half of ten distinct dyadic terms adds to {0}
+        witness = oracle.witness(F(5, 16))
+        assert witness == eager_witness(self.TERMS, F(5, 16))
+        assert written["right"] == whole
+        assert 0 < written["left"] < whole // 8
+        # on the lattice, past the total: every left sum is read
+        assert not oracle.representable(F(1))
+        assert written == {"left": whole, "right": whole}
+        assert oracle.witness(F(5, 16)) == witness
+        assert oracle.witness(F(2**20 - 1, 2**20)) == (1,) * 20
+        assert written == {"left": whole, "right": whole}
 
 
 class TestConvexityVerdict:

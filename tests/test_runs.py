@@ -317,8 +317,12 @@ class TestCostContract:
             assert len(embedded.prefix) == radix - 1
             assert report.word == RadixWord((radix,), (2,)) and verdict.holds
             counts.append(calls[0])
-        # the spy does count: the embedding builds 1/radix at least
-        assert counts[0] > 0
+        # the spy does count, though the embedding builds 1/radix without ``Fraction.__new__``
+        calls = [0]
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        Fraction(1, 10)
+        monkeypatch.undo()
+        assert calls == [1]
         assert counts[0] == counts[1]
 
 

@@ -14,9 +14,10 @@ change. Every result is checked with the workload's own ``check``.
 The first ``OPS`` ops of the seeded list are timed, after ``WARMUP`` ops
 run on each side untimed. Prints each side's ops per second of op time, p50
 and p99 in microseconds (nearest rank, as the benchmark reports them), and
-the median over the ops of new time / old time. This sizes a per-op
-change before the paired ``bench/run.py`` runs that a claim rests on; it is
-not a benchmark of its own.
+the median over the ops of new time / old time, over all of them and then
+over each op kind's, so a change confined to one kind shows there. This
+sizes a per-op change before the paired ``bench/run.py`` runs that a claim
+rests on; it is not a benchmark of its own.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ def main(argv=None) -> int:
             f"{label}: {len(times) / sum(times):9.1f} ops/s  p50 {percentile(times, 0.5) * 1e6:9.1f} us"
             f"  p99 {percentile(times, 0.99) * 1e6:9.1f} us"
         )
-    ratio = statistics.median(b / a for a, b in zip(old.times, new.times))
-    print(f"per-op median ratio new/old: {ratio:.3f}")
+    ratios = [b / a for a, b in zip(old.times, new.times)]
+    print(f"per-op median ratio new/old: {statistics.median(ratios):.3f}")
+    kinds: dict[str, list[float]] = {}
+    for op, ratio in zip(old.ops, ratios):
+        kinds.setdefault(op.kind, []).append(ratio)
+    for kind, share in kinds.items():
+        print(f"  {kind}: {statistics.median(share):.3f} over {len(share)} ops")
     return 0
 
 
