@@ -35,8 +35,9 @@ terms (the terms ceiling). Their enumerations share no code with the fold,
 with each other or with the greedy expansion, so the routes can referee one
 another. The oracle builds what a query reads and no more: no table for a
 target off the lattice of its terms' lcm; on the first target on it, the
-right table whole; and the left table only up to each query's first
-witness, the next query reading what is built and then going on from there.
+right table whole; and the left sums only up to each query's first
+witness. The left table is kept once a query that finds no witness has
+built it whole.
 
 An ``IntervalUnion`` holds its endpoints as integers over one common
 denominator and works on those integers. It checks their whole order once,
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import math
 import operator
-from _thread import allocate_lock
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
@@ -330,13 +330,14 @@ class SubsetSumOracle:
     The constructor coerces the terms, refuses past the terms ceiling and
     computes the lcm, and builds no table: a target off that lattice is
     answered by one modulo test. The first query on the lattice builds the
-    right table whole and starts the left one, and each query checks the
-    left sums against the right table in the order they were written,
-    those already written first, then enumerating more up to its first
-    match. So the left table grows only as far as a query reads, and the
-    witness is the one a whole left table scanned in order would give.
-    Queries on the lattice write the tables one at a time, under a lock,
-    so threads may share an oracle.
+    right table whole. Each query then enumerates the left sums in the
+    order the whole left table would hold them, checking each against the
+    right table as it is made, and stops at its first match, so the
+    witness is the one a whole left table scanned in order would give. A
+    query that finds none has built the whole left table, which the oracle
+    keeps for the queries after it. A table is stored only once it is
+    whole, so a query cut short leaves nothing half built, and threads
+    sharing an oracle at most repeat each other's work.
     """
 
     def __init__(self, terms: Sequence):
@@ -344,8 +345,8 @@ class SubsetSumOracle:
         _check_ceiling("terms", len(values))
         self._den = math.lcm(*(t.denominator for t in values))
         self._terms = tuple(t.numerator * (self._den // t.denominator) for t in values)
-        self._right = None  # the tables, built by the first query on the lattice
-        self._lock = allocate_lock()
+        self._half = len(self._terms) // 2
+        self._left = self._right = None  # each stored once whole
 
     @staticmethod
     def _enumerate(table: dict, terms: tuple[int, ...], base: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -366,20 +367,22 @@ class SubsetSumOracle:
         if den % target.denominator:
             return None  # every subset sum is a multiple of 1 / den
         target = target.numerator * (den // target.denominator)
-        with self._lock:
-            right = self._right
-            if right is None:  # set last, so a build cut short is begun again
-                half = len(self._terms) // 2
-                right = {0: ()}
-                deque(self._enumerate(right, self._terms[half:], half), 0)
-                self._left = {0: ()}
-                self._unwritten = self._enumerate(self._left, self._terms[:half], 0)
-                self._right = right
-            # the left sums written so far, then the rest as they are written
-            for value, chosen in chain(self._left.items(), self._unwritten):
-                match = right.get(target - value)
-                if match is not None:
-                    return chosen + match
+        half, right = self._half, self._right
+        if right is None:
+            right = {0: ()}
+            deque(self._enumerate(right, self._terms[half:], half), 0)
+            self._right = right
+        left = self._left
+        if left is not None:
+            sums = left.items()
+        else:
+            left = {0: ()}
+            sums = chain(((0, ()),), self._enumerate(left, self._terms[:half], 0))
+        for value, chosen in sums:
+            match = right.get(target - value)
+            if match is not None:
+                return chosen + match
+        self._left = left  # read to its end, so whole
         return None
 
     def representable(self, target) -> bool:

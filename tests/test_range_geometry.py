@@ -1,6 +1,8 @@
 """Subset-sum enumeration, outer covers, and convexity verdicts."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 import threading
@@ -592,12 +594,54 @@ class TestLazyOracleCounts:
         assert witness == eager_witness(self.TERMS, F(5, 16))
         assert written["right"] == whole
         assert 0 < written["left"] < whole // 8
-        # on the lattice, past the total: every left sum is read
+        # on the lattice, past the total: every left sum is read, and the
+        # right table is not built again
+        written.update(left=0, right=0)
         assert not oracle.representable(F(1))
-        assert written == {"left": whole, "right": whole}
+        assert written == {"left": whole, "right": 0}
+        # the whole left table is kept, so later queries write nothing
+        written.update(left=0)
         assert oracle.witness(F(5, 16)) == witness
         assert oracle.witness(F(2**20 - 1, 2**20)) == (1,) * 20
-        assert written == {"left": whole, "right": whole}
+        assert not oracle.representable(F(3, 2))
+        assert written == {"left": 0, "right": 0}
+
+
+class TestOracleState:
+    """The oracle stores a table only once it is whole and holds nothing
+    but numbers, tuples and dicts."""
+
+    TERMS = [F(1, 2**i) for i in range(1, 21)]
+    PROBES = [F(5, 16), F(1), F(1, 3), F(2**20 - 1, 2**20), F(3, 2**20), F(-1, 2**20)]
+
+    @pytest.mark.parametrize("half", ["left", "right"])
+    def test_a_query_cut_short_leaves_the_oracle_answering_as_the_eager_build(self, monkeypatch, half):
+        original = SubsetSumOracle._enumerate
+
+        def cut(table, terms, base):
+            for count, item in enumerate(original(table, terms, base)):
+                if count == 40 and (base > 0) == (half == "right"):
+                    raise KeyboardInterrupt
+                yield item
+
+        oracle = SubsetSumOracle(self.TERMS)
+        monkeypatch.setattr(SubsetSumOracle, "_enumerate", staticmethod(cut))
+        with pytest.raises(KeyboardInterrupt):
+            oracle.representable(F(1))  # a miss, which reads both halves whole
+        monkeypatch.setattr(SubsetSumOracle, "_enumerate", staticmethod(original))
+        for target in self.PROBES:
+            expected = eager_witness(self.TERMS, target)
+            assert oracle.witness(target) == expected, target
+            assert oracle.representable(target) == (expected is not None), target
+
+    def test_pickle_and_deepcopy_keep_the_answers(self):
+        fresh, hit, missed = (SubsetSumOracle(self.TERMS) for _ in range(3))
+        hit.witness(F(5, 16))
+        missed.witness(F(1))
+        for oracle in (fresh, hit, missed):
+            for copied in (pickle.loads(pickle.dumps(oracle)), copy.deepcopy(oracle)):
+                for target in self.PROBES:
+                    assert copied.witness(target) == eager_witness(self.TERMS, target), target
 
 
 class TestConvexityVerdict:
