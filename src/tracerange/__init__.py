@@ -36,8 +36,11 @@ _MODULES = {
         "face_extract", "face_membership", "mixed_radix_digits", "radix_to_sequence", "sequence_to_radix",
     ),
     "serialize": (),
+    "writers": (),
+    "readers": (),
     "dsl": ("parse_algebra", "parse_spec", "parse_word"),
     "cli": ("CommandResult", "main", "run_command"),
+    "argparser": (),
     "svg": ("emit_svg",),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

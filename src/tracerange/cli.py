@@ -2,11 +2,12 @@
 
 Every command reads exact rational input, works exactly, and prints a JSON
 document (or CSV/SVG for ``range``). A plain argv is read from its row of
-``_GRAMMAR``; only any other builds argparse from the rows, so a plain
-launch loads no ``argparse`` (nor ``json`` before 3.13). ``_COMMANDS`` maps
-each command (and each mode of ``extreme``) to the one function that builds
-its model, runs its engine and returns its answer, which ``run_command``
-alone writes. Exit
+``_GRAMMAR``; only any other loads ``argparser``, which builds argparse from
+the rows, so a plain launch loads neither (nor ``json`` before 3.13, nor
+``readers`` unless its input is JSON). ``_COMMANDS`` maps each command (and
+each mode of ``extreme``) to the one function that builds its model, runs
+its engine and returns its answer, which ``run_command`` alone writes, its
+documents by ``writers``; a process launch ends through ``__main__``. Exit
 codes are part of the contract, and each error class of ``errors`` carries
 its own code and ``kind``:
 
@@ -41,13 +42,11 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import __version__
-from .core import (
-    QUOTE_WINDOW, _Record, _check_ceiling, _quoted, _read_int, _written, format_rational, parse_rational,
-)
+from .core import _Record, _check_ceiling, _quoted, _read_int, _written, format_rational, parse_rational
 from .dsl import parse_algebra, parse_spec, parse_word
 from .errors import ParseError, ResourceLimitError, TraceRangeError
 from .sequences import _check_index
-from .serialize import (
+from .writers import (
     approximation_to_doc, convexity_to_doc, expansion_to_doc, model_to_doc,
     report_to_doc, verdict_to_doc, word_to_doc,
 )
@@ -156,51 +155,10 @@ _STEPS = {path: name for path, row in _GRAMMAR.items() for name, kw in row[1] if
 @lru_cache(maxsize=1)
 def _parser() -> dict:
     """The argparse parser of each row of ``_GRAMMAR``, by its path, for
-    any argv but a plain one: the one route that imports argparse."""
-    import argparse
-    import contextlib
-    import io
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse that reports malformed argv as ParseError instead of exiting."""
-
-        def parse_args(self, args=None, namespace=None):
-            """argparse's own parse; what ``--help`` and ``--version`` print is
-            carried off stdout by their ``SystemExit`` as ``printed``. An error
-            quotes each entry of ``args``, its value after "=" or "-x", and the
-            unrecognized arguments as argparse joins them, by ``_quoted``."""
-            with contextlib.redirect_stdout(io.StringIO()) as printed:
-                try:
-                    namespace, extra = self.parse_known_args(args, namespace)
-                    if extra:
-                        self.error(f"unrecognized arguments: {_quoted(' '.join(extra), str)}")
-                    return namespace
-                except SystemExit as stop:
-                    stop.printed = printed.getvalue()
-                    raise
-                except ParseError as exc:
-                    message = str(exc)
-                    texts = {text for e in args for text in (e, e.partition("=")[2], e[2:]) if len(text) > QUOTE_WINDOW}
-                    # the longest first, so no text is cut inside a longer one
-                    for text in sorted(texts, key=len, reverse=True):
-                        message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text, str))
-                    raise ParseError(message) from None
-
-        def error(self, message):
-            raise ParseError(message)
-
-    parsers, commands = {}, {}
-    for path, (text, arguments) in _GRAMMAR.items():
-        parser = parsers[path] = (
-            commands[path[:-1]].add_parser(path[-1], help=text) if path
-            else _Parser(prog="tracerange", description=text)
-        )
-        for name, keywords in arguments:
-            if keywords.get("action") == "parsers":
-                commands[path] = parser.add_subparsers(dest=name, required=keywords.get("required", False))
-            else:
-                parser.add_argument(name, **keywords)
-    return parsers
+    any argv but a plain one: built by ``argparser``, the one module that
+    imports argparse, which no other route loads."""
+    from .argparser import build
+    return build(_GRAMMAR)
 
 
 def _parse(argv: list[str]):

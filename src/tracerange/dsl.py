@@ -12,7 +12,8 @@ so ``1/2, 1/4, 1/4`` is a finite sequence, ``geo(1/2, 1/2)`` the halving
 sequence, ``1/3, 1/3, geo(1/6, 1/2)`` a prefix with a geometric tail, and
 ``radix(1; 3 | 2)`` the pattern of the word 3, 2, 2, 2, ... A word without
 a bar is taken as fully periodic. Anything starting with '{' is parsed as
-the equivalent JSON document instead; JSON nested past the interpreter's
+the equivalent JSON document instead, read by ``readers``, which only that
+route and ``parse_algebra`` load; JSON nested past the interpreter's
 recursion limit is refused as a parse failure.
 
 Each token is read once, by one compiled pattern that reads the whitespace
@@ -25,6 +26,7 @@ Parse errors carry the character position where reading failed.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -39,10 +41,13 @@ from .sequences import (
     ZeroTail,
     _from_runs,
 )
-from .serialize import algebra_from_doc, model_from_doc, word_from_doc
 
 if TYPE_CHECKING:  # read only in an annotation, so the algebras' module is not loaded
     from .range_geometry import AlgebraSpec
+
+# the package: the JSON readers are read through it (``_package.readers``),
+# which imports them on their first read
+_package = sys.modules[__package__]
 
 _WS = re.compile(r"\s*")
 # a rational token, with its numerator's and denominator's texts
@@ -124,21 +129,11 @@ def _parse_tail_call(cur: _Cursor, name: str, name_pos: int) -> TailModel:
     return build(first, second)
 
 
-def _load_json(text: str):
-    import json  # loaded only by input that is JSON
-
-    try:
-        return json.loads(text, parse_int=_read_int)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested past the interpreter's recursion limit") from None
-
-
 def parse_spec(text: str) -> SequenceModel:
     """A sequence model from its DSL or JSON form."""
     if text.lstrip().startswith("{"):
-        return model_from_doc(_load_json(text))
+        readers = _package.readers
+        return readers.model_from_doc(readers._load_json(text))
     cur = _Cursor(text)
     runs: list[list] = []  # [value, count] per run of entries written alike
     token = None
@@ -163,7 +158,8 @@ def parse_spec(text: str) -> SequenceModel:
 def parse_word(text: str) -> RadixWord:
     """A radix word from its DSL or JSON form."""
     if text.lstrip().startswith("{"):
-        return word_from_doc(_load_json(text))
+        readers = _package.readers
+        return readers.word_from_doc(readers._load_json(text))
     cur = _Cursor(text)
     word = _parse_word_body(cur)
     if cur.peek():
@@ -175,4 +171,5 @@ def parse_algebra(text: str) -> AlgebraSpec:
     """An algebra spec; JSON only, there is no shorthand for these."""
     if not text.lstrip().startswith("{"):
         raise ParseError("an algebra spec must be a JSON object", 0)
-    return algebra_from_doc(_load_json(text))
+    readers = _package.readers
+    return readers.algebra_from_doc(readers._load_json(text))

@@ -64,11 +64,13 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    ZERO, Interval, _Record, _check_ceiling, _digit_limit, _reduced, _setattr, _trusted_fraction, _written,
+    ZERO, Interval, _Record, _check_ceiling, _digit_limit, _product, _reduced, _setattr, _trusted_fraction,
+    _written,
 )
 from .errors import ValidationError
 from .representability import ConditionVerdict, _excesses, kakeya_check
@@ -89,6 +91,13 @@ def _trusted_intervals(los: list[Fraction], his: list[Fraction]) -> tuple[Interv
 def _over(den: int, x: Fraction) -> int:
     """The numerator of ``x`` over ``den``, which its denominator divides."""
     return x.numerator * (den // x.denominator)
+
+
+def _twice(items: list) -> list:
+    """Each of ``items`` twice in a row, as a union of points lists its ends."""
+    doubled = items * 2
+    doubled[::2] = doubled[1::2] = items
+    return doubled
 
 
 def _coalesce(pairs: list[tuple[int, int]]) -> list[int]:
@@ -128,6 +137,7 @@ class IntervalUnion(_Record):
     _fields = ("_den", "_ends")
     _pairs = None  # ``_lowest_terms``' memo, set on the union by ``_setattr``
     _parts = None  # ``parts``' memo, set the same way
+    _points = False  # whether every part is a point, as in a finite cover; set by ``_place``
 
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = tuple(parts)
@@ -164,17 +174,23 @@ class IntervalUnion(_Record):
             ends = [x // g for x in ends]
         _setattr(self, "_den", den)
         _setattr(self, "_ends", tuple(ends))
+        if ends and los == his:  # ``==`` stops at the first proper part, so a union with one pays no pass
+            _setattr(self, "_points", True)
 
     def _lowest_terms(self) -> tuple[list[int], list[int]]:
         """The endpoints' lowest-terms numerators and denominators, one gcd
-        each on the first read (a plain loop: a small union pays no set-up)."""
+        each on the first read (a plain loop: a small union pays no set-up),
+        and one per point of a union of points, whose two ends are one value."""
         pairs = self._pairs
         if pairs is None:
             den, gcd, nums, dens = self._den, math.gcd, [], []
-            for x in self._ends:
+            step = 2 if self._points else 1
+            for x in self._ends[::step]:
                 g = gcd(x, den)
                 nums.append(x // g)
                 dens.append(den // g)
+            if self._points:
+                nums, dens = _twice(nums), _twice(dens)
             _setattr(self, "_pairs", pairs := (nums, dens))
         return pairs
 
@@ -197,14 +213,23 @@ class IntervalUnion(_Record):
         """Each part's endpoints written "p/q", as ``format_rational`` writes
         them, one ``[lo, hi]`` list per part as the JSON document holds it.
 
-        On a grid that ``_fits``, the shared lowest-terms pass is read whole.
+        On a grid that ``_fits``, the shared lowest-terms pass is read whole,
+        and a union of points writes each point once, for both its ends.
         Otherwise ``_written`` reads each endpoint as it is reduced, in
-        order, so the first too large stops the rest."""
+        order, so the first too large stops the rest; a point is reduced
+        once and read twice."""
         if not self._fits():
-            den = self._den
-            texts = _written(_trusted_fraction(x // (g := math.gcd(x, den)), den // g) for x in self._ends)
+            den, step = self._den, 2 if self._points else 1
+            values = (_trusted_fraction(x // (g := math.gcd(x, den)), den // g) for x in self._ends[::step])
+            if self._points:
+                values = (end for point in values for end in (point, point))
+            texts = _written(values)
             return [texts[i : i + 2] for i in range(0, len(texts), 2)]
-        nums, dens = map(iter, self._lowest_terms())  # zipped twice: a part's lo, then its hi
+        nums, dens = self._lowest_terms()
+        if self._points:
+            texts = [f"{p}/{q}" for p, q in zip(nums[::2], dens[::2])]
+            return [[text, text] for text in texts]
+        nums, dens = map(iter, (nums, dens))  # zipped twice: a part's lo, then its hi
         return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]
 
     @classmethod
@@ -479,6 +504,15 @@ def achievable_outer(model: SequenceModel, depth: int) -> RangeApproximation:
     return RangeApproximation(depth, IntervalUnion._on_grid(den, ends), exact)
 
 
+def _order(x: Fraction, y: Fraction) -> int:
+    """-1, 0 or 1 as x is below, equal to or above y, by one integer cross product."""
+    d = x.numerator * y.denominator - y.numerator * x.denominator
+    return (d > 0) - (d < 0)
+
+
+_by_value = cmp_to_key(_order)  # a sort and ``min`` key that orders rationals by ``_order``
+
+
 class MatrixFactor(_Record):
     """A dim x dim matrix block carrying ``weight`` of the trace."""
 
@@ -488,7 +522,7 @@ class MatrixFactor(_Record):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValidationError(f"factor dimension must be an integer >= 1, got {dim!r}")
         weight = Fraction(weight)
-        if weight <= 0:
+        if weight.numerator <= 0:
             raise ValidationError(f"factor weight must be positive, got {weight}")
         self.__dict__.update(dim=dim, weight=weight)
 
@@ -508,9 +542,12 @@ class AlgebraSpec(_Record):
             if not isinstance(f, MatrixFactor):
                 raise ValidationError("factors must be MatrixFactor instances")
         tail = ZeroTail() if abelian_tail is None else abelian_tail
-        total = sum((f.weight for f in factors), ZERO) + _checked_tail(tail, "abelian tail").total
-        if total != 1:
-            raise ValidationError(f"factor weights and tail must sum to 1, got {total}")
+        weights = [f.weight for f in factors]
+        weights.append(_checked_tail(tail, "abelian tail").total)
+        den = math.lcm(*(w.denominator for w in weights))
+        num = sum(_over(den, w) for w in weights)
+        if num != den:
+            raise ValidationError(f"factor weights and tail must sum to 1, got {_reduced(num, den)}")
         self.__dict__.update(factors=factors, abelian_tail=abelian_tail)
 
 
@@ -533,27 +570,28 @@ def from_algebra(spec: AlgebraSpec) -> SequenceModel:
     tail = spec.abelian_tail if spec.abelian_tail is not None else ZeroTail()
     if not spec.factors:
         return _from_runs((), tail)
-    runs = [(f.weight / f.dim, f.dim) for f in spec.factors]
-    a_min = min(value for value, _ in runs)
+    runs = [(_reduced(f.weight.numerator, f.weight.denominator * f.dim), f.dim) for f in spec.factors]
+    a_min = min((value for value, _ in runs), key=_by_value)
     dims = sum(f.dim for f in spec.factors)
     room = _check_ceiling("atoms", dims)
-    if tail.total > room * a_min:
+    if _order(tail.total, _product(a_min, room, 1)) > 0:
         # the tail does not rise, so doubling j reads no term past twice the
         # one where it falls below a_min before reaching the room left
         j = 1
-        while j < room and next(tail.rest(j).runs())[0] >= a_min:
+        while j < room and _order(next(tail.rest(j).runs())[0], a_min) >= 0:
             j *= 2
         if j >= room:
             value, size = next(tail.rest(room).runs())
-            if value >= a_min:
+            if _order(value, a_min) >= 0:
                 _check_ceiling("atoms", dims + room + size)
     moved = 0
     for value, size in tail.runs():
-        if value < a_min:
+        if _order(value, a_min) < 0:
             break
         moved += size
         runs.append((value, size))
-    runs.sort(key=operator.itemgetter(0), reverse=True)
+    # the tail's runs are already in order, so the sort merges them with the factors'
+    runs.sort(key=lambda run: _by_value(run[0]), reverse=True)
     return _from_runs(runs, tail.rest(moved))
 
 

@@ -356,9 +356,9 @@ class GeometricTail(_Record):
         return bits, _reduced(n, den * b * q**count)
 
     def as_radix(self) -> Optional["MixedRadixTail"]:
-        if self.ratio != Fraction(1, 2):
+        if (self.ratio.numerator, self.ratio.denominator) != (1, 2):
             return None
-        return MixedRadixTail(2 * self.first, RadixWord((), (2,)))
+        return MixedRadixTail(_product(self.first, 2, 1), RadixWord((), (2,)))
 
     def numeral(self, bits: tuple[int, ...]) -> Fraction:
         """The sum the checked 0/1 ``bits`` select, as a base-q/p numeral for

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import _check_writable
+from .core import _check_writable, _reduced
 from .errors import ValidationError
 from .range_geometry import IntervalUnion, RangeApproximation
 
@@ -49,9 +49,12 @@ def emit_svg(approximations: Sequence[RangeApproximation]) -> str:
     for earlier, later in zip(approxes, approxes[1:]):
         if earlier.depth >= later.depth:
             raise ValidationError("approximations must come in increasing depth order")
-    # the largest endpoint of a union is its last
-    span = max([Fraction(1)] + [Fraction(a.union._ends[-1], a.union._den) for a in approxes if a.union])
-    _check_writable(span)
+    # the largest endpoint of a union is its last, compared on integers
+    num, den = 1, 1
+    for approx in approxes:
+        if approx.union and approx.union._ends[-1] * den > num * approx.union._den:
+            num, den = approx.union._ends[-1], approx.union._den
+    span = _check_writable(_reduced(num, den))
     height = 2 * _MARGIN_Y + len(approxes) * _BAND_HEIGHT + (len(approxes) - 1) * _BAND_GAP
 
     lines = [

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output bodies, error envelopes."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -823,28 +824,30 @@ class TestLaunchWeight:
     row without argparse, and writes its document without ``json`` before
     3.13, where ``json`` writes every document; help, an ``--opt=value`` and
     JSON input load what they need. Of the package, every launch loads the
-    front end and the spec reader, and each command only the engines it runs."""
+    front end, the spec reader and the document writers, and each command
+    line only the engines it runs, the argparse builder (``argparser``) when
+    argparse reads it and the JSON readers (``readers``) for JSON input."""
 
-    FRONT = {"cli", "core", "dsl", "errors", "sequences", "serialize"}
+    FRONT = {"cli", "core", "dsl", "errors", "sequences", "writers"}
 
     @pytest.mark.parametrize(
-        "argv, needs, engines",
+        "argv, needs, loads",
         [
             (["check", DYADIC], set(), {"representability"}),
             (["expand", DYADIC, "1/3", "--bits", "8"], set(), {"representability"}),
             (["range", CANTOR, "--depth", "4", "--format", "svg"], set(), {"range_geometry", "representability", "svg"}),
             (["gaps", CANTOR, "--depth", "4"], set(), {"representability"}),
             # an algebra spec is JSON only, and its records live with the convexity verdict
-            (["vna", ALGEBRA], {"json"}, {"range_geometry", "representability"}),
+            (["vna", ALGEBRA], {"json"}, {"readers", "range_geometry", "representability"}),
             (["extreme", "encode", "3 | 2", "--terms", "4"], set(), {"extreme_points"}),
             (["extreme", "decode", DYADIC], set(), {"extreme_points"}),
             (["digits", "3 | 2", "1/3", "--count", "4"], set(), {"extreme_points"}),
-            (["check", "--help"], {"argparse"}, set()),
-            (["range", CANTOR, "--depth=3"], {"argparse"}, {"range_geometry", "representability"}),
-            (["check", GEO_JSON], {"json"}, {"representability"}),
+            (["check", "--help"], {"argparse"}, {"argparser"}),
+            (["range", CANTOR, "--depth=3"], {"argparse"}, {"argparser", "range_geometry", "representability"}),
+            (["check", GEO_JSON], {"json"}, {"readers", "representability"}),
         ],
     )
-    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs, engines):
+    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs, loads):
         # without ``site``, so nothing but the package and its command line loads a module
         code = f"import sys\nfrom tracerange.cli import main\nassert main({argv!r}) == 0\nprint(*sys.modules)"
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -855,7 +858,68 @@ class TestLaunchWeight:
             needs = needs | {"json"}
         assert {"argparse", "json"} & loaded == needs
         package = {name.partition(".")[2] for name in loaded if name.startswith("tracerange.")}
-        assert package == self.FRONT | engines
+        assert package == self.FRONT | loads
+
+    # each plain command line of the launches the benchmark times, and the
+    # most source it may compile: the size of every package file it loads,
+    # the entry module included (101,251 bytes for check and gaps, and
+    # 101,846 for digits and encode, before the argparse builder and the
+    # JSON readers left the launch path, without the entry module)
+    @pytest.mark.parametrize(
+        "argv, ceiling",
+        [
+            (["check", "geo(1/3, 1/4)"], 95_500),
+            (["gaps", "1/2, 1/4, geo(1/12, 1/3)", "--depth", "8"], 95_500),
+            (["digits", "3 | 2", "1/3", "--count", "12"], 96_000),
+            (["extreme", "encode", "2 3 | 4", "--terms", "6"], 96_000),
+        ],
+    )
+    def test_a_plain_launch_compiles_no_more_than_its_ceiling(self, argv, ceiling):
+        code = (
+            "import atexit, os, sys\n"
+            "def size():\n"
+            "    files = {m.__file__ for name, m in sys.modules.items() if name.partition('.')[0] == 'tracerange'}\n"
+            "    print(sum(map(os.path.getsize, files)))\n"
+            "atexit.register(size)\n"
+            f"sys.argv = ['tracerange', *{argv!r}]\n"
+            "from tracerange.__main__ import launch\n"
+            "launch()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.splitlines()[-1]) <= ceiling
+
+
+class TestLaunchExit:
+    """``__main__.launch``, the end of every process launch, writes what
+    ``run_command`` answers and exits with its code, with the collector
+    frozen before shutdown; atexit handlers still run. ``cli.main`` in
+    process leaves the collector as it was."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", CANTOR], ["range", CANTOR, "--depth", "24"], ["check", "1/2, geo("], ["check", "--help"]],
+        ids=["exit-0", "exit-2", "exit-3", "help"],
+    )
+    def test_the_entry_exits_as_run_command_answers_with_the_collector_frozen(self, argv):
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+            f"sys.argv = ['tracerange', *{argv!r}]\n"
+            "from tracerange.__main__ import launch\n"
+            "launch()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        result = run_command(argv)
+        assert (proc.returncode, proc.stdout) == (result.exit_code, result.body + "\n")
+        assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0, proc.stderr
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        assert main(["check", DYADIC]) == 0
+        assert gc.get_freeze_count() == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
 # strings that ``json`` escapes: quotes, backslashes, controls, non-ASCII

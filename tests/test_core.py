@@ -21,6 +21,7 @@ from tracerange import (
     ResourceLimitError,
     SequenceModel,
     ValidationError,
+    ZeroTail,
     achievable_outer,
     format_rational,
     parse_rational,
@@ -40,6 +41,23 @@ from support import (
     fractions_nonnegative,
     interval_pairs,
 )
+
+
+def count_gcds(monkeypatch) -> list:
+    """The arguments of each ``math.gcd`` call ``range_geometry`` makes from now on."""
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def gcd(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+    monkeypatch.setattr(range_geometry, "math", CountingMath())
+    return calls
 
 
 def pieces_of(union: IntervalUnion) -> list[tuple[Fraction, Fraction]]:
@@ -574,18 +592,7 @@ class TestGridUnionReferee:
         # their own would make it 4,094, plus one per union built
         model = SequenceModel((), tail)
         cover = achievable_outer(model, 10).union
-        calls = []
-
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            @staticmethod
-            def gcd(*args):
-                calls.append(args)
-                return math.gcd(*args)
-
-        monkeypatch.setattr(range_geometry, "math", CountingMath())
+        calls = count_gcds(monkeypatch)
         within = Interval(Fraction(0), model.total)
         if text_first:
             text = cover._written_parts()
@@ -609,6 +616,27 @@ class TestGridUnionReferee:
         calls.clear()
         gaps = refused.complement(Interval(Fraction(0), refused_model.total))
         assert len(gaps) == 2047 and len(calls) == 1 and gaps._pairs is None
+
+    def test_a_union_of_points_takes_one_gcd_per_point(self, monkeypatch, digit_limit_640):
+        # a finite cover is a union of points: each is reduced once and
+        # written once, for both its ends, with the same text and parts
+        model = SequenceModel(tuple(Fraction(1, p) for p in (2, 3, 5, 7, 11, 13)), ZeroTail())
+        union = achievable_outer(model, 6).union
+        sums = subset_sums(model.prefix)
+        assert len(union) == len(sums) == 64 and union._points
+        calls = count_gcds(monkeypatch)
+        assert union._written_parts() == [[format_rational(x)] * 2 for x in sums]
+        assert [(part.lo, part.hi) for part in union.parts] == [(x, x) for x in sums]
+        assert len(calls) == 64
+        # past the digit limit each point is reduced once, up to the first too large to write
+        big = achievable_outer(SequenceModel((Fraction(10**640), Fraction(1, 2), Fraction(1, 3)), ZeroTail()), 3).union
+        assert big._points and not big._fits()
+        calls.clear()
+        with pytest.raises(ResourceLimitError, match="^output rational too large to write: 2127 bits$"):
+            big._written_parts()
+        assert len(calls) == 4 + 1
+        # a union with a proper part is no union of points, whatever its others
+        assert not IntervalUnion([Interval(0, 0), Interval(1, 2)])._points
 
     def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
         model = SequenceModel((), self.CANTOR_TAILS[0])

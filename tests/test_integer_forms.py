@@ -3,11 +3,12 @@
 The request path adds, multiplies and compares rationals on their integer
 numerators and denominators and builds each answer value once, in lowest
 terms. A seeded referee holds every such value to plain ``Fraction``
-arithmetic, and two counter contracts pin that cover and realize
-requests call no ``Fraction`` operator from the package at all.
+arithmetic, and three counter contracts pin that cover, realize and
+command-line requests call no ``Fraction`` operator from the package at all.
 """
 
 import functools
+import json
 import random
 import sys
 from collections import Counter
@@ -30,6 +31,7 @@ from tracerange import (
     mixed_radix_digits,
     parse_spec,
     radix_to_sequence,
+    run_command,
     sequence_to_radix,
     verify_expansion,
 )
@@ -234,5 +236,68 @@ class TestRealizeCallsNoFractionOperator:
 
     def test_realize_requests_call_no_fraction_operator(self, monkeypatch):
         requests = realize_requests(random.Random("realize-counter"))
+        calls = package_operator_calls(monkeypatch, requests)
+        assert not calls, dict(calls)
+
+
+def word_text(word: RadixWord) -> str:
+    pre, period = (" ".join(map(str, part)) for part in (word.pre, word.period))
+    return f"{pre} | {period}" if pre else period
+
+
+def algebra_text(rng: random.Random) -> str:
+    """An algebra spec whose factor weights and tail sum to 1: one to four
+    factors of random dimension sharing 1 - t, and a tail of total t that
+    is geometric, a radix pattern or absent, so tail atoms fall both above
+    and below the smallest factor atom."""
+    t = rng.choice((F(0), F(1, 4), F(1, 3), F(1, 2)))
+    shares = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+    factors = [
+        {"dim": rng.randint(1, 9), "weight": str((1 - t) * share / sum(shares))} for share in shares
+    ]
+    doc = {"factors": factors}
+    if t and rng.random() < 0.5:
+        ratio = F(1, rng.randint(2, 5))
+        first = t * (1 - ratio)
+        doc["abelianTail"] = {"kind": "geometric", "first": str(first), "ratio": str(ratio)}
+    elif t:
+        word = random_word(rng)
+        doc["abelianTail"] = {"kind": "radix", "scale": str(t), "pre": list(word.pre), "period": list(word.period)}
+    return json.dumps(doc)
+
+
+def cli_requests(rng: random.Random) -> list:
+    """Command lines of all eight commands, each built before the spy is on:
+    the cover specs through check, expand, range in json, csv and svg,
+    gaps and decode (one also as its JSON document), radix words through
+    encode and digits, and algebra specs through vna; each must succeed."""
+    argvs = []
+    for spec in cover_specs(rng)[:15]:
+        depth = str(rng.randint(3, 8))
+        argvs += [
+            ["check", spec], ["expand", spec, str(parse_spec(spec).total * F(rng.randint(0, 9), 9)), "--bits", "12"],
+            ["range", spec, "--depth", depth], ["range", spec, "--depth", depth, "--format", "csv"],
+            ["range", spec, "--depth", f"2,{depth}", "--format", "svg"], ["gaps", spec, "--depth", "10"],
+            ["extreme", "decode", spec],
+        ]
+    argvs.append(["check", '{"prefix": ["1/2", "1/3"], "tail": {"kind": "geometric", "first": "1/6", "ratio": "1/2"}}'])
+    for _ in range(10):
+        word = word_text(random_word(rng))
+        argvs += [["extreme", "encode", word, "--terms", "12"], ["digits", word, f"{rng.randint(0, 7)}/7"]]
+        argvs.append(["vna", algebra_text(rng)])
+    return [functools.partial(cli_request, argv) for argv in argvs]
+
+
+def cli_request(argv) -> None:
+    result = run_command(argv)
+    assert result.exit_code == 0, (argv, result.body)
+
+
+class TestCliCallsNoFractionOperator:
+    """The same spy over ``run_command``: every command, ``vna``'s algebra
+    merge and the svg axis span included, builds its answer on integers."""
+
+    def test_cli_requests_call_no_fraction_operator(self, monkeypatch):
+        requests = cli_requests(random.Random("cli-counter"))
         calls = package_operator_calls(monkeypatch, requests)
         assert not calls, dict(calls)

@@ -320,8 +320,7 @@ def test_parsing_a_spec_loads_no_engine_cli_or_svg():
         "from tracerange import parse_spec\n"
         "assert parse_spec('geo(1/2, 1/2)').total == 1\n"
         "loaded = sorted(name for name in sys.modules if name.startswith('tracerange.'))\n"
-        "assert loaded == ['tracerange.core', 'tracerange.dsl', 'tracerange.errors', 'tracerange.sequences',\n"
-        "                  'tracerange.serialize'], loaded\n"
+        "assert loaded == ['tracerange.core', 'tracerange.dsl', 'tracerange.errors', 'tracerange.sequences'], loaded\n"
     )
     proc = _run_isolated(code)
     assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ TAIL_CLASSES = {"ZeroTail", "GeometricTail", "MixedRadixTail"}
 
 # (module, qualified name of the enclosing function) of each allowed test
 ALLOWED = {
-    ("serialize", "tail_to_doc"),
+    ("writers", "tail_to_doc"),
     ("sequences", "_checked_tail"),
     ("sequences", "SequenceModel.finite"),
 }

@@ -15,9 +15,12 @@ The first ``OPS`` ops of the seeded list are timed, after ``WARMUP`` ops
 run on each side untimed. Prints each side's ops per second of op time, p50
 and p99 in microseconds (nearest rank, as the benchmark reports them), and
 the median over the ops of new time / old time, over all of them and then
-over each op kind's, so a change confined to one kind shows there. This
-sizes a per-op change before the paired ``bench/run.py`` runs that a claim
-rests on; it is not a benchmark of its own.
+over each op kind's, so a change confined to one kind shows there. A
+kind's median rests on its own ops alone: one with fewer than a few
+hundred of the ``OPS`` ops resolves no change smaller than about 20 %
+either way, as its spread from run to run shows. This sizes a per-op
+change before the paired ``bench/run.py`` runs that a claim rests on; it
+is not a benchmark of its own.
 """
 
 from __future__ import annotations
