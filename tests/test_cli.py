@@ -825,13 +825,14 @@ class TestLaunchWeight:
     3.13, where ``json`` writes every document; help, an ``--opt=value`` and
     JSON input load what they need. Of the package, every launch loads the
     front end, the spec reader and the document writers, and each command
-    line only the engines it runs, the argparse builder (``argparser``) when
-    argparse reads it and the JSON readers (``readers``) for JSON input."""
+    line only what it runs (``engines``): its engines, the argparse builder
+    (``argparser``) when argparse reads it and the JSON readers
+    (``readers``) for JSON input."""
 
     FRONT = {"cli", "core", "dsl", "errors", "sequences", "writers"}
 
     @pytest.mark.parametrize(
-        "argv, needs, loads",
+        "argv, needs, engines",
         [
             (["check", DYADIC], set(), {"representability"}),
             (["expand", DYADIC, "1/3", "--bits", "8"], set(), {"representability"}),
@@ -847,7 +848,7 @@ class TestLaunchWeight:
             (["check", GEO_JSON], {"json"}, {"readers", "representability"}),
         ],
     )
-    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs, loads):
+    def test_a_launch_loads_only_what_its_command_line_needs(self, argv, needs, engines):
         # without ``site``, so nothing but the package and its command line loads a module
         code = f"import sys\nfrom tracerange.cli import main\nassert main({argv!r}) == 0\nprint(*sys.modules)"
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -858,7 +859,7 @@ class TestLaunchWeight:
             needs = needs | {"json"}
         assert {"argparse", "json"} & loaded == needs
         package = {name.partition(".")[2] for name in loaded if name.startswith("tracerange.")}
-        assert package == self.FRONT | loads
+        assert package == self.FRONT | engines
 
     # each plain command line of the launches the benchmark times, and the
     # most source it may compile: the size of every package file it loads,
