@@ -46,12 +46,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build(grammar: dict) -> dict:
-    """The parser of each row of ``grammar``, by its path: a row's help
-    (the top level's description) and its arguments, each a name and the
-    keywords of its ``add_argument`` call, where ``"parsers"`` marks the
-    subcommand action that the rows below it fill."""
+    """The parser of each row of ``grammar``, by its path, from the row's
+    first two fields: its help (the top level's description) and its
+    arguments, each a name and the keywords of its ``add_argument`` call,
+    where ``"parsers"`` marks the subcommand action that the rows below it
+    fill."""
     parsers, commands = {}, {}
-    for path, (text, arguments) in grammar.items():
+    for path, (text, arguments, *_) in grammar.items():
         parser = parsers[path] = (
             commands[path[:-1]].add_parser(path[-1], help=text) if path
             else _Parser(prog="tracerange", description=text)

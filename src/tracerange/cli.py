@@ -4,10 +4,10 @@ Every command reads exact rational input, works exactly, and prints a JSON
 document (or CSV/SVG for ``range``). A plain argv is read from its row of
 ``_GRAMMAR``; only any other loads ``argparser``, which builds argparse from
 the rows, so a plain launch loads neither (nor ``json`` before 3.13, nor
-``readers`` unless its input is JSON). ``_COMMANDS`` maps each command (and
-each mode of ``extreme``) to the one function that builds its model, runs
-its engine and returns its answer, which ``run_command`` alone writes, its
-documents by ``writers``; a process launch ends through ``__main__``. Exit
+``readers`` unless its input is JSON). The leaf row of each command (and
+each mode of ``extreme``) holds the one function that builds its model,
+runs its engine and returns its answer, which ``run_command`` alone writes,
+its documents by ``writers``; a process launch ends through ``__main__``. Exit
 codes are part of the contract, and each error class of ``errors`` carries
 its own code and ``kind``:
 
@@ -63,47 +63,6 @@ class CommandResult(_Record):
         self.__dict__.update(exit_code=exit_code, body=body)
 
 
-_FILE = ("--file", {"help": "read the spec from a file instead"})
-_SPEC = (("spec", {"nargs": "?", "help": "sequence spec (DSL or JSON)"}), _FILE)
-_WORD = ("word", {"help": "radix word, e.g. '3 | 2' or '2'"})
-
-# the command line, one row per parser keyed by its command path: its help
-# (the top level's description) and its arguments, each a name and the
-# keywords of its ``add_argument`` call; ``"parsers"``, argparse's own name
-# for the subcommand action, marks the argument the rows below it fill
-_GRAMMAR = {
-    (): ("exact subset-sum ranges of trace sequences", (
-        ("--version", {"action": "version", "version": f"%(prog)s {__version__}"}),
-        ("command", {"action": "parsers", "required": True}),
-    )),
-    ("check",): ("test the completeness condition", _SPEC),
-    ("expand",): ("greedy bit expansion of a target value", (
-        *_SPEC, ("target", {"help": "rational target, e.g. 1/3"}),
-        ("--bits", {"type": int, "default": 32, "help": "number of bits (default 32)"}),
-    )),
-    ("range",): ("outer approximation of the achievable set", (
-        *_SPEC,
-        ("--depth", {"default": "8", "help": "terms to expand, comma separated for several svg bands (default 8)"}),
-        ("--format", {"choices": ("json", "csv", "svg"), "default": "json"}),
-    )),
-    ("gaps",): ("violating indices with their gap certificates", (
-        *_SPEC, ("--depth", {"type": int, "default": 16, "help": "indices to scan (default 16)"}),
-    )),
-    ("vna",): ("convexity of an algebra's trace range", (
-        ("spec", {"nargs": "?", "help": "algebra spec (JSON)"}), _FILE,
-    )),
-    ("extreme",): ("extreme sequences and radix words", (("mode", {"action": "parsers", "required": True}),)),
-    ("extreme", "encode"): ("the pattern sequence of a radix word", (
-        _WORD, ("--terms", {"type": int, "default": 20, "help": "terms to list (default 20)"}),
-    )),
-    ("extreme", "decode"): ("decode a sequence back to its radix word", _SPEC),
-    ("digits",): ("mixed-radix digits of a rational", (
-        _WORD, ("target", {"help": "rational in [0, 1]"}),
-        ("--count", {"type": int, "default": 20, "help": "digits to emit (default 20)"}),
-    )),
-}
-
-
 def _plain_row(arguments):
     """A row's arguments as ``_read_plain`` reads them: the positionals and
     the options by name, each as its dest (its name, less dashes), ``type``
@@ -145,11 +104,6 @@ def _read_plain(row, argv: list[str], args) -> bool:
             return False
     vars(args).update({**defaults, **vars(args), **read})  # a default under what ``args`` already holds
     return True
-
-
-_PLAIN = {path: _plain_row(arguments) for path, (_, arguments) in _GRAMMAR.items()}
-# the dest each subcommand step sets, by the path it steps from
-_STEPS = {path: name for path, row in _GRAMMAR.items() for name, kw in row[1] if kw.get("action") == "parsers"}
 
 
 @lru_cache(maxsize=1)
@@ -312,22 +266,56 @@ def _digits(args) -> dict:
     return {"word": word_to_doc(word), "target": format_rational(target), "digits": list(digits)}
 
 
-# one entry per leaf parser, keyed by its name (``extreme`` by its mode),
-# that returns its answer: a document, or the csv or svg text of ``range``.
-# Each reads its engines off their home modules when it runs, so a launch
-# loads only its own, and a name rebound at home reaches every entry
-_COMMANDS = {
-    "check": lambda args: verdict_to_doc(_engines.representability.kakeya_check(_model(args))),
-    "expand": lambda args: expansion_to_doc(
+_FILE = ("--file", {"help": "read the spec from a file instead"})
+_SPEC = (("spec", {"nargs": "?", "help": "sequence spec (DSL or JSON)"}), _FILE)
+_WORD = ("word", {"help": "radix word, e.g. '3 | 2' or '2'"})
+
+# the command line, one row per parser keyed by its command path: its help
+# (the top level's description), its arguments, each a name and the keywords
+# of its ``add_argument`` call, and on a leaf row its command, which returns
+# the answer: a document, or the csv or svg text of ``range``. ``"parsers"``,
+# argparse's own name for the subcommand action, marks the argument the rows
+# below it fill. Each command reads its engines off their home modules when
+# it runs, so a launch loads only its own, and a name rebound at home
+# reaches every command
+_GRAMMAR = {
+    (): ("exact subset-sum ranges of trace sequences", (
+        ("--version", {"action": "version", "version": f"%(prog)s {__version__}"}),
+        ("command", {"action": "parsers", "required": True}),
+    )),
+    ("check",): ("test the completeness condition", _SPEC,
+                 lambda args: verdict_to_doc(_engines.representability.kakeya_check(_model(args)))),
+    ("expand",): ("greedy bit expansion of a target value", (
+        *_SPEC, ("target", {"help": "rational target, e.g. 1/3"}),
+        ("--bits", {"type": int, "default": 32, "help": "number of bits (default 32)"}),
+    ), lambda args: expansion_to_doc(
         _engines.representability.greedy_expand(_model(args), parse_rational(args.target), args.bits)
-    ),
-    "range": _range,
-    "gaps": _gaps,
-    "vna": _vna,
-    "encode": _encode,
-    "decode": lambda args: report_to_doc(_engines.extreme_points.sequence_to_radix(_model(args))),
-    "digits": _digits,
+    )),
+    ("range",): ("outer approximation of the achievable set", (
+        *_SPEC,
+        ("--depth", {"default": "8", "help": "terms to expand, comma separated for several svg bands (default 8)"}),
+        ("--format", {"choices": ("json", "csv", "svg"), "default": "json"}),
+    ), _range),
+    ("gaps",): ("violating indices with their gap certificates", (
+        *_SPEC, ("--depth", {"type": int, "default": 16, "help": "indices to scan (default 16)"}),
+    ), _gaps),
+    ("vna",): ("convexity of an algebra's trace range", (
+        ("spec", {"nargs": "?", "help": "algebra spec (JSON)"}), _FILE,
+    ), _vna),
+    ("extreme",): ("extreme sequences and radix words", (("mode", {"action": "parsers", "required": True}),)),
+    ("extreme", "encode"): ("the pattern sequence of a radix word", (
+        _WORD, ("--terms", {"type": int, "default": 20, "help": "terms to list (default 20)"}),
+    ), _encode),
+    ("extreme", "decode"): ("decode a sequence back to its radix word", _SPEC,
+                            lambda args: report_to_doc(_engines.extreme_points.sequence_to_radix(_model(args)))),
+    ("digits",): ("mixed-radix digits of a rational", (
+        _WORD, ("target", {"help": "rational in [0, 1]"}),
+        ("--count", {"type": int, "default": 20, "help": "digits to emit (default 20)"}),
+    ), _digits),
 }
+_PLAIN = {path: _plain_row(row[1]) for path, row in _GRAMMAR.items()}
+# the dest each subcommand step sets, by the path it steps from
+_STEPS = {path: name for path, row in _GRAMMAR.items() for name, kw in row[1] if kw.get("action") == "parsers"}
 
 
 def _failure(code: int, kind: str, exc: Exception) -> CommandResult:
@@ -341,8 +329,10 @@ def _failure(code: int, kind: str, exc: Exception) -> CommandResult:
 def run_command(argv) -> CommandResult:
     """Run one command line; never raises, never exits."""
     try:
-        args = _parse(list(argv))
-        answer = _COMMANDS[getattr(args, "mode", args.command)](args)
+        args, path = _parse(list(argv)), ()
+        while path in _STEPS:  # the command, then the mode of ``extreme``
+            path += (getattr(args, _STEPS[path]),)
+        answer = _GRAMMAR[path][2](args)
         return CommandResult(0, answer if type(answer) is str else _dump(answer))
     except SystemExit as stop:  # --help and --version land here, with what they printed
         return CommandResult(int(stop.code or 0), getattr(stop, "printed", "").rstrip("\n"))

@@ -2,11 +2,12 @@
 the JSON text reader: ``dsl`` loads this module only for input that starts
 with '{' (an algebra spec always does), so no other launch compiles it.
 
-Structural problems (wrong type, unknown or missing field, unknown kind)
-raise ParseError; one check, ``_check_keys``, names a document's unknown
-fields and then the required ones it lacks (``"<where> needs 'a' and
-'b'"``). Value problems surface as the constructors' ValidationError, and
-a radix tail's word is read by ``word_from_doc``.
+Structural problems (a repeated, unknown or missing field, wrong type,
+unknown kind) raise ParseError; one check, ``_check_keys``, names a
+document's unknown fields and then the required ones it lacks
+(``"<where> needs 'a' and 'b'"``). Value problems surface as the
+constructors' ValidationError, and a radix tail's word is read by
+``word_from_doc``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,22 @@ if TYPE_CHECKING:  # read only in an annotation
 _engines = sys.modules[__package__]
 
 
+def _fields(pairs: list) -> dict:
+    """A JSON object's fields, or a ParseError naming the first field that
+    it repeats, which ``json`` would otherwise let the last one overwrite."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise ParseError(f"invalid JSON: repeated field {_quoted(name)}")
+            seen.add(name)
+    return fields
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_int=_read_int)
+        return json.loads(text, object_pairs_hook=_fields, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
     except RecursionError:

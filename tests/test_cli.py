@@ -457,14 +457,17 @@ class TestTables:
     """The command table against the grammar's leaves, and the error table
     against the documented exit codes and kinds."""
 
-    def test_each_leaf_parser_has_one_command(self):
+    def test_each_leaf_row_and_no_inner_row_carries_a_command(self):
         # a leaf row has no subcommand argument, and names a command or a mode of ``extreme``
-        leaves = [
-            path[-1] for path, (_, arguments) in cli._GRAMMAR.items()
-            if all(keywords.get("action") != "parsers" for _, keywords in arguments)
+        for path, row in cli._GRAMMAR.items():
+            inner = any(keywords.get("action") == "parsers" for _, keywords in row[1])
+            assert len(row) == (2 if inner else 3), path
+            assert inner or callable(row[2]), path
+        leaves = [path for path, row in cli._GRAMMAR.items() if len(row) == 3]
+        assert [" ".join(path) for path in leaves] == [
+            "check", "expand", "range", "gaps", "vna", "extreme encode", "extreme decode", "digits",
         ]
-        assert len(leaves) == len(set(leaves)) == 8
-        assert set(leaves) == set(cli._COMMANDS)
+        assert len({row[2] for row in cli._GRAMMAR.values() if len(row) == 3}) == 8
 
     # the documented (exit_code, kind) of every error class, subclasses included
     ERRORS = [

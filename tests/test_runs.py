@@ -329,12 +329,12 @@ class TestCostContract:
 class TestPrefixStaysUnspelled:
     """A deterministic spy, no clock: a model built from runs spells its
     ``prefix`` tuple out only when something reads it. Every engine and the
-    model's identity read the runs, so a run of a million terms costs them
-    no more than a run of ten."""
+    model's identity read the runs, so a run of ten million terms costs
+    them no more than a run of ten."""
 
-    R = 10**6
+    R = 10**7
 
-    def test_no_engine_spells_out_a_million_term_run(self):
+    def test_no_engine_spells_out_a_ten_million_term_run(self):
         base = radix_to_sequence(RadixWord((), (2,)))
         model, twin = face_embed(base, self.R), face_embed(base, self.R)
         unit = F(1, self.R)

@@ -118,6 +118,25 @@ class TestDocumentValidation:
         with pytest.raises(ParseError):
             ser.word_from_doc({"pre": [], "period": ["2"]})
 
+    # each document would read without error if the last of a repeated field won
+    @pytest.mark.parametrize(
+        "read, text, name",
+        [
+            (parse_spec, '{"prefix": ["1/2"], "tail": {"kind": "zero"}, "prefix": ["1/4"]}', "prefix"),
+            (parse_spec, '{"tail": {"kind": "geometric", "first": "1/2", "ratio": "1/2", "first": "1/4"}}', "first"),
+            (
+                parse_algebra,
+                '{"factors": [{"dim": 3, "weight": "1/3"}], "factors": [{"dim": 1, "weight": "1"}]}',
+                "factors",
+            ),
+        ],
+        ids=["model", "tail", "algebra"],
+    )
+    def test_a_repeated_field_is_a_parse_failure(self, read, text, name):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert (str(info.value), info.value.position) == (f"invalid JSON: repeated field {name!r}", None)
+
 
 class TestOutputDocuments:
     def test_verdict_doc(self):
