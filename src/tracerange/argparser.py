@@ -11,19 +11,24 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import re
 
 from .core import QUOTE_WINDOW, _quoted
 from .errors import ParseError
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports malformed argv as ParseError instead of exiting."""
+    """argparse that reports malformed argv as ParseError instead of exiting,
+    and wraps help at 78 columns, as it does with no terminal and no COLUMNS."""
 
     def parse_args(self, args=None, namespace=None):
         """argparse's own parse; what ``--help`` and ``--version`` print is
         carried off stdout by their ``SystemExit`` as ``printed``. An error
         quotes each entry of ``args``, its value after "=" or "-x", and the
         unrecognized arguments as argparse joins them, by ``_quoted``."""
+        # "-hTEXT" is refused as "-h=TEXT" is on every version, where 3.13 would print help
+        cut = args.index("--") if "--" in args else len(args)
+        args = [re.sub(r"^-h+(?=[^-=h])", "-h=", e) if e[:2] == "-h" else e for e in args[:cut]] + args[cut:]
         with contextlib.redirect_stdout(io.StringIO()) as printed:
             try:
                 namespace, extra = self.parse_known_args(args, namespace)
@@ -43,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseError(message)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=78)
 
 
 def build(grammar: dict) -> dict:

@@ -3,13 +3,13 @@
 Every command reads exact rational input, works exactly, and prints a JSON
 document (or CSV/SVG for ``range``). A plain argv is read from its row of
 ``_GRAMMAR``; only any other loads ``argparser``, which builds argparse from
-the rows, so a plain launch loads neither (nor ``json`` before 3.13, nor
-``readers`` unless its input is JSON). The leaf row of each command (and
-each mode of ``extreme``) holds the one function that builds its model,
-runs its engine and returns its answer, which ``run_command`` alone writes,
-its documents by ``writers``; a process launch ends through ``__main__``. Exit
-codes are part of the contract, and each error class of ``errors`` carries
-its own code and ``kind``:
+the rows, so a plain launch loads neither (nor ``json`` and ``readers``
+unless its input is JSON). The leaf row of each command (and each mode of
+``extreme``) holds the one function that builds its model, runs its engine
+and returns its answer, which ``run_command`` alone writes, its documents
+by ``writers``; a process launch ends through ``__main__``. Exit codes are
+part of the contract, and each error class of ``errors`` carries its own
+code and ``kind``:
 
 * 0 - success
 * 1 - the input parsed but was rejected (validation or domain errors)
@@ -135,8 +135,7 @@ def _parse(argv: list[str]):
 
 
 def _spec_text(args) -> str:
-    inline = getattr(args, "spec", None)
-    path = getattr(args, "file", None)
+    inline, path = getattr(args, "spec", None), getattr(args, "file", None)
     if inline is not None and path is not None:
         raise ParseError("give the spec inline or with --file, not both")
     if path is not None:
@@ -191,17 +190,9 @@ def _write_json(value, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-# every document is written as ``json.dumps(doc, indent=2, sort_keys=True)``
-# writes it. Before 3.13 ``json`` indents only in pure-Python generators, and
-# ``_write_json`` writes the same bytes in about half their time; from 3.13
-# ``json`` indents in C and is the faster, so there it writes every document,
-# with no cycle check, as each document is a fresh tree.
-if sys.version_info < (3, 13):
-    _dump = _write_json
-else:
-    def _dump(doc) -> str:
-        import json  # loaded by the first document written, not by the launch
-        return json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode(doc)
+# the one writer of every document, by a name apart from the one ``_write_json``
+# recurses by, so a wrapper put in place of ``_dump`` sees whole documents only
+_dump = _write_json
 
 
 def _parse_depths(raw: str) -> list[int]:
@@ -224,9 +215,7 @@ def _range(args) -> dict | str:
     if args.format == "json":
         return approximation_to_doc(approxes[0])
     if args.format == "csv":
-        rows = ["lo,hi"]
-        rows.extend(f"{lo},{hi}" for lo, hi in approxes[0].union._written_parts())
-        return "\n".join(rows)
+        return "\n".join(["lo,hi", *(f"{lo},{hi}" for lo, hi in approxes[0].union._written_parts())])
     return _engines.svg.emit_svg(approxes)  # loaded only for the one format that draws
 
 

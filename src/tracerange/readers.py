@@ -46,6 +46,9 @@ def _load_json(text: str):
     try:
         return json.loads(text, object_pairs_hook=_fields, parse_int=_read_int)
     except json.JSONDecodeError as exc:
+        if exc.msg.startswith("Illegal trailing comma"):  # 3.13's, at the comma; told as earlier versions do
+            exc.pos = json.decoder.WHITESPACE.match(text, exc.pos + 1).end()
+            exc.msg = "Expecting " + ("value" if exc.msg[-5:] == "array" else "property name enclosed in double quotes")
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested past the interpreter's recursion limit") from None

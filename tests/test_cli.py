@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
+from edge_argv import CANTOR, DYADIC, EDGE_ARGV, EDGE_DIGEST, edge_digest
 from support import HUGE_ENDPOINTS, cantor_like, random_complete_model, random_fraction
 
 from tracerange import GeometricTail, SequenceModel, achievable_outer, cli, core, errors, representability, svg
@@ -22,9 +23,6 @@ from tracerange.cli import main, run_command
 from tracerange.dsl import parse_spec
 
 F = Fraction
-
-DYADIC = "geo(1/2, 1/2)"
-CANTOR = "geo(2/3, 1/3)"
 
 
 def body_json(argv):
@@ -607,42 +605,24 @@ ANCHOR_ARGV = [
 ]
 ANCHOR_ARGV += [["check", spec] for spec in TestByteAnchor.CHECK_MODELS]
 ANCHOR_ARGV += [["vna", algebra] for algebra in TestByteAnchor.ALGEBRAS]
-# help, version and malformed argv at both levels, and failures of every kind
-EDGE_ARGV = [
-    [],
-    ["--help"],
-    ["-h"],
-    ["--version"],
-    ["check", "--help"],
-    ["range", "-h"],
-    ["extreme", "--help"],
-    ["extreme", "encode", "-h"],
-    ["check", "--version"],
-    ["bogus"],
-    ["extreme"],
-    ["extreme", "bogus"],
-    ["--file", "x", "check"],
-    ["range", CANTOR, "--depth=3"],
-    ["range", CANTOR, "--dep", "3"],
-    ["range", CANTOR, "--format", "xml"],
-    ["range", CANTOR, "--depth", "24"],
-    ["gaps", CANTOR, "--depth", "x"],
-    ["check", "--", DYADIC],
-    ["check", "-1/2"],
-    ["check", DYADIC, "extra"],
-    ["check", "1/2,,"],
-    ["check", "0"],
-    ["expand", DYADIC],
-    ["expand", DYADIC, "2"],
-    ["extreme", "encode", "2", "extra"],
-    ["digits", "2"],
-]
 FRONT_END_ARGV = EDGE_ARGV + ACCEPTANCE_ARGV + ANCHOR_ARGV
 
 
 class TestFrontEnd:
     """The direct dispatch and the shared encoder, each against the route it
-    replaces: the top-level parser and ``json.dumps``."""
+    replaces: the top-level parser and ``json.dumps``; and the answer to each
+    edge argv, which the digest pins on every Python version."""
+
+    def test_edge_argv_digest(self):
+        assert edge_digest() == EDGE_DIGEST
+
+    def test_help_is_the_same_bytes_at_any_terminal_width(self):
+        expected = run_command(["range", "--help"]).body + "\n"
+        for columns in ("40", "200"):
+            env = dict(os.environ, PYTHONPATH=SRC, COLUMNS=columns)
+            command = [sys.executable, "-m", "tracerange", "range", "--help"]
+            proc = subprocess.run(command, capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout) == (0, expected), columns
 
     def test_direct_dispatch_answers_as_the_top_level_parser(self, monkeypatch):
         direct = [run_command(argv) for argv in FRONT_END_ARGV]
@@ -670,10 +650,7 @@ class TestFrontEnd:
         every = {"check", "expand", "range", "gaps", "vna", "extreme encode", "extreme decode", "digits"}
         assert every <= commands
         for doc in docs:
-            expected = json.dumps(doc, indent=2, sort_keys=True)
-            # the writer is called by name, so it is checked on an interpreter
-            # whose ``_dump`` is ``json``'s own encoder as well
-            assert dump(doc) == cli._write_json(doc) == expected
+            assert dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _parsed(argv):
@@ -768,7 +745,7 @@ class TestPlainReader:
         return reads.count(True)
 
     def test_front_end_argv(self, monkeypatch):
-        assert self.assert_as_argparse(monkeypatch, FRONT_END_ARGV) == len(ACCEPTANCE_ARGV + ANCHOR_ARGV) + 4
+        assert self.assert_as_argparse(monkeypatch, FRONT_END_ARGV) == len(ACCEPTANCE_ARGV + ANCHOR_ARGV) + 7
 
     def test_bench_like_argv(self, monkeypatch):
         rng = Random(23)
@@ -824,13 +801,12 @@ GEO_JSON = '{"tail": {"kind": "geometric", "first": "1/2", "ratio": "1/2"}}'
 class TestLaunchWeight:
     """What a fresh interpreter loads of ``argparse``, ``json`` and the
     package to answer one command line: a plain one of each leaf reads its
-    row without argparse, and writes its document without ``json`` before
-    3.13, where ``json`` writes every document; help, an ``--opt=value`` and
-    JSON input load what they need. Of the package, every launch loads the
-    front end, the spec reader and the document writers, and each command
-    line only what it runs (``engines``): its engines, the argparse builder
-    (``argparser``) when argparse reads it and the JSON readers
-    (``readers``) for JSON input."""
+    row without argparse and writes its document without ``json``; help, an
+    ``--opt=value`` and JSON input load what they need. Of the package,
+    every launch loads the front end, the spec reader and the document
+    writers, and each command line only what it runs (``engines``): its
+    engines, the argparse builder (``argparser``) when argparse reads it and
+    the JSON readers (``readers``) for JSON input."""
 
     FRONT = {"cli", "core", "dsl", "errors", "sequences", "writers"}
 
@@ -858,8 +834,6 @@ class TestLaunchWeight:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.splitlines()[-1].split())
-        if sys.version_info >= (3, 13):
-            needs = needs | {"json"}
         assert {"argparse", "json"} & loaded == needs
         package = {name.partition(".")[2] for name in loaded if name.startswith("tracerange.")}
         assert package == self.FRONT | engines
@@ -921,8 +895,9 @@ class TestLaunchExit:
         assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0, proc.stderr
 
     def test_main_in_process_freezes_nothing(self, capsys):
+        frozen = gc.get_freeze_count()  # not 0 on every interpreter before any code runs
         assert main(["check", DYADIC]) == 0
-        assert gc.get_freeze_count() == 0
+        assert gc.get_freeze_count() == frozen
         assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
@@ -975,9 +950,6 @@ class TestWriter:
         with pytest.raises(ValueError) as error:
             cli._write_json(doc)
         assert str(error.value) == str(expected.value)
-
-    def test_dump_is_the_writer_before_3_13(self):
-        assert (cli._dump is cli._write_json) == (sys.version_info < (3, 13))
 
     def test_the_escaper_is_the_one_json_writes_with(self):
         assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
