@@ -145,7 +145,7 @@ def _spec_text(args) -> str:
         except OSError as exc:
             raise ResourceLimitError(f"cannot read {_quoted(path, str)}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
-            raise ParseError(f"cannot read {path} as UTF-8: {exc.reason} at byte {exc.start}") from None
+            raise ParseError(f"cannot read {_quoted(path, str)} as UTF-8: {exc.reason} at byte {exc.start}") from None
     if inline is None:
         raise ParseError("missing spec: pass it inline or with --file")
     return inline

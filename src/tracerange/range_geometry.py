@@ -93,13 +93,6 @@ def _over(den: int, x: Fraction) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _twice(items: list) -> list:
-    """Each of ``items`` twice in a row, as a union of points lists its ends."""
-    doubled = items * 2
-    doubled[::2] = doubled[1::2] = items
-    return doubled
-
-
 def _coalesce(pairs: list[tuple[int, int]]) -> list[int]:
     """Merge sorted integer ``(lo, hi)`` pairs that overlap or touch, into
     the flat endpoint list lo, hi, lo, hi, ... that a grid holds."""
@@ -137,7 +130,6 @@ class IntervalUnion(_Record):
     _fields = ("_den", "_ends")
     _pairs = None  # ``_lowest_terms``' memo, set on the union by ``_setattr``
     _parts = None  # ``parts``' memo, set the same way
-    _points = False  # whether every part is a point, as in a finite cover; set by ``_place``
 
     def __init__(self, parts: Iterable[Interval] = ()):
         parts = tuple(parts)
@@ -174,23 +166,17 @@ class IntervalUnion(_Record):
             ends = [x // g for x in ends]
         _setattr(self, "_den", den)
         _setattr(self, "_ends", tuple(ends))
-        if ends and los == his:  # ``==`` stops at the first proper part, so a union with one pays no pass
-            _setattr(self, "_points", True)
 
     def _lowest_terms(self) -> tuple[list[int], list[int]]:
         """The endpoints' lowest-terms numerators and denominators, one gcd
-        each on the first read (a plain loop: a small union pays no set-up),
-        and one per point of a union of points, whose two ends are one value."""
+        each on the first read (a plain loop: a small union pays no set-up)."""
         pairs = self._pairs
         if pairs is None:
             den, gcd, nums, dens = self._den, math.gcd, [], []
-            step = 2 if self._points else 1
-            for x in self._ends[::step]:
+            for x in self._ends:
                 g = gcd(x, den)
                 nums.append(x // g)
                 dens.append(den // g)
-            if self._points:
-                nums, dens = _twice(nums), _twice(dens)
             _setattr(self, "_pairs", pairs := (nums, dens))
         return pairs
 
@@ -213,23 +199,14 @@ class IntervalUnion(_Record):
         """Each part's endpoints written "p/q", as ``format_rational`` writes
         them, one ``[lo, hi]`` list per part as the JSON document holds it.
 
-        On a grid that ``_fits``, the shared lowest-terms pass is read whole,
-        and a union of points writes each point once, for both its ends.
+        On a grid that ``_fits``, the shared lowest-terms pass is read whole.
         Otherwise ``_written`` reads each endpoint as it is reduced, in
-        order, so the first too large stops the rest; a point is reduced
-        once and read twice."""
+        order, so the first too large stops the rest."""
         if not self._fits():
-            den, step = self._den, 2 if self._points else 1
-            values = (_trusted_fraction(x // (g := math.gcd(x, den)), den // g) for x in self._ends[::step])
-            if self._points:
-                values = (end for point in values for end in (point, point))
-            texts = _written(values)
+            den = self._den
+            texts = _written(_trusted_fraction(x // (g := math.gcd(x, den)), den // g) for x in self._ends)
             return [texts[i : i + 2] for i in range(0, len(texts), 2)]
-        nums, dens = self._lowest_terms()
-        if self._points:
-            texts = [f"{p}/{q}" for p, q in zip(nums[::2], dens[::2])]
-            return [[text, text] for text in texts]
-        nums, dens = map(iter, (nums, dens))  # zipped twice: a part's lo, then its hi
+        nums, dens = map(iter, self._lowest_terms())  # zipped twice: a part's lo, then its hi
         return [[f"{p}/{q}", f"{r}/{s}"] for p, q, r, s in zip(nums, dens, nums, dens)]
 
     @classmethod

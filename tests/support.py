@@ -1,11 +1,21 @@
-"""Shared builders and hypothesis strategies for the test suite."""
+"""Shared builders, referees and hypothesis strategies for the test suite.
+
+The referees come from ``bench/reference.py``, the plain ``Fraction`` math
+the benchmark checks its answers with, which imports nothing from
+tracerange. ``document_seq`` hands it a model as the model's JSON document
+spells it, so no referee reads a term, total or tail sum from the engine
+under test. The ``fraction_*`` helpers are the loops the reference lacks:
+the greedy, the decoder, the fold and the condition with a slack; each
+reads its terms, totals and tail sums from the reference.
+"""
 
 from __future__ import annotations
 
-import itertools
-import math
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import hypothesis.strategies as st
@@ -22,6 +32,12 @@ from tracerange import (
     from_algebra,
 )
 from tracerange import core
+from tracerange.writers import model_to_doc
+
+# registered before it runs, as its dataclass looks its module up there
+_spec = importlib.util.spec_from_file_location("reference", Path(__file__).resolve().parents[1] / "bench" / "reference.py")
+reference = sys.modules["reference"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 HALF = Fraction(1, 2)
 # a cover of 2^N pieces at depth N, with endpoints of tens of thousands of
@@ -52,12 +68,7 @@ def cantor_like() -> SequenceModel:
 
 def scale_model(model: SequenceModel, factor: Fraction) -> SequenceModel:
     """Multiply every term by a positive factor."""
-    tail = model.tail
-    if isinstance(tail, GeometricTail):
-        tail = GeometricTail(tail.first * factor, tail.ratio)
-    elif isinstance(tail, MixedRadixTail):
-        tail = MixedRadixTail(tail.scale * factor, tail.radices)
-    return SequenceModel(tuple(x * factor for x in model.prefix), tail)
+    return SequenceModel(tuple(x * factor for x in model.prefix), model.tail.scaled(factor))
 
 
 def random_fraction(rng: random.Random, lo: Fraction, hi: Fraction, grain: int = 16) -> Fraction:
@@ -204,39 +215,30 @@ def run_cuts(model: SequenceModel, rng: random.Random) -> list[int]:
     return sorted(cuts | {start + 2, start + 7})
 
 
-def fraction_terms(model: SequenceModel, count: int) -> list[Fraction]:
-    """The first ``count`` terms by a plain ``Fraction`` loop: the prefix,
-    then a geometric tail multiplied by its ratio term by term, or a radix
-    tail's scale divided by the running product of its radices, each block
-    repeated radix - 1 times."""
-    terms = list(model.prefix)
-    tail = model.tail
-    if isinstance(tail, GeometricTail):
-        x = tail.first
-        while len(terms) < count:
-            terms.append(x)
-            x = x * tail.ratio
-    elif isinstance(tail, MixedRadixTail):
-        prod = 1
-        for k in tail.radices.iter_entries():
-            if len(terms) >= count:
-                break
-            prod *= k
-            terms.extend([tail.scale / prod] * (k - 1))
-    return terms[:count]
+def document_seq(model: SequenceModel):
+    """The model as the reference reads it: a ``reference.Seq`` built from
+    the model's document (``model_to_doc``), which names the tail's kind
+    and parameters."""
+    doc = model_to_doc(model)
+    prefix, tail = tuple(map(Fraction, doc["prefix"])), doc["tail"]
+    if tail["kind"] == "geometric":
+        return reference.Seq(prefix, ("geo", Fraction(tail["first"]), Fraction(tail["ratio"])))
+    if tail["kind"] == "radix":
+        return reference.Seq(prefix, ("radix", Fraction(tail["scale"]), tuple(tail["pre"]), tuple(tail["period"])))
+    return reference.Seq(prefix)
 
 
 def fraction_decode(model: SequenceModel, count: int) -> tuple[list[int], Optional[int]]:
-    """The decoder stepped over the first ``count`` terms of
-    ``fraction_terms``, one term at a time: the radices of the blocks peeled
-    whole inside them, and the first index where no pattern matches, or None
-    when there is none among them.
+    """The decoder stepped over the reference's first ``count`` terms, one
+    term at a time: the radices of the blocks peeled whole inside them, and
+    the first index where no pattern matches, or None when there is none
+    among them.
 
     A block opens at a term a with a * mult = 1/k for an integer k >= 2,
     mult the product of the radices before it, and holds k - 1 copies of a;
     a run longer than that breaks at the next block's first term, whose
     rescaled value is 1."""
-    terms = fraction_terms(model, count)
+    terms = reference.terms(document_seq(model), count)
     radices, mult, n = [], 1, 1  # n is the index read next
     while n <= count:
         if n > len(terms):
@@ -259,9 +261,10 @@ def fraction_decode(model: SequenceModel, count: int) -> tuple[list[int], Option
 def fraction_greedy(model: SequenceModel, target: Fraction, bit_count: int):
     """The greedy rule stepped over ``Fraction`` terms: (bits, achieved,
     residual, tail left after the last step)."""
-    residual, remaining, achieved = Fraction(target), model.total, Fraction(0)
+    seq = document_seq(model)
+    residual, remaining, achieved = Fraction(target), reference.total(seq), Fraction(0)
     bits = []
-    for a in itertools.islice(model.iter_terms(), bit_count):
+    for a in reference.terms(seq, bit_count):
         remaining -= a
         take = residual >= a
         if take:
@@ -273,26 +276,17 @@ def fraction_greedy(model: SequenceModel, target: Fraction, bit_count: int):
 
 def fraction_verify(model: SequenceModel, bits, target: Fraction) -> Fraction:
     """|target - sum of the terms the bits select|, summed as ``Fraction``s."""
-    chosen = sum((a for a, b in zip(model.iter_terms(), bits) if b), Fraction(0))
+    terms = reference.terms(document_seq(model), len(bits))
+    chosen = sum((a for a, b in zip(terms, bits) if b), Fraction(0))
     return abs(Fraction(target) - chosen)
-
-
-def fraction_digits(word: RadixWord, target: Fraction, count: int) -> tuple[int, ...]:
-    """Mixed-radix digits by a ``Fraction`` floor at each place value."""
-    residual, prod, digits = Fraction(target), 1, []
-    for k in itertools.islice(word.iter_entries(), count):
-        prod *= k
-        d = min(math.floor(residual * prod), k - 1)
-        residual -= Fraction(d, prod)
-        digits.append(d)
-    return tuple(digits)
 
 
 def fraction_violations(model: SequenceModel, depth: int, sigma=0):
     """``(n, (sigma + tail after n, a_n))`` for each n <= depth with a_n
     above sigma plus the tail after it, stepped over ``Fraction`` terms."""
-    found, remaining = [], model.total
-    for n, a in enumerate(itertools.islice(model.iter_terms(), depth), start=1):
+    seq = document_seq(model)
+    found, remaining = [], reference.total(seq)
+    for n, a in enumerate(reference.terms(seq, depth), start=1):
         remaining -= a
         if a > sigma + remaining:
             found.append((n, (sigma + remaining, a)))
@@ -315,27 +309,11 @@ def fraction_fold(model: SequenceModel, cut: int) -> list[tuple[Fraction, Fracti
     """The cover at ``cut`` by every fold step, from the cut down to 1, over
     ``Fraction``s: start from [0, tail after the cut] and merge in a copy
     shifted by each term."""
-    pieces = [(Fraction(0), model.tail_sum(cut))]
-    for a in reversed(model.first_terms(cut)):
+    seq = document_seq(model)
+    pieces = [(Fraction(0), reference.tail_sum(seq, cut))]
+    for a in reversed(reference.terms(seq, cut)):
         pieces = fraction_coalesce(pieces + [(lo + a, hi + a) for lo, hi in pieces])
     return pieces
-
-
-def fraction_complement(pieces, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Closure of [lo, hi] minus coalesced ``pieces``: scan for the open
-    gaps, then coalesce them."""
-    gaps, cursor = [], lo
-    for a, b in pieces:
-        if cursor < a:
-            gaps.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < hi:
-        gaps.append((cursor, hi))
-    return fraction_coalesce(gaps)
-
-
-def fraction_member(pieces, point: Fraction) -> bool:
-    return any(a <= point <= b for a, b in pieces)
 
 
 def fraction_length(pieces) -> Fraction:
@@ -387,16 +365,10 @@ def models(draw) -> SequenceModel:
     """Arbitrary valid models: tail first, then a prefix lifted above the
     tail's first term so the junction always holds."""
     tail = draw(tails)
-    if isinstance(tail, ZeroTail):
-        floor = Fraction(0)
-    elif isinstance(tail, GeometricTail):
-        floor = tail.first
-    else:
-        floor = tail.term(1)
+    floor = next(tail.terms(), Fraction(0))
     raw = draw(st.lists(fractions_nonnegative, max_size=4))
-    prefix = tuple(sorted((x + floor for x in raw), reverse=True))
-    if isinstance(tail, ZeroTail):
-        prefix = tuple(x for x in prefix if x > 0)
+    # only a zero tail's floor is 0, and only a finite prefix must drop its zeros
+    prefix = tuple(sorted((x + floor for x in raw if x + floor), reverse=True))
     return SequenceModel(prefix, tail)
 
 

@@ -401,6 +401,14 @@ class TestSpecFiles:
             "position": None,
         }
 
+    def test_a_long_path_to_a_file_that_is_not_utf8_is_quoted_by_the_window(self, tmp_path):
+        spec = str(tmp_path / ("m" * 120))
+        Path(spec).write_bytes(b"\xff\xfe1/2")
+        code, doc = body_json(["check", "--file", spec])
+        assert code == 3
+        quoted = f"{spec[: core.QUOTE_WINDOW]}... ({len(spec)} characters)"
+        assert doc["error"]["message"] == f"cannot read {quoted} as UTF-8: invalid start byte at byte 0"
+
 
 class TestHarness:
     def test_help(self):

@@ -34,12 +34,11 @@ from tracerange.core import QUOTE_WINDOW, _check_writable, _trusted_fraction
 from support import (
     REFEREE_MODELS,
     fraction_coalesce,
-    fraction_complement,
     fraction_fold,
     fraction_length,
-    fraction_member,
     fractions_nonnegative,
     interval_pairs,
+    reference,
 )
 
 
@@ -405,7 +404,7 @@ class TestSharedLowestTerms:
                     cover = achievable_outer(model, depth).union
                     text = cover._written_parts() if text_first else None
                     gaps = cover.complement(Interval(lo, hi))
-                    assert_parts(gaps, fraction_complement(pieces, lo, hi))
+                    assert_parts(gaps, reference.gaps_within(pieces, lo, hi))
                     # the pairs handed on are those the gaps would reduce themselves
                     fresh = IntervalUnion._on_grid(gaps._den, list(gaps._ends))
                     assert gaps._lowest_terms() == fresh._lowest_terms()
@@ -424,8 +423,8 @@ class TestGridUnionReferee:
         assert len(union) == len(expected)
         assert union.total_length() == fraction_length(expected)
         for point in probes(pairs):
-            assert union.contains(point) == fraction_member(expected, point)
-        assert union.contains(1) == fraction_member(expected, Fraction(1))
+            assert union.contains(point) == reference.member(expected, point)
+        assert union.contains(1) == reference.member(expected, Fraction(1))
 
     @given(interval_pairs(max_size=11))
     def test_insert(self, pairs):
@@ -443,7 +442,7 @@ class TestGridUnionReferee:
         else:
             lo, hi = Fraction(-1, 5), Fraction(13)
         gaps = union.complement(Interval(lo, hi))
-        assert_parts(gaps, fraction_complement(expected, lo, hi))
+        assert_parts(gaps, reference.gaps_within(expected, lo, hi))
 
     @given(interval_pairs(), st.sampled_from(["loose", "tight", "low", "high", "point"]))
     def test_complement_matches_the_endpoint_loop(self, pairs, bounds):
@@ -567,7 +566,7 @@ class TestGridUnionReferee:
         pieces = fraction_fold(model, 10)
         cover = achievable_outer(model, 10).union
         gaps = cover.complement(Interval(Fraction(0), model.total))
-        expected_gaps = fraction_complement(pieces, Fraction(0), model.total)
+        expected_gaps = reference.gaps_within(pieces, Fraction(0), model.total)
         assert (len(cover), len(gaps)) == (1024, 1023)
         for union, expected in ((cover, pieces), (gaps, expected_gaps)):
             assert_parts(union, expected)
@@ -618,25 +617,23 @@ class TestGridUnionReferee:
         assert len(gaps) == 2047 and len(calls) == 1 and gaps._pairs is None
 
     def test_a_union_of_points_takes_one_gcd_per_point(self, monkeypatch, digit_limit_640):
-        # a finite cover is a union of points: each is reduced once and
-        # written once, for both its ends, with the same text and parts
+        # a finite cover is a union of points, reduced like any other union:
+        # one gcd per endpoint, two per point, with the same text and parts
         model = SequenceModel(tuple(Fraction(1, p) for p in (2, 3, 5, 7, 11, 13)), ZeroTail())
         union = achievable_outer(model, 6).union
         sums = subset_sums(model.prefix)
-        assert len(union) == len(sums) == 64 and union._points
+        assert len(union) == len(sums) == 64
         calls = count_gcds(monkeypatch)
         assert union._written_parts() == [[format_rational(x)] * 2 for x in sums]
         assert [(part.lo, part.hi) for part in union.parts] == [(x, x) for x in sums]
-        assert len(calls) == 64
-        # past the digit limit each point is reduced once, up to the first too large to write
+        assert len(calls) == 128
+        # past the digit limit each endpoint is reduced once, up to the first too large to write
         big = achievable_outer(SequenceModel((Fraction(10**640), Fraction(1, 2), Fraction(1, 3)), ZeroTail()), 3).union
-        assert big._points and not big._fits()
+        assert not big._fits()
         calls.clear()
         with pytest.raises(ResourceLimitError, match="^output rational too large to write: 2127 bits$"):
             big._written_parts()
-        assert len(calls) == 4 + 1
-        # a union with a proper part is no union of points, whatever its others
-        assert not IntervalUnion([Interval(0, 0), Interval(1, 2)])._points
+        assert len(calls) == 2 * 4 + 1
 
     def test_reading_parts_runs_no_checked_constructor(self, monkeypatch):
         model = SequenceModel((), self.CANTOR_TAILS[0])

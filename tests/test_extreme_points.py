@@ -44,13 +44,13 @@ from support import (
     all_threes,
     cantor_like,
     dyadic,
+    document_seq,
     fraction_decode,
-    fraction_digits,
-    fraction_terms,
     fraction_violations,
     radix_words,
     random_unit_admissible_model,
     random_word,
+    reference,
     scale_model,
 )
 
@@ -146,7 +146,7 @@ class TestAdmissibility:
             base = REFEREE_MODELS[trial % len(REFEREE_MODELS)](rng)
             model = scale_model(base, scales[trial % len(scales)])
             verdict = admissibility_check(model)
-            found = fraction_violations(model, 80, sigma=1 - model.total)
+            found = fraction_violations(model, 80, sigma=1 - reference.total(document_seq(model)))
             if found:
                 n, gap = found[0]
                 assert verdict == ConditionVerdict(False, n, gap), model
@@ -377,9 +377,9 @@ def referee_extract(terms, radix):
 
 
 class TestDecodeReferee:
-    """The decoder against ``fraction_decode``, which peels the terms of
-    ``fraction_terms`` one at a time, and ``face_extract`` against a scan
-    of the same terms, over the face embeddings of every model family."""
+    """The decoder against ``fraction_decode``, which peels the reference's
+    terms one at a time, and ``face_extract`` against a scan of the same
+    terms, over the face embeddings of every model family."""
 
     WINDOW = 300  # terms read past the prefix; every witness falls inside
 
@@ -395,7 +395,7 @@ class TestDecodeReferee:
                 assert report.word.entries(len(radices)) == tuple(radices), model
             else:
                 assert report == ExtremalityReport.non_extreme(witness), model
-            terms = fraction_terms(model, count)
+            terms = reference.terms(document_seq(model), count)
             for radix in (None, 2, 3, 4, 5):
                 want = referee_extract(terms, radix)
                 try:
@@ -404,7 +404,7 @@ class TestDecodeReferee:
                     assert str(exc) == want, (model, radix)
                 else:
                     # as many terms as the model has past the run, up to the window
-                    assert fraction_terms(inner, count - len(terms) + len(want)) == want, (model, radix)
+                    assert reference.terms(document_seq(inner), count - len(terms) + len(want)) == want, (model, radix)
         assert statuses == {"extreme", "non_extreme"}
 
     def test_a_prefix_run_that_goes_on_into_the_tail_is_too_long_to_extract(self):
@@ -477,7 +477,7 @@ class TestDigits:
             den = rng.choice([1, 2, 6, 7, 30, 97, 1024, 3**7])
             target = F(rng.randint(0, den), den)
             count = rng.randint(0, 60)
-            assert mixed_radix_digits(word, target, count) == fraction_digits(word, target, count)
+            assert mixed_radix_digits(word, target, count) == tuple(reference.digits(word.pre, word.period, target, count))
 
     @given(radix_words, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=41))
     def test_digits_match_greedy_bits(self, word, num, den):

@@ -2,9 +2,10 @@
 
 The request path adds, multiplies and compares rationals on their integer
 numerators and denominators and builds each answer value once, in lowest
-terms. A seeded referee holds every such value to plain ``Fraction``
-arithmetic, and three counter contracts pin that cover, realize and
-command-line requests call no ``Fraction`` operator from the package at all.
+terms. A seeded referee holds every such value to the plain ``Fraction``
+arithmetic of ``bench/reference.py`` over the model's document, and three
+counter contracts pin that cover, realize and command-line requests call
+no ``Fraction`` operator from the package at all.
 """
 
 import functools
@@ -17,9 +18,7 @@ from fractions import Fraction
 import pytest
 
 from tracerange import (
-    GeometricTail,
     Interval,
-    MixedRadixTail,
     RadixWord,
     SequenceModel,
     SubsetSumOracle,
@@ -37,7 +36,7 @@ from tracerange import (
 )
 from tracerange.serialize import approximation_to_doc, expansion_to_doc, report_to_doc, word_to_doc
 
-from support import REFEREE_MODELS, RUN_FORM_MODELS, fraction_terms, random_word, run_cuts
+from support import REFEREE_MODELS, RUN_FORM_MODELS, document_seq, random_word, reference, run_cuts
 
 F = Fraction
 
@@ -48,14 +47,6 @@ def same(got, want: Fraction) -> bool:
     return type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
-def plain_tail_total(tail) -> Fraction:
-    if isinstance(tail, GeometricTail):
-        return tail.first / (1 - tail.ratio)
-    if isinstance(tail, MixedRadixTail):
-        return tail.scale
-    return F(0)
-
-
 class TestIntegerFormsReferee:
     @pytest.mark.parametrize("seed", range(4))
     def test_sums_and_terms_match_plain_fraction_arithmetic(self, seed):
@@ -63,8 +54,8 @@ class TestIntegerFormsReferee:
         for build in (*REFEREE_MODELS, *RUN_FORM_MODELS) * 5:
             model = build(rng)
             cuts = run_cuts(model, rng)
-            terms = fraction_terms(model, max(cuts) + 1)
-            total = sum(model.prefix, F(0)) + plain_tail_total(model.tail)
+            seq = document_seq(model)
+            terms, total = reference.terms(seq, max(cuts) + 1), reference.total(seq)
             assert same(model.total, total), model
             for n in cuts:
                 head = sum(terms[:n], F(0))
@@ -77,21 +68,20 @@ class TestIntegerFormsReferee:
         rng = random.Random("tail-closed-forms")
         for build in (*REFEREE_MODELS, *RUN_FORM_MODELS) * 20:
             tail = build(rng).tail
-            if not isinstance(tail, (GeometricTail, MixedRadixTail)):
+            seq = document_seq(SequenceModel((), tail))
+            if seq.finite:
                 continue
-            total = plain_tail_total(tail)
-            terms = fraction_terms(SequenceModel((), tail), 40)
+            terms, total = reference.terms(seq, 41), reference.total(seq)
             assert same(tail.total, total), tail
-            for j in (0, 1, 2, 3, 7, rng.randint(8, 39)):
+            for j in (0, 1, 2, 3, 7, rng.randint(8, 39), rng.randint(1, 30)):
+                # the sum after j by subtraction and by the reference's closed form
                 after = total - sum(terms[:j], F(0))
                 assert same(tail.sum_after(j), after), (tail, j)
+                assert same(tail.sum_after(j), reference.tail_sum(seq, j)), (tail, j)
                 assert same(tail.rest(j).total, after), (tail, j)
+                assert same(tail.rest(j).term(1), terms[j]), (tail, j)
                 if j:
                     assert same(tail.term(j), terms[j - 1]), (tail, j)
-            if isinstance(tail, GeometricTail):
-                j = rng.randint(1, 30)
-                assert same(tail.sum_after(j), tail.first / (1 - tail.ratio) * tail.ratio**j), (tail, j)
-                assert same(tail.rest(j).first, tail.first * tail.ratio**j), (tail, j)
 
 
 # Fraction's arithmetic, ordering and equality operators, with their reflections, and abs and unary minus

@@ -34,11 +34,12 @@ from tracerange.sequences import _rest, _walk
 
 from support import (
     REFEREE_MODELS,
-    fraction_terms,
+    document_seq,
     fraction_violations,
     models,
     radix_words,
     random_word,
+    reference,
     scale_model,
     set_ceiling,
 )
@@ -280,7 +281,7 @@ class TestTermStreamReferee:
 
     @staticmethod
     def check(model: SequenceModel, count: int = 80) -> None:
-        expected = fraction_terms(model, count)
+        expected = reference.terms(document_seq(model), count)
         streamed = list(itertools.islice(model.iter_terms(), count))
         materialized = list(model.first_terms(min(count, len(expected))))
         assert len(streamed) == len(materialized) == len(expected)
@@ -305,7 +306,7 @@ class TestTermStreamReferee:
 
 class TestTailContractReferee:
     """Every tail family's method set against a plain ``Fraction`` loop
-    over the tail's own terms (``fraction_terms``): flattened runs, the
+    over the reference's terms of the tail alone: flattened runs, the
     rest after each j, scaling, sums after j, the radix reading and the
     excess run at four slacks, for j from 0 to 40."""
 
@@ -315,7 +316,8 @@ class TestTailContractReferee:
     @classmethod
     def check(cls, tail) -> None:
         count = cls.DEPTH + cls.AHEAD
-        expected = fraction_terms(SequenceModel((), tail), count)
+        seq = document_seq(SequenceModel((), tail))
+        expected = reference.terms(seq, count)
         flat = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, tail.runs()))
         assert list(itertools.islice(flat, count)) == expected
         assert list(itertools.islice(tail.terms(), count)) == expected
@@ -323,7 +325,7 @@ class TestTailContractReferee:
             rest = tail.rest(j)
             want = expected[j : j + cls.AHEAD]
             assert list(itertools.islice(rest.terms(), cls.AHEAD)) == want
-            assert tail.sum_after(j) == rest.total == tail.total - sum(expected[:j], F(0))
+            assert tail.sum_after(j) == rest.total == reference.total(seq) - sum(expected[:j], F(0))
         for factor in (F(1, 3), F(5, 2)):
             scaled = list(itertools.islice(tail.scaled(factor).terms(), count))
             assert scaled == [x * factor for x in expected]
